@@ -6,6 +6,9 @@ root-of-unity regularity of row-pair vanishing sums; and the partial
 permutation semigroups generated by rank-one projection grids.
 """
 
+# set before the submodule imports: catalog reads it
+__version__ = "0.1.0"
+
 from .errors import (ConsistencyError, InvalidInputError, MatrixFormatError,
                      SearchBudgetExceeded)
 from .phases import PhaseEntry, parse_phase
@@ -42,12 +45,9 @@ from .semigroup import (MomentMatrix, MomentReport, PartialPermutation,
                         compose, cyclic_moment_oracle, extract_semigroup,
                         interval_shift_maps, moment, moment_matrix,
                         pre_latin_square, predicted_truncated_semigroup,
-                        projection_grid, semigroup_closure, sigma_from_square,
-                        verify_submagic)
+                        semigroup_closure, sigma_from_square, verify_submagic)
 from .io import (dumps_phm, from_document, load_phm, loads_phm, save_phm,
                  to_document)
 from .catalog import (CatalogRecord, append_record, catalog_path,
                       content_hash, read_records)
 from .schemas import CATALOG_RECORD_SCHEMA, PHM_V1_SCHEMA, RESULT_SCHEMA
-
-__version__ = "0.1.0"

@@ -15,6 +15,8 @@ from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from typing import Optional
 
+from . import __version__
+
 CATALOG_ENV = "HADLAB_CATALOG"
 
 
@@ -25,7 +27,7 @@ class CatalogRecord:
     summary: dict
     timestamp: str = field(default_factory=lambda: datetime.now(timezone.utc)
                            .isoformat(timespec="seconds"))
-    tool_version: str = "0.1.0"
+    tool_version: str = __version__
 
 
 def content_hash(text: str) -> str:

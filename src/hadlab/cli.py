@@ -525,7 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("regularity", help="cycle decompositions of row pairs")
     p.add_argument("file")
     p.add_argument("--cycle-tol", type=float, default=1e-8)
-    p.add_argument("--budget", type=int, default=10 ** 7)
+    p.add_argument("--budget", type=int, default=10 ** 7,
+                   help="search nodes (calls + completion attempts)")
     common(p)
 
     p = sub.add_parser("semigroup", help="partial permutation semigroup of "
@@ -543,7 +544,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="equivalence invariants")
     p.add_argument("file")
-    p.add_argument("--budget", type=int, default=10 ** 7)
+    p.add_argument("--budget", type=int, default=10 ** 7,
+                   help="search nodes (calls + completion attempts)")
     common(p)
 
     p = sub.add_parser("probe", help="batteries of related analyses")

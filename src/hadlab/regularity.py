@@ -3,9 +3,11 @@
 For orthogonal rows i, j the N terms H_ik conj(H_jk) sum to zero.  A matrix
 is regular when every such multiset splits into rotated complete sets of
 p-th roots of unity (p prime): subsets of the form rho * {1, zeta_p, ...,
-zeta_p^{p-1}}.  The decomposition search is an exact-cover backtracking over
-the term indices; integer exponent input additionally gets an exact lattice
-treatment, where negative coefficients can appear.
+zeta_p^{p-1}}.  The decomposition search is an exact cover of the term
+indices by forced completion: a p-cycle through a term a is exactly
+{a * zeta_p^m}, so its other p-1 terms are looked up, not searched for.
+Integer exponent input additionally gets an exact lattice treatment, where
+negative coefficients can appear.
 """
 
 from __future__ import annotations
@@ -13,14 +15,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .cyclotomic import CycloContext, solve_integer
 from .errors import ConsistencyError, InvalidInputError, SearchBudgetExceeded
 from .matrix import PHMatrix, ensure_verified, row_quotient_phases
-from .phases import PhaseEntry
+from .phases import TAU, PhaseEntry
 
 DEFAULT_BUDGET = 10 ** 7
 
@@ -61,20 +63,167 @@ def term_multiset(h: PHMatrix, i: int, j: int) -> tuple:
     return row_quotient_phases(h, i, j)
 
 
-def _is_rotated_cycle(values: np.ndarray, idxs: tuple, p: int, tol: float) -> bool:
-    """Do the terms at idxs equal rho times each p-th root exactly once?"""
-    rho = values[idxs[0]]
-    seen = set()
-    for ix in idxs:
-        q = values[ix] / rho
-        m = int(round((math.atan2(q.imag, q.real) / (2.0 * math.pi)) * p)) % p
-        if m in seen:
-            return False
-        if abs(q - complex(math.cos(2.0 * math.pi * m / p),
-                           math.sin(2.0 * math.pi * m / p))) > tol:
-            return False
-        seen.add(m)
-    return True
+def _on_root(q: complex, p: int, m: int, tol: float) -> bool:
+    """Is q within tol of zeta_p^m, with m the p-th root nearest to q?"""
+    near = int(round((math.atan2(q.imag, q.real) / (2.0 * math.pi)) * p)) % p
+    return near == m and abs(q - complex(math.cos(2.0 * math.pi * m / p),
+                                         math.sin(2.0 * math.pi * m / p))) <= tol
+
+
+def _exponent_classes(exps: Sequence[int], l: int):
+    """Classes and partner lookup for exact terms zeta_l^e, e in exps.
+
+    Terms with one exponent share a class; the partner of class c for
+    (p, m) is the class of exponent e_c + m*l/p, which exists only when p
+    divides l.
+    """
+    ids: dict = {}
+    classes = [ids.setdefault(e, len(ids)) for e in exps]
+    expo = list(ids)
+
+    def lookup(c: int, p: int, m: int) -> tuple:
+        if l % p:
+            return ()
+        hit = ids.get((expo[c] + m * (l // p)) % l)
+        return () if hit is None else (hit,)
+    return classes, lookup
+
+
+def _value_classes(values: np.ndarray, tol: float):
+    """Classes and partner lookup for floating terms.
+
+    Equal values share a class.  Partners of class c for (p, m) are looked
+    up in angle buckets at least as wide as a tol-disc around zeta_p^m
+    subtends, then confirmed by |q - zeta_p^m| <= tol with q the quotient
+    by the value of c.
+    """
+    ids: dict = {}
+    reps = []
+    classes = []
+    for v in values:
+        c = ids.setdefault(complex(v), len(ids))
+        if c == len(reps):
+            reps.append(v)
+        classes.append(c)
+    reach = math.asin(tol) if tol < 1.0 else math.pi
+    nb = int(TAU / (reach + 1e-12))
+    nb = nb if nb >= 3 else 1
+    width = TAU / nb
+    angle = [math.atan2(v.imag, v.real) % TAU for v in reps]
+    buckets: dict = {}
+    for c, a in enumerate(angle):
+        buckets.setdefault(int(a / width) % nb, []).append(c)
+    cache: dict = {}
+
+    def lookup(c: int, p: int, m: int) -> list:
+        key = (c, p, m)
+        if key not in cache:
+            b = int(((angle[c] + TAU * m / p) % TAU) / width) % nb
+            near = {(b - 1) % nb, b, (b + 1) % nb}
+            cache[key] = [d for k in near for d in buckets.get(k, ())
+                          if _on_root(reps[d] / reps[c], p, m, tol)]
+        return cache[key]
+    return classes, lookup
+
+
+def _cover(classes: Sequence[int], lookup, primes: Sequence[int],
+           budget: int) -> Optional[list]:
+    """Exact cover of the term indices by rotated prime cycles.
+
+    classes[k] names the value of term k, as a dense id; lookup(c, p, m)
+    lists the classes whose value is zeta_p^m times that of class c.  A
+    p-cycle through the anchor is forced: one term per m = 1..p-1, so each
+    prime costs p-1 lookups instead of a scan over (p-1)-subsets.  Terms
+    of one class are interchangeable, so only the lowest uncovered copy
+    of a class is ever taken, and failures are memoised on the number of
+    uncovered copies per class.
+
+    The order is that of plain exact-cover backtracking: the anchor is the
+    smallest uncovered index, primes (given largest first) are tried in
+    turn, and completions in lexicographic order of their indices.  A node
+    is one search call or one completion attempt; SearchBudgetExceeded is
+    raised past budget nodes.  Returns [(p, indices)] with the anchor
+    first in each indices tuple, or None when no cover exists.
+    """
+    members: List[List[int]] = [[] for _ in range(max(classes) + 1)]
+    rank = []          # rank[k]: how many copies of its class precede k
+    for k, c in enumerate(classes):
+        rank.append(len(members[c]))
+        members[c].append(k)
+    left = [len(ks) for ks in members]
+    failed = set()
+    nodes = 0
+
+    def low(c: int) -> int:
+        return members[c][len(members[c]) - left[c]]
+
+    def covered(k: int) -> bool:
+        return rank[k] < len(members[classes[k]]) - left[classes[k]]
+
+    def tick() -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise SearchBudgetExceeded(f"cycle search exceeded {budget} nodes")
+
+    def completions(a: int, p: int) -> list:
+        """Partner classes for each m, as (indices, classes) in index order."""
+        slots = []
+        for m in range(1, p):
+            slot = [c for c in lookup(a, p, m) if left[c]]
+            if not slot:
+                return []
+            slots.append(slot)
+        return sorted((tuple(sorted(low(c) for c in pick)), pick)
+                      for pick in itertools.product(*slots))
+
+    def search(size: int, start: int) -> Optional[list]:
+        tick()
+        if size == 0:
+            return []
+        state = tuple(left)
+        if state in failed:
+            return None
+        anchor = start
+        while covered(anchor):
+            anchor += 1
+        a = classes[anchor]
+        left[a] -= 1
+        for p in primes:
+            if p > size:
+                continue
+            picks = completions(a, p)
+            if not picks:
+                tick()
+            for idxs, pick in picks:
+                tick()
+                for c in pick:
+                    left[c] -= 1
+                tail = search(size - p, anchor + 1)
+                for c in pick:
+                    left[c] += 1
+                if tail is not None:
+                    left[a] += 1
+                    return [(p, (anchor,) + idxs)] + tail
+        left[a] += 1
+        failed.add(state)
+        return None
+
+    return search(len(classes), 0)
+
+
+def _exact_exponents(terms: Sequence, tol: float, top: int):
+    """(exponents, l) with each term zeta_l^e, when every term is an exact
+    phase and tol tells the exact answer: it lies above rounding error and
+    below the distance from any l-th root to any other l-th root or p-th
+    root, p <= top.  None otherwise."""
+    turns = [t.exact_turn() if isinstance(t, PhaseEntry) else None for t in terms]
+    if any(t is None for t in turns):
+        return None
+    l = math.lcm(*(t.denominator for t in turns))
+    if not 1e-12 <= tol < math.sin(math.pi / (l * top)):
+        return None
+    return [int(t * l) for t in turns], l
 
 
 def cycle_decompose(terms: Sequence, tol: float = 1e-8,
@@ -83,7 +232,8 @@ def cycle_decompose(terms: Sequence, tol: float = 1e-8,
 
     Deterministic search: the anchor is always the smallest uncovered index,
     primes are tried largest first, co-indices in lexicographic order, so
-    equal inputs always give the same decomposition.  Returns None when the
+    equal inputs always give the same decomposition.  Exact phases are
+    matched by exponent, other terms within tol.  Returns None when the
     completed search finds no partition; raises SearchBudgetExceeded when
     the node budget runs out first, which is an inconclusive outcome, not a
     negative one.
@@ -97,32 +247,15 @@ def cycle_decompose(terms: Sequence, tol: float = 1e-8,
     if abs(total) > tol * n:
         raise InvalidInputError(
             f"terms sum to {abs(total):.3g}, not a vanishing sum at tol {tol}")
-    primes = _primes_upto(n)
-    nodes = [0]
-
-    def search(uncovered: tuple) -> Optional[list]:
-        if not uncovered:
-            return []
-        anchor = uncovered[0]
-        rest = uncovered[1:]
-        for p in (q for q in reversed(primes) if q <= len(uncovered)):
-            for combo in itertools.combinations(rest, p - 1):
-                nodes[0] += 1
-                if nodes[0] > budget:
-                    raise SearchBudgetExceeded(
-                        f"cycle search exceeded {budget} nodes")
-                idxs = (anchor,) + combo
-                if _is_rotated_cycle(values, idxs, p, tol):
-                    remaining = tuple(u for u in rest if u not in combo)
-                    tail = search(remaining)
-                    if tail is not None:
-                        return [Cycle(p, complex(values[anchor]), idxs)] + tail
-        return None
-
-    found = search(tuple(range(n)))
+    primes = _primes_upto(n)[::-1]
+    exact = _exact_exponents(terms, tol, max(primes, default=1))
+    classes, lookup = (_exponent_classes(*exact) if exact is not None
+                       else _value_classes(values, tol))
+    found = _cover(classes, lookup, primes, budget)
     if found is None:
         return None
-    return CycleDecomposition(tuple(found))
+    return CycleDecomposition(tuple(Cycle(p, complex(values[idxs[0]]), idxs)
+                                    for p, idxs in found))
 
 
 @dataclass(frozen=True)
@@ -164,45 +297,18 @@ def cycle_decompose_integer(exponents: Sequence[int], l: int,
         return IntegerCycleDecomposition(l, False, None, None, None, True)
 
     primes = [p for p in _primes_upto(l) if l % p == 0]
-    nodes = [0]
-    budget_hit = [False]
-
-    def is_cycle(idxs: tuple, p: int) -> bool:
-        step = l // p
-        e0 = exps[idxs[0]]
-        offs = sorted((exps[ix] - e0) % l for ix in idxs)
-        return offs == [m * step for m in range(p)]
-
-    def search(uncovered: tuple) -> Optional[list]:
-        if not uncovered:
-            return []
-        anchor = uncovered[0]
-        rest = uncovered[1:]
-        for p in (q for q in reversed(primes) if q <= len(uncovered)):
-            for combo in itertools.combinations(rest, p - 1):
-                nodes[0] += 1
-                if nodes[0] > budget:
-                    budget_hit[0] = True
-                    return None
-                idxs = (anchor,) + combo
-                if is_cycle(idxs, p):
-                    remaining = tuple(u for u in rest if u not in combo)
-                    tail = search(remaining)
-                    if tail is not None:
-                        return [(p, exps[anchor] % (l // p))] + tail
-                    if budget_hit[0]:
-                        return None
-        return None
-
+    complete = True
+    found: Optional[list] = [] if n == 0 else None
     if n > 0 and primes:
-        found = search(tuple(range(n)))
-    else:
-        found = [] if n == 0 else None
-    complete = not budget_hit[0]
+        try:
+            found = _cover(*_exponent_classes(exps, l), primes[::-1], budget)
+        except SearchBudgetExceeded:
+            complete = False
     if found is not None:
         agg = {}
-        for p, r in found:
-            agg[(p, r)] = agg.get((p, r), 0) + 1
+        for p, idxs in found:
+            key = (p, exps[idxs[0]] % (l // p))
+            agg[key] = agg.get(key, 0) + 1
         comps = tuple(sorted(((p, r, c) for (p, r), c in agg.items()),
                              key=lambda t: (-t[0], t[1])))
         return IntegerCycleDecomposition(l, True, comps, True, "exact-cover", complete)

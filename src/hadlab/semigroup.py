@@ -42,10 +42,6 @@ class ProjectionGrid:
         return np.outer(v, np.conj(v)) / self.n
 
 
-def projection_grid(h: PHMatrix) -> ProjectionGrid:
-    return ProjectionGrid(h)
-
-
 @dataclass(frozen=True)
 class SubmagicReport:
     ok: bool
@@ -88,7 +84,10 @@ def classicality_test(h: PHMatrix, tol: float = 1e-8) -> ClassicalityReport:
     matrices and their truncations; anything strictly between witnesses a
     genuinely quantum (non-classical) grid.
     """
-    grid = ProjectionGrid(h)
+    return _classicality(ProjectionGrid(h), tol)
+
+
+def _classicality(grid: ProjectionGrid, tol: float) -> ClassicalityReport:
     m, n = grid.m, grid.n
     flat = grid.vectors.reshape(m * m, n)
     ov = np.abs(flat @ np.conj(flat.T)) / n
@@ -118,10 +117,9 @@ def pre_latin_square(h: PHMatrix, tol: float = 1e-8):
     Returns (square, representatives) where representatives[x-1] is the
     vector of the first pair assigned label x.
     """
-    rep = classicality_test(h, tol)
-    if not rep.classical:
-        return None
     grid = ProjectionGrid(h)
+    if not _classicality(grid, tol).classical:
+        return None
     m, n = grid.m, grid.n
     reps: List[np.ndarray] = []
     labels = [[0] * m for _ in range(m)]
@@ -232,32 +230,40 @@ class SemigroupClosure:
 
 def semigroup_closure(generators: Sequence[PartialPermutation],
                       cap: int = MAX_CLOSURE) -> SemigroupClosure:
-    """Close a set of partial permutations under composition (BFS)."""
+    """Close a set of partial permutations under composition (BFS over
+    right multiplication by the generators, O(|S| |G|) compositions)."""
     gens = list(generators)
     if not gens:
         return SemigroupClosure((), 0)
     m = gens[0].m
     if any(g.m != m for g in gens):
         raise InvalidInputError("generators act on different index sets")
+    # every element is a word in the generators, so right-multiplying each
+    # new element by each generator reaches them all
     seen = {g.targets: g for g in gens}
-    frontier = list(seen.values())
+    frontier = list(seen)
     while frontier:
         nxt = []
         for a in frontier:
-            for b in list(seen.values()):
-                for c in (compose(a, b), compose(b, a)):
-                    if c.targets not in seen:
-                        seen[c.targets] = c
-                        nxt.append(c)
-                        if len(seen) > cap:
-                            raise SearchBudgetExceeded(
-                                f"closure exceeded {cap} elements")
+            for g in gens:
+                # compose(a, g) on bare targets; only new ones are wrapped
+                c = tuple(None if y is None else a[y] for y in g.targets)
+                if c not in seen:
+                    seen[c] = PartialPermutation(c)
+                    nxt.append(c)
+                    if len(seen) > cap:
+                        raise SearchBudgetExceeded(
+                            f"closure exceeded {cap} elements")
         frontier = nxt
-    ordered = tuple(sorted(seen.values(),
-                           key=lambda e: (-e.kappa, e.targets.index(None)
-                                          if None in e.targets else -1,
-                                          str(e.targets))))
-    return SemigroupClosure(ordered, len(gens))
+    return SemigroupClosure(_closure_order(seen.values()), len(gens))
+
+
+def _closure_order(elems) -> Tuple[PartialPermutation, ...]:
+    """Display order: larger domains first, then by the first undefined
+    point, then by targets."""
+    return tuple(sorted(elems, key=lambda e: (
+        -e.kappa, e.targets.index(None) if None in e.targets else -1,
+        str(e.targets))))
 
 
 def extract_semigroup(h: PHMatrix, tol: float = 1e-8,
@@ -291,10 +297,7 @@ def interval_shift_maps(m: int) -> Tuple[PartialPermutation, ...]:
                     targets[src + t] = dst + t
                 pp = PartialPermutation(tuple(targets))
                 elems[pp.targets] = pp
-    return tuple(sorted(elems.values(),
-                        key=lambda e: (-e.kappa, e.targets.index(None)
-                                       if None in e.targets else -1,
-                                       str(e.targets))))
+    return _closure_order(elems.values())
 
 
 def predicted_truncated_semigroup(m: int, n: int) -> SemigroupClosure:
@@ -368,10 +371,12 @@ def moment(h: PHMatrix, p: int, tol: float = 1e-8) -> MomentReport:
 
     For a square Hadamard matrix this is N^{p-1}.  Eigenvalues within tol
     of 1 are counted; any eigenvalue in the decade above tol flags the
-    count as ambiguous.
+    count as ambiguous.  The moment matrix is Hermitian (P_ji is the
+    transpose of P_ij, so swapping row and column words conjugates the
+    trace), and its eigenvalues are real.
     """
     mm = moment_matrix(h, p)
-    ev = np.linalg.eigvals(mm.matrix)
+    ev = np.linalg.eigvalsh(mm.matrix)
     dist = np.abs(ev - 1.0)
     value = int(np.sum(dist < tol))
     excluded = dist[dist >= tol]

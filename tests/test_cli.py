@@ -223,6 +223,16 @@ def test_regularity_command(f6_file, tmp_path):
     assert body["data"]["inconclusive_pairs"]
 
 
+def test_regularity_command_decides_f24(tmp_path):
+    f24 = tmp_path / "f24.json"
+    run_command(["gen", "fourier", "24", "-o", str(f24)])
+    code, body = run_json(["regularity", str(f24)])
+    assert code == 0
+    assert body["data"]["regular"] is True
+    assert len(body["data"]["pairs"]) == 276
+    assert not body["data"]["inconclusive_pairs"]
+
+
 def test_semigroup_command(f25_file, tmp_path):
     code, body = run_json(["semigroup", f25_file])
     assert code == 0

@@ -1,14 +1,18 @@
+import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hadlab import (ConsistencyError, InvalidInputError, PhaseEntry,
                     SearchBudgetExceeded, cycle_decompose,
                     cycle_decompose_integer, cycle_structure_profile,
                     fourier_cyclic, is_regular, lam_leung_length_admissible,
                     petrescu, term_multiset, weak_isolation_probe)
+from hadlab.regularity import DEFAULT_BUDGET
 
 
 def roots(p: int, rho: complex = 1.0) -> list:
@@ -157,3 +161,119 @@ def test_weak_isolation_probe_fields():
     assert probe.butson_order == 5
     # root-of-unity type, so not a separating candidate
     assert not probe.counterexample_candidate
+
+
+def test_fourier24_regular_within_default_budget():
+    h = fourier_cyclic(24)
+    assert is_regular(h, budget=DEFAULT_BUDGET)
+    prof = cycle_structure_profile(h)
+    assert len(prof) == 276
+    # the difference 12 pairs split into twelve 2-cycles
+    assert prof[(0, 12)] == "+".join(["2"] * 12)
+
+
+# -- reference oracle: plain exact-cover backtracking over index subsets ------
+
+def _oracle_is_rotated_cycle(values, idxs, p, tol):
+    rho = values[idxs[0]]
+    seen = set()
+    for ix in idxs:
+        q = values[ix] / rho
+        m = int(round((math.atan2(q.imag, q.real) / (2.0 * math.pi)) * p)) % p
+        if m in seen:
+            return False
+        if abs(q - complex(math.cos(2.0 * math.pi * m / p),
+                           math.sin(2.0 * math.pi * m / p))) > tol:
+            return False
+        seen.add(m)
+    return True
+
+
+def _oracle_cover(n, primes, is_cycle):
+    """[(p, indices)] by trying every (p-1)-subset with the anchor, or None."""
+    def search(uncovered):
+        if not uncovered:
+            return []
+        anchor, rest = uncovered[0], uncovered[1:]
+        for p in (q for q in reversed(primes) if q <= len(uncovered)):
+            for combo in itertools.combinations(rest, p - 1):
+                idxs = (anchor,) + combo
+                if is_cycle(idxs, p):
+                    tail = search(tuple(u for u in rest if u not in combo))
+                    if tail is not None:
+                        return [(p, idxs)] + tail
+        return None
+    return search(tuple(range(n)))
+
+
+def _oracle_float(terms, tol=1e-8):
+    values = np.array([t.value if isinstance(t, PhaseEntry) else complex(t)
+                       for t in terms], dtype=np.complex128)
+    primes = [p for p in range(2, len(values) + 1)
+              if all(p % q for q in range(2, p))]
+    return _oracle_cover(len(values), primes, lambda idxs, p:
+                         _oracle_is_rotated_cycle(values, idxs, p, tol))
+
+
+def _oracle_integer(exps, l):
+    """Aggregated (p, rotation, count) components of the first cover, or None."""
+    primes = [p for p in range(2, l + 1)
+              if l % p == 0 and all(p % q for q in range(2, p))]
+
+    def is_cycle(idxs, p):
+        offs = sorted((exps[ix] - exps[idxs[0]]) % l for ix in idxs)
+        return offs == [m * (l // p) for m in range(p)]
+    found = _oracle_cover(len(exps), primes, is_cycle)
+    if found is None:
+        return None
+    agg = Counter((p, exps[idxs[0]] % (l // p)) for p, idxs in found)
+    return tuple(sorted(((p, r, c) for (p, r), c in agg.items()),
+                        key=lambda t: (-t[0], t[1])))
+
+
+SIX_30 = [5, 6, 12, 18, 24, 25]
+
+
+@st.composite
+def cycle_unions(draw):
+    """Exponents of l-th roots: rotated prime cycles, shuffled, at most 12
+    terms, sometimes with the irregular six-term sum of 30th roots."""
+    l = draw(st.sampled_from((6, 10, 12, 15, 30)))
+    primes = [p for p in (2, 3, 5) if l % p == 0]
+    exps = list(SIX_30) if l == 30 and draw(st.booleans()) else []
+    for p, r in draw(st.lists(st.tuples(st.sampled_from(primes),
+                                        st.integers(0, l - 1)), max_size=6)):
+        if len(exps) + p <= 12:
+            exps += [(r + m * (l // p)) % l for m in range(p)]
+    return l, draw(st.permutations(exps)), draw(st.floats(0.0, 1.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cycle_unions())
+@example((30, SIX_30, 0.0))
+@example((30, SIX_30 + [0, 10, 20], 0.25))
+@example((30, [15, 25, 3, 6, 21, 9, 27, 18, 12, 5, 24], 0.5))   # backtracks
+def test_engine_matches_subset_oracle(case):
+    l, exps, turn = case
+    rho = np.exp(2j * np.pi * turn)
+    # jitter far below tol makes equal terms distinct floats, so a cycle
+    # can be completed in several ways
+    jitter = np.random.default_rng(len(exps)).normal(0.0, 1e-12, len(exps))
+    for terms in ([PhaseEntry.butson(e, l) for e in exps],
+                  [np.exp(2j * np.pi * e / l) for e in exps],
+                  [rho * np.exp(2j * np.pi * e / l) for e in exps],
+                  [np.exp(2j * np.pi * (e / l + d)) for e, d in zip(exps, jitter)]):
+        want = _oracle_float(terms)
+        got = cycle_decompose(terms)
+        if want is None:
+            assert got is None
+        else:
+            assert [(c.p, c.indices) for c in got.cycles] == want
+            assert got.label == "+".join(str(p) for p in
+                                         sorted((p for p, _ in want), reverse=True))
+    want = _oracle_integer(exps, l)
+    got = cycle_decompose_integer(exps, l)
+    assert got.vanishing and got.search_complete
+    assert got.nonnegative is (want is not None)
+    if want is not None:
+        assert got.method == "exact-cover" and got.components == want

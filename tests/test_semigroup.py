@@ -1,13 +1,14 @@
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hadlab import (InvalidInputError, PartialPermutation, PHMatrix,
-                    SearchBudgetExceeded, classicality_test, compose,
-                    cyclic_moment_oracle, extract_semigroup, f22q,
+from hadlab import (InvalidInputError, PartialPermutation, PhaseEntry,
+                    PHMatrix, SearchBudgetExceeded, classicality_test,
+                    compose, cyclic_moment_oracle, extract_semigroup, f22q,
                     fourier_cyclic, interval_shift_maps, moment,
-                    moment_matrix, pre_latin_square,
+                    moment_matrix, petrescu, pre_latin_square,
                     predicted_truncated_semigroup, semigroup_closure,
                     sigma_from_square, truncated_fourier, verify_submagic)
 
@@ -130,6 +131,39 @@ def test_closure_f46_exceeds_interval_model():
     assert len(big) == 5
 
 
+def _closure_all_products(gens):
+    """Reference closure: compose the frontier with every element seen,
+    both ways, until nothing new appears."""
+    seen = {g.targets: g for g in gens}
+    frontier = list(gens)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in list(seen.values()):
+                for c in (compose(a, b), compose(b, a)):
+                    if c.targets not in seen:
+                        seen[c.targets] = c
+                        nxt.append(c)
+        frontier = nxt
+    return set(seen)
+
+
+def test_closure_matches_all_products_reference():
+    rng = random.Random(5)
+    for _ in range(40):
+        m = rng.randrange(1, 6)
+        gens = []
+        for _ in range(rng.randrange(1, 4)):
+            k = rng.randrange(m + 1)
+            targets = [None] * m
+            for src, dst in zip(rng.sample(range(m), k), rng.sample(range(m), k)):
+                targets[src] = dst
+            gens.append(PartialPermutation(tuple(targets)))
+        closure = semigroup_closure(gens)
+        assert {e.targets for e in closure.elements} == _closure_all_products(gens)
+        assert len(closure.elements) == len({e.targets for e in closure.elements})
+
+
 def test_extract_semigroup_rejects_quantum_grid():
     with pytest.raises(InvalidInputError):
         extract_semigroup(f22q(Fraction(1, 20)))
@@ -176,6 +210,19 @@ def test_moment_counts_square_fourier():
             assert rep.value == cyclic_moment_oracle(n, p) == n ** (p - 1)
             assert not rep.formal
             assert not rep.ambiguous
+
+
+def test_moment_matrix_is_hermitian():
+    # the criterion 11 fixtures, and a square matrix not of Butson type
+    cases = [(fourier_cyclic(n), p) for n in (2, 3, 4, 5) for p in (1, 2, 3, 4)]
+    cases += [(petrescu(PhaseEntry.turns(0.123)), p) for p in (1, 2)]
+    for h, p in cases:
+        mm = moment_matrix(h, p).matrix
+        assert np.max(np.abs(mm - mm.conj().T)) <= 1e-15
+        if mm.shape[0] <= 256:
+            # the general eigensolver counts the same unit eigenvalues
+            ev = np.linalg.eigvals(mm)
+            assert moment(h, p).value == int(np.sum(np.abs(ev - 1.0) < 1e-8))
 
 
 def test_moment_truncated_is_formal():
