@@ -167,13 +167,19 @@ def _cover(classes: Sequence[int], lookup, primes: Sequence[int],
             raise SearchBudgetExceeded(f"cycle search exceeded {budget} nodes")
 
     def completions(a: int, p: int) -> list:
-        """Partner classes for each m, as (indices, classes) in index order."""
+        """Partner classes for each m, as (indices, classes) in index order.
+
+        Each completion costs a node when tried, so more completions than
+        nodes left exhaust the budget before any of them is built.
+        """
         slots = []
         for m in range(1, p):
             slot = [c for c in lookup(a, p, m) if left[c]]
             if not slot:
                 return []
             slots.append(slot)
+        if math.prod(map(len, slots)) > budget - nodes:
+            raise SearchBudgetExceeded(f"cycle search exceeded {budget} nodes")
         return sorted((tuple(sorted(low(c) for c in pick)), pick)
                       for pick in itertools.product(*slots))
 
@@ -212,31 +218,16 @@ def _cover(classes: Sequence[int], lookup, primes: Sequence[int],
     return search(len(classes), 0)
 
 
-def _exact_exponents(terms: Sequence, tol: float, top: int):
-    """(exponents, l) with each term zeta_l^e, when every term is an exact
-    phase and tol tells the exact answer: it lies above rounding error and
-    below the distance from any l-th root to any other l-th root or p-th
-    root, p <= top.  None otherwise."""
-    turns = [t.exact_turn() if isinstance(t, PhaseEntry) else None for t in terms]
-    if any(t is None for t in turns):
-        return None
-    l = math.lcm(*(t.denominator for t in turns))
-    if not 1e-12 <= tol < math.sin(math.pi / (l * top)):
-        return None
-    return [int(t * l) for t in turns], l
-
-
 def cycle_decompose(terms: Sequence, tol: float = 1e-8,
                     budget: int = DEFAULT_BUDGET) -> Optional[CycleDecomposition]:
     """Partition a vanishing multiset into rotated prime cycles.
 
     Deterministic search: the anchor is always the smallest uncovered index,
     primes are tried largest first, co-indices in lexicographic order, so
-    equal inputs always give the same decomposition.  Exact phases are
-    matched by exponent, other terms within tol.  Returns None when the
-    completed search finds no partition; raises SearchBudgetExceeded when
-    the node budget runs out first, which is an inconclusive outcome, not a
-    negative one.
+    equal inputs always give the same decomposition.  Terms are matched
+    within tol.  Returns None when the completed search finds no partition;
+    raises SearchBudgetExceeded when the node budget runs out first, which
+    is an inconclusive outcome, not a negative one.
     """
     values = np.array([t.value if isinstance(t, PhaseEntry) else complex(t)
                        for t in terms], dtype=np.complex128)
@@ -247,11 +238,7 @@ def cycle_decompose(terms: Sequence, tol: float = 1e-8,
     if abs(total) > tol * n:
         raise InvalidInputError(
             f"terms sum to {abs(total):.3g}, not a vanishing sum at tol {tol}")
-    primes = _primes_upto(n)[::-1]
-    exact = _exact_exponents(terms, tol, max(primes, default=1))
-    classes, lookup = (_exponent_classes(*exact) if exact is not None
-                       else _value_classes(values, tol))
-    found = _cover(classes, lookup, primes, budget)
+    found = _cover(*_value_classes(values, tol), _primes_upto(n)[::-1], budget)
     if found is None:
         return None
     return CycleDecomposition(tuple(Cycle(p, complex(values[idxs[0]]), idxs)

@@ -193,15 +193,16 @@ class PartialPermutation:
         return self.notation()
 
 
+def _compose_targets(f: tuple, g: tuple) -> tuple:
+    """Targets of f after g: defined at x when g(x) and f(g(x)) both are."""
+    return tuple(None if y is None else f[y] for y in g)
+
+
 def compose(f: PartialPermutation, g: PartialPermutation) -> PartialPermutation:
     """f after g: defined at x when g(x) and f(g(x)) both are."""
     if f.m != g.m:
         raise InvalidInputError("mismatched sizes")
-    out = []
-    for x in range(g.m):
-        y = g.targets[x]
-        out.append(None if y is None else f.targets[y])
-    return PartialPermutation(tuple(out))
+    return PartialPermutation(_compose_targets(f.targets, g.targets))
 
 
 def sigma_from_square(square: PreLatinSquare, label: int) -> PartialPermutation:
@@ -246,8 +247,8 @@ def semigroup_closure(generators: Sequence[PartialPermutation],
         nxt = []
         for a in frontier:
             for g in gens:
-                # compose(a, g) on bare targets; only new ones are wrapped
-                c = tuple(None if y is None else a[y] for y in g.targets)
+                # compose(a, g), wrapped only when new
+                c = _compose_targets(a, g.targets)
                 if c not in seen:
                     seen[c] = PartialPermutation(c)
                     nxt.append(c)

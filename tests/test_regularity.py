@@ -62,6 +62,26 @@ def test_decompose_budget_exhaustion_raises():
         cycle_decompose(terms, budget=3)
 
 
+def test_budget_bounds_completions_built(monkeypatch):
+    # twelve distinct near-copies of each 5th root: 12^4 ways to complete
+    # the first cycle, more than a budget of 100 may build
+    rng = np.random.default_rng(0)
+    terms = [np.exp(2j * np.pi * (m / 5 + rng.uniform(-1e-11, 1e-11)))
+             for m in range(5) for _ in range(12)]
+    built = []
+    real = itertools.product
+
+    def product(*slots):
+        built.append(math.prod(map(len, slots)))
+        return real(*slots)
+    monkeypatch.setattr("hadlab.regularity.itertools.product", product)
+    with pytest.raises(SearchBudgetExceeded):
+        cycle_decompose(terms, budget=100)
+    assert max(built, default=0) <= 100
+    monkeypatch.undo()
+    assert cycle_decompose(terms).label == "+".join(["5"] * 12)
+
+
 def test_deterministic_search_order():
     terms = roots(2) + roots(3)
     a = cycle_decompose(terms)
