@@ -24,9 +24,9 @@ from .constructors import (DitaParams, MasterSpec, dita_deformation, f22q,
                            truncated_fourier)
 from .defect import (DefectReport, IsolationCertificate, defect, defect_exact,
                      defect_master, defect_split_truncated_fourier,
-                     defect_via_extension, exact_feasible,
-                     fourier_defect_formula, cyclic_defect_closed_form,
-                     count_one_entries, isolation_certificate, numerical_rank,
+                     defect_via_extension, fourier_defect_formula,
+                     cyclic_defect_closed_form, count_one_entries,
+                     isolation_certificate, numerical_rank,
                      real_truncation_defect_formula, truncation_probe,
                      unitary_completion)
 from .regularity import (CycleDecomposition, IntegerCycleDecomposition,

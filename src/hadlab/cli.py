@@ -315,7 +315,8 @@ def _cmd_isolated(args) -> Tuple[int, str]:
             "ambiguous": AMBIGUOUS}[cert.status]
     data = {"defect": cert.defect, "bound": cert.bound,
             "certified_isolated": cert.certified_isolated,
-            "status": cert.status, "exact": cert.exact}
+            "status": cert.status, "exact": cert.exact,
+            "method": cert.report.method, "breakdown": cert.report.breakdown}
     _catalog(args, "isolated", text, data)
     return _envelope("isolated", code, data, args, str(cert))
 
@@ -403,7 +404,8 @@ def _cmd_probe(args) -> Tuple[int, str]:
         certs = truncation_probe(args.n, sizes, args.tol, args.confidence)
         data = {"certificates": [
             {"rows": c.shape[0], "cols": c.shape[1], "defect": c.defect,
-             "bound": c.bound, "status": c.status, "exact": c.exact}
+             "bound": c.bound, "status": c.status, "exact": c.exact,
+             "method": c.report.method, "breakdown": c.report.breakdown}
             for c in certs]}
         human = "\n".join(str(c) for c in certs)
         code = OK

@@ -1,27 +1,51 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_l).
+"""Exact arithmetic with cyclotomic integers, and exact ranks of Butson
+tangent systems.
 
-Elements are coefficient vectors over the power basis 1, x, ..., x^{phi(l)-1}
-modulo the l-th cyclotomic polynomial, with Fraction coefficients.  Enough
-field operations for Gaussian elimination, which is what exact defect
-certification needs.  Sizes stay small (degree <= 10 or so), so plain dense
-arithmetic is adequate.
+``exact_vanishing`` reduces exponent counts modulo the l-th cyclotomic
+polynomial over the integers.  ``exact_defect_butson`` ranks the tangent
+system of a Butson matrix modulo split primes: a prime p = 1 (mod l) has
+an element w of order l in F_p, and zeta_l -> w is a ring map from
+Z[zeta_l] onto F_p.  The stacked system [C; conj(C)] has entries in
+Z[zeta_l] and its minors map to minors, so a reduction never raises the
+rank: every mod-p rank is a lower bound on the true rank, and M*N minus it
+an upper bound on the defect.  Two facts turn such bounds into proofs.
+When the rows are orthogonal the trivial phase directions lie in the
+kernel, so the rank is at most M*N - (M+N-1), and one reduction that
+reaches it proves isolation.  Otherwise the Hadamard bound closes the
+proof: every row holds 2N roots of unity, so a nonzero minor of order
+r+1 has norm at most (2N)^(phi(l)(r+1)/2), and that norm is divisible by
+each prime at which the minor vanishes.  Once the primes at which the rank
+stayed at most r multiply past the bound, the rank is exactly r.
+
+The elimination runs in float64 on integers: products of residues below p
+stay below 2^52 for the number of updates an entry takes between
+reductions, so every sum is exact.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .errors import InvalidInputError
+from .mcnulty_weigert import is_odd_prime
 
-# polynomials are coefficient lists, lowest degree first, no trailing zeros
+# Proofs of a defect above M+N-1 use at most this many reductions; past it
+# the defect is reported as the upper bound from two primes.
+PROOF_CAP = 16
+_PRIME_FLOOR = 1 << 20      # every prime used exceeds this
+_EXACT = float(1 << 52)     # magnitudes kept below this stay exact in float64
+_LEAF = 16                  # columns eliminated by rank-1 steps
+_PANEL = 128                # columns whose updates reach the rest in one GEMM
+_CHUNK = 512                # trailing columns per GEMM, bounding its temporary
+_SHORT = 128                # vectors this short reduce in one np.remainder call
 
-
-def _poly_trim(p: list) -> list:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+# polynomials are coefficient lists, lowest degree first
 
 
 def _poly_divmod_exact(num: list, den: list) -> list:
@@ -58,16 +82,16 @@ def cyclotomic_polynomial(l: int) -> List[int]:
 
 
 class CycloContext:
-    """Field arithmetic in Q(zeta_l) on the power basis."""
+    """Elements of Q(zeta_l) on the power basis, enough to test sums of
+    roots of unity for zero."""
 
     def __init__(self, l: int):
         self.l = l
         self.phi_poly = cyclotomic_polynomial(l)
         self.deg = len(self.phi_poly) - 1
-        # x^e reduced mod Phi_l, as integer vectors, for e up to max need
-        top = max(l, 2 * self.deg - 1)
+        # x^e reduced mod Phi_l, as integer vectors, for 0 <= e < l
         table = []
-        for e in range(top):
+        for e in range(l):
             if e < self.deg:
                 v = [0] * self.deg
                 v[e] = 1
@@ -79,14 +103,6 @@ class CycloContext:
                     v = [a - c * b for a, b in zip(v, self.phi_poly[:self.deg])]
             table.append(v)
         self._pow = table
-
-    # -- element constructors ----------------------------------------------
-
-    def zero(self) -> tuple:
-        return tuple([Fraction(0)] * self.deg)
-
-    def one(self) -> tuple:
-        return tuple([Fraction(1)] + [Fraction(0)] * (self.deg - 1))
 
     def zeta_power(self, e: int) -> tuple:
         return tuple(Fraction(c) for c in self._pow[e % self.l])
@@ -100,155 +116,278 @@ class CycloContext:
                 acc = [a + c * b for a, b in zip(acc, v)]
         return tuple(Fraction(c) for c in acc)
 
-    # -- arithmetic ----------------------------------------------------------
-
-    def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple(-x for x in a)
-
-    def mul(self, a, b):
-        conv = [Fraction(0)] * (2 * self.deg - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] += x * y
-        acc = list(conv[:self.deg])
-        for e in range(self.deg, len(conv)):
-            c = conv[e]
-            if c:
-                v = self._pow[e]
-                acc = [p + c * q for p, q in zip(acc, v)]
-        return tuple(acc)
-
     def is_zero(self, a) -> bool:
         return all(x == 0 for x in a)
 
-    def inverse(self, a):
-        """Multiplicative inverse via the extended Euclidean algorithm."""
-        if self.is_zero(a):
-            raise ZeroDivisionError("inverse of zero")
-        r0 = [Fraction(c) for c in self.phi_poly]
-        r1 = _poly_trim([Fraction(x) for x in a])
-        s0, s1 = [], [Fraction(1)]
-        while True:
-            if len(r1) == 1:
-                c = r1[0]
-                inv = [x / c for x in s1]
-                out = [Fraction(0)] * self.deg
-                for i, x in enumerate(inv):
-                    out[i] = x
-                return tuple(out)
-            q, r = _poly_divmod_frac(r0, r1)
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-            r0, r1 = r1, r
-            if not r1:
-                raise ArithmeticError("element is a zero divisor; l composite issue")
+
+# -- exact ranks modulo split primes -----------------------------------------
+
+@lru_cache(maxsize=None)
+def split_primes(l: int) -> Tuple[Tuple[int, int], ...]:
+    """The PROOF_CAP smallest primes p = 1 (mod l) above 2^20, each paired
+    with an element of order l in F_p."""
+    if l < 1:
+        raise InvalidInputError("l must be >= 1")
+    factors = [q for q in range(2, l + 1)
+               if l % q == 0 and (q == 2 or is_odd_prime(q))]
+    out = []
+    p = (_PRIME_FLOOR // l + 1) * l + 1
+    while len(out) < PROOF_CAP:
+        if is_odd_prime(p):
+            g = 2
+            w = pow(g, (p - 1) // l, p)
+            while any(pow(w, l // q, p) == 1 for q in factors):
+                g += 1
+                w = pow(g, (p - 1) // l, p)
+            out.append((p, w))
+        p += l
+    return tuple(out)
 
 
-def _poly_mul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _poly_trim(out)
+def _reduce(x: np.ndarray, p: int) -> None:
+    """Replace each entry of x by a residue mod p of magnitude below p, in
+    place.  Entries are integers below 2^52 in magnitude, so x * (1/p) is
+    within 2^-19 of the true quotient, rint(x/p) * p is exact, and what
+    is left is at most p/2 + 1 in magnitude."""
+    if x.size <= _SHORT:
+        np.remainder(x, p, out=x)
+        return
+    q = x * (1.0 / p)
+    np.rint(q, out=q)
+    q *= p
+    x -= q
 
 
-def _poly_sub(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] -= x
-    return _poly_trim(out)
+def _leaf(v: np.ndarray, y: np.ndarray, r0: int, c0: int, c1: int,
+          p: int) -> Tuple[int, np.ndarray]:
+    """Eliminate columns c0:c1 of v among its rows r0: by rank-1 steps.
 
-
-def _poly_divmod_frac(num: list, den: list):
-    num = list(num)
-    if len(num) < len(den):
-        return [], _poly_trim(num)
-    q = [Fraction(0)] * (len(num) - len(den) + 1)
-    lead = den[-1]
-    for k in range(len(q) - 1, -1, -1):
-        c = num[k + len(den) - 1]
-        if c:
-            q[k] = c / lead
-            for i, d in enumerate(den):
-                num[k + i] -= q[k] * d
-    return _poly_trim(q), _poly_trim(num)
-
-
-def exact_rank(rows: List[list], ctx: CycloContext) -> int:
-    """Rank of a matrix of field elements by Gaussian elimination."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(rows)):
-            if not ctx.is_zero(rows[r][col]):
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = ctx.inverse(rows[rank][col])
-        rows[rank] = [ctx.mul(inv, v) for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and not ctx.is_zero(rows[r][col]):
-                f = rows[r][col]
-                rows[r] = [ctx.sub(v, ctx.mul(f, w))
-                           for v, w in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
+    The steps run on a transposed copy that holds the leaf columns and,
+    below them, each row's coefficients on the pivot rows as those were
+    when the leaf began.  The pivot rows move to r0, r0+1, ... in v and y.
+    Returns the pivot count k and, for the rows of v from r0+k on, the
+    coefficients (unreduced) by which the leaf's steps changed them.
+    """
+    w = c1 - c0
+    rows = v.shape[0] - r0
+    t = np.zeros((2 * w, rows))
+    t[:w] = v[r0:, c0:c1].T
+    buf = np.empty(2 * w * rows)
+    order = list(range(rows))
+    k = 0
+    for c in range(w):
+        if k == rows:
             break
+        col = t[c, k:]
+        _reduce(col, p)
+        nz = col.nonzero()[0]
+        if not len(nz):
+            continue
+        i = k + int(nz[0])
+        if i != k:
+            t[:, [k, i]] = t[:, [i, k]]
+            order[k], order[i] = order[i], order[k]
+        t[w + k, k] = 1.0
+        # the rest of the pivot row and its coefficients, times -1/pivot
+        piv = t[c + 1:w + k + 1, k]
+        _reduce(piv, p)
+        piv *= p - pow(int(t[c, k]) % p, -1, p)
+        _reduce(piv, p)
+        below = rows - k - 1
+        upd = buf[:len(piv) * below].reshape(len(piv), below)
+        np.multiply(piv[:, None], col[1:], out=upd)
+        t[c + 1:w + k + 1, k + 1:] += upd
+        k += 1
+    order = np.array(order)
+    moved = np.flatnonzero(order != np.arange(rows))
+    if len(moved):
+        v[r0 + moved] = v[r0 + order[moved]]
+        y[r0 + moved] = y[r0 + order[moved]]
+    return k, t[w:w + k, k:].T
+
+
+def _panel(v: np.ndarray, c0: int, c1: int, p: int) -> Tuple[int, np.ndarray]:
+    """Eliminate columns c0:c1 of v, leaf by leaf, updating only c0:c1.
+
+    Returns the pivot count k, with the pivot rows moved to the top of v,
+    and reduced coefficients y: the elimination adds y[i] @ (v[:k] as it
+    was when the panel began) to row k + i of v.
+    """
+    rows = v.shape[0]
+    y = np.zeros((rows, c1 - c0))
+    k = 0
+    for s in range(c0, c1, _LEAF):
+        e = min(s + _LEAF, c1)
+        kl, yl = _leaf(v, y, k, s, e, p)
+        if not kl:
+            continue
+        top = k + kl
+        _reduce(yl, p)
+        y[range(k, top), range(k, top)] = 1.0
+        for src, dst in ((v[k:top, e:c1], v[top:, e:c1]),
+                         (y[k:top, :top], y[top:, :top])):
+            _reduce(src, p)
+            dst += yl @ src
+        k = top
+        if k == rows:
+            break
+    yk = np.ascontiguousarray(y[k:, :k])
+    _reduce(yk, p)
+    return k, yk
+
+
+def rank_mod_p(a: np.ndarray, p: int) -> int:
+    """Rank over F_p of an integer matrix held in float64; a is overwritten.
+
+    Right-looking elimination: rank-1 steps inside leaves of _LEAF columns,
+    GEMM updates from each leaf to the rest of its panel of _PANEL columns
+    and from each panel to the trailing columns.  Every operand is reduced
+    below p before it is multiplied, so each update adds less than p^2 to
+    an entry; entries are reduced when their panel comes up, and the
+    trailing block as a whole whenever the updates it took since would
+    exceed ``cap``, which keeps every entry and partial sum below 2^52.
+    """
+    rows, cols = a.shape
+    cap = int((_EXACT - p) // (p * p))
+    if p < 2 or cap < _PANEL:
+        raise InvalidInputError(f"p = {p} is outside the exact float64 range")
+    rank = stale = 0
+    buf = np.empty(rows * _CHUNK)
+    for c0 in range(0, cols, _PANEL):
+        if rank == rows:
+            break
+        c1 = min(c0 + _PANEL, cols)
+        v = a[rank:]
+        _reduce(v[:, c0:c1], p)
+        k, y = _panel(v, c0, c1, p)
+        if k and c1 < cols:
+            if stale + k > cap:
+                _reduce(v[k:, c1:], p)
+                stale = 0
+            src = v[:k, c1:]
+            _reduce(src, p)
+            for s in range(c1, cols, _CHUNK):
+                t = min(s + _CHUNK, cols)
+                gemm = buf[:y.shape[0] * (t - s)].reshape(y.shape[0], t - s)
+                v[k:, s:t] += np.matmul(y, src[:, s - c1:t - c1], out=gemm)
+            stale += k
+        rank += k
     return rank
 
 
-def exact_defect_butson(exponents: Sequence[Sequence[int]], l: int,
-                        max_degree: int = 10, max_size: int = 64) -> int:
-    """Tangent-space dimension of a Butson matrix, certified exactly.
+@lru_cache(maxsize=None)
+def _power_basis(l: int) -> np.ndarray:
+    basis = np.array(CycloContext(l)._pow, dtype=np.int64)
+    basis.flags.writeable = False
+    return basis
 
-    The real tangent system [Re C; Im C] over R has the same rank as the
-    stacked [C; conj(C)] over Q(zeta_l), so the defect M*N - rank comes out
-    of exact field arithmetic with no floating point involved.
+
+def _rows_orthogonal(diffs: np.ndarray, l: int) -> bool:
+    """Whether each row pair's sum of zeta_l^d over its differences d is
+    exactly zero: its exponent counts reduce to zero modulo Phi_l."""
+    npairs = diffs.shape[0]
+    keys = np.arange(npairs)[:, None] * l + diffs
+    counts = np.bincount(keys.ravel(), minlength=npairs * l).reshape(npairs, l)
+    return not np.any(counts @ _power_basis(l))
+
+
+def _tangent_system_mod_p(pairs: Tuple[np.ndarray, np.ndarray],
+                          diffs: np.ndarray, shape: Tuple[int, int], l: int,
+                          p: int, w: int) -> np.ndarray:
+    """[C; conj(C)] over F_p, with zeta_l -> w, as float64 residues.
+
+    Row (i, j) of C is w^(E_ik - E_jk) in column i*N + k and its negative
+    in column j*N + k; conj(C) has the exponents negated.
     """
-    E = [list(map(int, row)) for row in exponents]
-    m = len(E)
-    n = len(E[0]) if m else 0
-    if m == 0 or n == 0:
+    iu, ju = pairs
+    m, n = shape
+    powers = np.array([pow(w, e, p) for e in range(l)], dtype=np.float64)
+    out = np.zeros((2, len(iu), m, n))
+    at = np.arange(len(iu))
+    for half, d in enumerate((diffs, (-diffs) % l)):
+        c = powers[d]
+        out[half, at, iu] = c
+        out[half, at, ju] = p - c
+    return out.reshape(2 * len(iu), m * n)
+
+
+@dataclass(frozen=True)
+class ButsonDefect:
+    """Defect of a Butson exponent table from ranks modulo split primes.
+
+    ``exact`` says whether the ranks prove the defect; otherwise it is the
+    least upper bound they give.  ``route`` is "proof" or "bound".
+    ``needed`` is the number of reductions whose primes beat the Hadamard
+    bound at the largest rank seen (an estimate past the PROOF_CAP cached
+    primes), or 0 when one reduction reached the largest possible rank.
+    """
+    defect: int
+    exact: bool
+    route: str
+    primes: Tuple[int, ...]
+    ranks: Tuple[int, ...]
+    needed: int
+
+
+def _reductions_needed(l: int, phi: int, n: int, rank: int) -> int:
+    """Fewest leading split primes whose product exceeds (2N)^(phi(r+1)/2),
+    the Hadamard bound on the norm of a minor of order r+1; past the
+    PROOF_CAP cached primes, an estimate that takes each further prime as
+    large as the last."""
+    target = phi * (rank + 1) / 2 * math.log(2 * n)
+    logs = [math.log(p) for p, _ in split_primes(l)]
+    total = 0.0
+    for k, lp in enumerate(logs, 1):
+        total += lp
+        if total > target:
+            return k
+    return len(logs) + math.floor((target - total) / logs[-1]) + 1
+
+
+def exact_defect_butson(exponents: Sequence[Sequence[int]], l: int) -> ButsonDefect:
+    """Defect of the Butson matrix zeta_l^E from ranks of its tangent system
+    modulo split primes (see the module docstring for the proof).
+
+    The first reduction that reaches the largest possible rank proves the
+    defect.  Otherwise, when the Hadamard bound closes within PROOF_CAP
+    reductions, reductions continue until it does; when it cannot, two
+    reductions give an upper bound and ``exact`` is False.
+    """
+    rows = [list(map(int, row)) for row in exponents]
+    if not rows or not rows[0]:
         raise InvalidInputError("empty exponent table")
-    if any(len(r) != n for r in E):
+    if any(len(r) != len(rows[0]) for r in rows):
         raise InvalidInputError("ragged exponent table")
-    ctx = CycloContext(l)
-    if ctx.deg > max_degree or m * n > max_size:
-        raise InvalidInputError(
-            f"exact defect limited to degree <= {max_degree} and size <= "
-            f"{max_size}; got degree {ctx.deg}, size {m * n}")
+    phi = len(cyclotomic_polynomial(l)) - 1
+    E = np.array(rows, dtype=np.int64)
+    m, n = E.shape
     if m == 1:
-        return n
-    rows = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            for sign in (1, -1):
-                row = [ctx.zero()] * (m * n)
-                for k in range(n):
-                    c = ctx.zeta_power(sign * (E[i][k] - E[j][k]))
-                    row[i * n + k] = c
-                    row[j * n + k] = ctx.neg(c)
-                rows.append(row)
-    return m * n - exact_rank(rows, ctx)
+        return ButsonDefect(n, True, "proof", (), (), 0)
+    pairs = np.triu_indices(m, 1)
+    diffs = (E[pairs[0]] - E[pairs[1]]) % l
+    # the column phase directions always lie in the kernel, the row phase
+    # directions when the rows are orthogonal
+    top = m * n - (m + n - 1 if _rows_orthogonal(diffs, l) else n)
+    primes, ranks = [], []
+    for p, w in split_primes(l):
+        primes.append(p)
+        # no name holds the system, so it is freed before the next is built
+        ranks.append(rank_mod_p(
+            _tangent_system_mod_p(pairs, diffs, (m, n), l, p, w), p))
+        r = max(ranks)
+        if r == top:
+            return ButsonDefect(m * n - r, True, "proof", tuple(primes),
+                                tuple(ranks), 0)
+        needed = _reductions_needed(l, phi, n, r)
+        if needed > PROOF_CAP:
+            if len(primes) >= 2:
+                break
+        elif (len(primes) >= needed
+              and math.prod(primes) ** 2 > (2 * n) ** (phi * (r + 1))):
+            return ButsonDefect(m * n - r, True, "proof", tuple(primes),
+                                tuple(ranks), needed)
+    return ButsonDefect(m * n - max(ranks), False, "bound", tuple(primes),
+                        tuple(ranks), needed)
 
 
 def exact_vanishing(exponents: Sequence[int], l: int) -> bool:

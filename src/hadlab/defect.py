@@ -16,7 +16,7 @@ raises ConsistencyError rather than returning a number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,9 +24,9 @@ import numpy as np
 from .constructors import (MasterSpec, group_elements, master_matrix,
                            normalize_row_subset, truncated_fourier,
                            _check_orders)
-from .cyclotomic import exact_defect_butson
+from .cyclotomic import PROOF_CAP, exact_defect_butson
 from .errors import ConsistencyError, InvalidInputError
-from .matrix import PHMatrix, detect_butson, ensure_verified
+from .matrix import ButsonForm, PHMatrix, detect_butson, ensure_verified
 
 DEFAULT_CONFIDENCE = 1e6
 
@@ -140,29 +140,37 @@ def defect(h: PHMatrix, tol: float = 1e-9,
     return _report("direct", h.shape, h.m * h.n, rr, tol, confidence)
 
 
+def _modular_report(h: PHMatrix, form: ButsonForm) -> DefectReport:
+    """Report from the ranks modulo split primes: method "direct-exact"
+    when they prove the defect, "direct-modp" when they only bound it."""
+    res = exact_defect_butson(form.exponents, form.l)
+    breakdown = {"butson_order": form.l, "route": res.route,
+                 "primes": list(res.primes), "ranks": list(res.ranks),
+                 "reductions": len(res.primes)}
+    if not res.exact:
+        breakdown.update(reductions_needed=res.needed, reduction_cap=PROOF_CAP)
+    rr = RankResult(h.m * h.n - res.defect, None, None, math.inf)
+    return _report("direct-exact" if res.exact else "direct-modp", h.shape,
+                   h.m * h.n, rr, 0.0, math.inf, exact=res.exact,
+                   breakdown=breakdown)
+
+
 def defect_exact(h: PHMatrix, l_max: int = 60) -> DefectReport:
-    """Defect by exact cyclotomic rank; input must be Butson-type."""
+    """Defect proved by ranks modulo split primes; input must be
+    Butson-type, and the proof must close within PROOF_CAP reductions."""
     ensure_verified(h)
     form = detect_butson(h, l_max)
     if form is None:
         raise InvalidInputError(
             f"no root-of-unity form of order <= {l_max} found; exact defect "
             f"needs a Butson-type matrix")
-    d = exact_defect_butson(form.exponents, form.l)
-    rr = RankResult(h.m * h.n - d, None, None, math.inf)
-    return _report("direct-exact", h.shape, h.m * h.n, rr, 0.0, math.inf,
-                   exact=True, breakdown={"butson_order": form.l})
-
-
-def exact_feasible(h: PHMatrix, l_max: int = 60) -> bool:
-    """Cheap feasibility test for the exact route (small field, small size)."""
-    form = detect_butson(h, l_max)
-    if form is None:
-        return False
-    from .cyclotomic import CycloContext
-    deg = CycloContext(form.l).deg
-    size = h.m * h.n
-    return (deg <= 4 and size <= 40) or (deg <= 2 and size <= 64)
+    rep = _modular_report(h, form)
+    if not rep.exact:
+        raise InvalidInputError(
+            f"exact defect needs {rep.breakdown['reductions_needed']} "
+            f"reductions, over the cap of {PROOF_CAP}; two primes bound it "
+            f"by {rep.defect}")
+    return rep
 
 
 # -- extension route ---------------------------------------------------------
@@ -528,16 +536,19 @@ def isolation_certificate(h: PHMatrix, tol: float = 1e-9,
 
     defect == M + N - 1 certifies the matrix is isolated among partial
     Hadamard matrices up to equivalence; a larger defect leaves the question
-    undetermined (the bound is one-sided).  The exact cyclotomic route is
-    used when available so that the certificate does not rest on a floating
-    rank decision.
+    undetermined (the bound is one-sided).  Butson-type input goes through
+    ranks modulo split primes, so the certificate does not rest on a
+    floating rank decision; when they cannot prove the defect, the
+    certificate carries their upper bound with ``exact`` False.  Other
+    input, or ``prefer_exact=False``, takes the floating SVD.
     """
     ensure_verified(h, tol)
-    rep = None
-    if prefer_exact and exact_feasible(h):
-        rep = defect_exact(h)
-    if rep is None:
-        rep = defect(h, tol, confidence)
+    form = detect_butson(h) if prefer_exact else None
+    if form is not None:
+        rep = _modular_report(h, form)
+    else:
+        rep = replace(defect(h, tol, confidence),
+                      breakdown={"butson_order": None, "route": "float"})
     bound = h.m + h.n - 1
     if rep.ambiguous:
         status = "ambiguous"

@@ -208,6 +208,13 @@ def test_isolated_exit_codes(tmp_path):
     code, body = run_json(["isolated", str(f6)])
     assert code == 1
     assert body["data"]["status"] == "undetermined"
+    assert body["data"]["breakdown"]["route"] == "proof"
+    f7 = tmp_path / "f7.json"
+    run_command(["gen", "fourier", "7", "-o", str(f7)])
+    code, body = run_json(["isolated", str(f7)])
+    assert code == 0 and body["data"]["exact"] is True
+    assert body["data"]["method"] == "direct-exact"
+    assert body["data"]["breakdown"]["butson_order"] == 7
 
 
 def test_regularity_command(f6_file, tmp_path):
@@ -270,6 +277,8 @@ def test_probe_truncation(tmp_path):
     assert [c["rows"] for c in certs] == [2, 3, 4, 5]
     assert certs[0]["status"] == "undetermined"
     assert certs[-2]["status"] == certs[-1]["status"] == "isolated"
+    assert all(c["exact"] and c["method"] == "direct-exact" for c in certs)
+    assert [c["breakdown"]["reductions"] for c in certs] == [1, 3, 1, 1]
     code, body = run_json(["probe", "truncation", "5", "--sizes", "2,4"])
     assert [c["rows"] for c in body["data"]["certificates"]] == [2, 4]
 
@@ -337,7 +346,8 @@ def test_main_entry_point_routing(tmp_path, capsys, monkeypatch):
 
 
 def test_module_invocation():
-    proc = subprocess.run([sys.executable, "-m", "hadlab.cli", "--version"],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert proc.stdout.startswith("hadlab ")
+    for module in ("hadlab.cli", "hadlab"):
+        proc = subprocess.run([sys.executable, "-m", module, "--version"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("hadlab ")

@@ -4,14 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hadlab import (ConsistencyError, InvalidInputError, PHMatrix, PhaseEntry,
-                    apply_equivalence, count_one_entries,
+from hadlab import (ConsistencyError, InvalidInputError, MWSpec, PHMatrix,
+                    PhaseEntry, apply_equivalence, count_one_entries,
                     cyclic_defect_closed_form, defect, defect_exact,
                     defect_master, defect_split_truncated_fourier,
-                    defect_via_extension, exact_feasible, f22q,
-                    fourier_cyclic, fourier_defect_formula, fourier_group,
-                    isolation_certificate, numerical_rank,
-                    real_truncation_defect_formula, tensor_product,
+                    defect_via_extension, fourier_cyclic,
+                    fourier_defect_formula, fourier_group,
+                    isolation_certificate, mw_construct, numerical_rank,
+                    petrescu, real_truncation_defect_formula, tensor_product,
                     truncated_fourier, truncation_probe, unitary_completion)
 from conftest import TRUNCATED_CASES, first_rows, walsh
 
@@ -128,13 +128,6 @@ def test_exact_defect_route():
         defect_exact(PHMatrix([[1, np.exp(0.7j)], [np.exp(0.7j), 1]]))
 
 
-def test_exact_feasible_heuristic():
-    assert exact_feasible(fourier_cyclic(4))
-    assert exact_feasible(truncated_fourier([0, 1, 2, 3], [5]))
-    assert not exact_feasible(fourier_cyclic(11))  # 121 cells
-    assert not exact_feasible(f22q(np.exp(0.7j)))  # no root-of-unity form
-
-
 def test_tensor_defects():
     f2, f3 = fourier_cyclic(2), fourier_cyclic(3)
     assert defect(tensor_product(f2, f3)).defect == 15
@@ -162,6 +155,60 @@ def test_prime_fourier_isolated():
         cert = isolation_certificate(fourier_cyclic(n))
         assert cert.status == "undetermined"
         assert not cert.certified_isolated
+
+
+def test_criterion_three_certificates_are_exact():
+    # one reduction reaching the largest possible rank proves each
+    for p in (7, 11, 13):
+        cert = isolation_certificate(fourier_cyclic(p))
+        assert cert.exact is True and cert.status == "isolated"
+        assert cert.report.method == "direct-exact"
+        assert cert.report.breakdown["route"] == "proof"
+        assert cert.report.breakdown["reductions"] == 1
+    rep = defect_exact(fourier_cyclic(13))
+    assert rep.exact and rep.defect == 25
+
+
+def _mw(q, base):
+    return mw_construct(MWSpec(q, (1, 3), (0, 2), fourier_cyclic(base)))
+
+
+def test_modular_and_float_routes_agree():
+    rng = np.random.default_rng(3)
+    mw5 = _mw(5, 2)
+    mw5 = apply_equivalence(mw5, list(rng.permutation(mw5.m)),
+                            list(rng.permutation(mw5.n)),
+                            [PhaseEntry.one()] * mw5.m, [PhaseEntry.one()] * mw5.n)
+    cases = [(f"F{n}", fourier_cyclic(n), cyclic_defect_closed_form(n))
+             for n in range(8, 25)]
+    cases += [(f"F{o}", fourier_group(o), fourier_defect_formula(o))
+              for o in ((2, 6), (3, 4))]
+    cases += [("MW(7,F2)", _mw(7, 2), None), ("MW(5,F2) permuted", mw5, 19)]
+    for name, h, closed in cases:
+        cert = isolation_certificate(h)
+        float_rep = defect(h)
+        assert not float_rep.ambiguous, name
+        assert cert.defect == float_rep.defect, name
+        if closed is not None:
+            assert cert.defect == closed, name
+        route = cert.report.breakdown["route"]
+        assert cert.exact == (route == "proof"), name
+        assert cert.report.method == ("direct-exact" if cert.exact
+                                      else "direct-modp"), name
+        if route == "bound":
+            bd = cert.report.breakdown
+            assert cert.status == "undetermined" and bd["reductions"] == 2
+            assert bd["reductions_needed"] > bd["reduction_cap"]
+
+
+def test_float_route_breakdown():
+    cert = isolation_certificate(fourier_cyclic(5), prefer_exact=False)
+    assert not cert.exact and cert.status == "isolated"
+    assert cert.report.breakdown == {"butson_order": None, "route": "float"}
+    p7 = petrescu(PhaseEntry.turns(0.123))
+    cert = isolation_certificate(p7)
+    assert cert.report.method == "direct"
+    assert cert.report.breakdown["route"] == "float"
 
 
 def test_exact_certificate_f45():
