@@ -15,7 +15,7 @@ from .phases import PhaseEntry, parse_phase
 from .matrix import (ButsonForm, EquivalenceProfile, PHMatrix,
                      VerificationReport, apply_equivalence, dephase,
                      dephase_at, detect_butson, ensure_verified,
-                     equivalence_profile, row_quotient, row_quotient_phases,
+                     equivalence_profile, row_quotient,
                      tensor_product, verify_partial_hadamard)
 from .constructors import (DitaParams, MasterSpec, dita_deformation, f22q,
                            f22q_master_spec, fourier_cyclic, fourier_group,

@@ -24,7 +24,7 @@ from .defect import (defect, defect_exact, defect_master,
                      isolation_certificate, truncation_probe)
 from .errors import (ConsistencyError, InvalidInputError, MatrixFormatError,
                      SearchBudgetExceeded)
-from .io import dumps_phm, load_phm, to_document
+from .io import dumps_phm, number_from_json, to_document, turn_from_json
 from .matrix import PHMatrix, equivalence_profile, verify_partial_hadamard
 from .mcnulty_weigert import MWSpec, arithmetic_isolation_probe, mw_construct
 from .phases import PhaseEntry, parse_phase
@@ -158,8 +158,9 @@ def _cmd_gen(args) -> Tuple[int, str]:
     elif kind == "dita":
         outer, _ = _load(args.outer)
         inner, _ = _load(args.inner)
-        with open(args.phases, "r", encoding="utf-8") as fh:
-            grid_spec = json.load(fh)
+        grid_spec = _read_json(args.phases)
+        if not isinstance(grid_spec, list) or not all(isinstance(r, list) for r in grid_spec):
+            raise InvalidInputError("phase grid must be a list of rows")
         grid = tuple(tuple(_phase_from_json(e) for e in row) for row in grid_spec)
         h = dita_deformation(DitaParams(outer, inner, grid))
     elif kind == "master-dita":
@@ -180,14 +181,17 @@ def _cmd_gen(args) -> Tuple[int, str]:
     return code, text
 
 
+def _read_json(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvalidInputError(f"{path} is not valid JSON: {exc}") from exc
+
+
 def _phase_from_json(e) -> PhaseEntry:
-    if isinstance(e, str):
-        return parse_phase(e)
-    if isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e):
-        return PhaseEntry.turns(Fraction(e[0], e[1]))
-    if isinstance(e, (int, float)) and not isinstance(e, bool):
-        return PhaseEntry.turns(Fraction(e) if isinstance(e, int) else float(e))
-    raise InvalidInputError(f"bad phase value {e!r}")
+    """A turn as "p/q" or decimal text, or as io.turn_from_json reads it."""
+    return parse_phase(e) if isinstance(e, str) else turn_from_json(e)
 
 
 def _spec_to_json(spec: MasterSpec) -> dict:
@@ -198,23 +202,26 @@ def _spec_to_json(spec: MasterSpec) -> dict:
 
 
 def _spec_from_file(path: str) -> MasterSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_json(path)
+    if not isinstance(doc, dict):
+        raise InvalidInputError("spec file must be a JSON object")
     try:
-        lam = [_phase_from_json(e) for e in doc["eigenphases"]]
-        expo = []
-        for e in doc["exponents"]:
-            if isinstance(e, str):
-                expo.append(Fraction(e))
-            elif isinstance(e, list) and len(e) == 2:
-                expo.append(Fraction(e[0], e[1]))
-            elif isinstance(e, bool):
-                raise InvalidInputError("exponent cannot be a boolean")
-            else:
-                expo.append(e)
+        lam, expo = doc["eigenphases"], doc["exponents"]
     except KeyError as exc:
         raise InvalidInputError(f"spec file missing field {exc}") from exc
-    return MasterSpec(tuple(lam), tuple(expo))
+    if not (isinstance(lam, list) and isinstance(expo, list)):
+        raise InvalidInputError("spec eigenphases and exponents must be lists")
+    return MasterSpec(tuple(_phase_from_json(e) for e in lam),
+                      tuple(_exponent_from_json(e) for e in expo))
+
+
+def _exponent_from_json(e):
+    if not isinstance(e, str):
+        return number_from_json(e, "exponent")
+    try:
+        return Fraction(e)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidInputError(f"cannot parse exponent {e!r}: {exc}") from exc
 
 
 def _mw_base(args) -> PHMatrix:

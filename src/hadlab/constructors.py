@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .matrix import PHMatrix, PhaseLike, as_phase, ensure_verified
-from .phases import PhaseEntry
+from .phases import ExactPhases, PhaseEntry, multiply, phase_array
 
 
 def _check_orders(orders: Sequence[int]) -> Tuple[int, ...]:
@@ -51,8 +51,8 @@ def fourier_cyclic(n: int) -> PHMatrix:
     """The n x n Fourier matrix of Z_n, entries exp(2*pi*i*jk/n)."""
     if n < 1:
         raise InvalidInputError("order must be >= 1")
-    rows = [[PhaseEntry.butson((i * j) % n, n) for j in range(n)] for i in range(n)]
-    return PHMatrix(rows, label=f"F{n}")
+    k = np.arange(n)
+    return PHMatrix.from_phases(ExactPhases(np.outer(k, k) % n, n), label=f"F{n}")
 
 
 def fourier_group(orders: Sequence[int]) -> PHMatrix:
@@ -60,16 +60,11 @@ def fourier_group(orders: Sequence[int]) -> PHMatrix:
     row-major element order, entries as lcm-order roots of unity."""
     orders = _check_orders(orders)
     l = math.lcm(*orders)
-    elems = group_elements(orders)
-    weights = [l // n for n in orders]
-    rows = []
-    for g in elems:
-        rows.append([
-            PhaseEntry.butson(sum(w * gc * hc for w, gc, hc in zip(weights, g, h)) % l, l)
-            for h in elems
-        ])
+    elems = np.array(group_elements(orders), dtype=np.int64)
+    weights = np.array([l // n for n in orders], dtype=np.int64)
     label = f"F{orders[0]}" if len(orders) == 1 else "F" + "x".join(str(n) for n in orders)
-    return PHMatrix(rows, label=label)
+    return PHMatrix.from_phases(ExactPhases((elems * weights) @ elems.T % l, l),
+                                label=label)
 
 
 def normalize_row_subset(rows: Sequence, orders: Sequence[int]) -> list:
@@ -102,9 +97,9 @@ def truncated_fourier(rows: Sequence, orders: Sequence[int]) -> PHMatrix:
     orders = _check_orders(orders)
     subset = normalize_row_subset(rows, orders)
     full = fourier_group(orders)
-    picked = [full.entries[group_index(g, orders)] for g in subset]
+    picked = full.phases[[group_index(g, orders) for g in subset]]
     desc = ",".join("".join(map(str, g)) if len(orders) > 1 else str(g[0]) for g in subset)
-    return PHMatrix(picked, label=f"{full.label}[{desc}]")
+    return PHMatrix.from_phases(picked, label=f"{full.label}[{desc}]")
 
 
 @dataclass(frozen=True)
@@ -133,13 +128,11 @@ def dita_deformation(params: DitaParams) -> PHMatrix:
     orthogonal for every unit phase grid: the j-sum factors out of each
     block-row pair, and within a block row the phases cancel.
     """
-    h, k, q = params.outer, params.inner, params.phases
-    rows = []
-    for i in range(h.m):
-        for a in range(k.m):
-            rows.append([h.entries[i][j] * q[i][b] * k.entries[a][b]
-                         for j in range(h.n) for b in range(k.n)])
-    return PHMatrix(rows, label="dita")
+    h, k = params.outer, params.inner
+    q = phase_array([p for row in params.phases for p in row], (h.m, k.n))
+    p = multiply(h.phases[:, None, :, None], q[:, None, None, :])
+    p = multiply(p, k.phases[None, :, None, :])
+    return PHMatrix.from_phases(p.reshape(h.m * k.m, h.n * k.n), label="dita")
 
 
 def f22q(q: PhaseLike) -> PHMatrix:
@@ -239,18 +232,11 @@ def master_matrix(spec: MasterSpec) -> PHMatrix:
     """Materialize the power-sequence matrix of a MasterSpec.
 
     Exact turns are kept when an eigenphase turn is rational and the
-    exponent is an integer or Fraction.
+    exponent is an integer or Fraction; any float factor makes the product
+    a float turn.
     """
-    turns = spec.angle_turns()
-    rows = []
-    for t in turns:
-        row = []
-        for e in spec.exponents:
-            if isinstance(t, Fraction) and isinstance(e, (int, Fraction)):
-                row.append(PhaseEntry.turns(t * e))
-            else:
-                row.append(PhaseEntry.turns((float(t) * float(e)) % 1.0))
-        rows.append(row)
+    rows = [[PhaseEntry.turns(t * e) for e in spec.exponents]
+            for t in spec.angle_turns()]
     return PHMatrix(rows, label="master")
 
 

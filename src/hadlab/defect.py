@@ -27,6 +27,7 @@ from .constructors import (MasterSpec, group_elements, master_matrix,
 from .cyclotomic import PROOF_CAP, exact_defect_butson
 from .errors import ConsistencyError, InvalidInputError
 from .matrix import ButsonForm, PHMatrix, detect_butson, ensure_verified
+from .phases import ExactPhases
 
 DEFAULT_CONFIDENCE = 1e6
 
@@ -48,11 +49,16 @@ def numerical_rank(mat: np.ndarray, tol: float = 1e-9) -> RankResult:
     """
     if mat.size == 0 or mat.shape[0] == 0:
         return RankResult(0, None, None, math.inf)
-    s = np.linalg.svd(mat, compute_uv=False)
-    smax = float(s[0])
+    return _rank_of(np.linalg.svd(mat, compute_uv=False), mat.shape, tol)
+
+
+def _rank_of(s: np.ndarray, shape: tuple, tol: float) -> RankResult:
+    """The rank rule of numerical_rank, on the singular values s (in
+    descending order) of a matrix of the given shape."""
+    smax = float(s[0]) if len(s) else 0.0
     if smax == 0.0:
         return RankResult(0, None, None, math.inf)
-    thresh = tol * smax * max(mat.shape)
+    thresh = tol * smax * max(shape)
     rank = int(np.sum(s > thresh))
     smallest_kept = float(s[rank - 1]) if rank > 0 else None
     largest_dropped = float(s[rank]) if rank < len(s) else None
@@ -280,11 +286,8 @@ def defect_split_truncated_fourier(rows: Sequence, orders: Sequence[int],
     """
     orders = _check_orders(orders)
     subset = normalize_row_subset(rows, orders)
-    m = len(subset)
-    elems = group_elements(orders)
-    n = len(elems)
-    l = math.lcm(*orders)
-    weights = [l // nn for nn in orders]
+    h = truncated_fourier(subset, orders)
+    m, n = h.shape
     sub_index = {g: a for a, g in enumerate(subset)}
 
     def add(g, hh):
@@ -293,16 +296,9 @@ def defect_split_truncated_fourier(rows: Sequence, orders: Sequence[int],
     def neg(hh):
         return tuple((-hc) % nn for hc, nn in zip(hh, orders))
 
-    def char(hh, kk) -> complex:
-        e = sum(w * hc * kc for w, hc, kc in zip(weights, hh, kk)) % l
-        return complex(np.exp(2j * np.pi * e / l))
-
-    # the window map on real tangent directions, complex target (a, b)
-    phi = np.zeros((m * m, m * n), dtype=np.complex128)
-    for a in range(m):
-        for b, hh in enumerate(subset):
-            for kk_ix, kk in enumerate(elems):
-                phi[a * m + b, a * n + kk_ix] = char(hh, kk)
+    # the window map on real tangent directions, complex target (a, b):
+    # tangent row a summed against the character of h_b, a row of h
+    phi = np.kron(np.eye(m), h.to_array())
     # phi maps R^{m n} -> R^{2 m^2}; real target coords: Re block then Im block
     phi_real = np.vstack([phi.real, phi.imag])
 
@@ -312,13 +308,9 @@ def defect_split_truncated_fourier(rows: Sequence, orders: Sequence[int],
     def im_ix(a, b):
         return m * m + a * m + b
 
-    u, s, vh = np.linalg.svd(phi_real, full_matrices=False)
-    smax = float(s[0]) if len(s) else 0.0
-    thresh = tol * smax * max(phi_real.shape) if smax > 0 else 0.0
-    rank_phi = int(np.sum(s > thresh))
-    gap_phi = math.inf
-    if 0 < rank_phi < len(s) and s[rank_phi] > 0:
-        gap_phi = float(s[rank_phi - 1] / s[rank_phi])
+    u, s, _ = np.linalg.svd(phi_real, full_matrices=False)
+    rr_phi = _rank_of(s, phi_real.shape, tol)
+    rank_phi, gap_phi = rr_phi.rank, rr_phi.gap_ratio
     dim_k = m * n - rank_phi
     basis = u[:, :rank_phi]  # orthonormal basis of the image, in R^{2 m^2}
 
@@ -366,7 +358,7 @@ def defect_split_truncated_fourier(rows: Sequence, orders: Sequence[int],
     d_split = dim_k + dim_i
     gap = min(gap_phi, gap_cons)
 
-    direct = defect(truncated_fourier(subset, orders), tol, confidence)
+    direct = defect(h, tol, confidence)
     if d_split != direct.defect and not direct.ambiguous and gap >= confidence:
         raise ConsistencyError(
             f"split defect {d_split} disagrees with direct defect "
@@ -499,9 +491,9 @@ def cyclic_defect_closed_form(n: int) -> int:
 
 
 def count_one_entries(h: PHMatrix, tol: float = 1e-9) -> int:
-    grid = h.exact_turn_grid()
-    if grid is not None:
-        return sum(1 for row in grid for t in row if t == 0)
+    p = h.phases
+    if isinstance(p, ExactPhases):
+        return int(np.count_nonzero(p.exp == 0))
     z = h.to_array()
     return int(np.sum(np.abs(z - 1.0) <= tol))
 

@@ -2,10 +2,11 @@
 
 A JSON document: {"format": "phm-v1", "rows": M, "cols": N,
 "representation": "butson" | "turns" | "cartesian", ...}.  Entries are
-integer exponents (butson, with "butson_order"), exact [numerator,
-denominator] turn pairs, or [re, im] floating pairs.  Serialization is
-byte-deterministic (sorted keys, fixed separators) and the butson
-representation round-trips bit for bit.
+integer exponents (butson, with "butson_order"), turns ([numerator,
+denominator] pairs and integers exact, floats read as complex values), or
+[re, im] floating pairs.  Serialization is byte-deterministic (sorted
+keys, fixed separators) and the butson representation round-trips bit for
+bit, at any order.
 """
 
 from __future__ import annotations
@@ -13,14 +14,35 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Union
 
-from .errors import MatrixFormatError
+import numpy as np
+
+from .errors import InvalidInputError, MatrixFormatError
 from .matrix import PHMatrix
-from .phases import PhaseEntry
+from .phases import ExactPhases, PhaseEntry
 
 FORMAT_NAME = "phm-v1"
 MODULUS_TOL = 1e-6
+
+
+def number_from_json(x, what: str = "turn") -> Union[Fraction, int, float]:
+    """A real number as JSON: an exact [num, den] pair (den > 0), an
+    integer or a finite float; booleans are refused."""
+    if isinstance(x, list) and len(x) == 2 \
+            and all(isinstance(v, int) and not isinstance(v, bool) for v in x):
+        if x[1] <= 0:
+            raise InvalidInputError(f"{what} denominator must be positive, got {x!r}")
+        return Fraction(x[0], x[1])
+    if isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x):
+        return x
+    raise InvalidInputError(f"{what} must be [num, den] or a number, got {x!r}")
+
+
+def turn_from_json(x) -> PhaseEntry:
+    """The phase of a JSON turn: exact for [num, den] and integers."""
+    t = number_from_json(x)
+    return PhaseEntry.turns(Fraction(t) if isinstance(t, int) else t)
 
 
 def to_document(h: PHMatrix, label: Optional[str] = None) -> dict:
@@ -29,15 +51,11 @@ def to_document(h: PHMatrix, label: Optional[str] = None) -> dict:
     name = label if label is not None else h.label
     if name:
         doc["label"] = name
-    grid = h.exact_turn_grid()
-    if grid is not None:
-        l = 1
-        for row in grid:
-            for t in row:
-                l = l * t.denominator // math.gcd(l, t.denominator)
+    p = h.phases
+    if isinstance(p, ExactPhases):
         doc["representation"] = "butson"
-        doc["butson_order"] = l
-        doc["entries"] = [[int(t * l) for t in row] for row in grid]
+        doc["butson_order"] = p.order
+        doc["entries"] = p.exp.tolist()
         return doc
     doc["representation"] = "cartesian"
     doc["entries"] = [[[z.real, z.imag] for z in row] for row in h.to_array()]
@@ -63,40 +81,32 @@ def from_document(doc: dict) -> PHMatrix:
             or any(not isinstance(r, list) or len(r) != n for r in entries):
         raise MatrixFormatError(f"entries must be a {m} x {n} array")
 
-    rows = []
+    label = doc.get("label")
     if rep == "butson":
         l = doc.get("butson_order")
         if not isinstance(l, int) or l < 1:
             raise MatrixFormatError("butson representation needs a positive "
                                     "integer butson_order")
         for r in entries:
-            row = []
             for e in r:
                 if not isinstance(e, int):
                     raise MatrixFormatError(f"butson exponent {e!r} is not an integer")
-                row.append(PhaseEntry.butson(e, l))
-            rows.append(row)
-    elif rep == "turns":
+        return PHMatrix.from_phases(ExactPhases(np.array(entries, dtype=object) % l, l),
+                                    label=label)
+    if rep == "turns":
+        rows = []
         for i, r in enumerate(entries):
             row = []
             for j, e in enumerate(r):
-                if isinstance(e, list) and len(e) == 2 \
-                        and all(isinstance(x, int) for x in e):
-                    if e[1] <= 0:
-                        raise MatrixFormatError(
-                            f"turn denominator must be positive at ({i},{j})")
-                    row.append(PhaseEntry.turns(Fraction(e[0], e[1])))
-                elif isinstance(e, int) and not isinstance(e, bool):
-                    row.append(PhaseEntry.turns(Fraction(e)))
-                elif isinstance(e, float):
-                    row.append(PhaseEntry.turns(e))
-                else:
-                    raise MatrixFormatError(
-                        f"turn entry at ({i},{j}) must be [num, den] or a number")
+                try:
+                    row.append(turn_from_json(e))
+                except InvalidInputError as exc:
+                    raise MatrixFormatError(f"turn entry at ({i},{j}): {exc}") from exc
             rows.append(row)
-    elif rep == "cartesian":
+        return PHMatrix(rows, label=label)
+    if rep == "cartesian":
+        values = []
         for i, r in enumerate(entries):
-            row = []
             for j, e in enumerate(r):
                 if not (isinstance(e, list) and len(e) == 2
                         and all(isinstance(x, (int, float)) and not isinstance(x, bool)
@@ -108,11 +118,9 @@ def from_document(doc: dict) -> PHMatrix:
                     raise MatrixFormatError(
                         f"entry at ({i},{j}) has modulus {abs(z):.9f}, off the "
                         f"unit circle by more than {MODULUS_TOL}")
-                row.append(PhaseEntry.cartesian(z, tol=2 * MODULUS_TOL))
-            rows.append(row)
-    else:
-        raise MatrixFormatError(f"unknown representation {rep!r}")
-    return PHMatrix(rows, label=doc.get("label"))
+                values.append(z)
+        return PHMatrix.from_phases(np.array(values).reshape(m, n), label=label)
+    raise MatrixFormatError(f"unknown representation {rep!r}")
 
 
 def dumps_phm(h: PHMatrix, label: Optional[str] = None) -> str:

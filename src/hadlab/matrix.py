@@ -1,9 +1,11 @@
 """Partial complex Hadamard matrices and their elementary operations.
 
 An M x N matrix H with unit-modulus entries is partial Hadamard when its
-rows are pairwise orthogonal, <H_i, H_j> = N * delta_ij.  Entries are kept
-in exact form (roots of unity, rational turns) whenever the construction
-permits, and analysis routines down-convert to complex arrays on demand.
+rows are pairwise orthogonal, <H_i, H_j> = N * delta_ij.  A matrix is held
+as integer exponents at one root-of-unity order when every entry is exact,
+and as a complex array otherwise.  Dephasing, equivalences and products are
+array operations through ``phases.multiply``; analysis routines read the
+complex values, computed once on demand.
 """
 
 from __future__ import annotations
@@ -11,12 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .phases import PhaseEntry, TurnLike
+from .phases import (ExactPhases, PhaseArray, PhaseEntry, multiply, phase_array,
+                     phase_entries, phase_values)
 
 PhaseLike = Union[PhaseEntry, complex, float, int, Fraction]
 
@@ -34,47 +37,74 @@ def as_phase(v: PhaseLike, tol: float = 1e-9) -> PhaseEntry:
 
 
 class PHMatrix:
-    """A grid of unit-modulus entries with optional provenance label.
+    """A matrix of unit-modulus entries with optional provenance label.
 
-    The `verified` flag records that verify_partial_hadamard passed; it is
-    set only by that function.
+    Stored as an ExactPhases at the least common order when every entry is
+    a root of unity, else as a read-only complex array.  The `verified`
+    flag records that verify_partial_hadamard passed; it is set only by
+    that function.
     """
 
-    __slots__ = ("_entries", "_m", "_n", "label", "_array", "_verified_tol")
+    __slots__ = ("_phases", "_array", "_entries", "label", "_verified_tol")
 
     def __init__(self, entries: Sequence[Sequence[PhaseLike]], label: Optional[str] = None):
-        rows = [tuple(as_phase(v) for v in row) for row in entries]
+        rows = [[as_phase(v) for v in row] for row in entries]
         if not rows or not rows[0]:
             raise InvalidInputError("matrix must have at least one row and one column")
         n = len(rows[0])
         if any(len(r) != n for r in rows):
             raise InvalidInputError("ragged rows are not a matrix")
-        self._entries = tuple(rows)
-        self._m = len(rows)
-        self._n = n
+        self._store(phase_array([p for r in rows for p in r], (len(rows), n)), label)
+
+    @classmethod
+    def from_phases(cls, phases: PhaseArray, label: Optional[str] = None) -> "PHMatrix":
+        """A matrix over a 2-D phase array; unit moduli of a complex array
+        are the caller's to ensure."""
+        h = cls.__new__(cls)
+        h._store(phases, label)
+        return h
+
+    def _store(self, phases: PhaseArray, label: Optional[str]) -> None:
+        if isinstance(phases, ExactPhases):
+            phases = phases.reduced()
+            phases.exp.setflags(write=False)
+            self._array = None
+        else:
+            phases = np.array(phases, dtype=np.complex128)
+            phases.setflags(write=False)
+            self._array = phases
+        self._phases = phases
+        self._entries = None
         self.label = label
-        self._array = None
         self._verified_tol = None
 
     # -- basic views -------------------------------------------------------
 
     @property
     def m(self) -> int:
-        return self._m
+        return self._phases.shape[0]
 
     @property
     def n(self) -> int:
-        return self._n
+        return self._phases.shape[1]
 
     @property
     def shape(self) -> tuple:
-        return (self._m, self._n)
-
-    def entry(self, i: int, j: int) -> PhaseEntry:
-        return self._entries[i][j]
+        return self._phases.shape
 
     @property
-    def entries(self):
+    def phases(self) -> PhaseArray:
+        """The stored phases: an ExactPhases or a read-only complex array."""
+        return self._phases
+
+    def entry(self, i: int, j: int) -> PhaseEntry:
+        return self.entries[i][j]
+
+    @property
+    def entries(self) -> tuple:
+        """The entries as rows of PhaseEntry, built on first use."""
+        if self._entries is None:
+            self._entries = phase_entries(self._phases)
         return self._entries
 
     @property
@@ -83,35 +113,19 @@ class PHMatrix:
 
     def to_array(self) -> np.ndarray:
         if self._array is None:
-            z = np.array([[e.value for e in row] for row in self._entries],
-                         dtype=np.complex128)
+            z = self._phases.values()
             z.setflags(write=False)
             self._array = z
         return self._array
 
     def common_butson_order(self) -> Optional[int]:
-        """The shared root-of-unity order if every entry is stored as butson."""
-        orders = {e.l for row in self._entries for e in row if e.kind == "butson"}
-        if len(orders) == 1 and all(e.kind == "butson" for row in self._entries for e in row):
-            return orders.pop()
-        return None
-
-    def exact_turn_grid(self) -> Optional[list]:
-        """Turns of all entries as Fractions, or None if any entry is inexact."""
-        grid = []
-        for row in self._entries:
-            out = []
-            for e in row:
-                t = e.exact_turn()
-                if t is None:
-                    return None
-                out.append(t)
-            grid.append(out)
-        return grid
+        """The stored root-of-unity order, or None for a complex matrix."""
+        p = self._phases
+        return p.order if isinstance(p, ExactPhases) else None
 
     def __repr__(self) -> str:
         tag = f" {self.label!r}" if self.label else ""
-        return f"<PHMatrix {self._m}x{self._n}{tag}>"
+        return f"<PHMatrix {self.m}x{self.n}{tag}>"
 
 
 @dataclass(frozen=True)
@@ -162,6 +176,13 @@ def ensure_verified(h: PHMatrix, tol: float = 1e-9) -> None:
             f"modulus residual {rep.max_modulus_residual:.3g}")
 
 
+def _dephased(p: PhaseArray, r: int, c: int) -> PhaseArray:
+    """p_ij * conj(p_ic) * conj(p_rj) * p_rc."""
+    out = multiply(p, p[:, c:c + 1].conj())
+    out = multiply(out, p[r:r + 1, :].conj())
+    return multiply(out, p[r:r + 1, c:c + 1])
+
+
 def dephase(h: PHMatrix):
     """Normalize the first row and column to 1.
 
@@ -169,13 +190,10 @@ def dephase(h: PHMatrix):
     H_ij = row_phases[i] * col_phases[j] * dephased_ij, exactly for exact
     representations.
     """
-    e = h.entries
-    p00 = e[0][0]
-    row_phases = tuple(e[i][0] for i in range(h.m))
-    col_phases = tuple(e[0][j] * p00.conj() for j in range(h.n))
-    new = [[e[i][j] * e[i][0].conj() * e[0][j].conj() * p00 for j in range(h.n)]
-           for i in range(h.m)]
-    out = PHMatrix(new, label=_derived_label(h, "dephased"))
+    p = h.phases
+    row_phases = tuple(row[0] for row in phase_entries(p[:, 0:1]))
+    col_phases = phase_entries(multiply(p[0:1, :], p[0:1, 0:1].conj()))[0]
+    out = PHMatrix.from_phases(_dephased(p, 0, 0), label=_derived_label(h, "dephased"))
     return out, row_phases, col_phases
 
 
@@ -183,46 +201,35 @@ def dephase_at(h: PHMatrix, r: int, c: int) -> PHMatrix:
     """Dephase relative to pivot row r and pivot column c."""
     if not (0 <= r < h.m and 0 <= c < h.n):
         raise InvalidInputError("pivot out of range")
-    e = h.entries
-    new = [[e[i][j] * e[i][c].conj() * e[r][j].conj() * e[r][c] for j in range(h.n)]
-           for i in range(h.m)]
-    return PHMatrix(new, label=_derived_label(h, f"dephased@{r},{c}"))
+    return PHMatrix.from_phases(_dephased(h.phases, r, c),
+                                label=_derived_label(h, f"dephased@{r},{c}"))
 
 
 def row_quotient(h: PHMatrix, i: int, j: int) -> np.ndarray:
-    """The entrywise quotient vector H_i / H_j = (H_ik * conj(H_jk))_k."""
+    """The entrywise quotient vector H_i / H_j = (H_ik * conj(H_jk))_k.
+
+    For an exact matrix each term is the root of unity of its exponent
+    difference, so equal terms are equal to the bit.
+    """
     if not (0 <= i < h.m and 0 <= j < h.m):
         raise InvalidInputError(f"row indices ({i},{j}) out of range for {h.m} rows")
-    z = h.to_array()
-    return z[i] * np.conj(z[j])
-
-
-def row_quotient_phases(h: PHMatrix, i: int, j: int) -> tuple:
-    """Like row_quotient but as PhaseEntry values (exact when H is exact)."""
-    if not (0 <= i < h.m and 0 <= j < h.m):
-        raise InvalidInputError(f"row indices ({i},{j}) out of range for {h.m} rows")
-    e = h.entries
-    return tuple(e[i][k] * e[j][k].conj() for k in range(h.n))
+    p = h.phases
+    return phase_values(multiply(p[i], p[j].conj()))
 
 
 def detect_butson(h: PHMatrix, l_max: int = 60) -> Optional[ButsonForm]:
     """Smallest l <= l_max such that every entry is an l-th root of unity.
 
-    Exact representations are resolved through denominators; floating entries
-    are matched against roots within 1e-9.
+    An exact matrix answers with its stored order; floating entries are
+    matched against roots within 1e-9.
     """
     if l_max < 1:
         raise InvalidInputError("l_max must be >= 1")
-    grid = h.exact_turn_grid()
-    if grid is not None:
-        l = 1
-        for row in grid:
-            for t in row:
-                l = l * t.denominator // math.gcd(l, t.denominator)
-        if l > l_max:
+    p = h.phases
+    if isinstance(p, ExactPhases):
+        if p.order > l_max:
             return None
-        expo = tuple(tuple(int(t * l) for t in row) for row in grid)
-        return ButsonForm(l, expo)
+        return ButsonForm(p.order, tuple(map(tuple, p.exp.tolist())))
     z = h.to_array()
     turns = (np.angle(z) / (2.0 * math.pi)) % 1.0
     for l in range(1, l_max + 1):
@@ -235,15 +242,11 @@ def detect_butson(h: PHMatrix, l_max: int = 60) -> Optional[ButsonForm]:
 
 def tensor_product(h: PHMatrix, k: PHMatrix) -> PHMatrix:
     """Kronecker product with row-major composite indices (i,a) -> i*m_k + a."""
-    eh, ek = h.entries, k.entries
-    rows = []
-    for i in range(h.m):
-        for a in range(k.m):
-            rows.append([eh[i][j] * ek[a][b] for j in range(h.n) for b in range(k.n)])
+    p = multiply(h.phases[:, None, :, None], k.phases[None, :, None, :])
     label = None
     if h.label and k.label:
         label = f"{h.label} (x) {k.label}"
-    return PHMatrix(rows, label=label)
+    return PHMatrix.from_phases(p.reshape(h.m * k.m, h.n * k.n), label=label)
 
 
 def apply_equivalence(h: PHMatrix,
@@ -259,14 +262,11 @@ def apply_equivalence(h: PHMatrix,
         raise InvalidInputError("row_perm/col_perm must be permutations of the index ranges")
     if len(row_phases) != h.m or len(col_phases) != h.n:
         raise InvalidInputError("phase vectors must match the matrix shape")
-    a = [as_phase(p) for p in row_phases]
-    b = [as_phase(p) for p in col_phases]
-    new = [[None] * h.n for _ in range(h.m)]
-    e = h.entries
-    for i in range(h.m):
-        for j in range(h.n):
-            new[row_perm[i]][col_perm[j]] = a[i] * b[j] * e[i][j]
-    return PHMatrix(new, label=_derived_label(h, "equiv"))
+    a = phase_array([as_phase(v) for v in row_phases], (h.m, 1))
+    b = phase_array([as_phase(v) for v in col_phases], (1, h.n))
+    p = multiply(multiply(a, b), h.phases)
+    p = p[np.ix_(np.argsort(row_perm), np.argsort(col_perm))]
+    return PHMatrix.from_phases(p, label=_derived_label(h, "equiv"))
 
 
 @dataclass(frozen=True)

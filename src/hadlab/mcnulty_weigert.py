@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConsistencyError, InvalidInputError
 from .matrix import PHMatrix, ensure_verified, verify_partial_hadamard
-from .phases import PhaseEntry
+from .phases import ExactPhases, PhaseEntry, multiply, phase_array
 
 
 def is_odd_prime(q: int) -> bool:
@@ -57,9 +57,9 @@ def quadratic_diagonal_exponents(q: int, k: int = 1) -> list:
 def mub_unitary(q: int, k: int) -> PHMatrix:
     """The (unnormalized) unitary D^k F_q, a Butson matrix of order q."""
     _require_odd_prime(q)
-    rows = [[PhaseEntry.butson((k * (c * (c - 1) // 2) + c * j) % q, q)
-             for j in range(q)] for c in range(q)]
-    return PHMatrix(rows, label=f"D^{k} F{q}")
+    c = np.arange(q)
+    exp = (k * (c * (c - 1) // 2))[:, None] + np.outer(c, c)
+    return PHMatrix.from_phases(ExactPhases(exp % q, q), label=f"D^{k} F{q}")
 
 
 def mub_family(q: int) -> list:
@@ -179,23 +179,15 @@ def mw_construct(spec: MWSpec, tol: float = 1e-9) -> PHMatrix:
     """
     ensure_verified(spec.base, tol)
     q, m = spec.q, spec.base.m
-    vectors = {}
-    for i in range(m):
-        for j in range(m):
-            k = (spec.t[j] - spec.s[i]) % q
-            if k not in vectors:
-                vectors[k] = gauss_vector(q, k).entries
-    rows = []
-    for i in range(m):
-        for a in range(q):
-            row = []
-            for j in range(m):
-                v = vectors[(spec.t[j] - spec.s[i]) % q]
-                base_ij = spec.base.entries[i][j]
-                for b in range(q):
-                    row.append(base_ij * v[(b - a) % q])
-            rows.append(row)
-    out = PHMatrix(rows, label=f"MW(q={q})")
+    ks = (np.array(spec.t)[None, :] - np.array(spec.s)[:, None]) % q   # [i, j]
+    used = sorted(set(ks.ravel().tolist()))
+    vectors = phase_array([p for k in used for p in gauss_vector(q, k).entries],
+                          (len(used), q))
+    at = np.searchsorted(used, ks)
+    shift = (np.arange(q)[None, :] - np.arange(q)[:, None]) % q     # [a, b]
+    blocks = vectors[at[:, None, :, None], shift[None, :, None, :]]  # [i, a, j, b]
+    p = multiply(spec.base.phases[:, None, :, None], blocks)
+    out = PHMatrix.from_phases(p.reshape(m * q, m * q), label=f"MW(q={q})")
     rep = verify_partial_hadamard(out, tol)
     if not rep.is_hadamard:
         raise ConsistencyError(

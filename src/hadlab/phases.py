@@ -1,28 +1,39 @@
-"""Unit-modulus scalars with an exact representation when one is available.
+"""Unit-modulus scalars and arrays, exact when they are roots of unity.
 
-A phase is stored in one of three ways:
+A phase is one of two kinds:
 
 * ``butson``    -- an exact root of unity, exponent ``e`` of order ``l``;
-* ``turns``     -- a rotation ``t`` in [0, 1), exact when ``t`` is a Fraction;
 * ``cartesian`` -- a plain complex number of modulus ~1.
 
-Arithmetic keeps exact forms exact whenever both operands allow it, and
-falls back to floating point otherwise.
+A turn t stands for exp(2*pi*i*t): a Fraction turn is read as a ``butson``
+phase, a float turn as the ``cartesian`` value it gives.  Arrays of phases
+split the same way: an integer exponent array at one order
+(``ExactPhases``), or a complex array.  ``multiply`` is the one product
+rule for both: exponents add at the lcm order, anything else multiplies
+values.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from .errors import InvalidInputError
 
 TAU = 2.0 * math.pi
 
-TurnLike = Union[Fraction, float]
+# Exponents at orders below this stay int64: a sum of two residues (the
+# most any phase-array operation forms before reducing) cannot overflow.
+# Larger orders hold Python ints, so exactness never depends on size.
+INT64_ORDER = 1 << 61
+# Values of exact phases up to this order are read from a table of roots.
+ROOT_TABLE = 4096
 
 
 def _cis(turn: float) -> complex:
@@ -32,14 +43,12 @@ def _cis(turn: float) -> complex:
 class PhaseEntry:
     """A single unit-modulus value."""
 
-    __slots__ = ("kind", "e", "l", "turn", "z")
+    __slots__ = ("kind", "e", "l", "z")
 
-    def __init__(self, kind: str, e: int = 0, l: int = 1,
-                 turn: TurnLike = 0, z: complex = 1.0 + 0.0j):
+    def __init__(self, kind: str, e: int = 0, l: int = 1, z: complex = 1.0 + 0.0j):
         self.kind = kind
         self.e = e
         self.l = l
-        self.turn = turn
         self.z = z
 
     # -- constructors -----------------------------------------------------
@@ -51,10 +60,11 @@ class PhaseEntry:
         return cls("butson", e=e % l, l=l)
 
     @classmethod
-    def turns(cls, t: TurnLike) -> "PhaseEntry":
+    def turns(cls, t: Union[Fraction, float]) -> "PhaseEntry":
+        """exp(2*pi*i*t): exact for a Fraction, cartesian for anything else."""
         if isinstance(t, Fraction):
-            return cls("turns", turn=t % 1)
-        return cls("turns", turn=float(t) % 1.0)
+            return cls.butson(t.numerator, t.denominator)
+        return cls("cartesian", z=_cis(float(t) % 1.0))
 
     @classmethod
     def cartesian(cls, z: complex, tol: float = 1e-9) -> "PhaseEntry":
@@ -74,37 +84,25 @@ class PhaseEntry:
     def value(self) -> complex:
         if self.kind == "butson":
             return _cis(self.e / self.l)
-        if self.kind == "turns":
-            return _cis(float(self.turn))
         return self.z
 
     def exact_turn(self) -> Optional[Fraction]:
         """The rotation in [0, 1) as a Fraction, or None if not exact."""
         if self.kind == "butson":
             return Fraction(self.e, self.l)
-        if self.kind == "turns" and isinstance(self.turn, Fraction):
-            return self.turn
         return None
 
     def turn_value(self) -> float:
         """The rotation in [0, 1) as a float, exact or not."""
         if self.kind == "butson":
             return self.e / self.l
-        if self.kind == "turns":
-            return float(self.turn)
         return (cmath.phase(self.z) / TAU) % 1.0
-
-    @property
-    def is_exact(self) -> bool:
-        return self.exact_turn() is not None
 
     # -- arithmetic ---------------------------------------------------------
 
     def conj(self) -> "PhaseEntry":
         if self.kind == "butson":
             return PhaseEntry.butson(-self.e, self.l)
-        if self.kind == "turns":
-            return PhaseEntry.turns(-self.turn)
         return PhaseEntry("cartesian", z=self.z.conjugate())
 
     def __neg__(self) -> "PhaseEntry":
@@ -112,10 +110,6 @@ class PhaseEntry:
             if self.l % 2 == 0:
                 return PhaseEntry.butson(self.e + self.l // 2, self.l)
             return PhaseEntry.butson(2 * self.e + self.l, 2 * self.l)
-        if self.kind == "turns":
-            if isinstance(self.turn, Fraction):
-                return PhaseEntry.turns(self.turn + Fraction(1, 2))
-            return PhaseEntry.turns(self.turn + 0.5)
         return PhaseEntry("cartesian", z=-self.z)
 
     def __mul__(self, other: "PhaseEntry") -> "PhaseEntry":
@@ -125,26 +119,17 @@ class PhaseEntry:
         if a.kind == "butson" and b.kind == "butson":
             l = a.l * b.l // gcd(a.l, b.l)
             return PhaseEntry.butson(a.e * (l // a.l) + b.e * (l // b.l), l)
-        ta, tb = a.exact_turn(), b.exact_turn()
-        if ta is not None and tb is not None:
-            return PhaseEntry.turns(ta + tb)
-        if a.kind != "cartesian" and b.kind != "cartesian":
-            return PhaseEntry.turns(a.turn_value() + b.turn_value())
         return PhaseEntry("cartesian", z=a.value * b.value)
 
     def power(self, n: int) -> "PhaseEntry":
         """Integer power (exact for exact phases)."""
         if self.kind == "butson":
             return PhaseEntry.butson(self.e * n, self.l)
-        if self.kind == "turns":
-            return PhaseEntry.turns(self.turn * n)
         return PhaseEntry("cartesian", z=self.z ** n)
 
     def __repr__(self) -> str:
         if self.kind == "butson":
             return f"PhaseEntry.butson({self.e}, {self.l})"
-        if self.kind == "turns":
-            return f"PhaseEntry.turns({self.turn!r})"
         return f"PhaseEntry.cartesian({self.z!r})"
 
 
@@ -161,3 +146,92 @@ def parse_phase(text: str) -> PhaseEntry:
             return PhaseEntry.turns(float(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidInputError(f"cannot parse phase {text!r}: {exc}") from exc
+
+
+# -- phase arrays -------------------------------------------------------------
+
+def _exponents(exp, order: int) -> np.ndarray:
+    """exp as an array of the dtype that holds exponents at this order."""
+    return np.asarray(exp, dtype=np.int64 if order < INT64_ORDER else object)
+
+
+@functools.lru_cache(maxsize=64)
+def _roots(l: int) -> np.ndarray:
+    """zeta_l^k for k < l, each computed as PhaseEntry.value would."""
+    table = np.array([_cis(k / l) for k in range(l)], dtype=np.complex128)
+    table.setflags(write=False)
+    return table
+
+
+class ExactPhases:
+    """The array zeta_l^E: integer exponents ``exp``, residues in
+    [0, order), at order ``order``."""
+
+    __slots__ = ("exp", "order")
+
+    def __init__(self, exp, order: int):
+        self.exp = _exponents(exp, order)
+        self.order = order
+
+    @property
+    def shape(self) -> tuple:
+        return self.exp.shape
+
+    def __getitem__(self, idx) -> "ExactPhases":
+        return ExactPhases(self.exp[idx], self.order)
+
+    def reshape(self, *shape) -> "ExactPhases":
+        return ExactPhases(self.exp.reshape(*shape), self.order)
+
+    def conj(self) -> "ExactPhases":
+        return ExactPhases(-self.exp % self.order, self.order)
+
+    def reduced(self) -> "ExactPhases":
+        """The same phases at the least order that holds them all."""
+        g = gcd(self.order, int(np.gcd.reduce(self.exp, axis=None)))
+        return ExactPhases(self.exp // g, self.order // g)
+
+    def values(self) -> np.ndarray:
+        """Complex values, each computed as PhaseEntry.value would."""
+        l = self.order
+        if l <= ROOT_TABLE:
+            return _roots(l)[self.exp]
+        return np.array([_cis(e / l) for e in self.exp.ravel().tolist()],
+                        dtype=np.complex128).reshape(self.exp.shape)
+
+
+PhaseArray = Union[ExactPhases, np.ndarray]
+
+
+def phase_values(a: PhaseArray) -> np.ndarray:
+    return a.values() if isinstance(a, ExactPhases) else a
+
+
+def multiply(a: PhaseArray, b: PhaseArray) -> PhaseArray:
+    """The product of two broadcastable phase arrays: exponents add at the
+    lcm order when both are exact, values multiply otherwise."""
+    if isinstance(a, ExactPhases) and isinstance(b, ExactPhases):
+        l = math.lcm(a.order, b.order)
+        sa = _exponents(a.exp, l) * (l // a.order)
+        sb = _exponents(b.exp, l) * (l // b.order)
+        return ExactPhases((sa + sb) % l, l)
+    return phase_values(a) * phase_values(b)
+
+
+def phase_array(phases: Sequence[PhaseEntry], shape: tuple) -> PhaseArray:
+    """A flat sequence of phases as an array of the given shape: exact when
+    every phase is."""
+    if all(p.kind == "butson" for p in phases):
+        l = math.lcm(*{p.l for p in phases})
+        exp = _exponents([p.e * (l // p.l) for p in phases], l)
+        return ExactPhases(exp.reshape(shape), l)
+    return np.array([p.value for p in phases], dtype=np.complex128).reshape(shape)
+
+
+def phase_entries(a: PhaseArray) -> tuple:
+    """The phases of a 2-D array as rows of PhaseEntry."""
+    if isinstance(a, ExactPhases):
+        l = a.order
+        return tuple(tuple(PhaseEntry("butson", e=e, l=l) for e in row)
+                     for row in a.exp.tolist())
+    return tuple(tuple(PhaseEntry("cartesian", z=z) for z in row) for row in a.tolist())

@@ -21,7 +21,7 @@ import numpy as np
 
 from .cyclotomic import CycloContext, solve_integer
 from .errors import ConsistencyError, InvalidInputError, SearchBudgetExceeded
-from .matrix import PHMatrix, ensure_verified, row_quotient_phases
+from .matrix import PHMatrix, ensure_verified, row_quotient
 from .phases import TAU, PhaseEntry
 
 DEFAULT_BUDGET = 10 ** 7
@@ -56,11 +56,12 @@ class CycleDecomposition:
         return self.label
 
 
-def term_multiset(h: PHMatrix, i: int, j: int) -> tuple:
-    """The orthogonality terms H_ik * conj(H_jk) of a row pair, as phases."""
+def term_multiset(h: PHMatrix, i: int, j: int) -> np.ndarray:
+    """The orthogonality terms H_ik * conj(H_jk) of a row pair (see
+    row_quotient: exact for an exact matrix)."""
     if i == j:
         raise InvalidInputError("need two distinct rows")
-    return row_quotient_phases(h, i, j)
+    return row_quotient(h, i, j)
 
 
 def _on_root(q: complex, p: int, m: int, tol: float) -> bool:
@@ -356,7 +357,7 @@ def cycle_structure_profile(h: PHMatrix, tol: float = 1e-8,
     out = {}
     for i in range(h.m):
         for j in range(i + 1, h.m):
-            terms = row_quotient_phases(h, i, j)
+            terms = row_quotient(h, i, j)
             try:
                 dec = cycle_decompose(terms, tol=tol, budget=budget)
             except SearchBudgetExceeded:

@@ -190,6 +190,35 @@ def test_defect_master_from_spec_file(tmp_path):
     assert code == 2 and "--spec" in text
 
 
+@pytest.mark.parametrize("case", ["dita-turn-zero-denominator",
+                                  "spec-bad-exponent", "spec-not-json"])
+def test_malformed_phase_and_spec_files_exit_2(tmp_path, case):
+    """Bad turns, bad exponents and undecodable files are invalid input."""
+    f2 = tmp_path / "f2.json"
+    save_phm(fourier_cyclic(2), str(f2))
+    bad = tmp_path / "bad.json"
+    if case == "dita-turn-zero-denominator":
+        bad.write_text(json.dumps([[0, [1, 0]], [0, 0]]))
+        argvs = [["gen", "dita", "--outer", str(f2), "--inner", str(f2),
+                  "--phases", str(bad)]]
+    elif case == "spec-bad-exponent":
+        argvs = []
+        for e in ("x", [1, 0]):
+            path = tmp_path / f"spec{len(argvs)}.json"
+            path.write_text(json.dumps({"eigenphases": ["0", "1/2"],
+                                        "exponents": [0, e]}))
+            argvs.append(["defect", "--method", "master", "--spec", str(path)])
+    else:
+        bad.write_text("{not json")
+        argvs = [["defect", "--method", "master", "--spec", str(bad)]]
+    for argv in argvs:
+        proc = subprocess.run([sys.executable, "-m", "hadlab"] + argv,
+                              capture_output=True, text=True)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
+
 def test_defect_ambiguous_exit_code(f6_file):
     code, text = run_command(["defect", f6_file, "--confidence", "1e20"])
     assert code == 3

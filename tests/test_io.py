@@ -71,9 +71,15 @@ def test_turns_representation_loads():
            "representation": "turns",
            "entries": [[0, [1, 2]], [0.25, [3, 4]]]}
     h = from_document(doc)
-    assert h.entries[0][1].exact_turn() == Fraction(1, 2)
-    assert h.entries[1][0].exact_turn() is None
+    # one float turn makes the whole matrix complex
+    assert h.common_butson_order() is None
+    assert all(e.exact_turn() is None for row in h.entries for e in row)
+    assert abs(h.entries[0][1].value + 1) < 1e-12
     assert abs(h.entries[1][1].value - np.exp(2j * np.pi * 0.75)) < 1e-12
+    doc["entries"][1][0] = [1, 4]
+    h = from_document(doc)
+    assert h.common_butson_order() == 4
+    assert h.entries[0][1].exact_turn() == Fraction(1, 2)
 
 
 def test_format_errors_are_specific():

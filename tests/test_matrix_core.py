@@ -12,7 +12,11 @@ from hadlab import (InvalidInputError, PHMatrix, PhaseEntry, apply_equivalence,
 def test_construction_coerces_and_validates():
     h = PHMatrix([[1, -1], [Fraction(1, 2), 1j]])
     assert h.shape == (2, 2)
-    assert h.entry(1, 0).exact_turn() == Fraction(1, 2)
+    # complex entries make the whole matrix complex
+    assert h.entry(1, 0).exact_turn() is None
+    assert abs(h.entry(1, 0).value + 1) < 1e-15
+    h = PHMatrix([[Fraction(0), Fraction(1, 2)]])
+    assert h.entry(0, 1).exact_turn() == Fraction(1, 2)
     with pytest.raises(InvalidInputError):
         PHMatrix([[1, 1], [1]])
     with pytest.raises(InvalidInputError):

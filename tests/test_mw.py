@@ -105,7 +105,7 @@ def test_mw_construct_q5():
     assert h.label == "MW(q=5)"
     assert verify_partial_hadamard(h, 1e-9).is_hadamard
     # all entries are exact roots of unity
-    assert h.exact_turn_grid() is not None
+    assert h.common_butson_order() is not None
 
 
 def test_mw_block_structure_q5():
