@@ -91,11 +91,38 @@ def _parse_rows(text: str) -> list:
         t = t.strip()
         if not t:
             continue
-        if ":" in t:
-            out.append(tuple(int(c) for c in t.split(":")))
-        else:
-            out.append(int(t))
+        try:
+            if ":" in t:
+                out.append(tuple(int(c) for c in t.split(":")))
+            else:
+                out.append(int(t))
+        except ValueError as exc:
+            raise InvalidInputError(f"bad row {t!r}: expected an integer "
+                                    "or colon-separated coordinates") from exc
     return out
+
+
+def _tolerance(text: str) -> float:
+    """argparse type of --tol and --cycle-tol: a finite float above 0."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not (math.isfinite(x) and x > 0):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number > 0, got {text!r}")
+    return x
+
+
+def _budget(text: str) -> int:
+    """argparse type of --budget: an integer node count of at least 1."""
+    try:
+        x = int(text)
+    except ValueError:
+        x = 0
+    if x < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return x
 
 
 def _load(path: str) -> Tuple[PHMatrix, str]:
@@ -380,6 +407,8 @@ def _cmd_semigroup(args) -> Tuple[int, str]:
 def _cmd_moments(args) -> Tuple[int, str]:
     h, text = _load(args.file)
     ps = _parse_int_list(args.p)
+    if not ps:
+        raise InvalidInputError(f"--p names no word length: {args.p!r}")
     reports = [moment(h, p, args.cycle_tol) for p in ps]
     code = AMBIGUOUS if any(r.ambiguous for r in reports) else OK
     data = {"moments": [{"p": r.p, "value": r.value, "formal": r.formal,
@@ -455,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="append a record to this JSON-lines catalog "
                             "(or set HADLAB_CATALOG)")
         if tol:
-            p.add_argument("--tol", type=float, default=1e-9)
+            p.add_argument("--tol", type=_tolerance, default=1e-9)
         p.add_argument("--confidence", type=float, default=1e6,
                        help="minimum spectral gap ratio for a confident "
                             "rank decision")
@@ -533,27 +562,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("regularity", help="cycle decompositions of row pairs")
     p.add_argument("file")
-    p.add_argument("--cycle-tol", type=float, default=1e-8)
-    p.add_argument("--budget", type=int, default=10 ** 7,
+    p.add_argument("--cycle-tol", type=_tolerance, default=1e-8)
+    p.add_argument("--budget", type=_budget, default=10 ** 7,
                    help="search nodes (calls + completion attempts)")
     common(p)
 
     p = sub.add_parser("semigroup", help="partial permutation semigroup of "
                                          "the projection grid")
     p.add_argument("file")
-    p.add_argument("--cycle-tol", type=float, default=1e-8)
+    p.add_argument("--cycle-tol", type=_tolerance, default=1e-8)
     common(p)
 
     p = sub.add_parser("moments", help="unit-eigenvalue counts of moment "
                                        "matrices")
     p.add_argument("file")
     p.add_argument("--p", required=True, help="word lengths, e.g. 1,2,3")
-    p.add_argument("--cycle-tol", type=float, default=1e-8)
+    p.add_argument("--cycle-tol", type=_tolerance, default=1e-8)
     common(p)
 
     p = sub.add_parser("profile", help="equivalence invariants")
     p.add_argument("file")
-    p.add_argument("--budget", type=int, default=10 ** 7,
+    p.add_argument("--budget", type=_budget, default=10 ** 7,
                    help="search nodes (calls + completion attempts)")
     common(p)
 

@@ -8,7 +8,9 @@ orthogonal the grid encodes a partial Latin square whose classes act as
 partial permutations of the rows; composing them generates a finite
 semigroup.  Traces of words in the P's are collected in moment matrices
 whose unit eigenvalues count the semigroup elements reachable at each word
-length, in the square case N^{p-1}.
+length, in the square case N^{p-1}.  A trace is unchanged when the row and
+column words rotate together, so a moment matrix splits into p Hermitian
+blocks, one per eigenvalue of the rotation, which are diagonalised apart.
 """
 
 from __future__ import annotations
@@ -376,14 +378,48 @@ def moment(h: PHMatrix, p: int, tol: float = 1e-8) -> MomentReport:
     transpose of P_ij, so swapping row and column words conjugates the
     trace), and its eigenvalues are real.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvalidInputError(f"tolerance must be finite and positive, got {tol!r}")
     mm = moment_matrix(h, p)
-    ev = np.linalg.eigvalsh(mm.matrix)
+    ev = _rotation_block_eigenvalues(mm.matrix, h.m, p)
     dist = np.abs(ev - 1.0)
     value = int(np.sum(dist < tol))
     excluded = dist[dist >= tol]
     nearest = float(np.min(excluded)) if excluded.size else math.inf
     ambiguous = bool(np.any((dist >= tol) & (dist < 10 * tol)))
     return MomentReport(p, value, mm.formal, ambiguous, nearest)
+
+
+def _rotation_block_eigenvalues(t: np.ndarray, m: int, p: int) -> np.ndarray:
+    """Eigenvalues of the moment matrix t over words of length p in m
+    letters, one Hermitian block per eigenvalue w^k of the word rotation S.
+
+    t[S I, S J] = t[I, J] (the trace is cyclic), so t commutes with S.  An
+    orbit of size s with representative a carries the S-eigenvector
+    sum_tau w^(-k tau) e_{S^tau a} / sqrt(s) when k s = 0 (mod p), and block
+    k has entries sqrt(s_a s_b) / p * sum_tau w^(k tau) t[a, S^tau b] over
+    those representatives.  The block sizes add up to m^p.
+    """
+    words = np.arange(m ** p)
+    # rot[tau, w] = S^tau w, with S (i_1 .. i_p) = (i_2 .. i_p, i_1)
+    rot = np.empty((p + 1, words.size), dtype=np.intp)
+    rot[0] = words
+    for tau in range(1, p + 1):
+        prev = rot[tau - 1]
+        rot[tau] = prev % m ** (p - 1) * m + prev // m ** (p - 1)
+    reps = np.flatnonzero(rot[:p].min(axis=0) == words)
+    # orbit size: the first tau >= 1 with S^tau a = a (S^p is the identity)
+    s = np.argmax(rot[1:, reps] == reps, axis=0) + 1
+    # gathered[a, tau, b] = t[a, S^tau b], for representatives a and b
+    gathered = t[reps[:, None, None], rot[:p, reps]]
+    phase = np.exp(2j * np.pi / p * np.outer(np.arange(p), np.arange(p)))
+    blocks = np.einsum("kt,atb->kab", phase, gathered)
+    blocks *= np.sqrt(np.outer(s, s)) / p
+    out = []
+    for k in range(p):
+        keep = np.flatnonzero(k * s % p == 0)
+        out.append(np.linalg.eigvalsh(blocks[k][np.ix_(keep, keep)]))
+    return np.concatenate(out)
 
 
 def cyclic_moment_oracle(n: int, p: int) -> int:

@@ -219,6 +219,29 @@ def test_malformed_phase_and_spec_files_exit_2(tmp_path, case):
         assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    "gen truncated-fourier --orders 8 --rows 0,x",
+    "gen truncated-fourier --orders 8 --rows 0:x",
+    "defect F --method split --orders 8 --rows 0,3,x",
+    "moments F --p ,",
+    "moments F --p 1 --cycle-tol -1",
+    "regularity F --cycle-tol nan",
+    "verify F --tol -1",
+    "regularity F --budget -5",
+])
+def test_malformed_arguments_exit_2(tmp_path, monkeypatch, capsys, argv):
+    from hadlab import cli
+    f8 = tmp_path / "f8.json"
+    assert run_command(["gen", "fourier", "8", "-o", str(f8)])[0] == 0
+    argv = [str(f8) if a == "F" else a for a in argv.split()]
+    monkeypatch.setattr(sys, "argv", ["hadlab"] + argv)
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_defect_ambiguous_exit_code(f6_file):
     code, text = run_command(["defect", f6_file, "--confidence", "1e20"])
     assert code == 3

@@ -1,16 +1,21 @@
 import random
 from fractions import Fraction
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from hadlab import (InvalidInputError, PartialPermutation, PhaseEntry,
-                    PHMatrix, SearchBudgetExceeded, classicality_test,
-                    compose, cyclic_moment_oracle, extract_semigroup, f22q,
-                    fourier_cyclic, interval_shift_maps, moment,
-                    moment_matrix, petrescu, pre_latin_square,
+from hadlab import (DitaParams, InvalidInputError, MWSpec, PartialPermutation,
+                    PhaseEntry, PHMatrix, SearchBudgetExceeded,
+                    apply_equivalence, classicality_test, compose,
+                    cyclic_moment_oracle, dita_deformation, extract_semigroup,
+                    f22q, fourier_cyclic, interval_shift_maps, moment,
+                    moment_matrix, mw_construct, petrescu, pre_latin_square,
                     predicted_truncated_semigroup, semigroup_closure,
                     sigma_from_square, truncated_fourier, verify_submagic)
+from hadlab.semigroup import MAX_MOMENT_ENTRIES, _rotation_block_eigenvalues
 
 
 def f25():
@@ -225,6 +230,82 @@ def test_moment_matrix_is_hermitian():
             assert moment(h, p).value == int(np.sum(np.abs(ev - 1.0) < 1e-8))
 
 
+def _oracle_moment(h, p, tol=1e-8):
+    """The full eigendecomposition of the moment matrix, with the counting
+    rules of moment: (value, formal, ambiguous, nearest_excluded, spectrum)."""
+    mm = moment_matrix(h, p)
+    ev = np.linalg.eigvalsh(mm.matrix)
+    dist = np.abs(ev - 1.0)
+    excluded = dist[dist >= tol]
+    nearest = float(np.min(excluded)) if excluded.size else math.inf
+    return (int(np.sum(dist < tol)), mm.formal,
+            bool(np.any((dist >= tol) & (dist < 10 * tol))), nearest, ev)
+
+
+# bases for the block/oracle comparison: square Fourier, truncations (m < n),
+# float Petrescu, a Dita deformation drawn per example, and a Gauss tensor
+MOMENT_BASES = [fourier_cyclic(n) for n in range(2, 7)] + [
+    truncated_fourier([0, 1], [5]),
+    truncated_fourier([0, 1, 2], [7]),
+    truncated_fourier([0, 2, 3], [6]),
+    truncated_fourier([(0, 0), (1, 2)], [2, 3]),
+    petrescu(PhaseEntry.turns(0.123)),
+    petrescu(PhaseEntry.turns(Fraction(1, 7))),
+    "dita",
+    mw_construct(MWSpec(q=5, s=(1, 3), t=(0, 2), base=fourier_cyclic(2))),
+]
+ORACLE_SIDE = 729    # keeps each full eigendecomposition well under a second
+
+
+@st.composite
+def moment_cases(draw):
+    h = draw(st.sampled_from(MOMENT_BASES))
+    if isinstance(h, str):    # "dita"
+        turns = st.floats(0, 1, exclude_max=True).map(PhaseEntry.turns)
+        grid = [[draw(turns) for _ in range(3)] for _ in range(2)]
+        h = dita_deformation(DitaParams(fourier_cyclic(2), fourier_cyclic(3),
+                                        tuple(map(tuple, grid))))
+    phase = st.one_of(st.fractions(0, 1, max_denominator=12),
+                      st.floats(0, 1, exclude_max=True)).map(PhaseEntry.turns)
+    h = apply_equivalence(h, draw(st.permutations(range(h.m))),
+                          draw(st.permutations(range(h.n))),
+                          [draw(phase) for _ in range(h.m)],
+                          [draw(phase) for _ in range(h.n)])
+    ps = [p for p in range(1, 6)
+          if h.m ** (2 * p) <= MAX_MOMENT_ENTRIES and h.m ** p <= ORACLE_SIDE]
+    return h, draw(st.sampled_from(ps))
+
+
+@settings(max_examples=60, deadline=None)
+@given(moment_cases())
+@example((fourier_cyclic(5), 4))
+@example((truncated_fourier([0, 1, 2], [7]), 5))
+@example((petrescu(PhaseEntry.turns(0.123)), 3))
+def test_moment_blocks_match_full_eigensolve(case):
+    h, p = case
+    value, formal, ambiguous, nearest, ev = _oracle_moment(h, p)
+    rep = moment(h, p)
+    assert (rep.value, rep.formal, rep.ambiguous) == (value, formal, ambiguous)
+    if math.isinf(nearest):
+        assert math.isinf(rep.nearest_excluded)
+    else:
+        assert abs(rep.nearest_excluded - nearest) <= 1e-12
+    blocks = _rotation_block_eigenvalues(moment_matrix(h, p).matrix, h.m, p)
+    assert blocks.shape == ev.shape
+    assert np.max(np.abs(np.sort(blocks) - np.sort(ev))) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(moment_cases())
+def test_moment_matrix_rotation_invariant(case):
+    # T[S I, S J] = T[I, J] for S (i_1 .. i_p) = (i_2 .. i_p, i_1)
+    h, p = case
+    t = moment_matrix(h, p).matrix.reshape((h.m,) * (2 * p))
+    shift = [*range(1, p), 0]
+    rotated = t.transpose(shift + [p + a for a in shift])
+    assert np.max(np.abs(rotated - t)) <= 1e-13
+
+
 def test_moment_truncated_is_formal():
     rep = moment(f25(), 1)
     assert rep.formal
@@ -239,3 +320,6 @@ def test_moment_guards():
         moment_matrix(fourier_cyclic(2), 13)
     with pytest.raises(InvalidInputError):
         cyclic_moment_oracle(0, 1)
+    for tol in (0.0, -1e-8, math.nan, math.inf):
+        with pytest.raises(InvalidInputError):
+            moment(fourier_cyclic(2), 1, tol)
