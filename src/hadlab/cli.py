@@ -102,8 +102,9 @@ def _parse_rows(text: str) -> list:
     return out
 
 
-def _tolerance(text: str) -> float:
-    """argparse type of --tol and --cycle-tol: a finite float above 0."""
+def _finite_positive(text: str) -> float:
+    """argparse type of --tol, --cycle-tol and --confidence: a finite float
+    above 0."""
     try:
         x = float(text)
     except ValueError:
@@ -484,8 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="append a record to this JSON-lines catalog "
                             "(or set HADLAB_CATALOG)")
         if tol:
-            p.add_argument("--tol", type=_tolerance, default=1e-9)
-        p.add_argument("--confidence", type=float, default=1e6,
+            p.add_argument("--tol", type=_finite_positive, default=1e-9)
+        p.add_argument("--confidence", type=_finite_positive, default=1e6,
                        help="minimum spectral gap ratio for a confident "
                             "rank decision")
 
@@ -562,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("regularity", help="cycle decompositions of row pairs")
     p.add_argument("file")
-    p.add_argument("--cycle-tol", type=_tolerance, default=1e-8)
+    p.add_argument("--cycle-tol", type=_finite_positive, default=1e-8)
     p.add_argument("--budget", type=_budget, default=10 ** 7,
                    help="search nodes (calls + completion attempts)")
     common(p)
@@ -570,14 +571,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("semigroup", help="partial permutation semigroup of "
                                          "the projection grid")
     p.add_argument("file")
-    p.add_argument("--cycle-tol", type=_tolerance, default=1e-8)
+    p.add_argument("--cycle-tol", type=_finite_positive, default=1e-8)
     common(p)
 
     p = sub.add_parser("moments", help="unit-eigenvalue counts of moment "
                                        "matrices")
     p.add_argument("file")
     p.add_argument("--p", required=True, help="word lengths, e.g. 1,2,3")
-    p.add_argument("--cycle-tol", type=_tolerance, default=1e-8)
+    p.add_argument("--cycle-tol", type=_finite_positive, default=1e-8)
     common(p)
 
     p = sub.add_parser("profile", help="equivalence invariants")

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
@@ -79,45 +78,6 @@ def cyclotomic_polynomial(l: int) -> List[int]:
     if l < 1:
         raise InvalidInputError("l must be >= 1")
     return list(_cyclotomic_cached(l))
-
-
-class CycloContext:
-    """Elements of Q(zeta_l) on the power basis, enough to test sums of
-    roots of unity for zero."""
-
-    def __init__(self, l: int):
-        self.l = l
-        self.phi_poly = cyclotomic_polynomial(l)
-        self.deg = len(self.phi_poly) - 1
-        # x^e reduced mod Phi_l, as integer vectors, for 0 <= e < l
-        table = []
-        for e in range(l):
-            if e < self.deg:
-                v = [0] * self.deg
-                v[e] = 1
-            else:
-                prev = table[e - 1]
-                v = [0] + list(prev)
-                c = v.pop()  # coefficient at x^deg
-                if c:
-                    v = [a - c * b for a, b in zip(v, self.phi_poly[:self.deg])]
-            table.append(v)
-        self._pow = table
-
-    def zeta_power(self, e: int) -> tuple:
-        return tuple(Fraction(c) for c in self._pow[e % self.l])
-
-    def from_exponent_counts(self, counts: Sequence[int]) -> tuple:
-        """Sum of counts[e] * zeta^e as a field element."""
-        acc = [0] * self.deg
-        for e, c in enumerate(counts):
-            if c:
-                v = self._pow[e % self.l]
-                acc = [a + c * b for a, b in zip(acc, v)]
-        return tuple(Fraction(c) for c in acc)
-
-    def is_zero(self, a) -> bool:
-        return all(x == 0 for x in a)
 
 
 # -- exact ranks modulo split primes -----------------------------------------
@@ -277,7 +237,17 @@ def rank_mod_p(a: np.ndarray, p: int) -> int:
 
 @lru_cache(maxsize=None)
 def _power_basis(l: int) -> np.ndarray:
-    basis = np.array(CycloContext(l)._pow, dtype=np.int64)
+    """Row e is zeta_l^e on the power basis 1, zeta_l, ..., zeta_l^(phi-1):
+    x^e reduced modulo Phi_l, for 0 <= e < l.  A sum of roots of unity with
+    exponent counts c vanishes exactly when c @ _power_basis(l) is zero."""
+    phi = np.array(cyclotomic_polynomial(l), dtype=np.int64)
+    deg = len(phi) - 1
+    basis = np.zeros((l, deg), dtype=np.int64)
+    basis[:deg] = np.eye(deg, dtype=np.int64)
+    for e in range(deg, l):
+        # x * x^(e-1), with its x^deg term replaced by -(Phi_l - x^deg)
+        basis[e, 1:] = basis[e - 1, :-1]
+        basis[e] -= basis[e - 1, -1] * phi[:deg]
     basis.flags.writeable = False
     return basis
 
@@ -392,11 +362,9 @@ def exact_defect_butson(exponents: Sequence[Sequence[int]], l: int) -> ButsonDef
 
 def exact_vanishing(exponents: Sequence[int], l: int) -> bool:
     """Whether the sum of zeta_l^e over the exponent list is exactly zero."""
-    counts = [0] * l
-    for e in exponents:
-        counts[e % l] += 1
-    ctx = CycloContext(l)
-    return ctx.is_zero(ctx.from_exponent_counts(counts))
+    basis = _power_basis(l)
+    counts = np.bincount([int(e) % l for e in exponents], minlength=l)
+    return not np.any(counts @ basis)
 
 
 def solve_integer(a_columns: List[Sequence[int]], v: Sequence[int]) -> Optional[List[int]]:

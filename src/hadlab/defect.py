@@ -7,8 +7,9 @@ row/column phase deformations), and equality certifies that the matrix is
 isolated up to equivalence.
 
 Four independent routes are implemented: the direct tangent system, an
-extension system through a unitary completion, a kernel/image split for row
-truncations of group Fourier matrices, and a character-sum system for
+extension system through a unitary completion, an exact count for row
+truncations S of group Fourier matrices (from the difference set S - S and
+the components of the graphs g ~ g+d on S), and a character-sum system for
 matrices given in eigenphase/exponent form.  They must agree; disagreement
 raises ConsistencyError rather than returning a number.
 """
@@ -49,16 +50,11 @@ def numerical_rank(mat: np.ndarray, tol: float = 1e-9) -> RankResult:
     """
     if mat.size == 0 or mat.shape[0] == 0:
         return RankResult(0, None, None, math.inf)
-    return _rank_of(np.linalg.svd(mat, compute_uv=False), mat.shape, tol)
-
-
-def _rank_of(s: np.ndarray, shape: tuple, tol: float) -> RankResult:
-    """The rank rule of numerical_rank, on the singular values s (in
-    descending order) of a matrix of the given shape."""
-    smax = float(s[0]) if len(s) else 0.0
+    s = np.linalg.svd(mat, compute_uv=False)
+    smax = float(s[0])
     if smax == 0.0:
         return RankResult(0, None, None, math.inf)
-    thresh = tol * smax * max(shape)
+    thresh = tol * smax * max(mat.shape)
     rank = int(np.sum(s > thresh))
     smallest_kept = float(s[rank - 1]) if rank > 0 else None
     largest_dropped = float(s[rank]) if rank < len(s) else None
@@ -267,105 +263,75 @@ def defect_via_extension(h: PHMatrix, tol: float = 1e-9,
                    breakdown={"completion_seeded": seed is not None})
 
 
-# -- split route for truncated Fourier ---------------------------------------
+# -- character count for truncated Fourier -----------------------------------
+
+def _character_count(subset: Sequence[Tuple[int, ...]],
+                     orders: Tuple[int, ...]) -> Tuple[int, int]:
+    """|F| for F = S - S, and m + sum of w_d c_d over one d from each pair
+    {d, -d} with d != 0 in F: c_d counts the components of the graph on S
+    with edges g ~ g+d, and w_d is 1 when 2d = 0 and 2 otherwise."""
+    def add(g, d):
+        return tuple((a + b) % n for a, b, n in zip(g, d, orders))
+
+    def neg(d):
+        return tuple(-c % n for c, n in zip(d, orders))
+
+    def root(g):
+        while parent[g] != g:
+            parent[g] = parent[parent[g]]
+            g = parent[g]
+        return g
+
+    members = set(subset)
+    diffs = {add(g, neg(h)) for g in subset for h in subset}
+    image = len(subset)
+    for d in diffs:
+        if not any(d) or neg(d) < d:
+            continue
+        parent = {g: g for g in subset}
+        components = len(subset)
+        for g in subset:
+            e = add(g, d)
+            if e in members:
+                a, b = root(g), root(e)
+                if a != b:
+                    parent[a] = b
+                    components -= 1
+        image += (1 if neg(d) == d else 2) * components
+    return len(diffs), image
+
 
 def defect_split_truncated_fourier(rows: Sequence, orders: Sequence[int],
                                    tol: float = 1e-9,
                                    confidence: float = DEFAULT_CONFIDENCE) -> DefectReport:
-    """Defect of a row truncation of a group Fourier matrix, computed as
-    dim(kernel) + dim(image cap admissible), then cross-checked against the
-    direct tangent system.
+    """Exact defect of a row truncation S of a group Fourier matrix, by
+    counting, cross-checked against the direct tangent system.
 
-    Writing P_g(h) for the Fourier transform of tangent row g at frequency
-    h, the map A -> (P_g(h))_{g,h in S} has a kernel (invisible directions)
-    and an image that meets the admissible subspace cut out by
-    P_g(h) = P_{g+h}(h) (row-pair orthogonality, when g+h stays in S) and
-    P_g(-h) = conj(P_g(h)) (realness).  For difference-closed subsets, in
-    particular initial intervals of a cyclic group, every pair constraint is
-    captured and the split is exact; the direct cross-check guards the rest.
+    Write P_g(h) for the Fourier transform of tangent row g at frequency h,
+    with m = |S|, n = |G| and F = S - S.  Directions with P_g = 0 on F are
+    free, which gives the kernel m(n - |F|).  On F the rows g, g' tie only
+    P_g(g - g') to P_g'(g - g'), and realness ties P_g(-d) to conj P_g(d),
+    so the admissible image has dimension m + sum of w_d c_d (see
+    _character_count).  The defect is their sum; for S = G it is
+    fourier_defect_formula.  tol and confidence feed only the direct guard,
+    which raises ConsistencyError when it confidently disagrees.
     """
     orders = _check_orders(orders)
     subset = normalize_row_subset(rows, orders)
     h = truncated_fourier(subset, orders)
     m, n = h.shape
-    sub_index = {g: a for a, g in enumerate(subset)}
-
-    def add(g, hh):
-        return tuple((gc + hc) % nn for gc, hc, nn in zip(g, hh, orders))
-
-    def neg(hh):
-        return tuple((-hc) % nn for hc, nn in zip(hh, orders))
-
-    # the window map on real tangent directions, complex target (a, b):
-    # tangent row a summed against the character of h_b, a row of h
-    phi = np.kron(np.eye(m), h.to_array())
-    # phi maps R^{m n} -> R^{2 m^2}; real target coords: Re block then Im block
-    phi_real = np.vstack([phi.real, phi.imag])
-
-    def re_ix(a, b):
-        return a * m + b
-
-    def im_ix(a, b):
-        return m * m + a * m + b
-
-    u, s, _ = np.linalg.svd(phi_real, full_matrices=False)
-    rr_phi = _rank_of(s, phi_real.shape, tol)
-    rank_phi, gap_phi = rr_phi.rank, rr_phi.gap_ratio
-    dim_k = m * n - rank_phi
-    basis = u[:, :rank_phi]  # orthonormal basis of the image, in R^{2 m^2}
-
-    cons = []
-    for a, g in enumerate(subset):
-        for b, hh in enumerate(subset):
-            tgt = add(g, hh)
-            a2 = sub_index.get(tgt)
-            if a2 is not None and a2 != a:
-                row = np.zeros(2 * m * m)
-                row[re_ix(a, b)] += 1.0
-                row[re_ix(a2, b)] -= 1.0
-                cons.append(row)
-                row = np.zeros(2 * m * m)
-                row[im_ix(a, b)] += 1.0
-                row[im_ix(a2, b)] -= 1.0
-                cons.append(row)
-    for a in range(m):
-        for b, hh in enumerate(subset):
-            b2 = sub_index.get(neg(hh))
-            if b2 is None:
-                continue
-            if b2 == b:
-                row = np.zeros(2 * m * m)
-                row[im_ix(a, b)] = 1.0
-                cons.append(row)
-            elif b2 > b:
-                row = np.zeros(2 * m * m)
-                row[re_ix(a, b)] += 1.0
-                row[re_ix(a, b2)] -= 1.0
-                cons.append(row)
-                row = np.zeros(2 * m * m)
-                row[im_ix(a, b)] += 1.0
-                row[im_ix(a, b2)] += 1.0
-                cons.append(row)
-    if cons and rank_phi > 0:
-        restricted = np.array(cons) @ basis
-        rr_c = numerical_rank(restricted, tol)
-        rank_cons = rr_c.rank
-        gap_cons = rr_c.gap_ratio
-    else:
-        rank_cons = 0
-        gap_cons = math.inf
-    dim_i = rank_phi - rank_cons
-    d_split = dim_k + dim_i
-    gap = min(gap_phi, gap_cons)
-
+    differences, dim_i = _character_count(subset, orders)
+    dim_k = m * (n - differences)
+    d = dim_k + dim_i
     direct = defect(h, tol, confidence)
-    if d_split != direct.defect and not direct.ambiguous and gap >= confidence:
+    if d != direct.defect and not direct.ambiguous:
         raise ConsistencyError(
-            f"split defect {d_split} disagrees with direct defect "
+            f"split defect {d} disagrees with direct defect "
             f"{direct.defect} for rows {subset} of orders {orders}")
-    rr = RankResult(m * n - d_split, None, None, gap)
-    return _report("split", (m, n), m * n, rr, tol, confidence,
+    rr = RankResult(m * n - d, None, None, math.inf)
+    return _report("split", (m, n), m * n, rr, 0.0, math.inf, exact=True,
                    breakdown={"dim_kernel": dim_k, "dim_image_admissible": dim_i,
+                              "differences": differences,
                               "direct_defect": direct.defect})
 
 
@@ -455,19 +421,12 @@ def defect_master(spec: MasterSpec, tol: float = 1e-9,
 
 # -- closed forms and certificates --------------------------------------------
 
-def element_order(g: Sequence[int], orders: Sequence[int]) -> int:
-    o = 1
-    for gc, nn in zip(g, orders):
-        o = math.lcm(o, nn // math.gcd(gc, nn))
-    return o
-
-
 def fourier_defect_formula(orders: Sequence[int]) -> int:
-    """Defect of a group Fourier matrix: sum over elements of the subgroup
-    index [G : <g>]."""
+    """Defect of a group Fourier matrix: the character count with S = G,
+    where F = G leaves no kernel and the components for d are the cosets of
+    <d>, so the count is the sum over elements of the index [G : <g>]."""
     orders = _check_orders(orders)
-    size = math.prod(orders)
-    return sum(size // element_order(g, orders) for g in group_elements(orders))
+    return _character_count(group_elements(orders), orders)[1]
 
 
 def cyclic_defect_closed_form(n: int) -> int:

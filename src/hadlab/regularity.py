@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cyclotomic import CycloContext, solve_integer
+from .cyclotomic import exact_vanishing, solve_integer
 from .errors import ConsistencyError, InvalidInputError, SearchBudgetExceeded
 from .matrix import PHMatrix, ensure_verified, row_quotient
 from .phases import TAU, PhaseEntry
@@ -277,12 +277,11 @@ def cycle_decompose_integer(exponents: Sequence[int], l: int,
         raise InvalidInputError("l must be >= 1")
     exps = [int(e) % l for e in exponents]
     n = len(exps)
+    if not exact_vanishing(exps, l):
+        return IntegerCycleDecomposition(l, False, None, None, None, True)
     counts = [0] * l
     for e in exps:
         counts[e] += 1
-    ctx = CycloContext(l)
-    if not ctx.is_zero(ctx.from_exponent_counts(counts)):
-        return IntegerCycleDecomposition(l, False, None, None, None, True)
 
     primes = [p for p in _primes_upto(l) if l % p == 0]
     complete = True

@@ -1,5 +1,6 @@
 """Shared fixtures: a small zoo of matrices reused across the test modules."""
 
+import os
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,19 @@ TRUNCATED_CASES = {
     "F46": ([0, 1, 2, 3], [6]),
     "F67": ([0, 1, 2, 3, 4, 5], [7]),
 }
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def subprocesses_import_this_checkout():
+    """Child processes (`python -m hadlab`) import the package from src/,
+    as the tests do through pytest's pythonpath setting."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", SRC, prepend=os.pathsep)
+        yield
 
 
 def walsh(k: int) -> PHMatrix:

@@ -227,6 +227,8 @@ def test_malformed_phase_and_spec_files_exit_2(tmp_path, case):
     "moments F --p 1 --cycle-tol -1",
     "regularity F --cycle-tol nan",
     "verify F --tol -1",
+    "defect F --confidence nan",
+    "defect F --confidence -1",
     "regularity F --budget -5",
 ])
 def test_malformed_arguments_exit_2(tmp_path, monkeypatch, capsys, argv):

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hadlab import (InvalidInputError, PHMatrix, PhaseEntry, apply_equivalence,
                     defect_exact, detect_butson, fourier_cyclic, fourier_group,
                     isolation_certificate, tensor_product)
-from hadlab.cyclotomic import (PROOF_CAP, CycloContext, cyclotomic_polynomial,
+from hadlab.cyclotomic import (PROOF_CAP, _power_basis, cyclotomic_polynomial,
                                exact_defect_butson, exact_vanishing,
                                rank_mod_p, solve_integer, split_primes)
 
@@ -44,18 +44,32 @@ def test_cyclotomic_root_numerically():
         assert abs(val) < 1e-9
 
 
+def test_power_basis_rows_are_powers_of_zeta():
+    for l in (5, 7, 12, 30, 105):
+        z = np.exp(2j * np.pi / l)
+        basis = _power_basis(l)
+        for e in range(l):
+            val = sum(int(c) * z ** k for k, c in enumerate(basis[e]))
+            assert abs(val - z ** e) < 1e-9, (l, e)
+
+
 def test_context_power_wraps_and_reduces():
-    ctx = CycloContext(5)
-    assert ctx.deg == 4
-    assert ctx.zeta_power(7) == ctx.zeta_power(2)
+    assert _power_basis(5).shape == (5, 4)
+    # exponents are read modulo l: e and e + l name the same root
+    assert exact_vanishing([5, 11, -3, 8, 14], 5)
+    assert not exact_vanishing([2, -3], 5)
     # zeta^4 = -1 - zeta - zeta^2 - zeta^3
-    assert ctx.zeta_power(4) == tuple(Fraction(-1) for _ in range(4))
+    assert _power_basis(5)[4].tolist() == [-1, -1, -1, -1]
+    assert not exact_vanishing([0, 1, 2, 3], 5)
+    assert not exact_vanishing([4], 5)
 
 
 def test_from_exponent_counts_vanishing_sum():
-    ctx = CycloContext(6)
-    assert ctx.is_zero(ctx.from_exponent_counts([1, 0, 1, 0, 1, 0]))
-    assert not ctx.is_zero(ctx.from_exponent_counts([1, 1, 0, 0, 0, 0]))
+    basis = _power_basis(6)
+    assert not np.any(np.array([1, 0, 1, 0, 1, 0]) @ basis)
+    assert np.any(np.array([1, 1, 0, 0, 0, 0]) @ basis)
+    assert exact_vanishing([0, 2, 4], 6)
+    assert not exact_vanishing([0, 1], 6)
 
 
 def test_exact_defect_small_fourier():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hadlab import (ConsistencyError, InvalidInputError, MWSpec, PHMatrix,
                     PhaseEntry, apply_equivalence, count_one_entries,
@@ -104,6 +105,34 @@ def test_split_known_decomposition_f25():
 def test_split_full_group_matches_closed_form():
     rep = defect_split_truncated_fourier(list(range(6)), [6])
     assert rep.defect == 15
+
+
+SPLIT_GROUPS = [(n,) for n in range(5, 17)] + [(2, 6), (3, 4), (4, 4),
+                                               (2, 2, 2), (2, 3, 4)]
+# subsets that are not difference-closed, with their direct defects
+SPLIT_REGRESSIONS = {((2, 3, 4), (0, 1, 5, 7)): 85,
+                     ((2, 3, 4), (0, 1, 2, 5, 7)): 102}
+
+
+@st.composite
+def row_subsets(draw):
+    orders = draw(st.sampled_from(SPLIT_GROUPS))
+    n = math.prod(orders)
+    rows = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                         unique=True))
+    return orders, tuple(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(row_subsets())
+@example(((2, 3, 4), (0, 1, 5, 7)))
+@example(((2, 3, 4), (0, 1, 2, 5, 7)))
+def test_split_count_equals_direct_defect(case):
+    orders, rows = case
+    rep = defect_split_truncated_fourier(list(rows), orders)
+    direct = defect(truncated_fourier(list(rows), orders)).defect
+    assert rep.exact and not rep.ambiguous
+    assert rep.defect == direct == SPLIT_REGRESSIONS.get(case, direct)
 
 
 def test_master_route_agrees(master_cases):
