@@ -3,6 +3,11 @@
 Exit codes: 0 success (and the checked property holds), 1 the property
 fails (not Hadamard, not certified isolated, irregular, non-classical),
 2 invalid input, 3 a numerical or search outcome too ambiguous to call.
+
+Each command is one entry of COMMANDS: its handler and the options it
+reads.  ``run_command`` is the one dispatcher: it parses, loads the matrix
+file, runs the handler, appends the catalog record and renders the
+outcome as text or as the ``--json`` envelope.
 """
 
 from __future__ import annotations
@@ -12,7 +17,9 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from . import __version__
 from .catalog import CatalogRecord, append_record, catalog_path, content_hash
@@ -22,20 +29,30 @@ from .constructors import (DitaParams, MasterSpec, dita_deformation, f22q,
 from .defect import (defect, defect_exact, defect_master,
                      defect_split_truncated_fourier, defect_via_extension,
                      isolation_certificate, truncation_probe)
-from .errors import (ConsistencyError, InvalidInputError, MatrixFormatError,
-                     SearchBudgetExceeded)
-from .io import dumps_phm, number_from_json, to_document, turn_from_json
+from .errors import ConsistencyError, InvalidInputError, SearchBudgetExceeded
+from .io import (dumps_phm, loads_phm, number_from_json, to_document,
+                 turn_from_json)
 from .matrix import PHMatrix, equivalence_profile, verify_partial_hadamard
 from .mcnulty_weigert import MWSpec, arithmetic_isolation_probe, mw_construct
 from .phases import PhaseEntry, parse_phase
 from .regularity import cycle_structure_profile
-from .semigroup import (classicality_test, extract_semigroup, moment,
-                        pre_latin_square)
+from .semigroup import classicality_test, extract_semigroup, moment
 
 OK = 0
 PROPERTY_FAILS = 1
 BAD_INPUT = 2
 AMBIGUOUS = 3
+
+
+class Outcome(NamedTuple):
+    """What a command found.  ``data`` is its ``--json`` output: a dict,
+    which ``run_command`` wraps in the result envelope, or, from ``gen``,
+    finished JSON text printed as it is.  ``human`` is the text printed
+    without ``--json``; ``summary`` goes into the catalog record."""
+    code: int
+    data: Union[dict, str]
+    human: str
+    summary: dict
 
 
 def _jsonable(x):
@@ -60,46 +77,50 @@ def _jsonable(x):
     return str(x)
 
 
-def _parse_int_list(text: str) -> list:
-    try:
-        return [int(t) for t in text.split(",") if t != ""]
-    except ValueError as exc:
-        raise InvalidInputError(f"expected comma-separated integers: {text!r}") from exc
+def _dumps(x) -> str:
+    return json.dumps(_jsonable(x), sort_keys=True)
 
 
-def _parse_number_list(text: str) -> list:
+# -- option values ---------------------------------------------------------------
+
+def _comma_list(text: str, convert: Callable, error: str) -> list:
+    """The non-blank items of a comma-separated list, each through
+    ``convert``; ``error`` is the message for an item it refuses, formatted
+    with the ``item`` and the whole ``text``."""
     out = []
     for t in text.split(","):
         t = t.strip()
-        if not t:
-            continue
-        try:
-            if "/" in t:
-                out.append(Fraction(t))
-            elif "." in t or "e" in t or "E" in t:
-                out.append(float(t))
-            else:
-                out.append(int(t))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidInputError(f"bad number {t!r}") from exc
+        if t:
+            try:
+                out.append(convert(t))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise InvalidInputError(error.format(item=t, text=text)) from exc
     return out
 
 
-def _parse_rows(text: str) -> list:
-    out = []
-    for t in text.split(","):
-        t = t.strip()
-        if not t:
-            continue
-        try:
-            if ":" in t:
-                out.append(tuple(int(c) for c in t.split(":")))
-            else:
-                out.append(int(t))
-        except ValueError as exc:
-            raise InvalidInputError(f"bad row {t!r}: expected an integer "
-                                    "or colon-separated coordinates") from exc
-    return out
+def _ints(text: str) -> list:
+    return _comma_list(text, int, "expected comma-separated integers: {text!r}")
+
+
+def _number(t: str):
+    if "/" in t:
+        return Fraction(t)
+    if "." in t or "e" in t or "E" in t:
+        return float(t)
+    return int(t)
+
+
+def _numbers(text: str) -> list:
+    return _comma_list(text, _number, "bad number {item!r}")
+
+
+def _row(t: str):
+    return tuple(int(c) for c in t.split(":")) if ":" in t else int(t)
+
+
+def _rows(text: str) -> list:
+    return _comma_list(text, _row, "bad row {item!r}: expected an integer "
+                                   "or colon-separated coordinates")
 
 
 def _finite_positive(text: str) -> float:
@@ -126,87 +147,12 @@ def _budget(text: str) -> int:
     return x
 
 
+# -- input files -----------------------------------------------------------------
+
 def _load(path: str) -> Tuple[PHMatrix, str]:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    from .io import loads_phm
     return loads_phm(text), text
-
-
-def _emit_matrix(h: PHMatrix, args, extra: Optional[dict] = None) -> Tuple[int, str]:
-    doc_text = dumps_phm(h, label=getattr(args, "label", None))
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(doc_text)
-        lines = [f"wrote {h.m}x{h.n} matrix to {args.output}"]
-        if extra and args.json:
-            lines = [json.dumps(_jsonable({"written": args.output, **extra}),
-                                sort_keys=True)]
-        return OK, "\n".join(lines)
-    if extra and args.json:
-        doc = to_document(h, getattr(args, "label", None))
-        return OK, json.dumps(_jsonable({"matrix": doc, **extra}), sort_keys=True)
-    return OK, doc_text.rstrip("\n")
-
-
-def _envelope(command: str, code: int, data: dict, args, human: str) -> Tuple[int, str]:
-    if args.json:
-        body = {"command": command, "ok": code == OK, "exit_code": code,
-                "data": _jsonable(data)}
-        return code, json.dumps(body, sort_keys=True)
-    return code, human
-
-
-def _catalog(args, command: str, input_text: Optional[str], summary: dict) -> None:
-    path = catalog_path(getattr(args, "catalog", None))
-    if not path:
-        return
-    rec = CatalogRecord(
-        command=command,
-        input_sha256=content_hash(input_text) if input_text is not None else None,
-        summary=_jsonable(summary))
-    append_record(path, rec)
-
-
-# -- gen -----------------------------------------------------------------------
-
-def _cmd_gen(args) -> Tuple[int, str]:
-    kind = args.kind
-    extra = None
-    if kind == "fourier":
-        h = fourier_cyclic(args.n)
-    elif kind == "fourier-group":
-        h = fourier_group(args.orders)
-    elif kind == "truncated-fourier":
-        h = truncated_fourier(_parse_rows(args.rows), _parse_int_list(args.orders))
-    elif kind == "f22q":
-        h = f22q(parse_phase(args.q))
-    elif kind == "petrescu":
-        h = petrescu(parse_phase(args.q))
-    elif kind == "dita":
-        outer, _ = _load(args.outer)
-        inner, _ = _load(args.inner)
-        grid_spec = _read_json(args.phases)
-        if not isinstance(grid_spec, list) or not all(isinstance(r, list) for r in grid_spec):
-            raise InvalidInputError("phase grid must be a list of rows")
-        grid = tuple(tuple(_phase_from_json(e) for e in row) for row in grid_spec)
-        h = dita_deformation(DitaParams(outer, inner, grid))
-    elif kind == "master-dita":
-        p = _parse_number_list(args.p)
-        r = _parse_number_list(args.r)
-        h, spec = master_dita(args.n, args.m, args.k, p, r)
-        extra = {"spec": _spec_to_json(spec)}
-    elif kind == "mw":
-        base = _mw_base(args)
-        spec = MWSpec(args.q, tuple(_parse_int_list(args.s)),
-                      tuple(_parse_int_list(args.t)), base)
-        h = mw_construct(spec, tol=args.tol)
-    else:
-        raise InvalidInputError(f"unknown generator {kind!r}")
-    code, text = _emit_matrix(h, args, extra)
-    _catalog(args, f"gen {kind}", None,
-             {"rows": h.m, "cols": h.n, "label": h.label})
-    return code, text
 
 
 def _read_json(path: str):
@@ -220,13 +166,6 @@ def _read_json(path: str):
 def _phase_from_json(e) -> PhaseEntry:
     """A turn as "p/q" or decimal text, or as io.turn_from_json reads it."""
     return parse_phase(e) if isinstance(e, str) else turn_from_json(e)
-
-
-def _spec_to_json(spec: MasterSpec) -> dict:
-    return {
-        "eigenphase_turns": [_jsonable(t) for t in spec.angle_turns()],
-        "exponents": [_jsonable(e) for e in spec.exponents],
-    }
 
 
 def _spec_from_file(path: str) -> MasterSpec:
@@ -252,19 +191,53 @@ def _exponent_from_json(e):
         raise InvalidInputError(f"cannot parse exponent {e!r}: {exc}") from exc
 
 
-def _mw_base(args) -> PHMatrix:
-    if getattr(args, "base", None):
-        h, _ = _load(args.base)
-        return h
-    return fourier_cyclic(args.base_fourier)
+def _mw_spec(args) -> MWSpec:
+    base = _load(args.base)[0] if args.base else fourier_cyclic(args.base_fourier)
+    return MWSpec(args.q, tuple(_ints(args.s)), tuple(_ints(args.t)), base)
 
 
-# -- analysis ------------------------------------------------------------------
+# -- gen -------------------------------------------------------------------------
 
-def _cmd_verify(args) -> Tuple[int, str]:
-    h, text = _load(args.file)
+def _gen(build: Callable) -> Callable:
+    """The handler of a gen kind.  ``build(args)`` returns the matrix and
+    the extra fields of its ``--json`` output; the matrix goes to ``-o
+    FILE``, or to stdout as a phm-v1 document."""
+    def handler(args, _) -> Outcome:
+        h, extra = build(args)
+        doc_text = dumps_phm(h, label=args.label)
+        summary = {"rows": h.m, "cols": h.n, "label": h.label}
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(doc_text)
+            return Outcome(OK, _dumps({"written": args.output, **extra}),
+                           f"wrote {h.m}x{h.n} matrix to {args.output}", summary)
+        doc_text = doc_text.rstrip("\n")
+        data = (_dumps({"matrix": to_document(h, args.label), **extra})
+                if extra else doc_text)
+        return Outcome(OK, data, doc_text, summary)
+    return handler
+
+
+def _dita(args):
+    outer, _ = _load(args.outer)
+    inner, _ = _load(args.inner)
+    grid_spec = _read_json(args.phases)
+    if not isinstance(grid_spec, list) or not all(isinstance(r, list) for r in grid_spec):
+        raise InvalidInputError("phase grid must be a list of rows")
+    grid = tuple(tuple(_phase_from_json(e) for e in row) for row in grid_spec)
+    return dita_deformation(DitaParams(outer, inner, grid)), {}
+
+
+def _master_dita(args):
+    h, spec = master_dita(args.n, args.m, args.k, _numbers(args.p), _numbers(args.r))
+    return h, {"spec": {"eigenphase_turns": spec.angle_turns(),
+                        "exponents": spec.exponents}}
+
+
+# -- analysis --------------------------------------------------------------------
+
+def _verify(args, h: PHMatrix) -> Outcome:
     rep = verify_partial_hadamard(h, args.tol)
-    code = OK if rep.is_hadamard else PROPERTY_FAILS
     data = {"is_hadamard": rep.is_hadamard,
             "max_inner_residual": rep.max_inner_residual,
             "max_modulus_residual": rep.max_modulus_residual,
@@ -273,62 +246,43 @@ def _cmd_verify(args) -> Tuple[int, str]:
              + ("partial Hadamard" if rep.is_hadamard else "NOT partial Hadamard")
              + f" (inner residual {rep.max_inner_residual:.3g}, modulus residual "
              f"{rep.max_modulus_residual:.3g}, tol {args.tol:g})")
-    _catalog(args, "verify", text, data)
-    return _envelope("verify", code, data, args, human)
+    return Outcome(OK if rep.is_hadamard else PROPERTY_FAILS, data, human, data)
 
 
-def _entrywise_match(a: PHMatrix, b: PHMatrix, tol: float) -> bool:
-    if a.shape != b.shape:
-        return False
-    import numpy as np
-    return float(np.max(np.abs(a.to_array() - b.to_array()))) <= tol
+def _require_match(h: PHMatrix, declared: PHMatrix, what: str, tol: float) -> None:
+    """Refuse a matrix file that is not the construction its options declare."""
+    if h.shape != declared.shape or not (
+            np.max(np.abs(h.to_array() - declared.to_array())) <= tol):
+        raise InvalidInputError(f"file does not match the declared {what}")
 
 
-def _cmd_defect(args) -> Tuple[int, str]:
-    text = None
-    h = None
-    if args.file:
-        h, text = _load(args.file)
+def _defect(args, h: Optional[PHMatrix]) -> Outcome:
     method = args.method
     if method == "split":
         if not (args.orders and args.rows):
             raise InvalidInputError("split method needs --orders and --rows")
-        orders = _parse_int_list(args.orders)
-        rows = _parse_rows(args.rows)
-        if h is not None and not _entrywise_match(
-                h, truncated_fourier(rows, orders), args.tol):
-            return _envelope("defect", BAD_INPUT,
-                             {"error": "file does not match the declared "
-                                       "truncated Fourier construction"},
-                             args, "file does not match the declared "
-                                   "truncated Fourier construction")
+        orders, rows = _ints(args.orders), _rows(args.rows)
+        if h is not None:
+            _require_match(h, truncated_fourier(rows, orders),
+                           "truncated Fourier construction", args.tol)
         rep = defect_split_truncated_fourier(rows, orders, args.tol,
                                              args.confidence)
     elif method == "master":
         if not args.spec:
             raise InvalidInputError("master method needs --spec FILE")
         spec = _spec_from_file(args.spec)
-        if h is not None and not _entrywise_match(
-                h, master_matrix(spec), args.tol):
-            return _envelope("defect", BAD_INPUT,
-                             {"error": "file does not match the declared "
-                                       "eigenphase/exponent table"},
-                             args, "file does not match the declared "
-                                   "eigenphase/exponent table")
+        if h is not None:
+            _require_match(h, master_matrix(spec),
+                           "eigenphase/exponent table", args.tol)
         rep = defect_master(spec, args.tol, args.confidence)
+    elif h is None:
+        raise InvalidInputError("this method needs a matrix FILE")
+    elif method == "direct":
+        rep = defect(h, args.tol, args.confidence)
+    elif method == "exact":
+        rep = defect_exact(h)
     else:
-        if h is None:
-            raise InvalidInputError("this method needs a matrix FILE")
-        if method == "direct":
-            rep = defect(h, args.tol, args.confidence)
-        elif method == "exact":
-            rep = defect_exact(h)
-        elif method == "extension":
-            rep = defect_via_extension(h, args.tol, args.confidence,
-                                       seed=args.seed)
-        else:
-            raise InvalidInputError(f"unknown method {method!r}")
-    code = AMBIGUOUS if rep.ambiguous else OK
+        rep = defect_via_extension(h, args.tol, args.confidence, seed=args.seed)
     data = {"defect": rep.defect, "method": rep.method, "bound": rep.bound,
             "unknowns": rep.unknowns, "rank": rep.rank,
             "gap_ratio": rep.gap_ratio, "tolerance": rep.tolerance,
@@ -338,13 +292,12 @@ def _cmd_defect(args) -> Tuple[int, str]:
              f"rank {rep.rank}/{rep.unknowns}, gap {rep.gap_ratio:.3g})"
              + (" [exact]" if rep.exact else "")
              + (" AMBIGUOUS" if rep.ambiguous else ""))
-    _catalog(args, "defect", text, {"defect": rep.defect, "method": rep.method,
-                                    "ambiguous": rep.ambiguous})
-    return _envelope("defect", code, data, args, human)
+    return Outcome(AMBIGUOUS if rep.ambiguous else OK, data, human,
+                   {"defect": rep.defect, "method": rep.method,
+                    "ambiguous": rep.ambiguous})
 
 
-def _cmd_isolated(args) -> Tuple[int, str]:
-    h, text = _load(args.file)
+def _isolated(args, h: PHMatrix) -> Outcome:
     cert = isolation_certificate(h, args.tol, args.confidence)
     code = {"isolated": OK, "undetermined": PROPERTY_FAILS,
             "ambiguous": AMBIGUOUS}[cert.status]
@@ -352,47 +305,39 @@ def _cmd_isolated(args) -> Tuple[int, str]:
             "certified_isolated": cert.certified_isolated,
             "status": cert.status, "exact": cert.exact,
             "method": cert.report.method, "breakdown": cert.report.breakdown}
-    _catalog(args, "isolated", text, data)
-    return _envelope("isolated", code, data, args, str(cert))
+    return Outcome(code, data, str(cert), data)
 
 
-def _cmd_regularity(args) -> Tuple[int, str]:
-    h, text = _load(args.file)
+def _regularity(args, h: PHMatrix) -> Outcome:
     profile = cycle_structure_profile(h, tol=args.cycle_tol, budget=args.budget)
     inconclusive = sorted(k for k, v in profile.items() if v == "inconclusive")
     irregular = sorted(k for k, v in profile.items() if v == "irregular")
     if inconclusive:
         code = AMBIGUOUS
+        human = f"inconclusive pairs (budget {args.budget}): {inconclusive}"
     elif irregular:
         code = PROPERTY_FAILS
+        human = f"irregular pairs: {irregular}"
     else:
         code = OK
+        human = "regular: " + ", ".join(
+            f"({i},{j}) {v}" for (i, j), v in sorted(profile.items()))
     data = {"regular": code == OK,
             "pairs": {f"{i},{j}": v for (i, j), v in sorted(profile.items())},
             "irregular_pairs": [list(p) for p in irregular],
             "inconclusive_pairs": [list(p) for p in inconclusive]}
-    if code == OK:
-        human = "regular: " + ", ".join(
-            f"({i},{j}) {v}" for (i, j), v in sorted(profile.items()))
-    elif code == PROPERTY_FAILS:
-        human = f"irregular pairs: {irregular}"
-    else:
-        human = f"inconclusive pairs (budget {args.budget}): {inconclusive}"
-    _catalog(args, "regularity", text, {"regular": code == OK,
-                                        "n_irregular": len(irregular),
-                                        "n_inconclusive": len(inconclusive)})
-    return _envelope("regularity", code, data, args, human)
+    return Outcome(code, data, human, {"regular": code == OK,
+                                       "n_irregular": len(irregular),
+                                       "n_inconclusive": len(inconclusive)})
 
 
-def _cmd_semigroup(args) -> Tuple[int, str]:
-    h, text = _load(args.file)
+def _semigroup(args, h: PHMatrix) -> Outcome:
     rep = classicality_test(h, args.cycle_tol)
     if not rep.classical:
         data = {"classical": False, "worst_overlap": rep.worst_overlap}
-        _catalog(args, "semigroup", text, data)
-        return _envelope("semigroup", PROPERTY_FAILS, data, args,
-                         f"non-classical grid: overlap {rep.worst_overlap:.3g} "
-                         f"is neither 0 nor 1")
+        return Outcome(PROPERTY_FAILS, data,
+                       f"non-classical grid: overlap {rep.worst_overlap:.3g} "
+                       f"is neither 0 nor 1", data)
     closure, square = extract_semigroup(h, args.cycle_tol)
     data = {"classical": True, "n_labels": square.n_labels,
             "square": [list(r) for r in square.labels],
@@ -401,29 +346,24 @@ def _cmd_semigroup(args) -> Tuple[int, str]:
     human = (f"classical, {square.n_labels} classes\n{square}\n"
              f"closure: {closure.size} elements: "
              + " ".join(closure.notations()))
-    _catalog(args, "semigroup", text, {"classical": True, "size": closure.size})
-    return _envelope("semigroup", OK, data, args, human)
+    return Outcome(OK, data, human, {"classical": True, "size": closure.size})
 
 
-def _cmd_moments(args) -> Tuple[int, str]:
-    h, text = _load(args.file)
-    ps = _parse_int_list(args.p)
+def _moments(args, h: PHMatrix) -> Outcome:
+    ps = _ints(args.p)
     if not ps:
         raise InvalidInputError(f"--p names no word length: {args.p!r}")
     reports = [moment(h, p, args.cycle_tol) for p in ps]
-    code = AMBIGUOUS if any(r.ambiguous for r in reports) else OK
     data = {"moments": [{"p": r.p, "value": r.value, "formal": r.formal,
                          "ambiguous": r.ambiguous} for r in reports]}
     human = "; ".join(
         f"p={r.p}: {r.value}" + (" (formal)" if r.formal else "")
         + (" AMBIGUOUS" if r.ambiguous else "") for r in reports)
-    _catalog(args, "moments", text,
-             {"values": {str(r.p): r.value for r in reports}})
-    return _envelope("moments", code, data, args, human)
+    return Outcome(AMBIGUOUS if any(r.ambiguous for r in reports) else OK,
+                   data, human, {"values": {str(r.p): r.value for r in reports}})
 
 
-def _cmd_profile(args) -> Tuple[int, str]:
-    h, text = _load(args.file)
+def _profile(args, h: PHMatrix) -> Outcome:
     prof = equivalence_profile(h, tol=args.tol, budget=args.budget)
     data = {"shape": list(prof.shape), "defect": prof.defect,
             "cycle_labels": list(prof.cycle_labels),
@@ -431,45 +371,157 @@ def _cmd_profile(args) -> Tuple[int, str]:
     human = (f"shape {prof.shape[0]}x{prof.shape[1]}, defect {prof.defect}, "
              f"cycles {'/'.join(prof.cycle_labels)}, "
              f"root-of-unity order {prof.butson_order}")
-    _catalog(args, "profile", text, data)
-    return _envelope("profile", OK, data, args, human)
+    return Outcome(OK, data, human, data)
 
 
-def _cmd_probe(args) -> Tuple[int, str]:
-    if args.probe_kind == "truncation":
-        sizes = _parse_int_list(args.sizes) if args.sizes else None
-        certs = truncation_probe(args.n, sizes, args.tol, args.confidence)
-        data = {"certificates": [
-            {"rows": c.shape[0], "cols": c.shape[1], "defect": c.defect,
-             "bound": c.bound, "status": c.status, "exact": c.exact,
-             "method": c.report.method, "breakdown": c.report.breakdown}
-            for c in certs]}
-        human = "\n".join(str(c) for c in certs)
-        code = OK
-        _catalog(args, "probe truncation", None,
-                 {"n": args.n, "statuses": [c.status for c in certs]})
-        return _envelope("probe", code, data, args, human)
-    if args.probe_kind == "arithmetic":
-        base = _mw_base(args)
-        spec = MWSpec(args.q, tuple(_parse_int_list(args.s)),
-                      tuple(_parse_int_list(args.t)), base)
-        rep = arithmetic_isolation_probe(spec, args.tol)
-        code = OK if rep.certified_isolated else PROPERTY_FAILS
-        data = {"rows": rep.shape[0], "cols": rep.shape[1],
-                "defect": rep.defect, "bound": rep.bound,
-                "status": rep.status,
-                "certified_isolated": rep.certified_isolated,
-                "pattern_notes": list(rep.pattern_notes)}
-        human = (f"{rep.shape[0]}x{rep.shape[1]}: defect {rep.defect}, bound "
-                 f"{rep.bound} -> {rep.status}")
-        if rep.pattern_notes:
-            human += "\n" + "\n".join("note: " + s for s in rep.pattern_notes)
-        _catalog(args, "probe arithmetic", None, data)
-        return _envelope("probe", code, data, args, human)
-    raise InvalidInputError(f"unknown probe {args.probe_kind!r}")
+def _probe_truncation(args, _) -> Outcome:
+    sizes = _ints(args.sizes) if args.sizes else None
+    certs = truncation_probe(args.n, sizes, args.tol, args.confidence)
+    data = {"certificates": [
+        {"rows": c.shape[0], "cols": c.shape[1], "defect": c.defect,
+         "bound": c.bound, "status": c.status, "exact": c.exact,
+         "method": c.report.method, "breakdown": c.report.breakdown}
+        for c in certs]}
+    return Outcome(OK, data, "\n".join(str(c) for c in certs),
+                   {"n": args.n, "statuses": [c.status for c in certs]})
 
 
-# -- parser ---------------------------------------------------------------------
+def _probe_arithmetic(args, _) -> Outcome:
+    rep = arithmetic_isolation_probe(_mw_spec(args), args.tol)
+    data = {"rows": rep.shape[0], "cols": rep.shape[1],
+            "defect": rep.defect, "bound": rep.bound,
+            "status": rep.status,
+            "certified_isolated": rep.certified_isolated,
+            "pattern_notes": list(rep.pattern_notes)}
+    human = (f"{rep.shape[0]}x{rep.shape[1]}: defect {rep.defect}, bound "
+             f"{rep.bound} -> {rep.status}")
+    if rep.pattern_notes:
+        human += "\n" + "\n".join("note: " + s for s in rep.pattern_notes)
+    return Outcome(OK if rep.certified_isolated else PROPERTY_FAILS, data,
+                   human, data)
+
+
+# -- the command table -------------------------------------------------------------
+
+def _arg(*flags, **kwargs) -> tuple:
+    return flags, kwargs
+
+
+FILE = (_arg("file"),)
+TOL = (_arg("--tol", type=_finite_positive, default=1e-9),)
+CONFIDENCE = (_arg("--confidence", type=_finite_positive, default=1e6,
+                   help="minimum spectral gap ratio for a confident "
+                        "rank decision"),)
+CYCLE_TOL = (_arg("--cycle-tol", type=_finite_positive, default=1e-8),)
+BUDGET = (_arg("--budget", type=_budget, default=10 ** 7,
+               help="search nodes (calls + completion attempts)"),)
+MW_SPEC = (
+    _arg("--q", type=int, required=True, help="odd prime"),
+    _arg("--s", required=True, help="row exponents, e.g. 1,3"),
+    _arg("--t", required=True, help="column exponents, e.g. 0,2"),
+    _arg("--base", metavar="FILE", help="base Hadamard matrix"),
+    _arg("--base-fourier", type=int, default=2,
+         help="use this cyclic Fourier matrix as base (default 2)"),
+)
+GEN_OUTPUT = (
+    _arg("-o", "--output", metavar="FILE",
+         help="write the matrix here instead of stdout"),
+    _arg("--label", help="label stored in the document"),
+)
+# read by run_command for every command
+RESULT_OUTPUT = (
+    _arg("--json", action="store_true",
+         help="emit a machine-readable result envelope"),
+    _arg("--catalog", metavar="PATH",
+         help="append a record to this JSON-lines catalog "
+              "(or set HADLAB_CATALOG)"),
+)
+
+
+class Command(NamedTuple):
+    help: str
+    handler: Callable[[argparse.Namespace, Optional[PHMatrix]], Outcome]
+    options: tuple
+
+
+# a two-word name is a subcommand of the group named by its first word
+GROUPS = {"gen": ("construct a matrix", "kind"),
+          "probe": ("batteries of related analyses", "probe_kind")}
+
+COMMANDS = {
+    "gen fourier": Command(
+        "cyclic Fourier matrix",
+        _gen(lambda a: (fourier_cyclic(a.n), {})),
+        (_arg("n", type=int),) + GEN_OUTPUT),
+    "gen fourier-group": Command(
+        "Fourier matrix of a product of cyclic groups",
+        _gen(lambda a: (fourier_group(a.orders), {})),
+        (_arg("orders", type=int, nargs="+"),) + GEN_OUTPUT),
+    "gen truncated-fourier": Command(
+        "row truncation",
+        _gen(lambda a: (truncated_fourier(_rows(a.rows), _ints(a.orders)), {})),
+        (_arg("--orders", required=True, help="e.g. 6 or 2,3"),
+         _arg("--rows", required=True,
+              help="flat indices 0,1 or coordinates 0:0,1:2")) + GEN_OUTPUT),
+    "gen f22q": Command(
+        "4x4 one-parameter family",
+        _gen(lambda a: (f22q(parse_phase(a.q)), {})),
+        (_arg("--q", required=True, help="phase as a turn: 1/20 or 0.05"),)
+        + GEN_OUTPUT),
+    "gen petrescu": Command(
+        "7x7 one-parameter family",
+        _gen(lambda a: (petrescu(parse_phase(a.q)), {})),
+        (_arg("--q", required=True, help="phase as a turn"),) + GEN_OUTPUT),
+    "gen dita": Command(
+        "phase-deformed tensor product", _gen(_dita),
+        (_arg("--outer", required=True, metavar="FILE"),
+         _arg("--inner", required=True, metavar="FILE"),
+         _arg("--phases", required=True, metavar="FILE",
+              help="JSON 2D array of turns")) + GEN_OUTPUT),
+    "gen master-dita": Command(
+        "deformed Fourier tensor with its eigenphase/exponent table",
+        _gen(_master_dita),
+        (_arg("n", type=int), _arg("m", type=int), _arg("k", type=int),
+         _arg("--p", required=True, help="m inner parameters"),
+         _arg("--r", required=True, help="n outer parameters")) + GEN_OUTPUT),
+    "gen mw": Command(
+        "Gauss-sum tensor construction",
+        _gen(lambda a: (mw_construct(_mw_spec(a), tol=a.tol), {})),
+        MW_SPEC + TOL + GEN_OUTPUT),
+    "verify": Command("check the partial Hadamard property", _verify,
+                      FILE + TOL),
+    "defect": Command(
+        "tangent-space dimension", _defect,
+        (_arg("file", nargs="?", help="matrix file (optional for "
+                                      "split/master with explicit data)"),
+         _arg("--method", default="direct",
+              choices=["direct", "exact", "extension", "split", "master"]),
+         _arg("--orders", help="split: cyclic orders, e.g. 6 or 2,3"),
+         _arg("--rows", help="split: row subset"),
+         _arg("--spec", metavar="FILE", help="master: eigenphase/exponent JSON"),
+         _arg("--seed", type=int, help="extension: completion mixer seed"))
+        + TOL + CONFIDENCE),
+    "isolated": Command("isolation certificate from the defect", _isolated,
+                        FILE + TOL + CONFIDENCE),
+    "regularity": Command("cycle decompositions of row pairs", _regularity,
+                          FILE + CYCLE_TOL + BUDGET),
+    "semigroup": Command(
+        "partial permutation semigroup of the projection grid", _semigroup,
+        FILE + CYCLE_TOL),
+    "moments": Command(
+        "unit-eigenvalue counts of moment matrices", _moments,
+        FILE + (_arg("--p", required=True, help="word lengths, e.g. 1,2,3"),)
+        + CYCLE_TOL),
+    "profile": Command("equivalence invariants", _profile,
+                       FILE + BUDGET + TOL),
+    "probe truncation": Command(
+        "initial truncations of F_n", _probe_truncation,
+        (_arg("n", type=int), _arg("--sizes", help="row counts, e.g. 2,3,4"))
+        + TOL + CONFIDENCE),
+    "probe arithmetic": Command("isolation of a Gauss-sum matrix",
+                                _probe_arithmetic, MW_SPEC + TOL),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
@@ -477,161 +529,46 @@ def build_parser() -> argparse.ArgumentParser:
         description="Construct and analyze partial complex Hadamard matrices")
     top.add_argument("--version", action="version", version=f"hadlab {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p, tol=True):
-        p.add_argument("--json", action="store_true",
-                       help="emit a machine-readable result envelope")
-        p.add_argument("--catalog", metavar="PATH",
-                       help="append a record to this JSON-lines catalog "
-                            "(or set HADLAB_CATALOG)")
-        if tol:
-            p.add_argument("--tol", type=_finite_positive, default=1e-9)
-        p.add_argument("--confidence", type=_finite_positive, default=1e6,
-                       help="minimum spectral gap ratio for a confident "
-                            "rank decision")
-
-    gen = sub.add_parser("gen", help="construct a matrix")
-    gensub = gen.add_subparsers(dest="kind", required=True)
-
-    def gen_common(p):
-        common(p)
-        p.add_argument("-o", "--output", metavar="FILE",
-                       help="write the matrix here instead of stdout")
-        p.add_argument("--label", help="label stored in the document")
-
-    g = gensub.add_parser("fourier", help="cyclic Fourier matrix")
-    g.add_argument("n", type=int)
-    gen_common(g)
-    g = gensub.add_parser("fourier-group", help="Fourier matrix of a product "
-                                                "of cyclic groups")
-    g.add_argument("orders", type=int, nargs="+")
-    gen_common(g)
-    g = gensub.add_parser("truncated-fourier", help="row truncation")
-    g.add_argument("--orders", required=True, help="e.g. 6 or 2,3")
-    g.add_argument("--rows", required=True,
-                   help="flat indices 0,1 or coordinates 0:0,1:2")
-    gen_common(g)
-    g = gensub.add_parser("f22q", help="4x4 one-parameter family")
-    g.add_argument("--q", required=True, help="phase as a turn: 1/20 or 0.05")
-    gen_common(g)
-    g = gensub.add_parser("petrescu", help="7x7 one-parameter family")
-    g.add_argument("--q", required=True, help="phase as a turn")
-    gen_common(g)
-    g = gensub.add_parser("dita", help="phase-deformed tensor product")
-    g.add_argument("--outer", required=True, metavar="FILE")
-    g.add_argument("--inner", required=True, metavar="FILE")
-    g.add_argument("--phases", required=True, metavar="FILE",
-                   help="JSON 2D array of turns")
-    gen_common(g)
-    g = gensub.add_parser("master-dita",
-                          help="deformed Fourier tensor with its "
-                               "eigenphase/exponent table")
-    g.add_argument("n", type=int)
-    g.add_argument("m", type=int)
-    g.add_argument("k", type=int)
-    g.add_argument("--p", required=True, help="m inner parameters")
-    g.add_argument("--r", required=True, help="n outer parameters")
-    gen_common(g)
-    g = gensub.add_parser("mw", help="Gauss-sum tensor construction")
-    g.add_argument("--q", type=int, required=True, help="odd prime")
-    g.add_argument("--s", required=True, help="row exponents, e.g. 1,3")
-    g.add_argument("--t", required=True, help="column exponents, e.g. 0,2")
-    g.add_argument("--base", metavar="FILE", help="base Hadamard matrix")
-    g.add_argument("--base-fourier", type=int, default=2,
-                   help="use this cyclic Fourier matrix as base (default 2)")
-    gen_common(g)
-
-    p = sub.add_parser("verify", help="check the partial Hadamard property")
-    p.add_argument("file")
-    common(p)
-
-    p = sub.add_parser("defect", help="tangent-space dimension")
-    p.add_argument("file", nargs="?", help="matrix file (optional for "
-                                           "split/master with explicit data)")
-    p.add_argument("--method", default="direct",
-                   choices=["direct", "exact", "extension", "split", "master"])
-    p.add_argument("--orders", help="split: cyclic orders, e.g. 6 or 2,3")
-    p.add_argument("--rows", help="split: row subset")
-    p.add_argument("--spec", metavar="FILE",
-                   help="master: eigenphase/exponent JSON")
-    p.add_argument("--seed", type=int, help="extension: completion mixer seed")
-    common(p)
-
-    p = sub.add_parser("isolated", help="isolation certificate from the defect")
-    p.add_argument("file")
-    common(p)
-
-    p = sub.add_parser("regularity", help="cycle decompositions of row pairs")
-    p.add_argument("file")
-    p.add_argument("--cycle-tol", type=_finite_positive, default=1e-8)
-    p.add_argument("--budget", type=_budget, default=10 ** 7,
-                   help="search nodes (calls + completion attempts)")
-    common(p)
-
-    p = sub.add_parser("semigroup", help="partial permutation semigroup of "
-                                         "the projection grid")
-    p.add_argument("file")
-    p.add_argument("--cycle-tol", type=_finite_positive, default=1e-8)
-    common(p)
-
-    p = sub.add_parser("moments", help="unit-eigenvalue counts of moment "
-                                       "matrices")
-    p.add_argument("file")
-    p.add_argument("--p", required=True, help="word lengths, e.g. 1,2,3")
-    p.add_argument("--cycle-tol", type=_finite_positive, default=1e-8)
-    common(p)
-
-    p = sub.add_parser("profile", help="equivalence invariants")
-    p.add_argument("file")
-    p.add_argument("--budget", type=_budget, default=10 ** 7,
-                   help="search nodes (calls + completion attempts)")
-    common(p)
-
-    p = sub.add_parser("probe", help="batteries of related analyses")
-    probesub = p.add_subparsers(dest="probe_kind", required=True)
-    t = probesub.add_parser("truncation", help="initial truncations of F_n")
-    t.add_argument("n", type=int)
-    t.add_argument("--sizes", help="row counts, e.g. 2,3,4")
-    common(t)
-    a = probesub.add_parser("arithmetic", help="isolation of a Gauss-sum "
-                                               "matrix")
-    a.add_argument("--q", type=int, required=True)
-    a.add_argument("--s", required=True)
-    a.add_argument("--t", required=True)
-    a.add_argument("--base", metavar="FILE")
-    a.add_argument("--base-fourier", type=int, default=2)
-    common(a)
-
+    groups = {}
+    for name, command in COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        if group and group not in groups:
+            help_text, dest = GROUPS[group]
+            groups[group] = sub.add_parser(group, help=help_text).add_subparsers(
+                dest=dest, required=True)
+        p = groups.get(group, sub).add_parser(leaf, help=command.help)
+        for flags, kwargs in command.options + RESULT_OUTPUT:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(entry=name)
     return top
-
-
-_HANDLERS = {
-    "gen": _cmd_gen,
-    "verify": _cmd_verify,
-    "defect": _cmd_defect,
-    "isolated": _cmd_isolated,
-    "regularity": _cmd_regularity,
-    "semigroup": _cmd_semigroup,
-    "moments": _cmd_moments,
-    "profile": _cmd_profile,
-    "probe": _cmd_probe,
-}
 
 
 def run_command(argv: Sequence[str]) -> Tuple[int, str]:
     """Parse and execute; returns (exit_code, output_text)."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = build_parser().parse_args(list(argv))
     except SystemExit as exc:
         # argparse already printed usage to stderr
         return (BAD_INPUT if exc.code not in (0, None) else OK), ""
     try:
-        return _HANDLERS[args.command](args)
-    except (InvalidInputError, MatrixFormatError, FileNotFoundError) as exc:
-        return BAD_INPUT, f"error: {exc}"
+        h, text = _load(args.file) if getattr(args, "file", None) else (None, None)
+        out = COMMANDS[args.entry].handler(args, h)
+        path = catalog_path(args.catalog)
+        if path:
+            append_record(path, CatalogRecord(
+                command=args.entry,
+                input_sha256=content_hash(text) if text is not None else None,
+                summary=_jsonable(out.summary)))
+    except (InvalidInputError, OSError, UnicodeDecodeError) as exc:
+        out = Outcome(BAD_INPUT, {"error": str(exc)}, f"error: {exc}", {})
     except (ConsistencyError, SearchBudgetExceeded) as exc:
-        return AMBIGUOUS, f"inconclusive: {exc}"
+        out = Outcome(AMBIGUOUS, {"error": str(exc)}, f"inconclusive: {exc}", {})
+    if not args.json:
+        return out.code, out.human
+    if isinstance(out.data, str):
+        return out.code, out.data
+    return out.code, _dumps({"command": args.command, "ok": out.code == OK,
+                             "exit_code": out.code, "data": out.data})
 
 
 def main() -> None:

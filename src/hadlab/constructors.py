@@ -55,16 +55,26 @@ def fourier_cyclic(n: int) -> PHMatrix:
     return PHMatrix.from_phases(ExactPhases(np.outer(k, k) % n, n), label=f"F{n}")
 
 
+def _character_rows(rows: Sequence, orders: Tuple[int, ...]) -> ExactPhases:
+    """The rows of the Fourier matrix of the group at the elements ``rows``:
+    exponents <r, g> at order l = lcm(orders), columns g in row-major
+    order."""
+    l = math.lcm(*orders)
+    elems = np.array(group_elements(orders), dtype=np.int64)
+    weights = np.array([l // n for n in orders], dtype=np.int64)
+    return ExactPhases((np.array(rows, dtype=np.int64) * weights) @ elems.T % l, l)
+
+
+def _group_label(orders: Tuple[int, ...]) -> str:
+    return f"F{orders[0]}" if len(orders) == 1 else "F" + "x".join(str(n) for n in orders)
+
+
 def fourier_group(orders: Sequence[int]) -> PHMatrix:
     """Fourier matrix of a product of cyclic groups, rows and columns in
     row-major element order, entries as lcm-order roots of unity."""
     orders = _check_orders(orders)
-    l = math.lcm(*orders)
-    elems = np.array(group_elements(orders), dtype=np.int64)
-    weights = np.array([l // n for n in orders], dtype=np.int64)
-    label = f"F{orders[0]}" if len(orders) == 1 else "F" + "x".join(str(n) for n in orders)
-    return PHMatrix.from_phases(ExactPhases((elems * weights) @ elems.T % l, l),
-                                label=label)
+    return PHMatrix.from_phases(_character_rows(group_elements(orders), orders),
+                                label=_group_label(orders))
 
 
 def normalize_row_subset(rows: Sequence, orders: Sequence[int]) -> list:
@@ -96,10 +106,9 @@ def truncated_fourier(rows: Sequence, orders: Sequence[int]) -> PHMatrix:
     """
     orders = _check_orders(orders)
     subset = normalize_row_subset(rows, orders)
-    full = fourier_group(orders)
-    picked = full.phases[[group_index(g, orders) for g in subset]]
     desc = ",".join("".join(map(str, g)) if len(orders) > 1 else str(g[0]) for g in subset)
-    return PHMatrix.from_phases(picked, label=f"{full.label}[{desc}]")
+    return PHMatrix.from_phases(_character_rows(subset, orders),
+                                label=f"{_group_label(orders)}[{desc}]")
 
 
 @dataclass(frozen=True)

@@ -89,7 +89,7 @@ def from_document(doc: dict) -> PHMatrix:
                                     "integer butson_order")
         for r in entries:
             for e in r:
-                if not isinstance(e, int):
+                if not isinstance(e, int) or isinstance(e, bool):
                     raise MatrixFormatError(f"butson exponent {e!r} is not an integer")
         return PHMatrix.from_phases(ExactPhases(np.array(entries, dtype=object) % l, l),
                                     label=label)
@@ -113,8 +113,13 @@ def from_document(doc: dict) -> PHMatrix:
                                 for x in e)):
                     raise MatrixFormatError(
                         f"cartesian entry at ({i},{j}) must be [re, im]")
-                z = complex(float(e[0]), float(e[1]))
-                if abs(abs(z) - 1.0) > MODULUS_TOL:
+                try:
+                    z = complex(float(e[0]), float(e[1]))
+                except OverflowError as exc:
+                    raise MatrixFormatError(
+                        f"cartesian entry at ({i},{j}) is beyond float range") from exc
+                # written so that a NaN part fails it too
+                if not abs(abs(z) - 1.0) <= MODULUS_TOL:
                     raise MatrixFormatError(
                         f"entry at ({i},{j}) has modulus {abs(z):.9f}, off the "
                         f"unit circle by more than {MODULUS_TOL}")

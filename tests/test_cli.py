@@ -6,8 +6,8 @@ import jsonschema
 import pytest
 
 from hadlab import (CATALOG_RECORD_SCHEMA, PHM_V1_SCHEMA, RESULT_SCHEMA,
-                    content_hash, f22q_master_spec, fourier_cyclic, loads_phm,
-                    read_records, save_phm)
+                    ConsistencyError, content_hash, f22q_master_spec,
+                    fourier_cyclic, loads_phm, read_records, save_phm)
 from hadlab.cli import run_command
 from fractions import Fraction
 
@@ -172,6 +172,10 @@ def test_defect_methods_agree(f6_file, f25_file, tmp_path):
     code, body = run_json(["defect", f6_file, "--method", "split",
                            "--orders", "5", "--rows", "0,1"])
     assert code == 2 and "does not match" in body["data"]["error"]
+    code, text = run_command(["defect", f6_file, "--method", "split",
+                              "--orders", "5", "--rows", "0,1"])
+    assert code == 2 and text == ("error: file does not match the declared "
+                                  "truncated Fourier construction")
 
 
 def test_defect_master_from_spec_file(tmp_path):
@@ -242,6 +246,106 @@ def test_malformed_arguments_exit_2(tmp_path, monkeypatch, capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["catalog-is-directory",
+                                  "output-is-directory",
+                                  "input-is-directory", "input-not-utf8"])
+def test_os_and_decode_errors_exit_2(tmp_path, monkeypatch, capsys, case):
+    from hadlab import cli
+    f3 = tmp_path / "f3.json"
+    save_phm(fourier_cyclic(3), str(f3))
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    junk = tmp_path / "junk.json"
+    junk.write_bytes(b"\xff\xfe")
+    argv = {"catalog-is-directory": ["verify", str(f3), "--catalog", str(folder)],
+            "output-is-directory": ["gen", "fourier", "3", "-o", str(folder)],
+            "input-is-directory": ["verify", str(folder)],
+            "input-not-utf8": ["verify", str(junk)]}[case]
+    monkeypatch.setattr(sys, "argv", ["hadlab"] + argv)
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("error:") and "Traceback" not in out.err
+    assert out.out == ""
+
+
+def test_json_errors_are_envelopes(tmp_path, monkeypatch):
+    """Under --json an invalid input or an inconclusive outcome prints the
+    envelope with the message as data.error, whatever the command."""
+    from hadlab import cli
+    f5 = tmp_path / "f5.json"
+    save_phm(fourier_cyclic(5), str(f5))
+    for argv, command in [
+            (["verify", str(tmp_path / "nope.json")], "verify"),
+            (["gen", "mw", "--q", "5", "--s", "1,2", "--t", "0,2"], "gen"),
+            (["gen", "fourier", "3", "-o", str(tmp_path)], "gen"),
+            (["moments", str(f5), "--p", ","], "moments"),
+            (["probe", "truncation", "5", "--sizes", "2,x"], "probe"),
+            (["defect", "--method", "master"], "defect")]:
+        code, body = run_json(argv)
+        assert code == 2 and body["command"] == command
+        assert body["data"]["error"] == run_command(argv)[1][len("error: "):]
+
+    def disagree(*args, **kwargs):
+        raise ConsistencyError("routes disagree")
+    monkeypatch.setattr(cli, "isolation_certificate", disagree)
+    code, body = run_json(["isolated", str(f5)])
+    assert code == 3 and body["data"] == {"error": "routes disagree"}
+    assert run_command(["isolated", str(f5)]) == (3, "inconclusive: routes disagree")
+
+
+def test_gen_json_with_output_file(tmp_path):
+    path = tmp_path / "m.json"
+    code, text = run_command(["gen", "fourier", "3", "-o", str(path), "--json"])
+    assert code == 0 and json.loads(text) == {"written": str(path)}
+    assert loads_phm(path.read_text()).shape == (3, 3)
+    code, text = run_command(["gen", "master-dita", "2", "2", "1", "--p", "0,1",
+                              "--r", "0,2", "-o", str(path), "--json"])
+    body = json.loads(text)
+    assert code == 0 and set(body) == {"written", "spec"}
+    assert body["written"] == str(path) and len(body["spec"]["exponents"]) == 4
+
+
+# a valid command line of each command; F, A and B stand for files
+COMMAND_LINES = {
+    "gen fourier": "gen fourier 3",
+    "gen fourier-group": "gen fourier-group 2 3",
+    "gen truncated-fourier": "gen truncated-fourier --orders 3 --rows 0",
+    "gen f22q": "gen f22q --q 0",
+    "gen petrescu": "gen petrescu --q 0",
+    "gen dita": "gen dita --outer A --inner B --phases F",
+    "gen master-dita": "gen master-dita 2 2 1 --p 0,1 --r 0,2",
+    "gen mw": "gen mw --q 5 --s 1,3 --t 0,2",
+    "verify": "verify F",
+    "defect": "defect F",
+    "isolated": "isolated F",
+    "regularity": "regularity F",
+    "semigroup": "semigroup F",
+    "moments": "moments F --p 1",
+    "profile": "profile F",
+    "probe truncation": "probe truncation 5",
+    "probe arithmetic": "probe arithmetic --q 5 --s 1,3 --t 0,2",
+}
+READS = {"--tol": {"gen mw", "verify", "defect", "isolated", "profile",
+                   "probe truncation", "probe arithmetic"},
+         "--confidence": {"defect", "isolated", "probe truncation"}}
+
+
+@pytest.mark.parametrize("option", sorted(READS))
+@pytest.mark.parametrize("command", sorted(COMMAND_LINES))
+def test_each_command_accepts_only_the_options_it_reads(capsys, command, option):
+    from hadlab import cli
+    assert set(COMMAND_LINES) == set(cli.COMMANDS)
+    argv = COMMAND_LINES[command].split() + [option, "0.5"]
+    if command in READS[option]:
+        assert getattr(cli.build_parser().parse_args(argv),
+                       option.lstrip("-")) == 0.5
+    else:
+        assert run_command(argv) == (2, "")
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
 
 def test_defect_ambiguous_exit_code(f6_file):

@@ -1,3 +1,5 @@
+import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -54,6 +56,42 @@ def test_truncated_fourier_rows():
     assert np.allclose(h.to_array()[0], f.to_array()[0])
     assert np.allclose(h.to_array()[1], f.to_array()[2])
     assert verify_partial_hadamard(h).is_hadamard
+
+
+@pytest.mark.parametrize("orders", [(7,), (12,), (2, 3), (3, 5), (2, 2, 4)])
+def test_truncated_fourier_is_rows_of_fourier_group(orders):
+    """Exponents, order (the least that holds the rows, as every matrix
+    stores them) and label of random row subsets, given as flat indices, as
+    coordinates and as coordinates off their residues."""
+    rng = random.Random(sum(orders))
+    full = fourier_group(orders)
+    elems = group_elements(orders)
+    for _ in range(6):
+        idx = rng.sample(range(len(elems)), rng.randint(1, len(elems)))
+        desc = ",".join("".join(map(str, elems[i])) if len(orders) > 1
+                        else str(elems[i][0]) for i in idx)
+        shifted = [tuple(c + n * rng.randint(-2, 2) for c, n in zip(elems[i], orders))
+                   for i in idx]
+        want = full.phases[idx].reduced()
+        for rows in (idx, [elems[i] for i in idx], shifted):
+            h = truncated_fourier(rows, orders)
+            assert h.phases.order == want.order
+            assert h.phases.exp.dtype == want.exp.dtype
+            assert np.array_equal(h.phases.exp, want.exp)
+            assert h.label == f"{full.label}[{desc}]"
+
+
+def test_truncated_fourier_builds_only_its_rows():
+    """Two rows of F_3000 need far less than the 72 MB of the whole int64
+    exponent table."""
+    tracemalloc.start()
+    try:
+        h = truncated_fourier([0, 1], [3000])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert h.shape == (2, 3000)
+    assert peak < 3000 * 3000 * 8
 
 
 def test_dita_deformation_is_hadamard_for_any_unit_grid():

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import jsonschema
@@ -100,6 +101,8 @@ def test_format_errors_are_specific():
         from_document(corrupt(butson_order=None))
     with pytest.raises(MatrixFormatError, match="not an integer"):
         from_document(corrupt(entries=[[0, 1], [0.5, 1]]))
+    with pytest.raises(MatrixFormatError, match="True is not an integer"):
+        from_document(corrupt(entries=[[0, 1], [True, 1]]))
     with pytest.raises(MatrixFormatError, match="unknown representation"):
         from_document(corrupt(representation="polar"))
     with pytest.raises(MatrixFormatError, match="must be a JSON object"):
@@ -119,6 +122,17 @@ def test_turn_and_cartesian_entry_errors_carry_coordinates():
     with pytest.raises(MatrixFormatError, match=r"modulus 2"):
         from_document(dict(base, representation="cartesian",
                            entries=[[[1.0, 0.0], [2.0, 0.0]]]))
+    for part in (math.nan, math.inf):
+        with pytest.raises(MatrixFormatError, match=r"\(0,1\) has modulus"):
+            from_document(dict(base, representation="cartesian",
+                               entries=[[[1.0, 0.0], [part, 0.0]]]))
+    with pytest.raises(MatrixFormatError, match=r"\(0,0\) is beyond float range"):
+        from_document(dict(base, representation="cartesian",
+                           entries=[[[10 ** 400, 0], [1.0, 0.0]]]))
+    # a NaN read from the file itself, as Python's json module allows
+    with pytest.raises(MatrixFormatError, match="modulus nan"):
+        loads_phm('{"format": "phm-v1", "rows": 1, "cols": 2, '
+                  '"representation": "cartesian", "entries": [[[NaN, 0], [1, 0]]]}')
     with pytest.raises(MatrixFormatError, match=r"\[re, im\]"):
         from_document(dict(base, representation="cartesian",
                            entries=[[[1.0, 0.0], "1"]]))
