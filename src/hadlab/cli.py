@@ -539,14 +539,17 @@ def build_parser() -> argparse.ArgumentParser:
         p = groups.get(group, sub).add_parser(leaf, help=command.help)
         for flags, kwargs in command.options + RESULT_OUTPUT:
             p.add_argument(*flags, **kwargs)
-        p.set_defaults(entry=name)
+        p.set_defaults(entry=name, parser=p)
     return top
 
 
 def run_command(argv: Sequence[str]) -> Tuple[int, str]:
     """Parse and execute; returns (exit_code, output_text)."""
     try:
-        args = build_parser().parse_args(list(argv))
+        args, extra = build_parser().parse_known_args(list(argv))
+        if extra:
+            # reported by the command's own parser, so its usage is shown
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         # argparse already printed usage to stderr
         return (BAD_INPUT if exc.code not in (0, None) else OK), ""

@@ -12,6 +12,12 @@ truncations S of group Fourier matrices (from the difference set S - S and
 the components of the graphs g ~ g+d on S), and a character-sum system for
 matrices given in eigenphase/exponent form.  They must agree; disagreement
 raises ConsistencyError rather than returning a number.
+
+Exact answers for Butson-type input (defect_exact, isolation_certificate)
+first test for a character matrix: dephased at (0, 0), its exponent
+columns form a subgroup K of Z_l^M, so its rows are characters of K and
+the same count applies ("character-exact").  Other Butson input is ranked
+modulo split primes ("direct-exact", or "direct-modp" for a bound).
 """
 
 from __future__ import annotations
@@ -142,9 +148,14 @@ def defect(h: PHMatrix, tol: float = 1e-9,
     return _report("direct", h.shape, h.m * h.n, rr, tol, confidence)
 
 
-def _modular_report(h: PHMatrix, form: ButsonForm) -> DefectReport:
-    """Report from the ranks modulo split primes: method "direct-exact"
-    when they prove the defect, "direct-modp" when they only bound it."""
+def _butson_report(h: PHMatrix, form: ButsonForm) -> DefectReport:
+    """Report for a Butson matrix: method "character-exact" when it is a
+    character matrix (_character_report), else from the ranks modulo split
+    primes, "direct-exact" when they prove the defect and "direct-modp"
+    when they only bound it."""
+    rep = _character_report(h, form)
+    if rep is not None:
+        return rep
     res = exact_defect_butson(form.exponents, form.l)
     breakdown = {"butson_order": form.l, "route": res.route,
                  "primes": list(res.primes), "ranks": list(res.ranks),
@@ -158,15 +169,16 @@ def _modular_report(h: PHMatrix, form: ButsonForm) -> DefectReport:
 
 
 def defect_exact(h: PHMatrix, l_max: int = 60) -> DefectReport:
-    """Defect proved by ranks modulo split primes; input must be
-    Butson-type, and the proof must close within PROOF_CAP reductions."""
+    """Exact defect of a Butson-type matrix: the character count when H is
+    a character matrix, else ranks modulo split primes, whose proof must
+    close within PROOF_CAP reductions."""
     ensure_verified(h)
     form = detect_butson(h, l_max)
     if form is None:
         raise InvalidInputError(
             f"no root-of-unity form of order <= {l_max} found; exact defect "
             f"needs a Butson-type matrix")
-    rep = _modular_report(h, form)
+    rep = _butson_report(h, form)
     if not rep.exact:
         raise InvalidInputError(
             f"exact defect needs {rep.breakdown['reductions_needed']} "
@@ -263,42 +275,105 @@ def defect_via_extension(h: PHMatrix, tol: float = 1e-9,
                    breakdown={"completion_seeded": seed is not None})
 
 
-# -- character count for truncated Fourier -----------------------------------
+# -- character count ------------------------------------------------------------
 
-def _character_count(subset: Sequence[Tuple[int, ...]],
-                     orders: Tuple[int, ...]) -> Tuple[int, int]:
+def _distinct_rows(x: np.ndarray, orders) -> Tuple[np.ndarray, np.ndarray]:
+    """The first index of each distinct row of ``x`` and the class label of
+    every row, as np.unique(x, axis=0) returns them.  Column c holds
+    residues modulo orders[c]; each row becomes one int64 key, built a
+    column at a time and relabelled densely before it could overflow."""
+    key = np.zeros(len(x), dtype=np.int64)
+    size = 1
+    for col, base in zip(x.T, np.broadcast_to(orders, x.shape[1:]).tolist()):
+        if size * base >= 1 << 62:
+            key = np.unique(key, return_inverse=True)[1]
+            size = int(key.max()) + 1
+        key = key * base + col
+        size *= base
+    _, first, label = np.unique(key, return_index=True, return_inverse=True)
+    return first, label
+
+
+def _character_count(vectors, orders) -> Tuple[int, int]:
     """|F| for F = S - S, and m + sum of w_d c_d over one d from each pair
-    {d, -d} with d != 0 in F: c_d counts the components of the graph on S
-    with edges g ~ g+d, and w_d is 1 when 2d = 0 and 2 otherwise."""
-    def add(g, d):
-        return tuple((a + b) % n for a, b, n in zip(g, d, orders))
+    {d, -d} with d != 0 in F, for the m distinct rows of ``vectors`` read
+    as elements S of the group with the given coordinate ``orders`` (one
+    order serves every coordinate).  c_d counts the components of the graph
+    on S with edges g ~ g+d, and w_d is 1 when 2d = 0 and 2 otherwise.
 
-    def neg(d):
-        return tuple(-c % n for c, n in zip(d, orders))
+    The graphs for d and -d are the same, so the sum is that of c_d over
+    all of F, with c_0 = m.  Read as the partial injective map g -> g+d,
+    each graph is a union of paths and of cycles, the cosets of <d> inside
+    S, so c_d = m - e_d + z_d with e_d the pairs at difference d and z_d
+    those cosets.  A row lies on a cycle when repeated steps never leave S.
+    """
+    s = np.asarray(vectors, dtype=np.int64)
+    orders = np.asarray(orders, dtype=np.int64)
+    m, c = s.shape
+    diffs = ((s[:, None, :] - s[None, :, :]) % orders).reshape(m * m, c)
+    first, label = _distinct_rows(diffs, orders)
+    elements = diffs[first]
+    label = label.reshape(m, m)              # label[i, j] names S_i - S_j
+    # step[d, j] = i when S_j + d = S_i; index m absorbs the steps out of S
+    step = np.full((len(elements), m + 1), m)
+    step[label, np.arange(m)] = np.arange(m)[:, None]
+    reach = 1
+    while reach < m:
+        step = np.take_along_axis(step, step, axis=1)
+        reach *= 2
+    on_cycle = np.count_nonzero(step[:, :m] < m, axis=1)
+    coset = np.lcm.reduce(orders // np.gcd(elements, orders), axis=1,
+                          initial=1)
+    pairs = np.bincount(label.ravel(), minlength=len(elements))
+    components = m - pairs + on_cycle // coset
+    return len(elements), int(components.sum())
 
-    def root(g):
-        while parent[g] != g:
-            parent[g] = parent[parent[g]]
-            g = parent[g]
-        return g
 
-    members = set(subset)
-    diffs = {add(g, neg(h)) for g in subset for h in subset}
-    image = len(subset)
-    for d in diffs:
-        if not any(d) or neg(d) < d:
+def _character_report(h: PHMatrix, form: ButsonForm) -> Optional[DefectReport]:
+    """Exact defect of a character matrix, or None when H is not one.
+
+    Dephased at (0, 0), the exponent columns of H are elements of Z_l^M.
+    When the distinct ones form a subgroup K, row i is the character
+    k -> k_i of K, and the tangent constraints see each row's directions
+    only through their sums over columns with equal values.  So the
+    defect is M(N - |K|) plus that of the rows S of F_K, M(|K| - |F|) plus
+    the count of _character_count, whatever the column multiplicities.
+
+    The test grows the span of a generating set inside K: each element
+    outside the span so far joins the set, after K + g is checked to lie
+    in K.  Once the span is K, K is closed under adding its generators,
+    hence a subgroup, and the characters are read on the generators alone.
+    """
+    l = form.l
+    e = np.array(form.exponents, dtype=np.int64)
+    e = (e - e[:1] - e[:, :1] + e[0, 0]) % l
+    group = e.T[_distinct_rows(e.T, l)[0]]
+    k = len(group)
+    spanned = ~group.any(axis=1)
+    generators = []
+    for g in range(k):
+        if spanned[g]:
             continue
-        parent = {g: g for g in subset}
-        components = len(subset)
-        for g in subset:
-            e = add(g, d)
-            if e in members:
-                a, b = root(g), root(e)
-                if a != b:
-                    parent[a] = b
-                    components -= 1
-        image += (1 if neg(d) == d else 2) * components
-    return len(diffs), image
+        shifted = (group + group[g]) % l
+        label = _distinct_rows(np.vstack([group, shifted]), l)[1]
+        if label.max() >= k:
+            return None
+        index = np.empty(k, dtype=np.int64)
+        index[label[:k]] = np.arange(k)
+        shift = index[label[k:]]             # group[shift[a]] = group[a] + g
+        generators.append(g)
+        size = 0
+        while size != np.count_nonzero(spanned):
+            size = np.count_nonzero(spanned)
+            spanned[shift[spanned]] = True
+    differences, image = _character_count(group[generators].T, l)
+    d = h.m * (h.n - differences) + image
+    rr = RankResult(h.m * h.n - d, None, None, math.inf)
+    return _report("character-exact", h.shape, h.m * h.n, rr, 0.0, math.inf,
+                   exact=True,
+                   breakdown={"butson_order": l, "route": "character",
+                              "differences": differences,
+                              "column_group_order": k})
 
 
 def defect_split_truncated_fourier(rows: Sequence, orders: Sequence[int],
@@ -487,16 +562,18 @@ def isolation_certificate(h: PHMatrix, tol: float = 1e-9,
 
     defect == M + N - 1 certifies the matrix is isolated among partial
     Hadamard matrices up to equivalence; a larger defect leaves the question
-    undetermined (the bound is one-sided).  Butson-type input goes through
-    ranks modulo split primes, so the certificate does not rest on a
-    floating rank decision; when they cannot prove the defect, the
+    undetermined (the bound is one-sided).  Butson-type input is proved
+    exactly, so the certificate does not rest on a floating rank decision:
+    a character matrix (a row truncation of a group Fourier matrix up to
+    equivalence and repeated columns) by the character count, other input
+    by ranks modulo split primes; when those cannot prove the defect, the
     certificate carries their upper bound with ``exact`` False.  Other
     input, or ``prefer_exact=False``, takes the floating SVD.
     """
     ensure_verified(h, tol)
     form = detect_butson(h) if prefer_exact else None
     if form is not None:
-        rep = _modular_report(h, form)
+        rep = _butson_report(h, form)
     else:
         rep = replace(defect(h, tol, confidence),
                       breakdown={"butson_order": None, "route": "float"})

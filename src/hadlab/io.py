@@ -62,6 +62,15 @@ def to_document(h: PHMatrix, label: Optional[str] = None) -> dict:
     return doc
 
 
+def _positive_int(doc: dict, key: str) -> int:
+    """A header field that must be a JSON integer >= 1: booleans, strings
+    and fractional numbers are refused, not converted."""
+    v = doc.get(key)
+    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+        raise MatrixFormatError(f"{key} must be a positive integer, got {v!r}")
+    return v
+
+
 def from_document(doc: dict) -> PHMatrix:
     if not isinstance(doc, dict):
         raise MatrixFormatError("document must be a JSON object")
@@ -69,24 +78,18 @@ def from_document(doc: dict) -> PHMatrix:
         raise MatrixFormatError(
             f"unsupported format {doc.get('format')!r}; expected {FORMAT_NAME!r}")
     try:
-        m = int(doc["rows"])
-        n = int(doc["cols"])
         rep = doc["representation"]
         entries = doc["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise MatrixFormatError(f"missing or malformed field: {exc}") from exc
-    if m < 1 or n < 1:
-        raise MatrixFormatError("rows and cols must be positive")
+    m, n = _positive_int(doc, "rows"), _positive_int(doc, "cols")
     if not isinstance(entries, list) or len(entries) != m \
             or any(not isinstance(r, list) or len(r) != n for r in entries):
         raise MatrixFormatError(f"entries must be a {m} x {n} array")
 
     label = doc.get("label")
     if rep == "butson":
-        l = doc.get("butson_order")
-        if not isinstance(l, int) or l < 1:
-            raise MatrixFormatError("butson representation needs a positive "
-                                    "integer butson_order")
+        l = _positive_int(doc, "butson_order")
         for r in entries:
             for e in r:
                 if not isinstance(e, int) or isinstance(e, bool):

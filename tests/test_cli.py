@@ -6,9 +6,12 @@ import jsonschema
 import pytest
 
 from hadlab import (CATALOG_RECORD_SCHEMA, PHM_V1_SCHEMA, RESULT_SCHEMA,
-                    ConsistencyError, content_hash, f22q_master_spec,
-                    fourier_cyclic, loads_phm, read_records, save_phm)
+                    ConsistencyError, content_hash, cyclic_defect_closed_form,
+                    defect, defect_split_truncated_fourier, detect_butson,
+                    f22q_master_spec, fourier_cyclic, load_phm, loads_phm,
+                    read_records, save_phm, truncated_fourier)
 from hadlab.cli import run_command
+from hadlab.cyclotomic import exact_defect_butson
 from fractions import Fraction
 
 
@@ -36,6 +39,13 @@ def f25_file(tmp_path):
                            "--orders", "5", "-o", str(path)])
     assert code == 0
     return str(path)
+
+
+def modular_and_float(h):
+    """The ranks modulo split primes on the exponent table of h, and the
+    defect from the SVD, for comparison with a character count."""
+    form = detect_butson(h)
+    return exact_defect_butson(form.exponents, form.l), defect(h).defect
 
 
 def test_gen_fourier_stdout_is_document():
@@ -131,6 +141,12 @@ def test_verify_failure_and_bad_input(tmp_path):
     bad.write_text("{broken")
     code, text = run_command(["verify", str(bad)])
     assert code == 2 and "not valid JSON" in text
+    # a 1x1 matrix of order "true" would read as partial Hadamard
+    bad.write_text(json.dumps({
+        "format": "phm-v1", "rows": 1, "cols": 1,
+        "representation": "butson", "butson_order": True, "entries": [[0]]}))
+    code, text = run_command(["verify", str(bad)])
+    assert code == 2 and "butson_order must be a positive integer" in text
 
 
 def test_argparse_errors_exit_2():
@@ -154,7 +170,10 @@ def test_defect_methods_agree(f6_file, f25_file, tmp_path):
     assert code == 0
     assert body["data"]["defect"] == 15
     assert body["data"]["exact"] is True
+    assert body["data"]["method"] == "character-exact"
     assert body["data"]["breakdown"]["butson_order"] == 6
+    res, float_defect = modular_and_float(load_phm(f6_file))
+    assert res.exact and res.defect == float_defect == 15
 
     code, body = run_json(["defect", f6_file, "--method", "extension",
                            "--seed", "7"])
@@ -345,7 +364,9 @@ def test_each_command_accepts_only_the_options_it_reads(capsys, command, option)
                        option.lstrip("-")) == 0.5
     else:
         assert run_command(argv) == (2, "")
-        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: hadlab {command} ")
+        assert f"unrecognized arguments: {option}" in err
 
 
 def test_defect_ambiguous_exit_code(f6_file):
@@ -366,13 +387,17 @@ def test_isolated_exit_codes(tmp_path):
     code, body = run_json(["isolated", str(f6)])
     assert code == 1
     assert body["data"]["status"] == "undetermined"
-    assert body["data"]["breakdown"]["route"] == "proof"
+    assert body["data"]["breakdown"]["route"] == "character"
     f7 = tmp_path / "f7.json"
     run_command(["gen", "fourier", "7", "-o", str(f7)])
     code, body = run_json(["isolated", str(f7)])
     assert code == 0 and body["data"]["exact"] is True
-    assert body["data"]["method"] == "direct-exact"
+    assert body["data"]["method"] == "character-exact"
     assert body["data"]["breakdown"]["butson_order"] == 7
+    for path, n in ((f6, 6), (f7, 7)):
+        res, float_defect = modular_and_float(load_phm(str(path)))
+        assert res.exact and res.route == "proof"
+        assert res.defect == float_defect == cyclic_defect_closed_form(n)
 
 
 def test_regularity_command(f6_file, tmp_path):
@@ -435,8 +460,13 @@ def test_probe_truncation(tmp_path):
     assert [c["rows"] for c in certs] == [2, 3, 4, 5]
     assert certs[0]["status"] == "undetermined"
     assert certs[-2]["status"] == certs[-1]["status"] == "isolated"
-    assert all(c["exact"] and c["method"] == "direct-exact" for c in certs)
-    assert [c["breakdown"]["reductions"] for c in certs] == [1, 3, 1, 1]
+    assert all(c["exact"] and c["method"] == "character-exact" for c in certs)
+    # the ranks modulo split primes prove the same defects
+    for c in certs:
+        res, float_defect = modular_and_float(truncated_fourier(range(c["rows"]), [5]))
+        split = defect_split_truncated_fourier(range(c["rows"]), [5]).defect
+        assert res.exact and res.defect == float_defect == split == c["defect"]
+        assert len(res.primes) == {2: 1, 3: 3, 4: 1, 5: 1}[c["rows"]]
     code, body = run_json(["probe", "truncation", "5", "--sizes", "2,4"])
     assert [c["rows"] for c in body["data"]["certificates"]] == [2, 4]
 

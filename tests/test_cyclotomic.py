@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from hadlab import (InvalidInputError, PHMatrix, PhaseEntry, apply_equivalence,
                     defect_exact, detect_butson, fourier_cyclic, fourier_group,
-                    isolation_certificate, tensor_product)
+                    isolation_certificate, petrescu, tensor_product)
 from hadlab.cyclotomic import (PROOF_CAP, _power_basis, cyclotomic_polynomial,
                                exact_defect_butson, exact_vanishing,
                                rank_mod_p, solve_integer, split_primes)
@@ -89,8 +89,10 @@ def test_exact_defect_guards():
     assert not res.exact and res.route == "bound"
     assert res.defect == 40 and len(res.primes) == 2
     assert res.needed > PROOF_CAP
-    with pytest.raises(InvalidInputError):
-        defect_exact(fourier_cyclic(12))
+    # F_12 itself is a character matrix, which defect_exact counts; the
+    # Petrescu matrix at q = 1/7 (order 42) is not, and needs 40 reductions
+    with pytest.raises(InvalidInputError, match="needs 40 reductions"):
+        defect_exact(petrescu(PhaseEntry.turns(Fraction(1, 7))))
     # 80 cells, rows not orthogonal: the N column directions still lie in
     # the kernel, and one reduction closes the bound
     res = exact_defect_butson([[0] * 40, [0] * 40], 2)
@@ -395,13 +397,17 @@ def test_modular_certificates_match_the_fraction_oracle(h):
     assume(_in_old_exact_box(h, form.l))
     want = oracle_defect(form.exponents, form.l)
     bound = h.m + h.n - 1
+    # the inputs are character matrices, which both public routes count;
+    # the ranks modulo split primes are checked on the same table
     cert = isolation_certificate(h)
     rep = defect_exact(h)
-    assert cert.exact and rep.exact
-    assert cert.defect == rep.defect == want
+    res = exact_defect_butson(form.exponents, form.l)
+    assert cert.exact and rep.exact and res.exact
+    assert rep.method == cert.report.method == "character-exact"
+    assert cert.defect == rep.defect == res.defect == want
     assert cert.status == ("isolated" if want == bound else "undetermined")
-    primes = rep.breakdown["primes"]
-    assert len(set(primes)) == len(primes) == rep.breakdown["reductions"]
+    primes = res.primes
+    assert len(set(primes)) == len(primes) == len(res.ranks)
     assert all(p > 2 ** 20 and p % form.l == 1 % form.l for p in primes)
     if want > bound:
         # the Hadamard bound on a minor of order r+1 is closed

@@ -9,11 +9,14 @@ from hadlab import (ConsistencyError, InvalidInputError, MWSpec, PHMatrix,
                     PhaseEntry, apply_equivalence, count_one_entries,
                     cyclic_defect_closed_form, defect, defect_exact,
                     defect_master, defect_split_truncated_fourier,
-                    defect_via_extension, fourier_cyclic,
-                    fourier_defect_formula, fourier_group,
+                    defect_via_extension, detect_butson, f22q, fourier_cyclic,
+                    fourier_defect_formula, fourier_group, group_elements,
                     isolation_certificate, mw_construct, numerical_rank,
-                    petrescu, real_truncation_defect_formula, tensor_product,
+                    normalize_row_subset, petrescu,
+                    real_truncation_defect_formula, tensor_product,
                     truncated_fourier, truncation_probe, unitary_completion)
+from hadlab.cyclotomic import PROOF_CAP, exact_defect_butson
+from hadlab.defect import _character_count
 from conftest import TRUNCATED_CASES, first_rows, walsh
 
 # defect of the cyclic Fourier matrix F_N for N = 2..20, from the product
@@ -135,6 +138,46 @@ def test_split_count_equals_direct_defect(case):
     assert rep.defect == direct == SPLIT_REGRESSIONS.get(case, direct)
 
 
+def _character_count_loop(subset, orders):
+    """The count _character_count vectorises, by union-find over tuples,
+    kept as its reference: |F| and m + sum of w_d c_d over one d from each
+    pair {d, -d} with d != 0 in F."""
+    def add(g, d):
+        return tuple((a + b) % n for a, b, n in zip(g, d, orders))
+
+    def neg(d):
+        return tuple(-c % n for c, n in zip(d, orders))
+
+    def root(g):
+        while parent[g] != g:
+            g = parent[g]
+        return g
+
+    members = set(subset)
+    diffs = {add(g, neg(h)) for g in subset for h in subset}
+    image = len(subset)
+    for d in diffs:
+        if not any(d) or neg(d) < d:
+            continue
+        parent = {g: g for g in subset}
+        components = len(subset)
+        for g in subset:
+            e = add(g, d)
+            if e in members and root(g) != root(e):
+                parent[root(g)] = root(e)
+                components -= 1
+        image += (1 if neg(d) == d else 2) * components
+    return len(diffs), image
+
+
+@settings(max_examples=60, deadline=None)
+@given(row_subsets())
+def test_character_count_matches_the_union_find_loop(case):
+    orders, rows = case
+    subset = normalize_row_subset(list(rows), orders)
+    assert _character_count(subset, orders) == _character_count_loop(subset, orders)
+
+
 def test_master_route_agrees(master_cases):
     for name, (h, spec) in master_cases.items():
         dm = defect_master(spec).defect
@@ -153,6 +196,11 @@ def test_exact_defect_route():
     rep = defect_exact(fourier_cyclic(6))
     assert rep.defect == 15 and rep.exact
     assert rep.breakdown["butson_order"] == 6
+    # ranks modulo split primes cannot prove these; the character count can
+    for n in (8, 12):
+        rep = defect_exact(fourier_cyclic(n))
+        assert rep.method == "character-exact"
+        assert rep.defect == cyclic_defect_closed_form(n)
     with pytest.raises(InvalidInputError):
         defect_exact(PHMatrix([[1, np.exp(0.7j)], [np.exp(0.7j), 1]]))
 
@@ -186,14 +234,23 @@ def test_prime_fourier_isolated():
         assert not cert.certified_isolated
 
 
+def _modular(h):
+    """The ranks modulo split primes on the exponent table of h."""
+    form = detect_butson(h)
+    return exact_defect_butson(form.exponents, form.l)
+
+
 def test_criterion_three_certificates_are_exact():
-    # one reduction reaching the largest possible rank proves each
     for p in (7, 11, 13):
-        cert = isolation_certificate(fourier_cyclic(p))
+        h = fourier_cyclic(p)
+        cert = isolation_certificate(h)
         assert cert.exact is True and cert.status == "isolated"
-        assert cert.report.method == "direct-exact"
-        assert cert.report.breakdown["route"] == "proof"
-        assert cert.report.breakdown["reductions"] == 1
+        assert cert.report.method == "character-exact"
+        assert cert.report.breakdown["route"] == "character"
+        # one reduction reaching the largest possible rank proves each
+        res = _modular(h)
+        assert res.exact and res.route == "proof" and len(res.primes) == 1
+        assert cert.defect == res.defect == defect(h).defect == 2 * p - 1
     rep = defect_exact(fourier_cyclic(13))
     assert rep.exact and rep.defect == 25
 
@@ -202,32 +259,116 @@ def _mw(q, base):
     return mw_construct(MWSpec(q, (1, 3), (0, 2), fourier_cyclic(base)))
 
 
+def _permuted(h, seed):
+    rng = np.random.default_rng(seed)
+    return apply_equivalence(h, list(rng.permutation(h.m)),
+                             list(rng.permutation(h.n)),
+                             [PhaseEntry.one()] * h.m, [PhaseEntry.one()] * h.n)
+
+
 def test_modular_and_float_routes_agree():
-    rng = np.random.default_rng(3)
-    mw5 = _mw(5, 2)
-    mw5 = apply_equivalence(mw5, list(rng.permutation(mw5.m)),
-                            list(rng.permutation(mw5.n)),
-                            [PhaseEntry.one()] * mw5.m, [PhaseEntry.one()] * mw5.n)
+    # Fourier input is certified by the character count; the ranks modulo
+    # split primes on the same tables must agree with it and the SVD
     cases = [(f"F{n}", fourier_cyclic(n), cyclic_defect_closed_form(n))
              for n in range(8, 25)]
     cases += [(f"F{o}", fourier_group(o), fourier_defect_formula(o))
               for o in ((2, 6), (3, 4))]
-    cases += [("MW(7,F2)", _mw(7, 2), None), ("MW(5,F2) permuted", mw5, 19)]
+    cases += [("MW(7,F2)", _mw(7, 2), None),
+              ("MW(5,F2) permuted", _permuted(_mw(5, 2), 3), 19)]
     for name, h, closed in cases:
         cert = isolation_certificate(h)
         float_rep = defect(h)
+        res = _modular(h)
         assert not float_rep.ambiguous, name
-        assert cert.defect == float_rep.defect, name
+        assert cert.defect == res.defect == float_rep.defect, name
         if closed is not None:
             assert cert.defect == closed, name
-        route = cert.report.breakdown["route"]
-        assert cert.exact == (route == "proof"), name
-        assert cert.report.method == ("direct-exact" if cert.exact
-                                      else "direct-modp"), name
-        if route == "bound":
-            bd = cert.report.breakdown
-            assert cert.status == "undetermined" and bd["reductions"] == 2
-            assert bd["reductions_needed"] > bd["reduction_cap"]
+        assert res.exact == (res.route == "proof"), name
+        if name.startswith("F"):
+            assert cert.exact and cert.report.method == "character-exact", name
+        else:
+            assert cert.exact == res.exact, name
+            assert cert.report.method == ("direct-exact" if res.exact
+                                          else "direct-modp"), name
+            assert cert.report.breakdown["route"] == res.route, name
+        if res.route == "bound":
+            assert len(res.primes) == 2 and res.needed > PROOF_CAP, name
+
+
+# groups whose random row subsets, permuted, rephased and with repeated
+# columns, must be recognised as character matrices
+CHARACTER_GROUPS = [(n,) for n in range(5, 17)] + [(2, 6), (3, 4), (4, 4),
+                                                   (2, 2, 2)]
+
+
+@st.composite
+def character_matrices(draw):
+    """(orders, rows, t, extra, seed): row subset of the group Fourier
+    matrix, whose column g appears 1 + extra times when g lies in the
+    subgroup <t> and once otherwise."""
+    orders = draw(st.sampled_from(CHARACTER_GROUPS))
+    n = math.prod(orders)
+    rows = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                         unique=True))
+    t = tuple(draw(st.integers(0, k - 1)) for k in orders)
+    extra = draw(st.sampled_from((0, 0, 1, 2)))
+    return orders, tuple(rows), t, extra, draw(st.integers(0, 2 ** 32 - 1))
+
+
+def _character_matrix(orders, rows, t, extra, seed):
+    """The matrix of a character_matrices draw.  Repeated columns weigh the
+    sum of a character by its sum over <t>, so only rows r whose <r, t>
+    differ are kept: those stay orthogonal."""
+    l = math.lcm(*orders)
+    weights = [l // k for k in orders]
+    elems = group_elements(orders)
+
+    def pairing(r, g):
+        return sum(a * b * w for a, b, w in zip(r, g, weights)) % l
+
+    subgroup = {tuple(c * j % k for c, k in zip(t, orders)) for j in range(l)}
+    kept, seen = [], set()
+    for r in rows:
+        value = pairing(elems[r], t) if extra else r
+        if value not in seen:
+            seen.add(value)
+            kept.append(r)
+    cols = [g for g, e in enumerate(elems)
+            for _ in range(1 + (extra if e in subgroup else 0))]
+    h = truncated_fourier(kept, list(orders))
+    h = PHMatrix.from_phases(h.phases[:, cols])
+    rng = np.random.default_rng(seed)
+
+    def phases(k):
+        return [PhaseEntry.turns(Fraction(int(x), 2 * l))
+                for x in rng.integers(0, 2 * l, k)]
+    return apply_equivalence(h, list(rng.permutation(h.m)),
+                             list(rng.permutation(h.n)),
+                             phases(h.m), phases(h.n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(character_matrices())
+@example(((4,), (0, 1), (2,), 1, 0))     # columns 0, 0, 1, 2, 2, 3 of Z_4
+def test_character_matrices_are_counted_exactly(case):
+    h = _character_matrix(*case)
+    cert = isolation_certificate(h)
+    assert cert.exact and cert.report.method == "character-exact"
+    direct = defect(h)
+    assert not direct.ambiguous and cert.defect == direct.defect
+    assert _modular(h).defect >= cert.defect
+
+
+def test_other_butson_input_takes_the_modular_route():
+    # their exponent columns do not close under addition; counting them as
+    # characters anyway would give 6 for f22q and 10 for MW(5, F2)
+    cases = [("f22q(1/20)", f22q(PhaseEntry.turns(Fraction(1, 20))), 8),
+             ("MW(5,F2) permuted", _permuted(_mw(5, 2), 5), 19),
+             ("petrescu(1/7)", petrescu(PhaseEntry.turns(Fraction(1, 7))), None)]
+    for name, h, want in cases:
+        cert = isolation_certificate(h)
+        assert cert.report.method in ("direct-exact", "direct-modp"), name
+        assert cert.defect == defect(h).defect == (want or cert.defect), name
 
 
 def test_float_route_breakdown():

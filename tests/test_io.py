@@ -99,6 +99,15 @@ def test_format_errors_are_specific():
         from_document(corrupt(entries=[[0, 1]]))
     with pytest.raises(MatrixFormatError, match="butson_order"):
         from_document(corrupt(butson_order=None))
+    # int() would read each of these; the header asks for a JSON integer
+    with pytest.raises(MatrixFormatError, match="butson_order must be a "
+                                                "positive integer, got True"):
+        from_document(corrupt(butson_order=True))
+    for key in ("rows", "cols"):
+        for value in (True, "2", 2.7, 0):
+            with pytest.raises(MatrixFormatError,
+                               match=f"{key} must be a positive integer"):
+                from_document(corrupt(**{key: value}))
     with pytest.raises(MatrixFormatError, match="not an integer"):
         from_document(corrupt(entries=[[0, 1], [0.5, 1]]))
     with pytest.raises(MatrixFormatError, match="True is not an integer"):
