@@ -8,14 +8,37 @@ an element w of order l in F_p, and zeta_l -> w is a ring map from
 Z[zeta_l] onto F_p.  The stacked system [C; conj(C)] has entries in
 Z[zeta_l] and its minors map to minors, so a reduction never raises the
 rank: every mod-p rank is a lower bound on the true rank, and M*N minus it
-an upper bound on the defect.  Two facts turn such bounds into proofs.
-When the rows are orthogonal the trivial phase directions lie in the
-kernel, so the rank is at most M*N - (M+N-1), and one reduction that
-reaches it proves isolation.  Otherwise the Hadamard bound closes the
-proof: every row holds 2N roots of unity, so a nonzero minor of order
-r+1 has norm at most (2N)^(phi(l)(r+1)/2), and that norm is divisible by
-each prime at which the minor vanishes.  Once the primes at which the rank
-stayed at most r multiply past the bound, the rank is exactly r.
+an upper bound on the defect.  Row (j, i) of C, taken over ordered pairs,
+is -conj of row (i, j), so the rows of C over all ordered pairs span the
+same space as [C; conj(C)]; they are what is ranked.  Two facts turn
+such bounds into proofs.  When the rows are orthogonal the trivial phase
+directions lie in the kernel, so the rank is at most M*N - (M+N-1), and
+one reduction that reaches it proves isolation.  Otherwise the Hadamard
+bound closes the proof: every row holds 2N roots of unity, so a nonzero
+minor of order r+1 has norm at most (2N)^(phi(l)(r+1)/2), and that norm
+is divisible by each prime at which the minor vanishes.  Once the primes
+at which the rank stayed at most r multiply past the bound, the rank is
+exactly r.
+
+Above a size floor the mod-p rank is split by symmetry.  An automorphism
+(sigma, tau) with E[sigma i, tau j] = E[i, j] + d_i + e_j (mod l) maps
+row (i, j) of the ordered-pair system M, entry by entry, to row
+(sigma i, sigma j) times w^(d_i - d_j), with column (i, k) going to
+(sigma i, tau k); call this action pi.  Take it of prime order r with
+r | l | p - 1 and sigma fixed-point-free.  Then every orbit of pi on
+unknowns and on ordered pairs has length r, and going r times round an
+orbit multiplies a row by w^(D - D) = 1: applying the automorphism r
+times gives sum_t d_(sigma^t i) + sum_t e_(tau^t j) = 0 (mod l) for all
+i and j, so sum_t d_(sigma^t i) is the same D for every i.  Rescaling each row
+of an orbit by the product of these factors so far makes M invariant
+under pi, leaving the orbit representatives' rows as they are.  Indexed by
+orbit representative and step t, M is then an r x r block-circulant
+matrix with blocks G_u[E, U] = M[E, pi^u U], and omega = w^(l/r) has
+order r in F_p, so the discrete Fourier transform over t, invertible
+because r is a unit mod p, turns it block-diagonal with blocks
+B_k = sum_u omega^(ku) G_u.  The F_p rank of M is the sum of the ranks of
+the B_k, exactly, so the proof logic above is unchanged.  The blocks are
+r times smaller, and eliminating them costs about r^2 times less.
 
 The elimination runs in float64 on integers: products of residues below p
 stay below 2^52 for the number of updates an entry takes between
@@ -43,6 +66,8 @@ _LEAF = 16                  # columns eliminated by rank-1 steps
 _PANEL = 128                # columns whose updates reach the rest in one GEMM
 _CHUNK = 512                # trailing columns per GEMM, bounding its temporary
 _SHORT = 128                # vectors this short reduce in one np.remainder call
+_SYMMETRY_FLOOR = 400       # below this many unknowns no automorphism is sought
+_SEARCH_NODES = 1000        # branches the automorphism search may open
 
 # polynomials are coefficient lists, lowest degree first
 
@@ -82,14 +107,18 @@ def cyclotomic_polynomial(l: int) -> List[int]:
 
 # -- exact ranks modulo split primes -----------------------------------------
 
+def _prime_factors(l: int) -> List[int]:
+    return [q for q in range(2, l + 1)
+            if l % q == 0 and (q == 2 or is_odd_prime(q))]
+
+
 @lru_cache(maxsize=None)
 def split_primes(l: int) -> Tuple[Tuple[int, int], ...]:
     """The PROOF_CAP smallest primes p = 1 (mod l) above 2^20, each paired
     with an element of order l in F_p."""
     if l < 1:
         raise InvalidInputError("l must be >= 1")
-    factors = [q for q in range(2, l + 1)
-               if l % q == 0 and (q == 2 or is_odd_prime(q))]
+    factors = _prime_factors(l)
     out = []
     p = (_PRIME_FLOOR // l + 1) * l + 1
     while len(out) < PROOF_CAP:
@@ -261,24 +290,248 @@ def _rows_orthogonal(diffs: np.ndarray, l: int) -> bool:
     return not np.any(counts @ _power_basis(l))
 
 
-def _tangent_system_mod_p(pairs: Tuple[np.ndarray, np.ndarray],
-                          diffs: np.ndarray, shape: Tuple[int, int], l: int,
-                          p: int, w: int) -> np.ndarray:
-    """[C; conj(C)] over F_p, with zeta_l -> w, as float64 residues.
+# -- symmetry-adapted blocks -------------------------------------------------
 
-    Row (i, j) of C is w^(E_ik - E_jk) in column i*N + k and its negative
-    in column j*N + k; conj(C) has the exponents negated.
+def _dephased(e: np.ndarray, a: int, b: int, l: int) -> np.ndarray:
+    """The exponent table rephased so that row a and column b are zero."""
+    return (e - e[:, b:b + 1] - e[a] + e[a, b]) % l
+
+
+def _joint_labels(x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Dense labels of the entries (or rows) of x and of y, equal exactly
+    when the entries (rows) are."""
+    label = np.unique(np.concatenate([x, y]), axis=0 if x.ndim > 1 else None,
+                      return_inverse=True)[1].ravel()
+    return label[:len(x)], label[len(x):]
+
+
+def _cycles(perm: np.ndarray) -> List[np.ndarray]:
+    """The cycles of a permutation, each from its smallest point."""
+    seen = np.zeros(len(perm), dtype=bool)
+    out = []
+    for s in range(len(perm)):
+        if not seen[s]:
+            cycle = [s]
+            while perm[cycle[-1]] != s:
+                cycle.append(int(perm[cycle[-1]]))
+            seen[cycle] = True
+            out.append(np.array(cycle))
+    return out
+
+
+def _power(perm: np.ndarray, k: int) -> np.ndarray:
+    out = np.empty_like(perm)
+    for c in _cycles(perm):
+        out[c] = c[(np.arange(len(c)) + k) % len(c)]
+    return out
+
+
+def _preserves(e: np.ndarray, sigma: np.ndarray, tau: np.ndarray, l: int) -> bool:
+    """Whether E[sigma i, tau j] = E[i, j] + d_i + e_j (mod l) for some d, e:
+    both sides agree once dephased at (0, 0)."""
+    return np.array_equal(_dephased(e[np.ix_(sigma, tau)], 0, 0, l),
+                          _dephased(e, 0, 0, l))
+
+
+def _prime_order_power(sigma: np.ndarray, tau: np.ndarray,
+                       l: int) -> Optional[Tuple[np.ndarray, np.ndarray, int]]:
+    """The power of (sigma, tau) of the largest prime order r dividing l
+    whose row permutation has no fixed point, or None.  With k the order
+    of the pair over r, sigma^k fixes a point exactly when its cycle
+    length has fewer factors r than the order does."""
+    lengths = [len(c) for c in _cycles(sigma)]
+    order = math.lcm(*lengths, *(len(c) for c in _cycles(tau)))
+    for r in reversed(_prime_factors(l)):
+        k = order // r
+        if order % r == 0 and all(k % c for c in lengths):
+            return _power(sigma, k), _power(tau, k), r
+    return None
+
+
+class _Exhausted(Exception):
+    pass
+
+
+def _same_sizes(x: np.ndarray, y: np.ndarray) -> bool:
+    """Whether the joint labels x and y name classes of equal sizes."""
+    k = int(max(x.max(), y.max())) + 1
+    return np.array_equal(np.bincount(x, minlength=k), np.bincount(y, minlength=k))
+
+
+def _isomorphisms(base: np.ndarray, other: np.ndarray, l: int,
+                  noise: np.ndarray, distinct: int, budget: List[int]):
+    """Yield permutations (sigma, tau) with other[sigma i, tau j] =
+    base[i, j].
+
+    Rows and columns carry joint labels, refined in turn until their
+    number stops growing: a column's new label is its old one and a random
+    int64 sum (``noise``) over its entries of (row label, value), and a
+    row's likewise.  Matched rows and columns always get equal sums, so a
+    collision only refines less.  Classes of unequal sizes in the two
+    tables end a branch.  Otherwise a row of the smallest row class of base
+    with more than one member is individualised against each member of
+    that class in other in turn.  Once base has as many column classes as
+    ``distinct`` columns, the classes are its equal-column groups, which
+    fixes tau; sigma then matches rows, and the pair is checked exactly.
+    Each branch costs one node of ``budget``; _Exhausted is raised when
+    none is left.
     """
-    iu, ju = pairs
-    m, n = shape
-    powers = np.array([pow(w, e, p) for e in range(l)], dtype=np.float64)
-    out = np.zeros((2, len(iu), m, n))
-    at = np.arange(len(iu))
-    for half, d in enumerate((diffs, (-diffs) % l)):
-        c = powers[d]
-        out[half, at, iu] = c
-        out[half, at, ju] = p - c
-    return out.reshape(2 * len(iu), m * n)
+    m, n = base.shape
+
+    def sums(table, labels, axis):
+        keys = (labels[:, None] if axis == 0 else labels) * l + table
+        return noise[keys].sum(axis=axis)
+
+    def relabel(old0, old1, sums0, sums1):
+        # the old label stays part of the key, so classes only ever split
+        h0, h1 = _joint_labels(sums0, sums1)
+        k = int(max(h0.max(), h1.max())) + 1
+        return _joint_labels(old0 * k + h0, old1 * k + h1)
+
+    def refine(r0, r1):
+        c0 = c1 = np.zeros(n, dtype=np.int64)
+        while True:
+            size = int(r0.max()) + int(c0.max())
+            c0, c1 = relabel(c0, c1, sums(base, r0, 0), sums(other, r1, 0))
+            r0, r1 = relabel(r0, r1, sums(base, c0, 1), sums(other, c1, 1))
+            if not (_same_sizes(c0, c1) and _same_sizes(r0, r1)):
+                return None
+            if int(r0.max()) + int(c0.max()) == size:
+                return r0, c0, r1, c1
+
+    def search(r0, r1):
+        if budget[0] <= 0:
+            raise _Exhausted
+        budget[0] -= 1
+        refined = refine(r0, r1)
+        if refined is None:
+            return
+        r0, c0, r1, c1 = refined
+        if int(c0.max()) + 1 == distinct:
+            tau = np.empty_like(c0)
+            tau[np.argsort(c0, kind="stable")] = np.argsort(c1, kind="stable")
+            s0, s1 = _joint_labels(base, other[:, tau])
+            sigma = np.empty_like(s0)
+            sigma[np.argsort(s0, kind="stable")] = np.argsort(s1, kind="stable")
+            if np.array_equal(other[np.ix_(sigma, tau)], base):
+                yield sigma, tau
+            return
+        sizes = np.bincount(r0)
+        cell = int(np.argmin(np.where(sizes > 1, sizes, m + 1)))
+        i = int(np.argmax(r0 == cell))
+        for x in np.flatnonzero(r1 == cell):
+            yield from search(*_joint_labels(2 * r0 + (np.arange(m) == i),
+                                             2 * r1 + (np.arange(m) == x)))
+
+    yield from search(np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64))
+
+
+def _automorphism(e: np.ndarray, l: int) -> Optional[Tuple[np.ndarray, np.ndarray, int]]:
+    """Permutations (sigma, tau) of prime order r with r | l and sigma
+    fixed-point-free, such that E[sigma i, tau j] = E[i, j] + d_i + e_j
+    (mod l) for some d, e; or None.
+
+    Such a pair maps row 0 to some row a != 0 and column 0 to some column
+    b, so it is a pure permutation isomorphism from E dephased at (0, 0)
+    to E dephased at (a, b).  The candidates (a, b) are taken in a fixed
+    shuffled order, since the valid ones cluster by row.  One whose
+    dephased table has other multisets of row or of column value multisets
+    (compared through random int64 sums, whose collisions only let a
+    candidate through) is rejected; the others go to _isomorphisms.  The
+    first automorphism, or product of two found, whose power of the
+    largest prime order dividing l is fixed-point-free on rows ends the
+    search; the best power found so far is returned when all candidates
+    are tried or the node budget runs out.
+    """
+    m, n = e.shape
+    rng = np.random.default_rng(0)
+    noise = rng.integers(-(1 << 62), 1 << 62, size=2 * max(m, n) * l)
+
+    def multisets(table):
+        h = noise[table]
+        return np.sort(h.sum(axis=1)), np.sort(h.sum(axis=0))
+
+    base = _dephased(e, 0, 0, l)
+    want = multisets(base)
+    distinct = len(np.unique(base.T, axis=0))
+    top = max(_prime_factors(l), default=0)
+    budget = [_SEARCH_NODES]
+    best = None
+    seen = []
+    for k in rng.permutation((m - 1) * n):
+        other = _dephased(e, 1 + k // n, k % n, l)
+        if not all(map(np.array_equal, multisets(other), want)):
+            continue
+        try:
+            for sigma, tau in _isomorphisms(base, other, l, noise, distinct, budget):
+                # products with earlier automorphisms are automorphisms too;
+                # trying them costs a node each
+                budget[0] -= len(seen)
+                for pair in [(sigma, tau)] + [(sigma[s], tau[t]) for s, t in seen]:
+                    power = _prime_order_power(*pair, l)
+                    if (power is not None and (best is None or power[2] > best[2])
+                            and _preserves(e, power[0], power[1], l)):
+                        best = power
+                        if best[2] == top:
+                            return best
+                seen.append((sigma, tau))
+        except _Exhausted:
+            return best
+    return best
+
+
+def _block_layout(sigma: np.ndarray, tau: np.ndarray, r: int):
+    """Orbit data of the action (i, k) -> (sigma i, tau k) on unknowns and
+    (i, j) -> (sigma i, sigma j) on ordered pairs of distinct rows, every
+    orbit of length r.  Returns the representative pairs (iu, ju) and, for
+    each unknown u, the index of its orbit and the t with u = pi^t(rep)."""
+    m, n = len(sigma), len(tau)
+
+    def orbits(perm):
+        steps = [np.arange(len(perm))]
+        for _ in range(r - 1):
+            steps.append(perm[steps[-1]])
+        steps = np.array(steps)                  # steps[t, u] = perm^t(u)
+        reps, index = np.unique(steps.min(axis=0), return_inverse=True)
+        return reps, index, (r - steps.argmin(axis=0)) % r
+
+    reps = orbits((sigma[:, None] * m + sigma[None, :]).ravel())[0]
+    iu, ju = np.divmod(reps, m)
+    off = iu != ju
+    _, index, pos = orbits((sigma[:, None] * n + tau[None, :]).ravel())
+    return iu[off], ju[off], index, pos
+
+
+def _tangent_blocks(e: np.ndarray, l: int, p: int, w: int, r: int,
+                    layout) -> np.ndarray:
+    """The r symmetry-adapted blocks of the tangent system over F_p, with
+    zeta_l -> w, as float64 residues of shape (r, pairs/r, unknowns/r).
+
+    Row (i, j) of the system is w^(E_ik - E_jk) in column i*N + k and its
+    negative in column j*N + k.  With G_t[E, U] = M[E, pi^t U] on orbit
+    representatives, block k is B_k = sum_t omega^(kt) G_t for
+    omega = w^(l/r).  For r = 1 the one block is the whole system, one row
+    per ordered pair.
+    """
+    iu, ju, index, pos = layout
+    n = e.shape[1]
+    powers = np.array([pow(w, x, p) for x in range(l)], dtype=np.float64)
+    c = powers[(e[iu] - e[ju]) % l]
+    at = np.arange(len(iu))[:, None]
+    g = np.zeros((r, len(iu), len(pos) // r))
+    for row, value in ((iu, c), (ju, p - c)):
+        u = row[:, None] * n + np.arange(n)
+        g[pos[u], at, index[u]] = value
+    if r == 1:
+        return g
+    omega = pow(w, l // r, p)
+    dft = np.array([[pow(omega, k * t, p) for t in range(r)] for k in range(r)],
+                   dtype=np.float64)
+    # pi^t U meets row i and row j of a pair once each over t, so at most
+    # two of the r products in an entry are nonzero: the sum is below 2p^2
+    b = (dft @ g.reshape(r, -1)).reshape(g.shape)
+    _reduce(b, p)
+    return b
 
 
 @dataclass(frozen=True)
@@ -290,6 +543,9 @@ class ButsonDefect:
     ``needed`` is the number of reductions whose primes beat the Hadamard
     bound at the largest rank seen (an estimate past the PROOF_CAP cached
     primes), or 0 when one reduction reached the largest possible rank.
+    ``symmetry_order`` is the order r of the automorphism whose blocks were
+    ranked, 1 when the system was ranked whole, and ``block_ranks`` the
+    ranks of the r blocks at the last prime when r > 1.
     """
     defect: int
     exact: bool
@@ -297,6 +553,8 @@ class ButsonDefect:
     primes: Tuple[int, ...]
     ranks: Tuple[int, ...]
     needed: int
+    symmetry_order: int = 1
+    block_ranks: Tuple[int, ...] = ()
 
 
 def _reductions_needed(l: int, phi: int, n: int, rank: int) -> int:
@@ -333,31 +591,36 @@ def exact_defect_butson(exponents: Sequence[Sequence[int]], l: int) -> ButsonDef
     m, n = E.shape
     if m == 1:
         return ButsonDefect(n, True, "proof", (), (), 0)
-    pairs = np.triu_indices(m, 1)
-    diffs = (E[pairs[0]] - E[pairs[1]]) % l
+    iu, ju = np.triu_indices(m, 1)
     # the column phase directions always lie in the kernel, the row phase
     # directions when the rows are orthogonal
-    top = m * n - (m + n - 1 if _rows_orthogonal(diffs, l) else n)
+    top = m * n - (m + n - 1 if _rows_orthogonal((E[iu] - E[ju]) % l, l) else n)
+    found = _automorphism(E, l) if m * n >= _SYMMETRY_FLOOR else None
+    sigma, tau, r = found or (np.arange(m), np.arange(n), 1)
+    layout = _block_layout(sigma, tau, r)
     primes, ranks = [], []
+
+    def result(rank, exact, needed):
+        return ButsonDefect(m * n - rank, exact, "proof" if exact else "bound",
+                            tuple(primes), tuple(ranks), needed, r,
+                            tuple(block_ranks) if r > 1 else ())
+
     for p, w in split_primes(l):
         primes.append(p)
-        # no name holds the system, so it is freed before the next is built
-        ranks.append(rank_mod_p(
-            _tangent_system_mod_p(pairs, diffs, (m, n), l, p, w), p))
-        r = max(ranks)
-        if r == top:
-            return ButsonDefect(m * n - r, True, "proof", tuple(primes),
-                                tuple(ranks), 0)
-        needed = _reductions_needed(l, phi, n, r)
+        # no name holds the blocks, so they are freed before the next are built
+        block_ranks = [rank_mod_p(b, p) for b in _tangent_blocks(E, l, p, w, r, layout)]
+        ranks.append(sum(block_ranks))
+        rank = max(ranks)
+        if rank == top:
+            return result(rank, True, 0)
+        needed = _reductions_needed(l, phi, n, rank)
         if needed > PROOF_CAP:
             if len(primes) >= 2:
                 break
         elif (len(primes) >= needed
-              and math.prod(primes) ** 2 > (2 * n) ** (phi * (r + 1))):
-            return ButsonDefect(m * n - r, True, "proof", tuple(primes),
-                                tuple(ranks), needed)
-    return ButsonDefect(m * n - max(ranks), False, "bound", tuple(primes),
-                        tuple(ranks), needed)
+              and math.prod(primes) ** 2 > (2 * n) ** (phi * (rank + 1))):
+            return result(rank, True, needed)
+    return result(max(ranks), False, needed)
 
 
 def exact_vanishing(exponents: Sequence[int], l: int) -> bool:

@@ -148,18 +148,31 @@ def defect(h: PHMatrix, tol: float = 1e-9,
     return _report("direct", h.shape, h.m * h.n, rr, tol, confidence)
 
 
-def _butson_report(h: PHMatrix, form: ButsonForm) -> DefectReport:
-    """Report for a Butson matrix: method "character-exact" when it is a
-    character matrix (_character_report), else from the ranks modulo split
-    primes, "direct-exact" when they prove the defect and "direct-modp"
-    when they only bound it."""
+def _butson_report(h: PHMatrix, l_max: int = 60) -> Optional[DefectReport]:
+    """Exact report for Butson-type input, or None.
+
+    Method "character-exact" when H is a character matrix
+    (_character_report), else from the ranks modulo split primes,
+    "direct-exact" when they prove the defect and "direct-modp" when they
+    only bound it.  An exact matrix takes the character test at its stored
+    order, whatever that is; l_max caps only the detection of a floating
+    matrix's order and the modular route.  None when neither applies.
+    """
+    p = h.phases
+    form = detect_butson(h, max(l_max, p.order) if isinstance(p, ExactPhases)
+                         else l_max)
+    if form is None:
+        return None
     rep = _character_report(h, form)
-    if rep is not None:
+    if rep is not None or form.l > l_max:
         return rep
     res = exact_defect_butson(form.exponents, form.l)
     breakdown = {"butson_order": form.l, "route": res.route,
                  "primes": list(res.primes), "ranks": list(res.ranks),
-                 "reductions": len(res.primes)}
+                 "reductions": len(res.primes),
+                 "symmetry_order": res.symmetry_order}
+    if res.symmetry_order > 1:
+        breakdown["block_ranks"] = list(res.block_ranks)
     if not res.exact:
         breakdown.update(reductions_needed=res.needed, reduction_cap=PROOF_CAP)
     rr = RankResult(h.m * h.n - res.defect, None, None, math.inf)
@@ -173,12 +186,13 @@ def defect_exact(h: PHMatrix, l_max: int = 60) -> DefectReport:
     a character matrix, else ranks modulo split primes, whose proof must
     close within PROOF_CAP reductions."""
     ensure_verified(h)
-    form = detect_butson(h, l_max)
-    if form is None:
+    if l_max < 1:
+        raise InvalidInputError("l_max must be >= 1")
+    rep = _butson_report(h, l_max)
+    if rep is None:
         raise InvalidInputError(
             f"no root-of-unity form of order <= {l_max} found; exact defect "
             f"needs a Butson-type matrix")
-    rep = _butson_report(h, form)
     if not rep.exact:
         raise InvalidInputError(
             f"exact defect needs {rep.breakdown['reductions_needed']} "
@@ -345,8 +359,15 @@ def _character_report(h: PHMatrix, form: ButsonForm) -> Optional[DefectReport]:
     hence a subgroup, and the characters are read on the generators alone.
     """
     l = form.l
-    e = np.array(form.exponents, dtype=np.int64)
+    e = np.array(form.exponents, dtype=np.int64 if l < 1 << 61 else object)
     e = (e - e[:1] - e[:, :1] + e[0, 0]) % l
+    # K has exponent at most |K| <= N, and the entries generate gZ_l of
+    # order l/g, which divides it; dividing by g maps gZ_l onto Z_(l/g)
+    g = int(np.gcd.reduce(e.ravel(), initial=l))
+    l //= g
+    if l > h.n:
+        return None
+    e = (e // g).astype(np.int64)
     group = e.T[_distinct_rows(e.T, l)[0]]
     k = len(group)
     spanned = ~group.any(axis=1)
@@ -371,7 +392,7 @@ def _character_report(h: PHMatrix, form: ButsonForm) -> Optional[DefectReport]:
     rr = RankResult(h.m * h.n - d, None, None, math.inf)
     return _report("character-exact", h.shape, h.m * h.n, rr, 0.0, math.inf,
                    exact=True,
-                   breakdown={"butson_order": l, "route": "character",
+                   breakdown={"butson_order": form.l, "route": "character",
                               "differences": differences,
                               "column_group_order": k})
 
@@ -565,16 +586,15 @@ def isolation_certificate(h: PHMatrix, tol: float = 1e-9,
     undetermined (the bound is one-sided).  Butson-type input is proved
     exactly, so the certificate does not rest on a floating rank decision:
     a character matrix (a row truncation of a group Fourier matrix up to
-    equivalence and repeated columns) by the character count, other input
-    by ranks modulo split primes; when those cannot prove the defect, the
-    certificate carries their upper bound with ``exact`` False.  Other
-    input, or ``prefer_exact=False``, takes the floating SVD.
+    equivalence and repeated columns) by the character count, whatever its
+    order, other input of order at most 60 by ranks modulo split primes;
+    when those cannot prove the defect, the certificate carries their upper
+    bound with ``exact`` False.  Other input, or ``prefer_exact=False``,
+    takes the floating SVD.
     """
     ensure_verified(h, tol)
-    form = detect_butson(h) if prefer_exact else None
-    if form is not None:
-        rep = _butson_report(h, form)
-    else:
+    rep = _butson_report(h) if prefer_exact else None
+    if rep is None:
         rep = replace(defect(h, tol, confidence),
                       breakdown={"butson_order": None, "route": "float"})
     bound = h.m + h.n - 1

@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hadlab import (InvalidInputError, PHMatrix, PhaseEntry, apply_equivalence,
-                    defect_exact, detect_butson, fourier_cyclic, fourier_group,
-                    isolation_certificate, petrescu, tensor_product)
-from hadlab.cyclotomic import (PROOF_CAP, _power_basis, cyclotomic_polynomial,
-                               exact_defect_butson, exact_vanishing,
-                               rank_mod_p, solve_integer, split_primes)
+from hadlab import (InvalidInputError, MWSpec, PHMatrix, PhaseEntry,
+                    apply_equivalence, defect, defect_exact, detect_butson,
+                    fourier_cyclic, fourier_group, isolation_certificate,
+                    mw_construct, petrescu, tensor_product)
+from hadlab.cyclotomic import (PROOF_CAP, _automorphism, _block_layout,
+                               _power_basis, _tangent_blocks,
+                               cyclotomic_polynomial, exact_defect_butson,
+                               exact_vanishing, rank_mod_p, solve_integer,
+                               split_primes)
 
 KNOWN = {
     1: [-1, 1],
@@ -414,3 +417,120 @@ def test_modular_certificates_match_the_fraction_oracle(h):
         r = h.m * h.n - want
         phi = len(cyclotomic_polynomial(form.l)) - 1
         assert sum(map(math.log, primes)) > phi * (r + 1) / 2 * math.log(2 * h.n)
+
+
+# -- symmetry-adapted blocks ----------------------------------------------------
+
+def _conjugate_stacked_system(e, l, p, w):
+    """[C; conj(C)] over F_p, one row per unordered pair and its conjugate:
+    the system the whole-system route ranked before the blocks."""
+    m, n = e.shape
+    iu, ju = np.triu_indices(m, 1)
+    powers = np.array([pow(w, x, p) for x in range(l)], dtype=np.int64)
+    out = np.zeros((2, len(iu), m, n), dtype=np.int64)
+    at = np.arange(len(iu))
+    for half, d in enumerate(((e[iu] - e[ju]) % l, (e[ju] - e[iu]) % l)):
+        out[half, at, iu] = powers[d]
+        out[half, at, ju] = p - powers[d]
+    return out.reshape(2 * len(iu), m * n)
+
+
+def _mw(q):
+    return mw_construct(MWSpec(q, (1, 3), (0, 2), fourier_cyclic(2)))
+
+
+_SYMMETRIC = [_mw(5), _mw(7)] + [fourier_cyclic(n) for n in range(2, 13)]
+
+
+@st.composite
+def symmetric_tables(draw):
+    """Exponent tables of MW(5, F2), MW(7, F2) and F_2..F_12, rows and
+    columns permuted and rephased by roots of unity of the matrix's order."""
+    h = draw(st.sampled_from(_SYMMETRIC))
+    l = h.phases.order
+    phases = [PhaseEntry.butson(draw(st.integers(0, l - 1)), l)
+              for _ in range(h.m + h.n)]
+    g = apply_equivalence(h, draw(st.permutations(range(h.m))),
+                          draw(st.permutations(range(h.n))),
+                          phases[:h.m], phases[h.m:])
+    return np.array(g.phases.exp, dtype=np.int64), g.phases.order
+
+
+@settings(max_examples=40, deadline=None)
+@given(symmetric_tables())
+def test_block_ranks_sum_to_the_whole_rank(table):
+    e, l = table
+    m, n = e.shape
+    sigma, tau, r = _automorphism(e, l)
+    # E[sigma i, tau j] - E[i, j] is d_i + e_j: zero once dephased
+    shift = (e[np.ix_(sigma, tau)] - e) % l
+    assert not ((shift - shift[:, :1] - shift[:1] + shift[0, 0]) % l).any()
+    assert _is_prime(r) and l % r == 0
+    assert not np.any(sigma == np.arange(m))
+    power_r = np.arange(m)
+    for _ in range(r):
+        power_r = sigma[power_r]
+    assert np.array_equal(power_r, np.arange(m))
+    layout = _block_layout(sigma, tau, r)
+    whole = _block_layout(np.arange(m), np.arange(n), 1)
+    for p, w in split_primes(l)[:2]:
+        blocks = _tangent_blocks(e, l, p, w, r, layout)
+        assert blocks.shape == (r, m * (m - 1) // r, m * n // r)
+        block_ranks = [rank_mod_p(b, p) for b in blocks]
+        rank = rank_mod_p(_tangent_blocks(e, l, p, w, 1, whole)[0], p)
+        assert sum(block_ranks) == rank
+        assert rank == _rank_reference(_conjugate_stacked_system(e, l, p, w), p)
+
+
+def _petrescu7():
+    return petrescu(PhaseEntry.turns(Fraction(1, 7)))
+
+
+def test_without_a_usable_automorphism_the_system_is_ranked_whole(monkeypatch):
+    import hadlab.cyclotomic as cyc
+    monkeypatch.setattr(cyc, "_SYMMETRY_FLOOR", 0)
+    h = _petrescu7()
+    e, l = np.array(h.phases.exp, dtype=np.int64), h.phases.order
+    assert _automorphism(e, l) is None
+    res = exact_defect_butson(e, l)
+    # the primes and ranks the whole-system route gave before the blocks
+    assert res.symmetry_order == 1 and res.block_ranks == ()
+    assert res.primes == (1048783, 1048867) and res.ranks == (34, 34)
+    assert res.defect == 15 and not res.exact
+
+
+def test_exhausted_search_falls_back_to_the_whole_system(monkeypatch):
+    import hadlab.cyclotomic as cyc
+    monkeypatch.setattr(cyc, "_SYMMETRY_FLOOR", 0)
+    rng = np.random.default_rng(4)
+    h = apply_equivalence(_mw(7), list(rng.permutation(14)),
+                          list(rng.permutation(14)),
+                          [PhaseEntry.one()] * 14, [PhaseEntry.one()] * 14)
+    e, l = np.array(h.phases.exp, dtype=np.int64), h.phases.order
+    split = exact_defect_butson(e, l)
+    assert split.symmetry_order == 7
+    assert sum(split.block_ranks) == split.ranks[-1]
+    monkeypatch.setattr(cyc, "_SEARCH_NODES", 1)
+    assert _automorphism(e, l) is None
+    whole = exact_defect_butson(e, l)
+    assert whole.symmetry_order == 1 and whole.block_ranks == ()
+    assert (whole.primes, whole.ranks, whole.defect, whole.exact) == \
+        (split.primes, split.ranks, split.defect, split.exact)
+
+
+def test_symmetry_search_only_above_the_size_floor():
+    # MW(5, F2) has 100 unknowns, below the floor, and is ranked whole
+    cert = isolation_certificate(_mw(5))
+    assert cert.report.breakdown["symmetry_order"] == 1
+    assert "block_ranks" not in cert.report.breakdown
+    # MW(11, F2) has 484: its cyclic automorphism splits the system
+    rng = np.random.default_rng(8)
+    h = apply_equivalence(_mw(11), list(rng.permutation(22)),
+                          list(rng.permutation(22)),
+                          [PhaseEntry.butson(int(x), 44) for x in rng.integers(0, 44, 22)],
+                          [PhaseEntry.butson(int(x), 44) for x in rng.integers(0, 44, 22)])
+    cert = isolation_certificate(h)
+    breakdown = cert.report.breakdown
+    assert breakdown["symmetry_order"] == 11
+    assert sum(breakdown["block_ranks"]) == breakdown["ranks"][-1]
+    assert cert.exact and cert.defect == 43 == defect(h).defect

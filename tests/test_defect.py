@@ -371,6 +371,36 @@ def test_other_butson_input_takes_the_modular_route():
         assert cert.defect == defect(h).defect == (want or cert.defect), name
 
 
+def test_exact_character_matrices_above_the_order_cap():
+    # F61 is stored at order 61 > 60: the order cap binds the modular
+    # route only, so both exact answers are the character count
+    want = cyclic_defect_closed_form(61)
+    cert = isolation_certificate(fourier_cyclic(61))
+    rep = defect_exact(fourier_cyclic(61))
+    for r in (cert.report, rep):
+        assert r.exact and r.method == "character-exact"
+        assert r.defect == want == 121
+        assert r.breakdown["butson_order"] == 61
+    assert cert.status == "isolated"
+    # F2 with a column phase of order 2^70 + 3 is stored at twice that
+    # order, in Python integers; dephased, its entries generate Z_2
+    big = 2 ** 70 + 3
+    h = apply_equivalence(fourier_cyclic(2), [0, 1], [0, 1],
+                          [PhaseEntry.one()] * 2,
+                          [PhaseEntry.butson(1, big), PhaseEntry.one()])
+    assert h.phases.order == 2 * big
+    cert = isolation_certificate(h)
+    assert cert.exact and cert.report.method == "character-exact"
+    assert cert.defect == 3 and cert.report.breakdown["butson_order"] == 2 * big
+    # a non-character matrix above the cap still takes the SVD, and
+    # defect_exact refuses it
+    p = petrescu(PhaseEntry.turns(Fraction(1, 61)))
+    assert p.phases.order > 60
+    assert isolation_certificate(p).report.breakdown["route"] == "float"
+    with pytest.raises(InvalidInputError, match="order <= 60"):
+        defect_exact(p)
+
+
 def test_float_route_breakdown():
     cert = isolation_certificate(fourier_cyclic(5), prefer_exact=False)
     assert not cert.exact and cert.status == "isolated"
