@@ -414,7 +414,8 @@ CONFIDENCE = (_arg("--confidence", type=_finite_positive, default=1e6,
                         "rank decision"),)
 CYCLE_TOL = (_arg("--cycle-tol", type=_finite_positive, default=1e-8),)
 BUDGET = (_arg("--budget", type=_budget, default=10 ** 7,
-               help="search nodes (calls + completion attempts)"),)
+               help="search nodes (calls + completion attempts) per search; "
+                    "exact input has one search per distinct term multiset"),)
 MW_SPEC = (
     _arg("--q", type=int, required=True, help="odd prime"),
     _arg("--s", required=True, help="row exponents, e.g. 1,3"),

@@ -22,7 +22,7 @@ import numpy as np
 from .cyclotomic import exact_vanishing, solve_integer
 from .errors import ConsistencyError, InvalidInputError, SearchBudgetExceeded
 from .matrix import PHMatrix, ensure_verified, row_quotient
-from .phases import TAU, PhaseEntry
+from .phases import TAU, ExactPhases, PhaseEntry
 
 DEFAULT_BUDGET = 10 ** 7
 
@@ -345,24 +345,43 @@ def lam_leung_length_admissible(n: int, l: int) -> bool:
     return reachable[n]
 
 
+def _pair_label(terms: np.ndarray, tol: float, budget: int) -> str:
+    try:
+        dec = cycle_decompose(terms, tol=tol, budget=budget)
+    except SearchBudgetExceeded:
+        return "inconclusive"
+    return dec.label if dec is not None else "irregular"
+
+
 def cycle_structure_profile(h: PHMatrix, tol: float = 1e-8,
                             budget: int = DEFAULT_BUDGET) -> dict:
     """Decomposition label for every row pair.
 
     Values are labels like "3+2", or "irregular" when the completed search
     finds no partition, or "inconclusive" when the budget ran out.
+
+    On an exact matrix the terms of pair (i, j) are the roots of unity of
+    the exponent differences E_i - E_j mod l, so pairs whose sorted
+    differences agree have one term multiset.  Each distinct multiset is
+    searched once, on its terms in sorted order, and its label goes to
+    every pair that has it; budget bounds each of these searches.
     """
     ensure_verified(h)
+    phases = h.phases
+    if not isinstance(phases, ExactPhases):
+        return {(i, j): _pair_label(row_quotient(h, i, j), tol, budget)
+                for i in range(h.m) for j in range(i + 1, h.m)}
+    e, l = phases.exp, phases.order
+    labels: dict = {}
     out = {}
-    for i in range(h.m):
-        for j in range(i + 1, h.m):
-            terms = row_quotient(h, i, j)
-            try:
-                dec = cycle_decompose(terms, tol=tol, budget=budget)
-            except SearchBudgetExceeded:
-                out[(i, j)] = "inconclusive"
-                continue
-            out[(i, j)] = dec.label if dec is not None else "irregular"
+    for i in range(h.m - 1):
+        diffs = np.sort((e[i] - e[i + 1:]) % l, axis=1)
+        for j, d in enumerate(diffs, start=i + 1):
+            # Python-int exponents (order >= 2^61) have no byte image
+            key = tuple(d) if d.dtype == object else d.tobytes()
+            if key not in labels:
+                labels[key] = _pair_label(ExactPhases(d, l).values(), tol, budget)
+            out[(i, j)] = labels[key]
     return out
 
 

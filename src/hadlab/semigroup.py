@@ -26,6 +26,7 @@ from .matrix import PHMatrix, ensure_verified
 
 MAX_CLOSURE = 10 ** 6
 MAX_MOMENT_ENTRIES = 16 * 10 ** 6
+MAX_WORD_LENGTH = 13
 
 
 class ProjectionGrid:
@@ -331,33 +332,51 @@ class MomentMatrix:
         return self.matrix.shape[0]
 
 
-def moment_matrix(h: PHMatrix, p: int) -> MomentMatrix:
-    """The M^p x M^p matrix of normalized traces of length-p words.
-
-    Entry ((i_1..i_p), (j_1..j_p)) = Tr(P_{i1 j1} ... P_{ip jp}) / N.  Since
-    each P is rank one, the trace collapses to a cyclic product of the
-    Gram tensor A[i,j,k,l] = <v_ij, v_kl>, evaluated here in a single
-    contraction.
-    """
+def _moment_grid(h: PHMatrix, p: int) -> ProjectionGrid:
+    """The projection grid of h, once word length p passes the guards."""
     if p < 1:
         raise InvalidInputError("word length p must be >= 1")
     grid = ProjectionGrid(h)
-    m, n = grid.m, grid.n
+    m = grid.m
     if m ** (2 * p) > MAX_MOMENT_ENTRIES:
         raise InvalidInputError(
             f"moment matrix would need {m ** (2 * p)} entries; refusing")
+    if p > MAX_WORD_LENGTH:
+        raise InvalidInputError("word length too large")
+    return grid
+
+
+def _moment_rows(grid: ProjectionGrid, p: int, words: np.ndarray) -> np.ndarray:
+    """The rows of the length-p moment matrix at the given row words.
+
+    Since each P is rank one, the trace Tr(P_{i1 j1} ... P_{ip jp}) / N
+    collapses to the cyclic product over t of the Gram tensor
+    A[i_t, j_t, i_{t+1}, j_{t+1}] = <v_{i_t j_t}, v_{i_{t+1} j_{t+1}}>,
+    divided by N^(p+1).  A row word (i_1 .. i_p) fixes the i's, so its row
+    is one contraction of p matrices over the column letters.
+    """
+    m, n = grid.m, grid.n
     v = grid.vectors
     a = np.einsum("ijm,klm->ijkl", np.conj(v), v)
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    if 2 * p > len(letters):
-        raise InvalidInputError("word length too large")
-    row = letters[:p]
-    col = letters[p:2 * p]
-    subs = ",".join(row[t] + col[t] + row[(t + 1) % p] + col[(t + 1) % p]
-                    for t in range(p))
-    out = "".join(row) + "".join(col)
-    t = np.einsum(f"{subs}->{out}", *([a] * p)) / (n ** (p + 1))
-    return MomentMatrix(p, t.reshape(m ** p, m ** p), formal=(m < n))
+    # letters[r, t] = i_{t+1} of row word r, most significant first
+    letters = words[:, None] // m ** np.arange(p - 1, -1, -1) % m
+    # factor t: [r, j, k] = A[i_t, j, i_{t+1}, k] of row word r
+    factors = [a[letters[:, t], :, letters[:, (t + 1) % p], :] for t in range(p)]
+    col = "abcdefghijklmnopqrstuvwxy"[:p]     # p <= MAX_WORD_LENGTH
+    subs = ",".join("z" + col[t] + col[(t + 1) % p] for t in range(p))
+    t = np.einsum(f"{subs}->z{col}", *factors) / (n ** (p + 1))
+    return t.reshape(len(words), m ** p)
+
+
+def moment_matrix(h: PHMatrix, p: int) -> MomentMatrix:
+    """The M^p x M^p matrix of normalized traces of length-p words.
+
+    Entry ((i_1..i_p), (j_1..j_p)) = Tr(P_{i1 j1} ... P_{ip jp}) / N; all
+    rows come from one _moment_rows contraction.
+    """
+    grid = _moment_grid(h, p)
+    t = _moment_rows(grid, p, np.arange(grid.m ** p))
+    return MomentMatrix(p, t, formal=(grid.m < grid.n))
 
 
 @dataclass(frozen=True)
@@ -380,26 +399,29 @@ def moment(h: PHMatrix, p: int, tol: float = 1e-8) -> MomentReport:
     """
     if not (math.isfinite(tol) and tol > 0):
         raise InvalidInputError(f"tolerance must be finite and positive, got {tol!r}")
-    mm = moment_matrix(h, p)
-    ev = _rotation_block_eigenvalues(mm.matrix, h.m, p)
+    grid = _moment_grid(h, p)
+    ev = _rotation_block_eigenvalues(grid, p)
     dist = np.abs(ev - 1.0)
     value = int(np.sum(dist < tol))
     excluded = dist[dist >= tol]
     nearest = float(np.min(excluded)) if excluded.size else math.inf
     ambiguous = bool(np.any((dist >= tol) & (dist < 10 * tol)))
-    return MomentReport(p, value, mm.formal, ambiguous, nearest)
+    return MomentReport(p, value, grid.m < grid.n, ambiguous, nearest)
 
 
-def _rotation_block_eigenvalues(t: np.ndarray, m: int, p: int) -> np.ndarray:
-    """Eigenvalues of the moment matrix t over words of length p in m
-    letters, one Hermitian block per eigenvalue w^k of the word rotation S.
+def _rotation_block_eigenvalues(grid: ProjectionGrid, p: int) -> np.ndarray:
+    """Eigenvalues of the length-p moment matrix t of the grid, over words
+    in its m row letters, one Hermitian block per eigenvalue w^k of the
+    word rotation S.
 
     t[S I, S J] = t[I, J] (the trace is cyclic), so t commutes with S.  An
     orbit of size s with representative a carries the S-eigenvector
     sum_tau w^(-k tau) e_{S^tau a} / sqrt(s) when k s = 0 (mod p), and block
     k has entries sqrt(s_a s_b) / p * sum_tau w^(k tau) t[a, S^tau b] over
-    those representatives.  The block sizes add up to m^p.
+    those representatives.  The block sizes add up to m^p, and only the
+    representative rows of t are built.
     """
+    m = grid.m
     words = np.arange(m ** p)
     # rot[tau, w] = S^tau w, with S (i_1 .. i_p) = (i_2 .. i_p, i_1)
     rot = np.empty((p + 1, words.size), dtype=np.intp)
@@ -411,7 +433,7 @@ def _rotation_block_eigenvalues(t: np.ndarray, m: int, p: int) -> np.ndarray:
     # orbit size: the first tau >= 1 with S^tau a = a (S^p is the identity)
     s = np.argmax(rot[1:, reps] == reps, axis=0) + 1
     # gathered[a, tau, b] = t[a, S^tau b], for representatives a and b
-    gathered = t[reps[:, None, None], rot[:p, reps]]
+    gathered = _moment_rows(grid, p, reps)[:, rot[:p, reps]]
     phase = np.exp(2j * np.pi / p * np.outer(np.arange(p), np.arange(p)))
     blocks = np.einsum("kt,atb->kab", phase, gathered)
     blocks *= np.sqrt(np.outer(s, s)) / p

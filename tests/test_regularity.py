@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -7,10 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hadlab import (ConsistencyError, InvalidInputError, PhaseEntry,
-                    SearchBudgetExceeded, cycle_decompose,
-                    cycle_decompose_integer, cycle_structure_profile,
-                    fourier_cyclic, is_regular, lam_leung_length_admissible,
+from hadlab import (ConsistencyError, InvalidInputError, MWSpec, PHMatrix,
+                    PhaseEntry, SearchBudgetExceeded, apply_equivalence,
+                    cycle_decompose, cycle_decompose_integer,
+                    cycle_structure_profile, fourier_cyclic, fourier_group,
+                    is_regular, lam_leung_length_admissible, mw_construct,
                     petrescu, term_multiset, weak_isolation_probe)
 from hadlab.regularity import DEFAULT_BUDGET
 
@@ -297,3 +300,107 @@ def test_engine_matches_subset_oracle(case):
     assert got.nonnegative is (want is not None)
     if want is not None:
         assert got.method == "exact-cover" and got.components == want
+
+
+# -- the grouped profile against one search per row pair ------------------------
+
+def _reference_profile(h, budget=DEFAULT_BUDGET):
+    """One cycle_decompose per row pair, on its terms in column order."""
+    out = {}
+    for i in range(h.m):
+        for j in range(i + 1, h.m):
+            try:
+                dec = cycle_decompose(term_multiset(h, i, j), budget=budget)
+            except SearchBudgetExceeded:
+                out[(i, j)] = "inconclusive"
+                continue
+            out[(i, j)] = dec.label if dec is not None else "irregular"
+    return out
+
+
+BIG = 2 ** 70 + 3      # 13 * 25087 * 3619992029943217
+
+
+def _six_30_pair():
+    """Two rows at order 30 whose quotient is the six-term sum SIX_30."""
+    return PHMatrix([[PhaseEntry.butson(e, 30) for e in SIX_30],
+                     [PhaseEntry.butson(0, 30)] * 6])
+
+
+def _fourier13_at_big_order():
+    """F13 with its first row rephased by zeta_BIG: order BIG, exponents
+    held as Python ints."""
+    f = fourier_cyclic(13)
+    one = PhaseEntry.one()
+    return apply_equivalence(f, list(range(13)), list(range(13)),
+                             [PhaseEntry.butson(1, BIG)] + [one] * 12,
+                             [one] * 13)
+
+
+MW7 = mw_construct(MWSpec(q=7, s=(1, 3), t=(0, 2), base=fourier_cyclic(2)))
+PROFILE_BASES = [fourier_group(orders) for orders in
+                 ((5,), (6,), (8,), (9,), (10,), (12,), (2, 2), (2, 4),
+                  (2, 6), (3, 4), (2, 2, 3))] + [
+    mw_construct(MWSpec(q=5, s=(1, 3), t=(0, 2), base=fourier_cyclic(2))),
+    MW7,
+    petrescu(PhaseEntry.turns(Fraction(13, 97))),
+    _six_30_pair(),
+    _fourier13_at_big_order(),
+]
+
+
+@st.composite
+def profile_inputs(draw):
+    """A base permuted, rephased at its order and cut to a row subset of at
+    least two rows, with a search budget from tiny to the default."""
+    h = draw(st.sampled_from(PROFILE_BASES))
+    order = h.phases.order
+    phase = st.integers(0, order - 1).map(lambda e: PhaseEntry.butson(e, order))
+    h = apply_equivalence(h, draw(st.permutations(range(h.m))),
+                          draw(st.permutations(range(h.n))),
+                          [draw(phase) for _ in range(h.m)],
+                          [draw(phase) for _ in range(h.n)])
+    rows = sorted(draw(st.sets(st.integers(0, h.m - 1), min_size=2)))
+    h = PHMatrix.from_phases(h.phases[rows])
+    return h, draw(st.sampled_from((2, 5, 20, 100, DEFAULT_BUDGET)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(profile_inputs())
+@example((_six_30_pair(), DEFAULT_BUDGET))
+@example((_fourier13_at_big_order(), DEFAULT_BUDGET))
+@example((MW7, 2))
+def test_grouped_profile_matches_per_pair_search(case):
+    h, budget = case
+    assert cycle_structure_profile(h, budget=budget) == _reference_profile(h, budget)
+
+
+def test_grouped_profile_fixed_cases():
+    assert cycle_structure_profile(_six_30_pair()) == {(0, 1): "irregular"}
+    h = _fourier13_at_big_order()
+    assert h.phases.order == BIG and h.phases.exp.dtype == object
+    assert set(cycle_structure_profile(h).values()) == {"13"}
+    h = petrescu(PhaseEntry.turns(Fraction(13, 97)))
+    assert h.phases.order == 582
+    assert set(cycle_structure_profile(h).values()) == {"3+2+2"}
+
+
+def _profile_peak(h) -> int:
+    cycle_structure_profile(h)      # verification and root tables, untraced
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cycle_structure_profile(h)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_profile_memory_does_not_grow_with_the_order():
+    # Petrescu at q = 13/97 (order 582) and at q = 1/7 (order 42) have the
+    # same 21 pairs and 9 distinct term multisets, so a key of O(N) per pair
+    # gives them the same peak; a key of size l or l^2 per pair does not.
+    big = _profile_peak(petrescu(PhaseEntry.turns(Fraction(13, 97))))
+    small = _profile_peak(petrescu(PhaseEntry.turns(Fraction(1, 7))))
+    assert big < 2 ** 20
+    assert big <= small + 8 * 1024

@@ -15,7 +15,8 @@ from hadlab import (DitaParams, InvalidInputError, MWSpec, PartialPermutation,
                     moment_matrix, mw_construct, petrescu, pre_latin_square,
                     predicted_truncated_semigroup, semigroup_closure,
                     sigma_from_square, truncated_fourier, verify_submagic)
-from hadlab.semigroup import MAX_MOMENT_ENTRIES, _rotation_block_eigenvalues
+from hadlab.semigroup import (MAX_MOMENT_ENTRIES, ProjectionGrid,
+                              _rotation_block_eigenvalues)
 
 
 def f25():
@@ -230,6 +231,28 @@ def test_moment_matrix_is_hermitian():
             assert moment(h, p).value == int(np.sum(np.abs(ev - 1.0) < 1e-8))
 
 
+def _one_contraction(h, p):
+    """The moment matrix as one einsum over the Gram tensor, all rows at
+    once: entry (I, J) is the cyclic product of A[i_t, j_t, i_t+1, j_t+1]."""
+    v = ProjectionGrid(h).vectors
+    a = np.einsum("ijm,klm->ijkl", np.conj(v), v)
+    row, col = "abcdefghijklm"[:p], "nopqrstuvwxyz"[:p]
+    subs = ",".join(row[t] + col[t] + row[(t + 1) % p] + col[(t + 1) % p]
+                    for t in range(p))
+    t = np.einsum(f"{subs}->{row}{col}", *([a] * p)) / (h.n ** (p + 1))
+    return t.reshape(h.m ** p, h.m ** p)
+
+
+def test_moment_rows_match_one_contraction():
+    # the criterion 11 fixtures, a truncation and a float Petrescu matrix;
+    # the products are taken in the same order, so the entries are equal
+    cases = [(fourier_cyclic(n), p) for n in (2, 3, 4, 5) for p in (1, 2, 3, 4)]
+    cases += [(truncated_fourier([0, 1, 2], [7]), p) for p in (1, 3, 5)]
+    cases += [(petrescu(PhaseEntry.turns(0.123)), p) for p in (1, 2, 3)]
+    for h, p in cases:
+        assert np.array_equal(moment_matrix(h, p).matrix, _one_contraction(h, p))
+
+
 def _oracle_moment(h, p, tol=1e-8):
     """The full eigendecomposition of the moment matrix, with the counting
     rules of moment: (value, formal, ambiguous, nearest_excluded, spectrum)."""
@@ -290,7 +313,7 @@ def test_moment_blocks_match_full_eigensolve(case):
         assert math.isinf(rep.nearest_excluded)
     else:
         assert abs(rep.nearest_excluded - nearest) <= 1e-12
-    blocks = _rotation_block_eigenvalues(moment_matrix(h, p).matrix, h.m, p)
+    blocks = _rotation_block_eigenvalues(ProjectionGrid(h), p)
     assert blocks.shape == ev.shape
     assert np.max(np.abs(np.sort(blocks) - np.sort(ev))) <= 1e-12
 
