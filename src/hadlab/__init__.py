@@ -12,10 +12,9 @@ __version__ = "0.1.0"
 from .errors import (ConsistencyError, InvalidInputError, MatrixFormatError,
                      SearchBudgetExceeded)
 from .phases import PhaseEntry, parse_phase
-from .matrix import (ButsonForm, EquivalenceProfile, PHMatrix,
-                     VerificationReport, apply_equivalence, dephase,
-                     dephase_at, detect_butson, ensure_verified,
-                     equivalence_profile, row_quotient,
+from .matrix import (EquivalenceProfile, PHMatrix, VerificationReport,
+                     apply_equivalence, dephase, dephase_at, detect_butson,
+                     ensure_verified, equivalence_profile, row_quotient,
                      tensor_product, verify_partial_hadamard)
 from .constructors import (DitaParams, MasterSpec, dita_deformation, f22q,
                            f22q_master_spec, fourier_cyclic, fourier_group,

@@ -55,7 +55,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InvalidInputError
-from .mcnulty_weigert import is_odd_prime
 
 # Proofs of a defect above M+N-1 use at most this many reductions; past it
 # the defect is reported as the upper bound from two primes.
@@ -107,9 +106,28 @@ def cyclotomic_polynomial(l: int) -> List[int]:
 
 # -- exact ranks modulo split primes -----------------------------------------
 
-def _prime_factors(l: int) -> List[int]:
-    return [q for q in range(2, l + 1)
-            if l % q == 0 and (q == 2 or is_odd_prime(q))]
+def is_odd_prime(q: int) -> bool:
+    if q < 3 or q % 2 == 0:
+        return False
+    f = 3
+    while f * f <= q:
+        if q % f == 0:
+            return False
+        f += 2
+    return True
+
+
+@lru_cache(maxsize=None)
+def _prime_factors(l: int) -> Tuple[int, ...]:
+    """The primes dividing l, increasing; none for l < 2."""
+    out, q = [], 2
+    while q * q <= l:
+        if l % q == 0:
+            out.append(q)
+            while l % q == 0:
+                l //= q
+        q += 1
+    return tuple(out + [l] if l > 1 else out)
 
 
 @lru_cache(maxsize=None)
@@ -297,11 +315,27 @@ def _dephased(e: np.ndarray, a: int, b: int, l: int) -> np.ndarray:
     return (e - e[:, b:b + 1] - e[a] + e[a, b]) % l
 
 
+def _distinct_rows(x: np.ndarray, orders) -> Tuple[np.ndarray, np.ndarray]:
+    """The first index of each distinct row of ``x`` and the class label of
+    every row, as np.unique(x, axis=0) returns them.  Column c holds
+    residues modulo orders[c]; each row becomes one int64 key, built a
+    column at a time and relabelled densely before it could overflow."""
+    key = np.zeros(len(x), dtype=np.int64)
+    size = 1
+    for col, base in zip(x.T, np.broadcast_to(orders, x.shape[1:]).tolist()):
+        if size * base >= 1 << 62:
+            key = np.unique(key, return_inverse=True)[1]
+            size = int(key.max()) + 1
+        key = key * base + col
+        size *= base
+    _, first, label = np.unique(key, return_index=True, return_inverse=True)
+    return first, label
+
+
 def _joint_labels(x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Dense labels of the entries (or rows) of x and of y, equal exactly
-    when the entries (rows) are."""
-    label = np.unique(np.concatenate([x, y]), axis=0 if x.ndim > 1 else None,
-                      return_inverse=True)[1].ravel()
+    """Dense labels of the entries of x and of y, equal exactly when the
+    entries are."""
+    label = np.unique(np.concatenate([x, y]), return_inverse=True)[1]
     return label[:len(x)], label[len(x):]
 
 
@@ -410,7 +444,8 @@ def _isomorphisms(base: np.ndarray, other: np.ndarray, l: int,
         if int(c0.max()) + 1 == distinct:
             tau = np.empty_like(c0)
             tau[np.argsort(c0, kind="stable")] = np.argsort(c1, kind="stable")
-            s0, s1 = _joint_labels(base, other[:, tau])
+            label = _distinct_rows(np.concatenate([base, other[:, tau]]), l)[1]
+            s0, s1 = label[:m], label[m:]
             sigma = np.empty_like(s0)
             sigma[np.argsort(s0, kind="stable")] = np.argsort(s1, kind="stable")
             if np.array_equal(other[np.ix_(sigma, tau)], base):
@@ -453,7 +488,7 @@ def _automorphism(e: np.ndarray, l: int) -> Optional[Tuple[np.ndarray, np.ndarra
 
     base = _dephased(e, 0, 0, l)
     want = multisets(base)
-    distinct = len(np.unique(base.T, axis=0))
+    distinct = len(_distinct_rows(base.T, l)[0])
     top = max(_prime_factors(l), default=0)
     budget = [_SEARCH_NODES]
     best = None
@@ -574,20 +609,21 @@ def _reductions_needed(l: int, phi: int, n: int, rank: int) -> int:
 
 def exact_defect_butson(exponents: Sequence[Sequence[int]], l: int) -> ButsonDefect:
     """Defect of the Butson matrix zeta_l^E from ranks of its tangent system
-    modulo split primes (see the module docstring for the proof).
+    modulo split primes (see the module docstring for the proof).  An int64
+    exponent array is read as it is.
 
     The first reduction that reaches the largest possible rank proves the
     defect.  Otherwise, when the Hadamard bound closes within PROOF_CAP
     reductions, reductions continue until it does; when it cannot, two
     reductions give an upper bound and ``exact`` is False.
     """
-    rows = [list(map(int, row)) for row in exponents]
-    if not rows or not rows[0]:
+    try:
+        E = np.asarray(exponents, dtype=np.int64)
+    except ValueError:
+        raise InvalidInputError("ragged exponent table") from None
+    if E.ndim != 2 or not E.size:
         raise InvalidInputError("empty exponent table")
-    if any(len(r) != len(rows[0]) for r in rows):
-        raise InvalidInputError("ragged exponent table")
     phi = len(cyclotomic_polynomial(l)) - 1
-    E = np.array(rows, dtype=np.int64)
     m, n = E.shape
     if m == 1:
         return ButsonDefect(n, True, "proof", (), (), 0)

@@ -31,9 +31,9 @@ import numpy as np
 from .constructors import (MasterSpec, group_elements, master_matrix,
                            normalize_row_subset, truncated_fourier,
                            _check_orders)
-from .cyclotomic import PROOF_CAP, exact_defect_butson
+from .cyclotomic import PROOF_CAP, _dephased, _distinct_rows, exact_defect_butson
 from .errors import ConsistencyError, InvalidInputError
-from .matrix import ButsonForm, PHMatrix, detect_butson, ensure_verified
+from .matrix import BUTSON_ORDER_CAP, PHMatrix, detect_butson, ensure_verified
 from .phases import ExactPhases
 
 DEFAULT_CONFIDENCE = 1e6
@@ -92,9 +92,20 @@ class DefectReport:
         return (self.defect == self.bound) and not self.ambiguous
 
 
-def complex_rows_to_real(rows: np.ndarray) -> np.ndarray:
-    """Stack a complex constraint matrix into [Re; Im] over the reals."""
-    return np.vstack([rows.real, rows.imag])
+def real_rows(a: np.ndarray, b: Optional[np.ndarray] = None) -> tuple:
+    """The real and the imaginary rows of the complex equations
+    a x + b conj(x) = 0, one equation per row of a and b.
+
+    With x = u + iv the real part is Re(a+b) u + Im(b-a) v and the
+    imaginary part Im(a+b) u + Re(a-b) v, over the columns (u, v).  Without
+    b the unknowns are real, x = u, and the rows are Re a and Im a.  The
+    sums are the exact floats the one-term-at-a-time expansion gives, and
+    adding 0.0 turns each -0.0 into the 0.0 it would accumulate to.
+    """
+    if b is None:
+        return a.real, a.imag
+    s, d = a + b, a - b
+    return np.hstack([s.real, -d.imag]) + 0.0, np.hstack([s.imag, d.real]) + 0.0
 
 
 def tangent_system(h: PHMatrix) -> np.ndarray:
@@ -105,16 +116,13 @@ def tangent_system(h: PHMatrix) -> np.ndarray:
     """
     z = h.to_array()
     m, n = h.m, h.n
-    npairs = m * (m - 1) // 2
-    sys = np.zeros((npairs, m * n), dtype=np.complex128)
-    r = 0
-    for i in range(m):
-        for j in range(i + 1, m):
-            w = z[i] * np.conj(z[j])
-            sys[r, i * n:(i + 1) * n] = w
-            sys[r, j * n:(j + 1) * n] = -w
-            r += 1
-    return sys
+    iu, ju = np.triu_indices(m, 1)
+    w = z[iu] * np.conj(z[ju])
+    sys = np.zeros((len(iu), m, n), dtype=np.complex128)
+    at = np.arange(len(iu))
+    sys[at, iu] = w
+    sys[at, ju] = -w
+    return sys.reshape(len(iu), m * n)
 
 
 def _report(method: str, h_shape: Tuple[int, int], unknowns: int, rr: RankResult,
@@ -143,31 +151,30 @@ def defect(h: PHMatrix, tol: float = 1e-9,
     if h.m == 1:
         rr = RankResult(0, None, None, math.inf)
         return _report("direct", h.shape, h.n, rr, tol, confidence, exact=True)
-    real_sys = complex_rows_to_real(tangent_system(h))
+    real_sys = np.vstack(real_rows(tangent_system(h)))
     rr = numerical_rank(real_sys, tol)
     return _report("direct", h.shape, h.m * h.n, rr, tol, confidence)
 
 
-def _butson_report(h: PHMatrix, l_max: int = 60) -> Optional[DefectReport]:
+def _butson_report(h: PHMatrix) -> Optional[DefectReport]:
     """Exact report for Butson-type input, or None.
 
     Method "character-exact" when H is a character matrix
     (_character_report), else from the ranks modulo split primes,
     "direct-exact" when they prove the defect and "direct-modp" when they
     only bound it.  An exact matrix takes the character test at its stored
-    order, whatever that is; l_max caps only the detection of a floating
-    matrix's order and the modular route.  None when neither applies.
+    order, whatever that is; BUTSON_ORDER_CAP caps only the detection of a
+    complex matrix's order and the modular route.  None when neither
+    applies.
     """
-    p = h.phases
-    form = detect_butson(h, max(l_max, p.order) if isinstance(p, ExactPhases)
-                         else l_max)
-    if form is None:
+    table = detect_butson(h)
+    if table is None:
         return None
-    rep = _character_report(h, form)
-    if rep is not None or form.l > l_max:
+    rep = _character_report(h, table)
+    if rep is not None or table.order > BUTSON_ORDER_CAP:
         return rep
-    res = exact_defect_butson(form.exponents, form.l)
-    breakdown = {"butson_order": form.l, "route": res.route,
+    res = exact_defect_butson(table.exp, table.order)
+    breakdown = {"butson_order": table.order, "route": res.route,
                  "primes": list(res.primes), "ranks": list(res.ranks),
                  "reductions": len(res.primes),
                  "symmetry_order": res.symmetry_order}
@@ -181,18 +188,19 @@ def _butson_report(h: PHMatrix, l_max: int = 60) -> Optional[DefectReport]:
                    breakdown=breakdown)
 
 
-def defect_exact(h: PHMatrix, l_max: int = 60) -> DefectReport:
+def defect_exact(h: PHMatrix) -> DefectReport:
     """Exact defect of a Butson-type matrix: the character count when H is
     a character matrix, else ranks modulo split primes, whose proof must
     close within PROOF_CAP reductions."""
     ensure_verified(h)
-    if l_max < 1:
-        raise InvalidInputError("l_max must be >= 1")
-    rep = _butson_report(h, l_max)
+    rep = _butson_report(h)
     if rep is None:
+        l = h.common_butson_order()
         raise InvalidInputError(
-            f"no root-of-unity form of order <= {l_max} found; exact defect "
-            f"needs a Butson-type matrix")
+            f"no root-of-unity form of order <= {BUTSON_ORDER_CAP} found; "
+            f"exact defect needs a Butson-type matrix" if l is None else
+            f"the matrix has root-of-unity order {l} and is not a character "
+            f"matrix; ranks modulo split primes need order <= {BUTSON_ORDER_CAP}")
     if not rep.exact:
         raise InvalidInputError(
             f"exact defect needs {rep.breakdown['reductions_needed']} "
@@ -234,45 +242,29 @@ def extension_system(h: PHMatrix, k: np.ndarray) -> np.ndarray:
     """Real constraint matrix for deformations through a completion.
 
     Unknowns: a Hermitian M x M block X and a free complex M x (N-M) block
-    Y, as M*M + 2*M*(N-M) reals.  Each matrix position gives one row,
-    Im((E K)_ij conj(H_ij)) = 0 for E = (X Y).
+    Y, as M*M + 2*M*(N-M) reals: the diagonal of X, then (Re, Im) of X_ab
+    for a < b, then of each Y_ib.  Each matrix position gives one row,
+    Im((E K)_ij conj(H_ij)) = 0 for E = (X Y), whose complex unknowns are
+    the entries E_iu at u >= i, read as conj(E_ui) at u < i.
     """
     m, n = h.m, h.n
-    z = h.to_array()
-    nu = m * m + 2 * m * (n - m)
-
-    # unknown layout: X diagonal, then (Re, Im) per off-diagonal pair, then Y
-    off = {}
-    pos = m
-    for a in range(m):
-        for b in range(a + 1, m):
-            off[(a, b)] = (pos, pos + 1)
-            pos += 2
-    y_base = pos
-
-    rows = np.zeros((m * n, nu), dtype=np.float64)
+    c = np.conj(h.to_array())[:, :, None] * k.T     # c[i, j, u] = K_uj conj(H_ij)
+    # the rule's columns i*n + u and m*n + i*n + u are Re and Im of E_iu
+    xa, xb = np.triu_indices(m, 1)
+    x = xa * n + xb
+    y = (np.arange(m)[:, None] * n + np.arange(m, n)).ravel()
+    cols = np.concatenate([np.arange(m) * (n + 1),
+                           np.stack([x, x + m * n], axis=1).ravel(),
+                           np.stack([y, y + m * n], axis=1).ravel()])
+    rows = np.empty((m * n, len(cols)))
+    # the equations of row i of H meet only row i of E and column i of X
     for i in range(m):
-        for j in range(n):
-            c = np.conj(z[i, j]) * k[:, j]  # c_u = K_uj conj(H_ij)
-            row = rows[i * n + j]
-            for u in range(n):
-                cu = c[u]
-                if u < m:
-                    if u == i:
-                        row[i] += cu.imag              # diagonal X_ii, real
-
-                    elif i < u:
-                        re_ix, im_ix = off[(i, u)]
-                        row[re_ix] += cu.imag          # X_iu: coeff 1
-                        row[im_ix] += cu.real          # Im(i * cu) = Re cu
-                    else:
-                        re_ix, im_ix = off[(u, i)]
-                        row[re_ix] += cu.imag          # conj(X_ui): Re part
-                        row[im_ix] += -cu.real         # Im(-i * cu)
-                else:
-                    b = u - m
-                    row[y_base + 2 * (i * (n - m) + b)] += cu.imag
-                    row[y_base + 2 * (i * (n - m) + b) + 1] += cu.real
+        a = np.zeros((n, m, n), dtype=np.complex128)
+        b = np.zeros_like(a)
+        a[:, i, i:] = c[i, :, i:]
+        b[:, :i, i] = c[i, :, :i]
+        _, im = real_rows(a.reshape(n, m * n), b.reshape(n, m * n))
+        rows[i * n:(i + 1) * n] = im[:, cols]
     return rows
 
 
@@ -290,23 +282,6 @@ def defect_via_extension(h: PHMatrix, tol: float = 1e-9,
 
 
 # -- character count ------------------------------------------------------------
-
-def _distinct_rows(x: np.ndarray, orders) -> Tuple[np.ndarray, np.ndarray]:
-    """The first index of each distinct row of ``x`` and the class label of
-    every row, as np.unique(x, axis=0) returns them.  Column c holds
-    residues modulo orders[c]; each row becomes one int64 key, built a
-    column at a time and relabelled densely before it could overflow."""
-    key = np.zeros(len(x), dtype=np.int64)
-    size = 1
-    for col, base in zip(x.T, np.broadcast_to(orders, x.shape[1:]).tolist()):
-        if size * base >= 1 << 62:
-            key = np.unique(key, return_inverse=True)[1]
-            size = int(key.max()) + 1
-        key = key * base + col
-        size *= base
-    _, first, label = np.unique(key, return_index=True, return_inverse=True)
-    return first, label
-
 
 def _character_count(vectors, orders) -> Tuple[int, int]:
     """|F| for F = S - S, and m + sum of w_d c_d over one d from each pair
@@ -343,7 +318,7 @@ def _character_count(vectors, orders) -> Tuple[int, int]:
     return len(elements), int(components.sum())
 
 
-def _character_report(h: PHMatrix, form: ButsonForm) -> Optional[DefectReport]:
+def _character_report(h: PHMatrix, table: ExactPhases) -> Optional[DefectReport]:
     """Exact defect of a character matrix, or None when H is not one.
 
     Dephased at (0, 0), the exponent columns of H are elements of Z_l^M.
@@ -358,9 +333,8 @@ def _character_report(h: PHMatrix, form: ButsonForm) -> Optional[DefectReport]:
     in K.  Once the span is K, K is closed under adding its generators,
     hence a subgroup, and the characters are read on the generators alone.
     """
-    l = form.l
-    e = np.array(form.exponents, dtype=np.int64 if l < 1 << 61 else object)
-    e = (e - e[:1] - e[:, :1] + e[0, 0]) % l
+    l = table.order
+    e = _dephased(table.exp, 0, 0, l)
     # K has exponent at most |K| <= N, and the entries generate gZ_l of
     # order l/g, which divides it; dividing by g maps gZ_l onto Z_(l/g)
     g = int(np.gcd.reduce(e.ravel(), initial=l))
@@ -392,7 +366,7 @@ def _character_report(h: PHMatrix, form: ButsonForm) -> Optional[DefectReport]:
     rr = RankResult(h.m * h.n - d, None, None, math.inf)
     return _report("character-exact", h.shape, h.m * h.n, rr, 0.0, math.inf,
                    exact=True,
-                   breakdown={"butson_order": form.l, "route": "character",
+                   breakdown={"butson_order": table.order, "route": "character",
                               "differences": differences,
                               "column_group_order": k})
 
@@ -433,6 +407,36 @@ def defect_split_truncated_fourier(rows: Sequence, orders: Sequence[int],
 
 # -- eigenphase/exponent route ------------------------------------------------
 
+def master_system(spec: MasterSpec) -> np.ndarray:
+    """Real rows of the character-sum systems of a square eigenphase/exponent
+    table, real then imaginary part of each equation in turn.
+
+    Unknowns are the complex coefficients B_is = x_is + i y_is of tangent
+    row i on the basis function k -> e^{-i t_s n_k}, as the reals x (column
+    i*N + s) and then y.  Realness asks N conj(B_ia) = (B L)_ia with
+    L_sa = sum_k e^{-i (t_s + t_a) n_k}, one equation per (i, a); the
+    perturbed rows i != j stay orthogonal when
+    sum_s r_s (B_is - B_js) = 0 with r_s = sum_k e^{i (t_i - t_j - t_s) n_k}.
+    """
+    n = spec.m
+    t = [2.0 * math.pi * float(v) for v in spec.angle_turns()]
+    ell = np.array([[spec.char_sum(-(t[s] + t[a])) for a in range(n)]
+                    for s in range(n)])
+    ii, jj = np.nonzero(~np.eye(n, dtype=bool))
+    r = np.array([[spec.char_sum(t[i] - t[j] - t[s]) for s in range(n)]
+                  for i, j in zip(ii, jj)]).reshape(len(ii), n)
+    at = np.arange(n)
+    eq = np.arange(n * n + len(ii))             # realness (i, a) at i*N + a
+    a = np.zeros((len(eq), n, n), dtype=np.complex128)    # a[equation, i, s]
+    b = np.zeros_like(a)
+    a[eq[:n * n].reshape(n, n), at[:, None]] = -ell.T
+    b[eq[:n * n].reshape(n, n), at[:, None], at] = n
+    a[eq[n * n:], ii] = r
+    a[eq[n * n:], jj] = -r
+    re, im = real_rows(a.reshape(len(eq), n * n), b.reshape(len(eq), n * n))
+    return np.stack([re, im], axis=1).reshape(2 * len(re), 2 * n * n)
+
+
 def defect_master(spec: MasterSpec, tol: float = 1e-9,
                   confidence: float = DEFAULT_CONFIDENCE) -> DefectReport:
     """Defect straight from an eigenphase/exponent table.
@@ -440,8 +444,8 @@ def defect_master(spec: MasterSpec, tol: float = 1e-9,
     Tangent rows are expanded over the basis functions k -> e^{-i t_s n_k}
     (orthogonal because the matrix is Hadamard with distinct eigenphases),
     turning realness and orthogonality of directions into character-sum
-    systems in a complex coefficient matrix B.  Cross-checked against the
-    direct tangent system of the materialized matrix.
+    systems (master_system).  Cross-checked against the direct tangent
+    system of the materialized matrix.
     """
     if spec.m != spec.n:
         raise InvalidInputError(
@@ -454,55 +458,7 @@ def defect_master(spec: MasterSpec, tol: float = 1e-9,
         for j in range(i + 1, nsz):
             if abs(turns[i] - turns[j]) < 1e-12:
                 raise InvalidInputError("eigenphases must be pairwise distinct")
-    t = [2.0 * math.pi * v for v in turns]
-
-    ell = np.zeros((nsz, nsz), dtype=np.complex128)
-    for s in range(nsz):
-        for a in range(nsz):
-            ell[s, a] = spec.char_sum(-(t[s] + t[a]))
-
-    def x_ix(i, s):
-        return i * nsz + s
-
-    def y_ix(i, s):
-        return nsz * nsz + i * nsz + s
-
-    rows = []
-    # realness: N conj(B_ia) = (B L)_ia
-    for i in range(nsz):
-        for a in range(nsz):
-            re_row = np.zeros(2 * nsz * nsz)
-            im_row = np.zeros(2 * nsz * nsz)
-            re_row[x_ix(i, a)] += nsz
-            im_row[y_ix(i, a)] -= nsz
-            for s in range(nsz):
-                re_row[x_ix(i, s)] -= ell[s, a].real
-                re_row[y_ix(i, s)] += ell[s, a].imag
-                im_row[x_ix(i, s)] -= ell[s, a].imag
-                im_row[y_ix(i, s)] -= ell[s, a].real
-            rows.append(re_row)
-            rows.append(im_row)
-    # orthogonality of perturbed rows, per ordered pair
-    for i in range(nsz):
-        for j in range(nsz):
-            if i == j:
-                continue
-            r = np.array([spec.char_sum(t[i] - t[j] - t[s]) for s in range(nsz)])
-            re_row = np.zeros(2 * nsz * nsz)
-            im_row = np.zeros(2 * nsz * nsz)
-            for s in range(nsz):
-                re_row[x_ix(i, s)] += r[s].real
-                re_row[x_ix(j, s)] -= r[s].real
-                re_row[y_ix(i, s)] -= r[s].imag
-                re_row[y_ix(j, s)] += r[s].imag
-                im_row[x_ix(i, s)] += r[s].imag
-                im_row[x_ix(j, s)] -= r[s].imag
-                im_row[y_ix(i, s)] += r[s].real
-                im_row[y_ix(j, s)] -= r[s].real
-            rows.append(re_row)
-            rows.append(im_row)
-    sys = np.array(rows)
-    rr = numerical_rank(sys, tol)
+    rr = numerical_rank(master_system(spec), tol)
     d = 2 * nsz * nsz - rr.rank
 
     direct = defect(h, tol, confidence)
@@ -577,8 +533,7 @@ class IsolationCertificate:
 
 
 def isolation_certificate(h: PHMatrix, tol: float = 1e-9,
-                          confidence: float = DEFAULT_CONFIDENCE,
-                          prefer_exact: bool = True) -> IsolationCertificate:
+                          confidence: float = DEFAULT_CONFIDENCE) -> IsolationCertificate:
     """Decide whether the defect certificate proves isolation.
 
     defect == M + N - 1 certifies the matrix is isolated among partial
@@ -587,13 +542,13 @@ def isolation_certificate(h: PHMatrix, tol: float = 1e-9,
     exactly, so the certificate does not rest on a floating rank decision:
     a character matrix (a row truncation of a group Fourier matrix up to
     equivalence and repeated columns) by the character count, whatever its
-    order, other input of order at most 60 by ranks modulo split primes;
-    when those cannot prove the defect, the certificate carries their upper
-    bound with ``exact`` False.  Other input, or ``prefer_exact=False``,
-    takes the floating SVD.
+    order, other input of order at most BUTSON_ORDER_CAP by ranks modulo
+    split primes; when those cannot prove the defect, the certificate
+    carries their upper bound with ``exact`` False.  Other input takes the
+    floating SVD.
     """
     ensure_verified(h, tol)
-    rep = _butson_report(h) if prefer_exact else None
+    rep = _butson_report(h)
     if rep is None:
         rep = replace(defect(h, tol, confidence),
                       breakdown={"butson_order": None, "route": "float"})

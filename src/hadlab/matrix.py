@@ -23,6 +23,10 @@ from .phases import (ExactPhases, PhaseArray, PhaseEntry, multiply, phase_array,
 
 PhaseLike = Union[PhaseEntry, complex, float, int, Fraction]
 
+# Root-of-unity orders above this are not sought in a complex matrix, and
+# exact defects above it come only from the character count.
+BUTSON_ORDER_CAP = 60
+
 
 def as_phase(v: PhaseLike, tol: float = 1e-9) -> PhaseEntry:
     """Coerce a scalar to a PhaseEntry.
@@ -136,13 +140,6 @@ class VerificationReport:
     tolerance: float
 
 
-@dataclass(frozen=True)
-class ButsonForm:
-    """Exponent table E with H_ij = exp(2*pi*i*E_ij/l)."""
-    l: int
-    exponents: tuple
-
-
 def verify_partial_hadamard(h: PHMatrix, tol: float = 1e-9) -> VerificationReport:
     """Check unit moduli and pairwise row orthogonality.
 
@@ -217,26 +214,26 @@ def row_quotient(h: PHMatrix, i: int, j: int) -> np.ndarray:
     return phase_values(multiply(p[i], p[j].conj()))
 
 
-def detect_butson(h: PHMatrix, l_max: int = 60) -> Optional[ButsonForm]:
-    """Smallest l <= l_max such that every entry is an l-th root of unity.
+def detect_butson(h: PHMatrix, l_max: int = BUTSON_ORDER_CAP) -> Optional[ExactPhases]:
+    """The exponent table of H at the least order l whose roots hold every
+    entry, or None.
 
-    An exact matrix answers with its stored order; floating entries are
-    matched against roots within 1e-9.
+    An exact matrix answers with its stored table, whatever its order; the
+    entries of a complex matrix are matched against l-th roots within 1e-9
+    for l <= l_max.
     """
     if l_max < 1:
         raise InvalidInputError("l_max must be >= 1")
     p = h.phases
     if isinstance(p, ExactPhases):
-        if p.order > l_max:
-            return None
-        return ButsonForm(p.order, tuple(map(tuple, p.exp.tolist())))
+        return p
     z = h.to_array()
     turns = (np.angle(z) / (2.0 * math.pi)) % 1.0
     for l in range(1, l_max + 1):
         e = np.rint(turns * l).astype(int) % l
         resid = np.abs(z - np.exp(2j * math.pi * e / l))
         if np.max(resid) <= 1e-9:
-            return ButsonForm(l, tuple(tuple(int(v) for v in row) for row in e))
+            return ExactPhases(e, l)
     return None
 
 
@@ -278,7 +275,7 @@ class EquivalenceProfile:
     butson_order: Optional[int]
 
 
-def equivalence_profile(h: PHMatrix, tol: float = 1e-9, l_max: int = 60,
+def equivalence_profile(h: PHMatrix, tol: float = 1e-9,
                         cycle_tol: float = 1e-8, budget: int = 10 ** 7) -> EquivalenceProfile:
     """Invariants of the equivalence class of H.
 
@@ -296,9 +293,9 @@ def equivalence_profile(h: PHMatrix, tol: float = 1e-9, l_max: int = 60,
     best: Optional[int] = None
     for r in range(h.m):
         for c in range(h.n):
-            form = detect_butson(dephase_at(h, r, c), l_max)
-            if form is not None and (best is None or form.l < best):
-                best = form.l
+            table = detect_butson(dephase_at(h, r, c))
+            if table is not None and (best is None or table.order < best):
+                best = table.order
     return EquivalenceProfile((h.m, h.n), rep.defect, labels, best)
 
 

@@ -17,20 +17,10 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from .cyclotomic import is_odd_prime
 from .errors import ConsistencyError, InvalidInputError
 from .matrix import PHMatrix, ensure_verified, verify_partial_hadamard
 from .phases import ExactPhases, PhaseEntry, multiply, phase_array
-
-
-def is_odd_prime(q: int) -> bool:
-    if q < 3 or q % 2 == 0:
-        return False
-    f = 3
-    while f * f <= q:
-        if q % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def _require_odd_prime(q: int) -> None:
@@ -124,16 +114,15 @@ class CirculantVector:
     entries: Tuple[PhaseEntry, ...]
 
 
-def gauss_vector(q: int, k: int, cross_check: bool = True) -> CirculantVector:
-    """Exact Gauss-sum vector, optionally validated against the direct row."""
+def gauss_vector(q: int, k: int) -> CirculantVector:
+    """Exact Gauss-sum vector, validated against the direct row."""
     closed = gauss_vector_closed(q, k)
-    if cross_check:
-        direct = gauss_vector_direct(q, k)
-        resid = max(abs(p.value - d) for p, d in zip(closed, direct))
-        if resid > 1e-9:
-            raise ConsistencyError(
-                f"closed-form Gauss vector disagrees with the circulant row "
-                f"(q={q}, k={k}, residual {resid:.3g})")
+    direct = gauss_vector_direct(q, k)
+    resid = max(abs(p.value - d) for p, d in zip(closed, direct))
+    if resid > 1e-9:
+        raise ConsistencyError(
+            f"closed-form Gauss vector disagrees with the circulant row "
+            f"(q={q}, k={k}, residual {resid:.3g})")
     return CirculantVector(q, k, closed)
 
 

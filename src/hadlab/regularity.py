@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cyclotomic import exact_vanishing, solve_integer
+from .cyclotomic import _prime_factors, exact_vanishing, solve_integer
 from .errors import ConsistencyError, InvalidInputError, SearchBudgetExceeded
 from .matrix import PHMatrix, ensure_verified, row_quotient
 from .phases import TAU, ExactPhases, PhaseEntry
@@ -283,7 +283,7 @@ def cycle_decompose_integer(exponents: Sequence[int], l: int,
     for e in exps:
         counts[e] += 1
 
-    primes = [p for p in _primes_upto(l) if l % p == 0]
+    primes = _prime_factors(l)
     complete = True
     found: Optional[list] = [] if n == 0 else None
     if n > 0 and primes:
@@ -335,10 +335,9 @@ def lam_leung_length_admissible(n: int, l: int) -> bool:
     """
     if n < 0:
         raise InvalidInputError("length must be >= 0")
-    primes = [p for p in _primes_upto(l) if l % p == 0] if l > 1 else []
     reachable = [False] * (n + 1)
     reachable[0] = True
-    for p in primes:
+    for p in _prime_factors(l):
         for v in range(p, n + 1):
             if reachable[v - p]:
                 reachable[v] = True
@@ -406,8 +405,7 @@ class WeakIsolationProbe:
 
 def weak_isolation_probe(h: PHMatrix, tol: float = 1e-9,
                          cycle_tol: float = 1e-8,
-                         budget: int = DEFAULT_BUDGET,
-                         l_max: int = 60) -> WeakIsolationProbe:
+                         budget: int = DEFAULT_BUDGET) -> WeakIsolationProbe:
     """Look for a regular, certified-isolated matrix that is not of
     root-of-unity type; such an example would separate regularity from the
     stronger arithmetic properties.
@@ -420,8 +418,8 @@ def weak_isolation_probe(h: PHMatrix, tol: float = 1e-9,
         reg: Optional[bool] = is_regular(h, tol=cycle_tol, budget=budget)
     except SearchBudgetExceeded:
         reg = None
-    form = detect_butson(h, l_max)
-    order = form.l if form is not None else None
+    table = detect_butson(h)
+    order = table.order if table is not None else None
     candidate = bool(reg) and cert.certified_isolated and order is None
     return WeakIsolationProbe(
         regular=reg, certified_isolated=cert.certified_isolated,

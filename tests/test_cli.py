@@ -44,8 +44,8 @@ def f25_file(tmp_path):
 def modular_and_float(h):
     """The ranks modulo split primes on the exponent table of h, and the
     defect from the SVD, for comparison with a character count."""
-    form = detect_butson(h)
-    return exact_defect_butson(form.exponents, form.l), defect(h).defect
+    table = detect_butson(h)
+    return exact_defect_butson(table.exp, table.order), defect(h).defect
 
 
 def test_gen_fourier_stdout_is_document():

@@ -385,7 +385,7 @@ def small_butson(draw):
     rows = draw(st.lists(st.integers(0, full.m - 1), min_size=1,
                          max_size=full.m, unique=True))
     h = PHMatrix([full.entries[r] for r in rows])
-    l = detect_butson(h).l
+    l = detect_butson(h).order
     phases = [PhaseEntry.butson(draw(st.integers(0, l - 1)), l)
               for _ in range(h.m + h.n)]
     return apply_equivalence(h, draw(st.permutations(range(h.m))),
@@ -396,26 +396,26 @@ def small_butson(draw):
 @settings(max_examples=80, deadline=None)
 @given(small_butson())
 def test_modular_certificates_match_the_fraction_oracle(h):
-    form = detect_butson(h)
-    assume(_in_old_exact_box(h, form.l))
-    want = oracle_defect(form.exponents, form.l)
+    table = detect_butson(h)
+    assume(_in_old_exact_box(h, table.order))
+    want = oracle_defect(table.exp.tolist(), table.order)
     bound = h.m + h.n - 1
     # the inputs are character matrices, which both public routes count;
     # the ranks modulo split primes are checked on the same table
     cert = isolation_certificate(h)
     rep = defect_exact(h)
-    res = exact_defect_butson(form.exponents, form.l)
+    res = exact_defect_butson(table.exp, table.order)
     assert cert.exact and rep.exact and res.exact
     assert rep.method == cert.report.method == "character-exact"
     assert cert.defect == rep.defect == res.defect == want
     assert cert.status == ("isolated" if want == bound else "undetermined")
     primes = res.primes
     assert len(set(primes)) == len(primes) == len(res.ranks)
-    assert all(p > 2 ** 20 and p % form.l == 1 % form.l for p in primes)
+    assert all(p > 2 ** 20 and p % table.order == 1 % table.order for p in primes)
     if want > bound:
         # the Hadamard bound on a minor of order r+1 is closed
         r = h.m * h.n - want
-        phi = len(cyclotomic_polynomial(form.l)) - 1
+        phi = len(cyclotomic_polynomial(table.order)) - 1
         assert sum(map(math.log, primes)) > phi * (r + 1) / 2 * math.log(2 * h.n)
 
 

@@ -5,18 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hadlab import (ConsistencyError, InvalidInputError, MWSpec, PHMatrix,
-                    PhaseEntry, apply_equivalence, count_one_entries,
+from hadlab import (ConsistencyError, DitaParams, InvalidInputError, MWSpec,
+                    PHMatrix, PhaseEntry, apply_equivalence, count_one_entries,
                     cyclic_defect_closed_form, defect, defect_exact,
                     defect_master, defect_split_truncated_fourier,
-                    defect_via_extension, detect_butson, f22q, fourier_cyclic,
+                    defect_via_extension, detect_butson, dita_deformation,
+                    f22q, f22q_master_spec, fourier_cyclic,
                     fourier_defect_formula, fourier_group, group_elements,
-                    isolation_certificate, mw_construct, numerical_rank,
-                    normalize_row_subset, petrescu,
+                    isolation_certificate, master_dita, mw_construct,
+                    numerical_rank, normalize_row_subset, petrescu,
                     real_truncation_defect_formula, tensor_product,
                     truncated_fourier, truncation_probe, unitary_completion)
 from hadlab.cyclotomic import PROOF_CAP, exact_defect_butson
-from hadlab.defect import _character_count
+from hadlab.defect import (_character_count, extension_system, master_system,
+                           real_rows, tangent_system)
 from conftest import TRUNCATED_CASES, first_rows, walsh
 
 # defect of the cyclic Fourier matrix F_N for N = 2..20, from the product
@@ -236,8 +238,8 @@ def test_prime_fourier_isolated():
 
 def _modular(h):
     """The ranks modulo split primes on the exponent table of h."""
-    form = detect_butson(h)
-    return exact_defect_butson(form.exponents, form.l)
+    table = detect_butson(h)
+    return exact_defect_butson(table.exp, table.order)
 
 
 def test_criterion_three_certificates_are_exact():
@@ -401,14 +403,20 @@ def test_exact_character_matrices_above_the_order_cap():
         defect_exact(p)
 
 
+def test_exact_refusal_names_the_order():
+    # Petrescu at q = 1/61 is exact, of order 366, but no character matrix
+    p = petrescu(PhaseEntry.turns(Fraction(1, 61)))
+    with pytest.raises(InvalidInputError,
+                       match="order 366 and is not a character matrix"):
+        defect_exact(p)
+
+
 def test_float_route_breakdown():
-    cert = isolation_certificate(fourier_cyclic(5), prefer_exact=False)
-    assert not cert.exact and cert.status == "isolated"
-    assert cert.report.breakdown == {"butson_order": None, "route": "float"}
     p7 = petrescu(PhaseEntry.turns(0.123))
     cert = isolation_certificate(p7)
+    assert not cert.exact and cert.status == "undetermined"
     assert cert.report.method == "direct"
-    assert cert.report.breakdown["route"] == "float"
+    assert cert.report.breakdown == {"butson_order": None, "route": "float"}
 
 
 def test_exact_certificate_f45():
@@ -422,8 +430,8 @@ def test_exact_certificate_f45():
 def test_confidence_drives_ambiguity():
     rep = defect(fourier_cyclic(6), confidence=1e20)
     assert rep.ambiguous
-    cert = isolation_certificate(fourier_cyclic(5), confidence=1e20,
-                                 prefer_exact=False)
+    cert = isolation_certificate(petrescu(PhaseEntry.turns(0.123)),
+                                 confidence=1e20)
     assert cert.status == "ambiguous"
 
 
@@ -451,3 +459,177 @@ def test_truncation_probe_statuses():
 def test_defect_rejects_unverified_input():
     with pytest.raises(InvalidInputError):
         defect(PHMatrix([[1, 1], [1, 1]]))
+
+
+# -- the real systems against the loop builders they replaced ------------------
+
+def ref_tangent_system(h):
+    """One complex row per unordered row pair, a pair at a time."""
+    z = h.to_array()
+    m, n = h.m, h.n
+    npairs = m * (m - 1) // 2
+    sys = np.zeros((npairs, m * n), dtype=np.complex128)
+    r = 0
+    for i in range(m):
+        for j in range(i + 1, m):
+            w = z[i] * np.conj(z[j])
+            sys[r, i * n:(i + 1) * n] = w
+            sys[r, j * n:(j + 1) * n] = -w
+            r += 1
+    return sys
+
+
+def ref_extension_system(h, k):
+    """Im((E K)_ij conj(H_ij)) = 0 expanded term by term, with the signs of
+    the Hermitian block's real and imaginary parts written out."""
+    m, n = h.m, h.n
+    z = h.to_array()
+    nu = m * m + 2 * m * (n - m)
+    off = {}
+    pos = m
+    for a in range(m):
+        for b in range(a + 1, m):
+            off[(a, b)] = (pos, pos + 1)
+            pos += 2
+    y_base = pos
+    rows = np.zeros((m * n, nu), dtype=np.float64)
+    for i in range(m):
+        for j in range(n):
+            c = np.conj(z[i, j]) * k[:, j]
+            row = rows[i * n + j]
+            for u in range(n):
+                cu = c[u]
+                if u < m:
+                    if u == i:
+                        row[i] += cu.imag
+                    elif i < u:
+                        re_ix, im_ix = off[(i, u)]
+                        row[re_ix] += cu.imag
+                        row[im_ix] += cu.real
+                    else:
+                        re_ix, im_ix = off[(u, i)]
+                        row[re_ix] += cu.imag
+                        row[im_ix] += -cu.real
+                else:
+                    b = u - m
+                    row[y_base + 2 * (i * (n - m) + b)] += cu.imag
+                    row[y_base + 2 * (i * (n - m) + b) + 1] += cu.real
+    return rows
+
+
+def ref_master_system(spec):
+    """The realness and orthogonality rows, an entry at a time."""
+    nsz = spec.m
+    turns = [float(x) for x in spec.angle_turns()]
+    t = [2.0 * math.pi * v for v in turns]
+    ell = np.zeros((nsz, nsz), dtype=np.complex128)
+    for s in range(nsz):
+        for a in range(nsz):
+            ell[s, a] = spec.char_sum(-(t[s] + t[a]))
+
+    def x_ix(i, s):
+        return i * nsz + s
+
+    def y_ix(i, s):
+        return nsz * nsz + i * nsz + s
+
+    rows = []
+    for i in range(nsz):
+        for a in range(nsz):
+            re_row = np.zeros(2 * nsz * nsz)
+            im_row = np.zeros(2 * nsz * nsz)
+            re_row[x_ix(i, a)] += nsz
+            im_row[y_ix(i, a)] -= nsz
+            for s in range(nsz):
+                re_row[x_ix(i, s)] -= ell[s, a].real
+                re_row[y_ix(i, s)] += ell[s, a].imag
+                im_row[x_ix(i, s)] -= ell[s, a].imag
+                im_row[y_ix(i, s)] -= ell[s, a].real
+            rows.append(re_row)
+            rows.append(im_row)
+    for i in range(nsz):
+        for j in range(nsz):
+            if i == j:
+                continue
+            r = np.array([spec.char_sum(t[i] - t[j] - t[s]) for s in range(nsz)])
+            re_row = np.zeros(2 * nsz * nsz)
+            im_row = np.zeros(2 * nsz * nsz)
+            for s in range(nsz):
+                re_row[x_ix(i, s)] += r[s].real
+                re_row[x_ix(j, s)] -= r[s].real
+                re_row[y_ix(i, s)] -= r[s].imag
+                re_row[y_ix(j, s)] += r[s].imag
+                im_row[x_ix(i, s)] += r[s].imag
+                im_row[x_ix(j, s)] -= r[s].imag
+                im_row[y_ix(i, s)] += r[s].real
+                im_row[y_ix(j, s)] -= r[s].real
+            rows.append(re_row)
+            rows.append(im_row)
+    return np.array(rows)
+
+
+def _same_bits(x, y):
+    """Equal shapes and dtypes and equal bytes, so np.array_equal and the
+    sign of every zero."""
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+SYSTEM_GROUPS = [(n,) for n in range(2, 9)] + [(2, 2), (2, 3), (2, 4), (3, 3)]
+
+
+@st.composite
+def system_inputs(draw):
+    """(h, seed): a row subset of F_n or F_G, permuted and rephased by float
+    phases, or a float Petrescu, float Dita or permuted MW(5, F2) matrix;
+    the seed also seeds the completion."""
+    kind = draw(st.sampled_from(("fourier", "petrescu", "dita", "mw")))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    if kind == "fourier":
+        orders = draw(st.sampled_from(SYSTEM_GROUPS))
+        n = math.prod(orders)
+        rows = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                             unique=True))
+        h = truncated_fourier(rows, list(orders))
+        return apply_equivalence(
+            h, list(rng.permutation(h.m)), list(rng.permutation(h.n)),
+            list(np.exp(2j * np.pi * rng.random(h.m))),
+            list(np.exp(2j * np.pi * rng.random(h.n)))), seed
+    if kind == "petrescu":
+        return petrescu(PhaseEntry.turns(float(rng.random()))), seed
+    if kind == "dita":
+        grid = tuple(tuple(PhaseEntry.turns(float(x)) for x in row)
+                     for row in rng.random((3, 3)))
+        return dita_deformation(DitaParams(fourier_cyclic(3), fourier_cyclic(3),
+                                           grid)), seed
+    return _permuted(_mw(5, 2), seed), seed
+
+
+@settings(max_examples=40, deadline=None)
+@given(system_inputs())
+def test_systems_equal_the_loop_builders(case):
+    h, seed = case
+    ref = ref_tangent_system(h)
+    assert _same_bits(tangent_system(h), ref)
+    assert _same_bits(np.vstack(real_rows(tangent_system(h))),
+                      np.vstack([ref.real, ref.imag]))
+    k = unitary_completion(h, seed=seed)
+    assert _same_bits(extension_system(h, k), ref_extension_system(h, k))
+
+
+@st.composite
+def master_specs(draw):
+    """f22q tables at odd twentieths, and Dita tables with integer p, r."""
+    if draw(st.booleans()):
+        return f22q_master_spec(PhaseEntry.turns(
+            Fraction(draw(st.sampled_from(range(1, 20, 2))), 20)))
+    n, m = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    p = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+    r = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return master_dita(n, m, 1, tuple(p), tuple(r))[1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(master_specs())
+def test_master_system_equals_the_loop_builder(spec):
+    assert _same_bits(master_system(spec), ref_master_system(spec))

@@ -6,7 +6,7 @@ import pytest
 from hadlab import (InvalidInputError, PHMatrix, PhaseEntry, apply_equivalence,
                     dephase, dephase_at, detect_butson, ensure_verified,
                     equivalence_profile, f22q, fourier_cyclic, row_quotient,
-                    tensor_product, verify_partial_hadamard)
+                    tensor_product, truncated_fourier, verify_partial_hadamard)
 
 
 def test_construction_coerces_and_validates():
@@ -89,17 +89,18 @@ def test_row_quotient_values():
 
 
 def test_detect_butson_exact_path():
-    form = detect_butson(fourier_cyclic(6))
-    assert form.l == 6
-    assert form.exponents[1] == (0, 1, 2, 3, 4, 5)
+    h = fourier_cyclic(6)
+    table = detect_butson(h)
+    assert table is h.phases and table.order == 6
+    assert table.exp[1].tolist() == [0, 1, 2, 3, 4, 5]
 
 
 def test_detect_butson_float_path():
     z = np.exp(2j * np.pi * np.arange(3) / 3)
     h = PHMatrix([[complex(v) for v in z]])
-    form = detect_butson(h)
-    assert form.l == 3
-    assert form.exponents == ((0, 1, 2),)
+    table = detect_butson(h)
+    assert table.order == 3
+    assert table.exp.dtype == np.int64 and table.exp.tolist() == [[0, 1, 2]]
 
 
 def test_detect_butson_none_for_generic_phase():
@@ -110,7 +111,7 @@ def test_detect_butson_none_for_generic_phase():
 def test_detect_butson_f22q_seventh_root():
     # q = exp(2*pi*i/7) mixes 7th roots with -1: the combined order is 14
     h = f22q(PhaseEntry.turns(Fraction(1, 7)))
-    assert detect_butson(h).l == 14
+    assert detect_butson(h).order == 14
 
 
 def test_tensor_product_row_major_and_hadamard():
@@ -148,6 +149,13 @@ def test_equivalence_profile_invariant_under_equivalence():
     phases = [Fraction(int(rng.integers(0, 12)), 12) for _ in range(6)]
     g = apply_equivalence(h, rp, cp, phases, phases)
     assert equivalence_profile(g) == base
+
+
+def test_equivalence_profile_reads_exact_orders_above_the_cap():
+    h = truncated_fourier([0, 1], [61])
+    assert equivalence_profile(h).butson_order == 61
+    table = detect_butson(h, l_max=1)
+    assert table is h.phases and table.order == 61
 
 
 def test_common_butson_order():

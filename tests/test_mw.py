@@ -140,7 +140,7 @@ def test_arithmetic_probe_q7_undetermined():
     assert not rep.certified_isolated
     assert rep.status == "undetermined"
     assert rep.pattern_notes == ()
-    assert detect_butson(mw_construct(spec)).l == 28
+    assert detect_butson(mw_construct(spec)).order == 28
 
 
 def test_arithmetic_probe_flags_other_patterns():

@@ -186,6 +186,15 @@ def test_weak_isolation_probe_fields():
     assert not probe.counterexample_candidate
 
 
+def test_weak_isolation_probe_reads_exact_orders_above_the_cap():
+    # F61 is stored at order 61 > BUTSON_ORDER_CAP; it is of root-of-unity
+    # type, not a counterexample
+    probe = weak_isolation_probe(fourier_cyclic(61))
+    assert probe.regular and probe.certified_isolated
+    assert probe.butson_order == 61
+    assert not probe.counterexample_candidate
+
+
 def test_fourier24_regular_within_default_budget():
     h = fourier_cyclic(24)
     assert is_regular(h, budget=DEFAULT_BUDGET)
