@@ -299,13 +299,14 @@ def _power_basis(l: int) -> np.ndarray:
     return basis
 
 
-def _rows_orthogonal(diffs: np.ndarray, l: int) -> bool:
-    """Whether each row pair's sum of zeta_l^d over its differences d is
-    exactly zero: its exponent counts reduce to zero modulo Phi_l."""
-    npairs = diffs.shape[0]
-    keys = np.arange(npairs)[:, None] * l + diffs
-    counts = np.bincount(keys.ravel(), minlength=npairs * l).reshape(npairs, l)
-    return not np.any(counts @ _power_basis(l))
+def _vanishing_rows(exponents: Sequence[Sequence[int]], l: int) -> np.ndarray:
+    """Per row of an exponent table, whether the sum of zeta_l^e over the
+    row is exactly zero: its exponent counts reduce to zero modulo Phi_l."""
+    e = np.asarray(exponents, dtype=np.int64) % l
+    rows = e.shape[0]
+    keys = np.arange(rows)[:, None] * l + e
+    counts = np.bincount(keys.ravel(), minlength=rows * l).reshape(rows, l)
+    return ~np.any(counts @ _power_basis(l), axis=1)
 
 
 # -- symmetry-adapted blocks -------------------------------------------------
@@ -630,7 +631,7 @@ def exact_defect_butson(exponents: Sequence[Sequence[int]], l: int) -> ButsonDef
     iu, ju = np.triu_indices(m, 1)
     # the column phase directions always lie in the kernel, the row phase
     # directions when the rows are orthogonal
-    top = m * n - (m + n - 1 if _rows_orthogonal((E[iu] - E[ju]) % l, l) else n)
+    top = m * n - (m + n - 1 if _vanishing_rows(E[iu] - E[ju], l).all() else n)
     found = _automorphism(E, l) if m * n >= _SYMMETRY_FLOOR else None
     sigma, tau, r = found or (np.arange(m), np.arange(n), 1)
     layout = _block_layout(sigma, tau, r)
@@ -661,9 +662,7 @@ def exact_defect_butson(exponents: Sequence[Sequence[int]], l: int) -> ButsonDef
 
 def exact_vanishing(exponents: Sequence[int], l: int) -> bool:
     """Whether the sum of zeta_l^e over the exponent list is exactly zero."""
-    basis = _power_basis(l)
-    counts = np.bincount([int(e) % l for e in exponents], minlength=l)
-    return not np.any(counts @ basis)
+    return bool(_vanishing_rows([[int(e) % l for e in exponents]], l)[0])
 
 
 def solve_integer(a_columns: List[Sequence[int]], v: Sequence[int]) -> Optional[List[int]]:

@@ -551,7 +551,8 @@ def isolation_certificate(h: PHMatrix, tol: float = 1e-9,
     rep = _butson_report(h)
     if rep is None:
         rep = replace(defect(h, tol, confidence),
-                      breakdown={"butson_order": None, "route": "float"})
+                      breakdown={"butson_order": h.common_butson_order(),
+                                 "route": "float"})
     bound = h.m + h.n - 1
     if rep.ambiguous:
         status = "ambiguous"

@@ -214,22 +214,20 @@ def row_quotient(h: PHMatrix, i: int, j: int) -> np.ndarray:
     return phase_values(multiply(p[i], p[j].conj()))
 
 
-def detect_butson(h: PHMatrix, l_max: int = BUTSON_ORDER_CAP) -> Optional[ExactPhases]:
+def detect_butson(h: PHMatrix) -> Optional[ExactPhases]:
     """The exponent table of H at the least order l whose roots hold every
     entry, or None.
 
     An exact matrix answers with its stored table, whatever its order; the
     entries of a complex matrix are matched against l-th roots within 1e-9
-    for l <= l_max.
+    for l <= BUTSON_ORDER_CAP.
     """
-    if l_max < 1:
-        raise InvalidInputError("l_max must be >= 1")
     p = h.phases
     if isinstance(p, ExactPhases):
         return p
     z = h.to_array()
     turns = (np.angle(z) / (2.0 * math.pi)) % 1.0
-    for l in range(1, l_max + 1):
+    for l in range(1, BUTSON_ORDER_CAP + 1):
         e = np.rint(turns * l).astype(int) % l
         resid = np.abs(z - np.exp(2j * math.pi * e / l))
         if np.max(resid) <= 1e-9:

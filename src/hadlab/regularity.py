@@ -411,15 +411,13 @@ def weak_isolation_probe(h: PHMatrix, tol: float = 1e-9,
     stronger arithmetic properties.
     """
     from .defect import isolation_certificate
-    from .matrix import detect_butson
 
     cert = isolation_certificate(h, tol=tol)
     try:
         reg: Optional[bool] = is_regular(h, tol=cycle_tol, budget=budget)
     except SearchBudgetExceeded:
         reg = None
-    table = detect_butson(h)
-    order = table.order if table is not None else None
+    order = cert.report.breakdown["butson_order"]
     candidate = bool(reg) and cert.certified_isolated and order is None
     return WeakIsolationProbe(
         regular=reg, certified_isolated=cert.certified_isolated,

@@ -40,9 +40,10 @@ class ProjectionGrid:
         # V[i, j, :] = row i over row j, a unit-modulus vector of length N
         self.vectors = z[:, None, :] * np.conj(z[None, :, :])
 
-    def projection(self, i: int, j: int) -> np.ndarray:
-        v = self.vectors[i, j]
-        return np.outer(v, np.conj(v)) / self.n
+    def overlaps(self) -> np.ndarray:
+        """|<v_ij, v_kl>| / N for every two pairs, both taken row-major."""
+        flat = self.vectors.reshape(self.m * self.m, self.n)
+        return np.abs(flat @ np.conj(flat.T)) / self.n
 
 
 @dataclass(frozen=True)
@@ -56,19 +57,12 @@ class SubmagicReport:
 def verify_submagic(h: PHMatrix, tol: float = 1e-9) -> SubmagicReport:
     """Row and column sums of the projection grid must be projections."""
     grid = ProjectionGrid(h)
-    m, n = grid.m, grid.n
-
-    def proj_residual(s: np.ndarray) -> float:
-        return float(np.max(np.abs(s @ s - s)))
-
-    row_res = 0.0
-    col_res = 0.0
-    for i in range(m):
-        s = sum(grid.projection(i, j) for j in range(m))
-        row_res = max(row_res, proj_residual(s))
-    for j in range(m):
-        s = sum(grid.projection(i, j) for i in range(m))
-        col_res = max(col_res, proj_residual(s))
+    v, w, n = grid.vectors, np.conj(grid.vectors), grid.n
+    # sums[i] = sum_j P_ij for i < M, then sums[M + j] = sum_i P_ij
+    sums = np.concatenate([np.einsum("ija,ijb->iab", v, w, optimize=True),
+                           np.einsum("ija,ijb->jab", v, w, optimize=True)]) / n
+    res = np.max(np.abs(sums @ sums - sums), axis=(1, 2))
+    row_res, col_res = (float(np.max(r)) for r in np.split(res, 2))
     return SubmagicReport(row_res <= tol * n and col_res <= tol * n,
                           row_res, col_res, tol)
 
@@ -87,13 +81,10 @@ def classicality_test(h: PHMatrix, tol: float = 1e-8) -> ClassicalityReport:
     matrices and their truncations; anything strictly between witnesses a
     genuinely quantum (non-classical) grid.
     """
-    return _classicality(ProjectionGrid(h), tol)
+    return _classicality(ProjectionGrid(h).overlaps(), tol)
 
 
-def _classicality(grid: ProjectionGrid, tol: float) -> ClassicalityReport:
-    m, n = grid.m, grid.n
-    flat = grid.vectors.reshape(m * m, n)
-    ov = np.abs(flat @ np.conj(flat.T)) / n
+def _classicality(ov: np.ndarray, tol: float) -> ClassicalityReport:
     dist = np.minimum(ov, np.abs(ov - 1.0))
     worst = float(np.max(dist))
     return ClassicalityReport(worst <= tol, worst, tol)
@@ -118,34 +109,20 @@ def pre_latin_square(h: PHMatrix, tol: float = 1e-8):
     """Classify quotient vectors up to phase; None when non-classical.
 
     Returns (square, representatives) where representatives[x-1] is the
-    vector of the first pair assigned label x.
+    vector of the first pair assigned label x.  On a classical grid each
+    pair is labelled by the first pair, row-major, parallel to it.
     """
     grid = ProjectionGrid(h)
-    if not _classicality(grid, tol).classical:
+    ov = grid.overlaps()
+    if not _classicality(ov, tol).classical:
         return None
-    m, n = grid.m, grid.n
-    reps: List[np.ndarray] = []
-    labels = [[0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            v = grid.vectors[i, j]
-            assigned = None
-            for x, u in enumerate(reps):
-                if abs(np.vdot(u, v)) / n > 0.5:
-                    assigned = x + 1
-                    break
-            if assigned is None:
-                reps.append(v)
-                assigned = len(reps)
-            labels[i][j] = assigned
-    square = PreLatinSquare(tuple(tuple(r) for r in labels), len(reps))
-    for row in square.labels:
-        if len(set(row)) != m:
-            raise ConsistencyError("class label repeated within a row")
-    for col in zip(*square.labels):
-        if len(set(col)) != m:
-            raise ConsistencyError("class label repeated within a column")
-    return square, reps
+    first, labels = np.unique(np.argmax(ov > 0.5, axis=1), return_inverse=True)
+    labels = labels.reshape(grid.m, grid.m) + 1
+    for axis, where in ((1, "row"), (0, "column")):
+        if np.any(np.diff(np.sort(labels, axis=axis), axis=axis) == 0):
+            raise ConsistencyError(f"class label repeated within a {where}")
+    square = PreLatinSquare(tuple(map(tuple, labels.tolist())), len(first))
+    return square, list(grid.vectors.reshape(-1, grid.n)[first])
 
 
 @dataclass(frozen=True)
@@ -245,6 +222,8 @@ def semigroup_closure(generators: Sequence[PartialPermutation],
     # every element is a word in the generators, so right-multiplying each
     # new element by each generator reaches them all
     seen = {g.targets: g for g in gens}
+    if len(seen) > cap:
+        raise SearchBudgetExceeded(f"closure exceeded {cap} elements")
     frontier = list(seen)
     while frontier:
         nxt = []

@@ -15,7 +15,8 @@ from hadlab import (ConsistencyError, DitaParams, InvalidInputError, MWSpec,
                     isolation_certificate, master_dita, mw_construct,
                     numerical_rank, normalize_row_subset, petrescu,
                     real_truncation_defect_formula, tensor_product,
-                    truncated_fourier, truncation_probe, unitary_completion)
+                    truncated_fourier, truncation_probe, unitary_completion,
+                    weak_isolation_probe)
 from hadlab.cyclotomic import PROOF_CAP, exact_defect_butson
 from hadlab.defect import (_character_count, extension_system, master_system,
                            real_rows, tangent_system)
@@ -409,6 +410,16 @@ def test_exact_refusal_names_the_order():
     with pytest.raises(InvalidInputError,
                        match="order 366 and is not a character matrix"):
         defect_exact(p)
+
+
+def test_float_route_records_the_stored_order():
+    # Petrescu at q = 1/61 is stored exactly at order 366 but takes the SVD;
+    # the certificate still names the order, and the probe reads it there
+    p = petrescu(PhaseEntry.turns(Fraction(1, 61)))
+    cert = isolation_certificate(p)
+    assert cert.report.breakdown == {"butson_order": 366, "route": "float"}
+    probe = weak_isolation_probe(p)
+    assert probe.butson_order == 366 and not probe.counterexample_candidate
 
 
 def test_float_route_breakdown():

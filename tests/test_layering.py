@@ -1,6 +1,10 @@
-"""The arithmetic layers stand alone: ``cyclotomic`` and ``phases`` import
-no hadlab module but ``errors``, so either can be imported without the
-matrix, constructor or defect layers."""
+"""The import graph of hadlab, pinned.
+
+Modules form one order; each imports at module level only hadlab modules
+earlier in it.  The arithmetic layers stand alone: ``cyclotomic`` and
+``phases`` import no hadlab module but ``errors``.  The few imports that
+would run against the order sit inside the one function that needs them.
+"""
 
 import ast
 from pathlib import Path
@@ -9,23 +13,54 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hadlab"
 
+LAYER_ORDER = ["errors", "phases", "cyclotomic", "matrix", "constructors",
+               "mcnulty_weigert", "regularity", "defect", "semigroup", "io",
+               "catalog", "schemas", "cli"]
+
+# modules that read the package's __version__ from hadlab/__init__.py
+READS_VERSION = {"catalog", "cli"}
+
+# (module, function) -> the hadlab modules imported inside that function
+FUNCTION_IMPORTS = {
+    ("matrix", "equivalence_profile"): {"defect", "regularity"},
+    ("regularity", "weak_isolation_probe"): {"defect"},
+    ("mcnulty_weigert", "arithmetic_isolation_probe"): {"defect"},
+}
+
+
+def _imported(node: ast.AST) -> set:
+    """The hadlab modules one statement imports, or an empty set."""
+    if isinstance(node, ast.ImportFrom):
+        if node.level:
+            return {node.module} if node.module else {a.name for a in node.names}
+        if node.module and node.module.split(".")[0] == "hadlab":
+            return {".".join(node.module.split(".")[1:]) or "hadlab"}
+    elif isinstance(node, ast.Import):
+        return {a.name.split(".", 1)[1] if "." in a.name else a.name
+                for a in node.names if a.name.split(".")[0] == "hadlab"}
+    return set()
+
+
+def _scoped_imports(path: Path) -> dict:
+    """Scope -> the hadlab modules imported in it: None for the module
+    level, else the name of the innermost enclosing function."""
+    out: dict = {}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            names = _imported(child)
+            if names:
+                out.setdefault(scope, set()).update(names)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else scope)
+
+    visit(ast.parse(path.read_text(), str(path)), None)
+    return out
+
 
 def _hadlab_imports(path: Path) -> set:
     """The hadlab modules a source file imports, at any depth in it."""
-    out = set()
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        if isinstance(node, ast.ImportFrom):
-            if node.level:
-                base = node.module or ""
-                out.update([base] if base else [a.name for a in node.names])
-            elif node.module and node.module.split(".")[0] == "hadlab":
-                out.add(".".join(node.module.split(".")[1:]) or "hadlab")
-        elif isinstance(node, ast.Import):
-            out.update(a.name.split(".", 1)[1] for a in node.names
-                       if a.name.startswith("hadlab."))
-            if any(a.name == "hadlab" for a in node.names):
-                out.add("hadlab")
-    return out
+    return set().union(*_scoped_imports(path).values())
 
 
 @pytest.mark.parametrize("module", ["cyclotomic", "phases"])
@@ -33,10 +68,33 @@ def test_arithmetic_layers_import_only_errors(module):
     assert _hadlab_imports(SRC / f"{module}.py") <= {"errors"}
 
 
+def test_the_order_names_every_module():
+    modules = {p.stem for p in SRC.glob("*.py")} - {"__init__", "__main__"}
+    assert modules == set(LAYER_ORDER)
+
+
+@pytest.mark.parametrize("module", LAYER_ORDER)
+def test_module_level_imports_follow_the_order(module):
+    allowed = set(LAYER_ORDER[:LAYER_ORDER.index(module)])
+    if module in READS_VERSION:
+        allowed.add("__version__")
+    assert _scoped_imports(SRC / f"{module}.py").get(None, set()) <= allowed
+
+
+def test_function_level_imports_are_the_known_few():
+    found = {(module, scope): names for module in LAYER_ORDER
+             for scope, names in _scoped_imports(SRC / f"{module}.py").items()
+             if scope is not None}
+    assert found == FUNCTION_IMPORTS
+
+
 def test_the_check_sees_relative_and_absolute_imports(tmp_path):
     src = tmp_path / "m.py"
     src.write_text("from .errors import X\nfrom . import matrix\n"
                    "import hadlab.defect\nfrom hadlab.io import y\n"
-                   "def f():\n    from .constructors import z\n")
+                   "def f():\n    from .constructors import z\n"
+                   "class C:\n    def g(self):\n        import hadlab.cli\n")
+    assert _scoped_imports(src) == {None: {"errors", "matrix", "defect", "io"},
+                                    "f": {"constructors"}, "g": {"cli"}}
     assert _hadlab_imports(src) == {"errors", "matrix", "defect", "io",
-                                    "constructors"}
+                                    "constructors", "cli"}

@@ -105,7 +105,7 @@ def test_detect_butson_float_path():
 
 def test_detect_butson_none_for_generic_phase():
     h = PHMatrix([[np.exp(0.7j)]])
-    assert detect_butson(h, l_max=40) is None
+    assert detect_butson(h) is None
 
 
 def test_detect_butson_f22q_seventh_root():
@@ -154,7 +154,7 @@ def test_equivalence_profile_invariant_under_equivalence():
 def test_equivalence_profile_reads_exact_orders_above_the_cap():
     h = truncated_fourier([0, 1], [61])
     assert equivalence_profile(h).butson_order == 61
-    table = detect_butson(h, l_max=1)
+    table = detect_butson(h)
     assert table is h.phases and table.order == 61
 
 

@@ -15,8 +15,8 @@ from hadlab import (DitaParams, InvalidInputError, MWSpec, PartialPermutation,
                     moment_matrix, mw_construct, petrescu, pre_latin_square,
                     predicted_truncated_semigroup, semigroup_closure,
                     sigma_from_square, truncated_fourier, verify_submagic)
-from hadlab.semigroup import (MAX_MOMENT_ENTRIES, ProjectionGrid,
-                              _rotation_block_eigenvalues)
+from hadlab.semigroup import (MAX_MOMENT_ENTRIES, PreLatinSquare,
+                              ProjectionGrid, _rotation_block_eigenvalues)
 
 
 def f25():
@@ -55,6 +55,97 @@ def test_pre_latin_square_f25():
 
 def test_pre_latin_square_none_for_quantum_grid():
     assert pre_latin_square(f22q(Fraction(1, 20))) is None
+
+
+def _greedy_pre_latin_square(h, tol=1e-8):
+    """Reference labelling: each pair, row-major, takes the label of the
+    first representative parallel to it, else becomes a new representative.
+    Returns (labels, n_labels, representatives), or None when non-classical."""
+    if not classicality_test(h, tol).classical:
+        return None
+    grid = ProjectionGrid(h)
+    m, n = grid.m, grid.n
+    reps = []
+    labels = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(m):
+            v = grid.vectors[i, j]
+            assigned = None
+            for x, u in enumerate(reps):
+                if abs(np.vdot(u, v)) / n > 0.5:
+                    assigned = x + 1
+                    break
+            if assigned is None:
+                reps.append(v)
+                assigned = len(reps)
+            labels[i][j] = assigned
+    return tuple(tuple(r) for r in labels), len(reps), reps
+
+
+def _summed_submagic(h, tol=1e-9):
+    """Reference sub-magic check: each row and column sum of the grid is
+    built from its M outer products.  Returns (ok, row, col residuals)."""
+    grid = ProjectionGrid(h)
+    m, n = grid.m, grid.n
+
+    def projection(i, j):
+        v = grid.vectors[i, j]
+        return np.outer(v, np.conj(v)) / n
+
+    def residual(s):
+        return float(np.max(np.abs(s @ s - s)))
+
+    row = max(residual(sum(projection(i, j) for j in range(m))) for i in range(m))
+    col = max(residual(sum(projection(i, j) for i in range(m))) for j in range(m))
+    return row <= tol * n and col <= tol * n, row, col
+
+
+# row subsets of F_n and F_G, and two non-classical square matrices
+GRID_ORDERS = [[n] for n in range(2, 10)] + [[2, 2], [2, 3], [2, 4], [3, 3]]
+NON_CLASSICAL = [f22q(Fraction(1, 20)), petrescu(PhaseEntry.turns(Fraction(1, 7))),
+                 petrescu(PhaseEntry.turns(0.123))]
+
+
+@st.composite
+def grid_cases(draw):
+    h = draw(st.sampled_from(GRID_ORDERS + NON_CLASSICAL))
+    if isinstance(h, list):
+        n = math.prod(h)
+        rows = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 7),
+                             unique=True))
+        h = truncated_fourier(sorted(rows), h)
+    phase = st.one_of(st.fractions(0, 1, max_denominator=12),
+                      st.floats(0, 1, exclude_max=True)).map(PhaseEntry.turns)
+    return apply_equivalence(h, draw(st.permutations(range(h.m))),
+                             draw(st.permutations(range(h.n))),
+                             [draw(phase) for _ in range(h.m)],
+                             [draw(phase) for _ in range(h.n)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid_cases())
+@example(truncated_fourier(range(11), [44]))
+@example(f22q(Fraction(1, 20)))
+@example(petrescu(PhaseEntry.turns(Fraction(1, 7))))
+def test_grid_answers_match_the_loop_references(h):
+    ref = _greedy_pre_latin_square(h)
+    res = pre_latin_square(h)
+    assert (res is None) == (ref is None)
+    if ref is not None:
+        square, reps = res
+        labels, n_labels, ref_reps = ref
+        assert square.labels == labels and square.n_labels == n_labels
+        assert len(reps) == n_labels
+        assert all(np.allclose(u, v) for u, v in zip(reps, ref_reps))
+        gens = [sigma_from_square(PreLatinSquare(labels, n_labels), x)
+                for x in range(1, n_labels + 1)]
+        closure, _ = extract_semigroup(h)
+        assert closure.elements == semigroup_closure(gens).elements
+    ok, row, col = _summed_submagic(h)
+    rep = verify_submagic(h)
+    assert rep.ok == ok
+    assert abs(rep.max_row_residual - row) <= 1e-12
+    assert abs(rep.max_col_residual - col) <= 1e-12
 
 
 def test_partial_permutation_basics():
@@ -180,6 +271,11 @@ def test_closure_cap():
     gens = [sigma_from_square(square, x) for x in range(1, square.n_labels + 1)]
     with pytest.raises(SearchBudgetExceeded):
         semigroup_closure(gens, cap=5)
+    # the cap binds the generators too, before any composition
+    with pytest.raises(SearchBudgetExceeded):
+        semigroup_closure([PartialPermutation.identity(2),
+                           PartialPermutation.empty(2),
+                           PartialPermutation((1, None))], cap=2)
     assert semigroup_closure([]).size == 0
 
 
