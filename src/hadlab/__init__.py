@@ -44,7 +44,8 @@ from .semigroup import (MomentMatrix, MomentReport, PartialPermutation,
                         compose, cyclic_moment_oracle, extract_semigroup,
                         interval_shift_maps, moment, moment_matrix,
                         pre_latin_square, predicted_truncated_semigroup,
-                        semigroup_closure, sigma_from_square, verify_submagic)
+                        semigroup_closure, sigma_from_square, square_closure,
+                        verify_submagic)
 from .io import (dumps_phm, from_document, load_phm, loads_phm, save_phm,
                  to_document)
 from .catalog import (CatalogRecord, append_record, catalog_path,

@@ -36,7 +36,8 @@ from .matrix import PHMatrix, equivalence_profile, verify_partial_hadamard
 from .mcnulty_weigert import MWSpec, arithmetic_isolation_probe, mw_construct
 from .phases import PhaseEntry, parse_phase
 from .regularity import cycle_structure_profile
-from .semigroup import classicality_test, extract_semigroup, moment
+from .semigroup import (classicality_test, moment, pre_latin_square,
+                        square_closure)
 
 OK = 0
 PROPERTY_FAILS = 1
@@ -332,13 +333,15 @@ def _regularity(args, h: PHMatrix) -> Outcome:
 
 
 def _semigroup(args, h: PHMatrix) -> Outcome:
-    rep = classicality_test(h, args.cycle_tol)
-    if not rep.classical:
+    res = pre_latin_square(h, args.cycle_tol)
+    if res is None:
+        rep = classicality_test(h, args.cycle_tol)
         data = {"classical": False, "worst_overlap": rep.worst_overlap}
         return Outcome(PROPERTY_FAILS, data,
                        f"non-classical grid: overlap {rep.worst_overlap:.3g} "
                        f"is neither 0 nor 1", data)
-    closure, square = extract_semigroup(h, args.cycle_tol)
+    square = res[0]
+    closure = square_closure(square)
     data = {"classical": True, "n_labels": square.n_labels,
             "square": [list(r) for r in square.labels],
             "size": closure.size,

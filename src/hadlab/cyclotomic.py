@@ -663,75 +663,3 @@ def exact_defect_butson(exponents: Sequence[Sequence[int]], l: int) -> ButsonDef
 def exact_vanishing(exponents: Sequence[int], l: int) -> bool:
     """Whether the sum of zeta_l^e over the exponent list is exactly zero."""
     return bool(_vanishing_rows([[int(e) % l for e in exponents]], l)[0])
-
-
-def solve_integer(a_columns: List[Sequence[int]], v: Sequence[int]) -> Optional[List[int]]:
-    """Solve sum_j c_j * a_columns[j] = v over the integers.
-
-    Column reduction to echelon form with a recorded transform; returns one
-    solution or None.  Exactness matters here, not speed: systems are tiny.
-    """
-    ncols = len(a_columns)
-    if ncols == 0:
-        return None if any(v) else []
-    nrows = len(a_columns[0])
-    w = [list(map(int, col)) for col in a_columns]
-    u = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
-    def col_addmul(dst: int, src: int, f: int):
-        for r in range(nrows):
-            w[dst][r] += f * w[src][r]
-        for r in range(ncols):
-            u[dst][r] += f * u[src][r]
-
-    def col_swap(i: int, j: int):
-        w[i], w[j] = w[j], w[i]
-        u[i], u[j] = u[j], u[i]
-
-    pivots = []  # (row, col) pairs, rows increasing
-    pc = 0
-    for row in range(nrows):
-        if pc == ncols:
-            break
-        live = [j for j in range(pc, ncols) if w[j][row] != 0]
-        if not live:
-            continue
-        # Euclidean reduction among the live columns at this row
-        while len(live) > 1:
-            live.sort(key=lambda j: abs(w[j][row]))
-            base = live[0]
-            nxt = []
-            for j in live[1:]:
-                col_addmul(j, base, -(w[j][row] // w[base][row]))
-                if w[j][row] != 0:
-                    nxt.append(j)
-            live = [base] + nxt
-        j = live[0]
-        col_swap(pc, j)
-        if w[pc][row] < 0:
-            for r in range(nrows):
-                w[pc][r] = -w[pc][r]
-            for r in range(ncols):
-                u[pc][r] = -u[pc][r]
-        pivots.append((row, pc))
-        pc += 1
-
-    res = list(map(int, v))
-    y = [0] * ncols
-    for row, col in pivots:
-        p = w[col][row]
-        if res[row] % p != 0:
-            return None
-        t = res[row] // p
-        if t:
-            for r in range(nrows):
-                res[r] -= t * w[col][r]
-        y[col] = t
-    if any(res):
-        return None
-    x = [sum(u[j][i] * y[j] for j in range(ncols)) for i in range(ncols)]
-    # paranoia: confirm the reconstruction
-    for r in range(nrows):
-        if sum(a_columns[j][r] * x[j] for j in range(ncols)) != v[r]:
-            raise ArithmeticError("integer solve reconstruction failed")
-    return x

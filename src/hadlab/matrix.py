@@ -278,8 +278,11 @@ def equivalence_profile(h: PHMatrix, tol: float = 1e-9,
     """Invariants of the equivalence class of H.
 
     The Butson order of the matrix as given is not invariant (row and column
-    phases change entry orders), so the reported order is the minimum over
-    all pivot dephasings, which phase changes cannot affect.
+    phases change entry orders), so the reported order is that of the
+    dephasing D at (0, 0), which phase changes cannot affect.  It is also
+    the least over all pivots: the dephasing at (r, c) is D dephased at
+    (r, c), and D is that one dephased at (0, 0), so each holds the roots
+    of unity of the other's order.
     """
     ensure_verified(h, tol)
     # imported here: defect and regularity modules build on this one
@@ -288,13 +291,9 @@ def equivalence_profile(h: PHMatrix, tol: float = 1e-9,
 
     rep = _defect(h, tol=tol)
     labels = tuple(sorted(cycle_structure_profile(h, tol=cycle_tol, budget=budget).values()))
-    best: Optional[int] = None
-    for r in range(h.m):
-        for c in range(h.n):
-            table = detect_butson(dephase_at(h, r, c))
-            if table is not None and (best is None or table.order < best):
-                best = table.order
-    return EquivalenceProfile((h.m, h.n), rep.defect, labels, best)
+    table = detect_butson(dephase(h)[0])
+    return EquivalenceProfile((h.m, h.n), rep.defect, labels,
+                              table.order if table is not None else None)
 
 
 def _derived_label(h: PHMatrix, op: str) -> Optional[str]:

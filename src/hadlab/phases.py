@@ -121,12 +121,6 @@ class PhaseEntry:
             return PhaseEntry.butson(a.e * (l // a.l) + b.e * (l // b.l), l)
         return PhaseEntry("cartesian", z=a.value * b.value)
 
-    def power(self, n: int) -> "PhaseEntry":
-        """Integer power (exact for exact phases)."""
-        if self.kind == "butson":
-            return PhaseEntry.butson(self.e * n, self.l)
-        return PhaseEntry("cartesian", z=self.z ** n)
-
     def __repr__(self) -> str:
         if self.kind == "butson":
             return f"PhaseEntry.butson({self.e}, {self.l})"

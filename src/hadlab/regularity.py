@@ -6,8 +6,9 @@ p-th roots of unity (p prime): subsets of the form rho * {1, zeta_p, ...,
 zeta_p^{p-1}}.  The decomposition search is an exact cover of the term
 indices by forced completion: a p-cycle through a term a is exactly
 {a * zeta_p^m}, so its other p-1 terms are looked up, not searched for.
-Integer exponent input additionally gets an exact lattice treatment, where
-negative coefficients can appear.
+Exact input is searched on its exponents, over the primes dividing the
+root order; a sum with no such cover is still written over the integers
+as rotated cycles, where negative coefficients can appear.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cyclotomic import _prime_factors, exact_vanishing, solve_integer
+from .cyclotomic import _prime_factors, exact_vanishing
 from .errors import ConsistencyError, InvalidInputError, SearchBudgetExceeded
 from .matrix import PHMatrix, ensure_verified, row_quotient
 from .phases import TAU, ExactPhases, PhaseEntry
@@ -33,6 +34,11 @@ def _primes_upto(n: int) -> list:
         if all(p % q for q in out):
             out.append(p)
     return out
+
+
+def _label(primes) -> str:
+    """The text of a cover: its cycle primes, largest first, as "3+2+2"."""
+    return "+".join(map(str, sorted(primes, reverse=True)))
 
 
 @dataclass(frozen=True)
@@ -49,8 +55,7 @@ class CycleDecomposition:
 
     @property
     def label(self) -> str:
-        return "+".join(str(p) for p in sorted((c.p for c in self.cycles),
-                                               reverse=True))
+        return _label(c.p for c in self.cycles)
 
     def __str__(self):
         return self.label
@@ -75,16 +80,13 @@ def _exponent_classes(exps: Sequence[int], l: int):
     """Classes and partner lookup for exact terms zeta_l^e, e in exps.
 
     Terms with one exponent share a class; the partner of class c for
-    (p, m) is the class of exponent e_c + m*l/p, which exists only when p
-    divides l.
+    (p, m), p a prime dividing l, is the class of exponent e_c + m*l/p.
     """
     ids: dict = {}
     classes = [ids.setdefault(e, len(ids)) for e in exps]
     expo = list(ids)
 
     def lookup(c: int, p: int, m: int) -> tuple:
-        if l % p:
-            return ()
         hit = ids.get((expo[c] + m * (l // p)) % l)
         return () if hit is None else (hit,)
     return classes, lookup
@@ -264,14 +266,51 @@ class IntegerCycleDecomposition:
     search_complete: bool
 
 
+def _cycle_peel(counts: Sequence[int], l: int) -> list:
+    """Signed rotated prime cycles summing to a vanishing count vector.
+
+    counts[e] is the multiplicity of zeta_l^e.  Returns the components
+    (p, rotation, coefficient) of one integer combination, rotations
+    reduced mod l/p, coefficients nonzero.
+
+    Let p^a exactly divide l.  The p-cycle {r + j*l/p} fixes e mod l/p^a,
+    and its residues mod p^a run once through a coset of p^(a-1).  Since
+    Q(zeta_{p^a}) and Q(zeta_{l/p^a}) are linearly disjoint and
+    Phi_{p^a}(x) = sum_j x^(j*p^(a-1)), a sum vanishes exactly when the
+    count rows at residues mod p^a of one coset differ by vanishing sums
+    over the other primes.  Giving every p-cycle the current count of its
+    member with e mod p^a < p^(a-1), and subtracting, leaves each row a
+    vanishing sum over the other primes, so after the last prime nothing
+    is left (de Bruijn, Indag. Math. 15, 1953; Lam and Leung, J. Algebra
+    224, 2000).  ConsistencyError when something is left: the counts did
+    not vanish.
+    """
+    c = np.array(counts, dtype=np.int64)
+    comps = []
+    for p in _prime_factors(l):
+        q = p
+        while l % (q * p) == 0:
+            q *= p
+        step = l // p
+        cycles = np.arange(step)[:, None] + step * np.arange(p)  # row r: through r
+        coef = c[cycles[cycles % q < q // p]]       # exactly one member per row
+        c[cycles] -= coef[:, None]
+        comps += [(p, r, k) for r, k in enumerate(coef.tolist()) if k]
+    if c.any():
+        raise ConsistencyError(
+            f"sum of {l}-th roots is not an integer combination of rotated "
+            f"prime cycles; it cannot vanish")
+    return sorted(comps, key=lambda t: (-t[0], t[1]))
+
+
 def cycle_decompose_integer(exponents: Sequence[int], l: int,
                             budget: int = DEFAULT_BUDGET) -> IntegerCycleDecomposition:
     """Exact decomposition of sum_k zeta_l^{e_k} over the integers.
 
     Tries the same exact-cover search as the floating route (p restricted to
-    primes dividing l, arithmetic exact); if no partition exists, solves the
-    lattice system over all rotated prime cycles, where coefficients may
-    need to be negative.
+    primes dividing l, arithmetic exact); if no partition exists, peels the
+    counts into rotated prime cycles, where coefficients may need to be
+    negative.
     """
     if l < 1:
         raise InvalidInputError("l must be >= 1")
@@ -279,16 +318,12 @@ def cycle_decompose_integer(exponents: Sequence[int], l: int,
     n = len(exps)
     if not exact_vanishing(exps, l):
         return IntegerCycleDecomposition(l, False, None, None, None, True)
-    counts = [0] * l
-    for e in exps:
-        counts[e] += 1
 
-    primes = _prime_factors(l)
     complete = True
     found: Optional[list] = [] if n == 0 else None
-    if n > 0 and primes:
+    if n > 0:
         try:
-            found = _cover(*_exponent_classes(exps, l), primes[::-1], budget)
+            found = _cover(*_exponent_classes(exps, l), _prime_factors(l)[::-1], budget)
         except SearchBudgetExceeded:
             complete = False
     if found is not None:
@@ -300,29 +335,11 @@ def cycle_decompose_integer(exponents: Sequence[int], l: int,
                              key=lambda t: (-t[0], t[1])))
         return IntegerCycleDecomposition(l, True, comps, True, "exact-cover", complete)
 
-    # lattice fallback: v = sum of c_{p,r} * (indicator of r + m*(l/p))
-    cols = []
-    keys = []
-    for p in primes:
-        step = l // p
-        for r in range(step):
-            vec = [0] * l
-            for m in range(p):
-                vec[(r + m * step) % l] += 1
-            cols.append(vec)
-            keys.append((p, r))
-    sol = solve_integer(cols, counts)
-    if sol is None:
-        raise ConsistencyError(
-            f"vanishing sum of {l}-th roots admits no integer cycle "
-            f"combination; this contradicts the lattice structure of "
-            f"vanishing sums")
-    comps = tuple(sorted(((p, r, c) for (p, r), c in zip(keys, sol) if c != 0),
-                         key=lambda t: (-t[0], t[1])))
+    comps = tuple(_cycle_peel(np.bincount(exps, minlength=l), l))
     allpos = all(c >= 0 for _, _, c in comps)
     if allpos and complete:
         raise ConsistencyError(
-            "lattice solve found a nonnegative combination but the exact "
+            "cycle peel found a nonnegative combination but the exact "
             "cover search completed empty; these cannot both be right")
     nonneg: Optional[bool] = True if allpos else (False if complete else None)
     return IntegerCycleDecomposition(l, True, comps, nonneg, "lattice-solve", complete)
@@ -352,6 +369,14 @@ def _pair_label(terms: np.ndarray, tol: float, budget: int) -> str:
     return dec.label if dec is not None else "irregular"
 
 
+def _exact_pair_label(exps: list, l: int, primes: list, budget: int) -> str:
+    try:
+        found = _cover(*_exponent_classes(exps, l), primes, budget)
+    except SearchBudgetExceeded:
+        return "inconclusive"
+    return _label(p for p, _ in found) if found is not None else "irregular"
+
+
 def cycle_structure_profile(h: PHMatrix, tol: float = 1e-8,
                             budget: int = DEFAULT_BUDGET) -> dict:
     """Decomposition label for every row pair.
@@ -359,11 +384,13 @@ def cycle_structure_profile(h: PHMatrix, tol: float = 1e-8,
     Values are labels like "3+2", or "irregular" when the completed search
     finds no partition, or "inconclusive" when the budget ran out.
 
-    On an exact matrix the terms of pair (i, j) are the roots of unity of
-    the exponent differences E_i - E_j mod l, so pairs whose sorted
-    differences agree have one term multiset.  Each distinct multiset is
-    searched once, on its terms in sorted order, and its label goes to
-    every pair that has it; budget bounds each of these searches.
+    On an exact matrix of order l the terms of pair (i, j) are the roots
+    of unity of the exponent differences E_i - E_j mod l, so pairs whose
+    sorted differences agree have one term multiset.  Each distinct
+    multiset is searched once, on its sorted exponents, and its label goes
+    to every pair that has it; budget bounds each of these searches.  A
+    p-cycle of l-th roots needs p | l, so only the primes up to N that
+    divide l are tried, and tol plays no part.
     """
     ensure_verified(h)
     phases = h.phases
@@ -371,6 +398,8 @@ def cycle_structure_profile(h: PHMatrix, tol: float = 1e-8,
         return {(i, j): _pair_label(row_quotient(h, i, j), tol, budget)
                 for i in range(h.m) for j in range(i + 1, h.m)}
     e, l = phases.exp, phases.order
+    # l itself is not factored: trial division is slow at orders near 2^70
+    primes = [p for p in _primes_upto(h.n)[::-1] if l % p == 0]
     labels: dict = {}
     out = {}
     for i in range(h.m - 1):
@@ -379,7 +408,7 @@ def cycle_structure_profile(h: PHMatrix, tol: float = 1e-8,
             # Python-int exponents (order >= 2^61) have no byte image
             key = tuple(d) if d.dtype == object else d.tobytes()
             if key not in labels:
-                labels[key] = _pair_label(ExactPhases(d, l).values(), tol, budget)
+                labels[key] = _exact_pair_label(d.tolist(), l, primes, budget)
             out[(i, j)] = labels[key]
     return out
 

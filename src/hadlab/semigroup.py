@@ -262,8 +262,13 @@ def extract_semigroup(h: PHMatrix, tol: float = 1e-8,
             "projection grid is non-classical; no partial permutation "
             "semigroup to extract")
     square, _ = res
+    return square_closure(square, cap), square
+
+
+def square_closure(square: PreLatinSquare, cap: int = MAX_CLOSURE) -> SemigroupClosure:
+    """The semigroup generated by the partial permutations of the classes."""
     gens = [sigma_from_square(square, x) for x in range(1, square.n_labels + 1)]
-    return semigroup_closure(gens, cap), square
+    return semigroup_closure(gens, cap)
 
 
 def interval_shift_maps(m: int) -> Tuple[PartialPermutation, ...]:

@@ -421,6 +421,9 @@ def test_regularity_command_decides_f24(tmp_path):
     assert body["data"]["regular"] is True
     assert len(body["data"]["pairs"]) == 276
     assert not body["data"]["inconclusive_pairs"]
+    # the exact search tries only the primes 2 and 3 dividing 24
+    code, _ = run_command(["regularity", str(f24), "--budget", "60"])
+    assert code == 0
 
 
 def test_semigroup_command(f25_file, tmp_path):
@@ -434,6 +437,19 @@ def test_semigroup_command(f25_file, tmp_path):
     code, body = run_json(["semigroup", str(q4)])
     assert code == 1
     assert body["data"]["classical"] is False
+
+
+def test_semigroup_command_builds_one_grid(f25_file, monkeypatch):
+    from hadlab import semigroup
+    built = []
+
+    class Counting(semigroup.ProjectionGrid):
+        def __init__(self, h):
+            built.append(h)
+            super().__init__(h)
+    monkeypatch.setattr(semigroup, "ProjectionGrid", Counting)
+    code, _ = run_command(["semigroup", f25_file])
+    assert code == 0 and len(built) == 1
 
 
 def test_moments_command(tmp_path):

@@ -12,8 +12,7 @@ from hadlab import (InvalidInputError, MWSpec, PHMatrix, PhaseEntry,
 from hadlab.cyclotomic import (PROOF_CAP, _automorphism, _block_layout,
                                _power_basis, _tangent_blocks,
                                cyclotomic_polynomial, exact_defect_butson,
-                               exact_vanishing, rank_mod_p, solve_integer,
-                               split_primes)
+                               exact_vanishing, rank_mod_p, split_primes)
 
 KNOWN = {
     1: [-1, 1],
@@ -165,29 +164,6 @@ def test_exact_vanishing():
     assert exact_vanishing([0, 3], 6)
     assert not exact_vanishing([0, 1], 5)
     assert exact_vanishing([5, 6, 12, 18, 24, 25], 30)
-
-
-def test_solve_integer_solvable_and_unsolvable():
-    cols = [[2, 0], [3, 1]]
-    assert solve_integer(cols, [2, 0]) == [1, 0]
-    x = solve_integer(cols, [7, 1])
-    assert x is not None and 2 * x[0] + 3 * x[1] == 7 and x[1] == 1
-    assert solve_integer([[2, 0], [0, 2]], [1, 0]) is None
-    assert solve_integer([], [0, 0]) == []
-    assert solve_integer([], [1]) is None
-
-
-def test_solve_integer_random_roundtrip():
-    rng = np.random.default_rng(17)
-    for _ in range(25):
-        nrows, ncols = int(rng.integers(2, 6)), int(rng.integers(1, 6))
-        a = rng.integers(-4, 5, size=(nrows, ncols))
-        x = rng.integers(-3, 4, size=ncols)
-        v = (a @ x).tolist()
-        cols = [a[:, j].tolist() for j in range(ncols)]
-        sol = solve_integer(cols, v)
-        assert sol is not None
-        assert (a @ np.array(sol)).tolist() == v
 
 
 def test_rank_mod_p_keeps_every_entry_in_the_exact_range(monkeypatch):

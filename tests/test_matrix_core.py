@@ -5,8 +5,9 @@ import pytest
 
 from hadlab import (InvalidInputError, PHMatrix, PhaseEntry, apply_equivalence,
                     dephase, dephase_at, detect_butson, ensure_verified,
-                    equivalence_profile, f22q, fourier_cyclic, row_quotient,
-                    tensor_product, truncated_fourier, verify_partial_hadamard)
+                    equivalence_profile, f22q, fourier_cyclic, fourier_group,
+                    petrescu, row_quotient, tensor_product, truncated_fourier,
+                    verify_partial_hadamard)
 
 
 def test_construction_coerces_and_validates():
@@ -149,6 +150,39 @@ def test_equivalence_profile_invariant_under_equivalence():
     phases = [Fraction(int(rng.integers(0, 12)), 12) for _ in range(6)]
     g = apply_equivalence(h, rp, cp, phases, phases)
     assert equivalence_profile(g) == base
+
+
+def _least_pivot_order(h):
+    """The least Butson order over the dephasings at every pivot."""
+    orders = [t.order for t in (detect_butson(dephase_at(h, r, c))
+                                for r in range(h.m) for c in range(h.n))
+              if t is not None]
+    return min(orders, default=None)
+
+
+def test_equivalence_profile_order_is_the_least_over_all_pivots():
+    bases = [fourier_cyclic(n) for n in (2, 3, 4, 6, 8)] + [
+        fourier_group([2, 2]), fourier_group([2, 4]), f22q(Fraction(1, 20)),
+        f22q(PhaseEntry.turns(0.1234)), petrescu(PhaseEntry.turns(Fraction(1, 7))),
+        petrescu(PhaseEntry.turns(0.321))]
+    rng = np.random.default_rng(5)
+    seen = set()
+    for k in range(40):
+        h = bases[k % len(bases)]
+        if k % 3 == 0:      # exact phases at order 12
+            phase = lambda: Fraction(int(rng.integers(12)), 12)
+        elif k % 3 == 1:    # float phases
+            phase = lambda: complex(np.exp(2j * np.pi * rng.random()))
+        else:               # float images of exact phases
+            phase = lambda: complex(np.exp(2j * np.pi * int(rng.integers(24)) / 24))
+        g = apply_equivalence(h, list(rng.permutation(h.m)), list(rng.permutation(h.n)),
+                              [phase() for _ in range(h.m)], [phase() for _ in range(h.n)])
+        rows = sorted(rng.choice(g.m, size=int(rng.integers(1, g.m + 1)), replace=False))
+        g = PHMatrix.from_phases(g.phases[rows])
+        want = _least_pivot_order(g)
+        assert equivalence_profile(g).butson_order == want
+        seen.add(want)
+    assert None in seen and len(seen) > 3
 
 
 def test_equivalence_profile_reads_exact_orders_above_the_cap():

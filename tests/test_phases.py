@@ -65,13 +65,6 @@ def test_exact_arithmetic_matches_complex(ta, tb):
     assert close(a.conj().value, a.value.conjugate(), 1e-9)
 
 
-@given(turn_fractions, st.integers(min_value=-6, max_value=6))
-def test_power_is_repeated_product(t, n):
-    p = PhaseEntry.turns(t)
-    assert p.power(n).exact_turn() == (t * n) % 1
-    assert close(p.power(n).value, p.value ** n, 1e-9)
-
-
 def test_mixed_exact_float_degrades_gracefully():
     a = PhaseEntry.turns(Fraction(1, 3))
     b = PhaseEntry.turns(0.1)

@@ -15,7 +15,7 @@ from hadlab import (ConsistencyError, InvalidInputError, MWSpec, PHMatrix,
                     cycle_structure_profile, fourier_cyclic, fourier_group,
                     is_regular, lam_leung_length_admissible, mw_construct,
                     petrescu, term_multiset, weak_isolation_probe)
-from hadlab.regularity import DEFAULT_BUDGET
+from hadlab.regularity import DEFAULT_BUDGET, _cycle_peel
 
 
 def roots(p: int, rho: complex = 1.0) -> list:
@@ -157,6 +157,31 @@ def test_integer_route_negative_coefficients_l30():
         expect[e] += 1
     assert counts == expect
     assert any(c < 0 for _, _, c in d.components)
+
+
+def _cycle_sum(components, l):
+    counts = [0] * l
+    for p, r, c in components:
+        for m in range(p):
+            counts[(r + m * (l // p)) % l] += c
+    return counts
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((6, 12, 30, 60, 210, 360, 420)), st.data())
+def test_cycle_peel_reconstructs_signed_cycle_sums(l, data):
+    primes = [p for p in (2, 3, 5, 7) if l % p == 0]
+    comps = data.draw(st.lists(st.tuples(st.sampled_from(primes),
+                                         st.integers(0, l - 1),
+                                         st.integers(-3, 3)), max_size=12))
+    counts = _cycle_sum(comps, l)
+    peeled = _cycle_peel(counts, l)
+    assert _cycle_sum(peeled, l) == counts
+    assert all(c != 0 and 0 <= r < l // p for p, r, c in peeled)
+    # one more term anywhere leaves a sum that does not vanish
+    counts[data.draw(st.integers(0, l - 1))] += 1
+    with pytest.raises(ConsistencyError):
+        _cycle_peel(counts, l)
 
 
 def test_integer_route_budget_gives_indeterminate_sign():
@@ -380,8 +405,29 @@ def profile_inputs(draw):
 @example((_fourier13_at_big_order(), DEFAULT_BUDGET))
 @example((MW7, 2))
 def test_grouped_profile_matches_per_pair_search(case):
+    # the exact search skips the primes not dividing the order, so at a
+    # small budget it may decide a pair the reference leaves inconclusive;
+    # what it decides there is what the reference decides given room
     h, budget = case
-    assert cycle_structure_profile(h, budget=budget) == _reference_profile(h, budget)
+    got = cycle_structure_profile(h, budget=budget)
+    want = _reference_profile(h, budget)
+    assert got.keys() == want.keys()
+    unbounded = None
+    for pair, label in want.items():
+        if label != "inconclusive":
+            assert got[pair] == label
+        elif got[pair] != "inconclusive":
+            unbounded = unbounded or _reference_profile(h)
+            assert got[pair] == unbounded[pair]
+
+
+def test_profile_never_factors_the_order(monkeypatch):
+    # trial division of BIG takes seconds; the profile reads the primes
+    # dividing the order off the primes up to N instead
+    def refuse(l):
+        raise AssertionError(f"factored {l}")
+    monkeypatch.setattr("hadlab.regularity._prime_factors", refuse)
+    assert set(cycle_structure_profile(_fourier13_at_big_order()).values()) == {"13"}
 
 
 def test_grouped_profile_fixed_cases():
