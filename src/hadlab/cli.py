@@ -36,8 +36,7 @@ from .matrix import PHMatrix, equivalence_profile, verify_partial_hadamard
 from .mcnulty_weigert import MWSpec, arithmetic_isolation_probe, mw_construct
 from .phases import PhaseEntry, parse_phase
 from .regularity import cycle_structure_profile
-from .semigroup import (classicality_test, moment, pre_latin_square,
-                        square_closure)
+from .semigroup import _grid_classes, moment, square_closure
 
 OK = 0
 PROPERTY_FAILS = 1
@@ -333,9 +332,8 @@ def _regularity(args, h: PHMatrix) -> Outcome:
 
 
 def _semigroup(args, h: PHMatrix) -> Outcome:
-    res = pre_latin_square(h, args.cycle_tol)
+    rep, res = _grid_classes(h, args.cycle_tol)
     if res is None:
-        rep = classicality_test(h, args.cycle_tol)
         data = {"classical": False, "worst_overlap": rep.worst_overlap}
         return Outcome(PROPERTY_FAILS, data,
                        f"non-classical grid: overlap {rep.worst_overlap:.3g} "

@@ -1,24 +1,24 @@
 """Exact arithmetic with cyclotomic integers, and exact ranks of Butson
 tangent systems.
 
-``exact_vanishing`` reduces exponent counts modulo the l-th cyclotomic
-polynomial over the integers.  ``exact_defect_butson`` ranks the tangent
-system of a Butson matrix modulo split primes: a prime p = 1 (mod l) has
-an element w of order l in F_p, and zeta_l -> w is a ring map from
-Z[zeta_l] onto F_p.  The stacked system [C; conj(C)] has entries in
-Z[zeta_l] and its minors map to minors, so a reduction never raises the
-rank: every mod-p rank is a lower bound on the true rank, and M*N minus it
-an upper bound on the defect.  Row (j, i) of C, taken over ordered pairs,
-is -conj of row (i, j), so the rows of C over all ordered pairs span the
-same space as [C; conj(C)]; they are what is ranked.  Two facts turn
-such bounds into proofs.  When the rows are orthogonal the trivial phase
-directions lie in the kernel, so the rank is at most M*N - (M+N-1), and
-one reduction that reaches it proves isolation.  Otherwise the Hadamard
-bound closes the proof: every row holds 2N roots of unity, so a nonzero
-minor of order r+1 has norm at most (2N)^(phi(l)(r+1)/2), and that norm
-is divisible by each prime at which the minor vanishes.  Once the primes
-at which the rank stayed at most r multiply past the bound, the rank is
-exactly r.
+``exact_vanishing`` peels exponent counts into rotated prime cycles; a sum
+vanishes exactly when nothing is left (see ``_cycle_peel``).
+``exact_defect_butson`` ranks the tangent system of a Butson matrix modulo
+split primes: a prime p = 1 (mod l) has an element w of order l in F_p,
+and zeta_l -> w is a ring map from Z[zeta_l] onto F_p.  The stacked system
+[C; conj(C)] has entries in Z[zeta_l] and its minors map to minors, so a
+reduction never raises the rank: every mod-p rank is a lower bound on the
+true rank, and M*N minus it an upper bound on the defect.  Row (j, i) of
+C, taken over ordered pairs, is -conj of row (i, j), so the rows of C over
+all ordered pairs span the same space as [C; conj(C)]; they are what is
+ranked.  Two facts turn such bounds into proofs.  When the rows are
+orthogonal the trivial phase directions lie in the kernel, so the rank is
+at most M*N - (M+N-1), and one reduction that reaches it proves isolation.
+Otherwise the Hadamard bound closes the proof: every row holds 2N roots of
+unity, so a nonzero minor of order r+1 has norm at most
+(2N)^(phi(l)(r+1)/2), and that norm is divisible by each prime at which
+the minor vanishes.  Once the primes at which the rank stayed at most r
+multiply past the bound, the rank is exactly r.
 
 Above a size floor the mod-p rank is split by symmetry.  An automorphism
 (sigma, tau) with E[sigma i, tau j] = E[i, j] + d_i + e_j (mod l) maps
@@ -67,42 +67,6 @@ _CHUNK = 512                # trailing columns per GEMM, bounding its temporary
 _SHORT = 128                # vectors this short reduce in one np.remainder call
 _SYMMETRY_FLOOR = 400       # below this many unknowns no automorphism is sought
 _SEARCH_NODES = 1000        # branches the automorphism search may open
-
-# polynomials are coefficient lists, lowest degree first
-
-
-def _poly_divmod_exact(num: list, den: list) -> list:
-    """Quotient of integer polynomials known to divide exactly."""
-    num = list(num)
-    q = [0] * (len(num) - len(den) + 1)
-    lead = den[-1]
-    for k in range(len(q) - 1, -1, -1):
-        c = num[k + len(den) - 1]
-        if c % lead != 0:
-            raise ArithmeticError("division is not exact")
-        q[k] = c // lead
-        for i, d in enumerate(den):
-            num[k + i] -= q[k] * d
-    if any(num):
-        raise ArithmeticError("division is not exact")
-    return q
-
-
-@lru_cache(maxsize=None)
-def _cyclotomic_cached(l: int) -> tuple:
-    num = [-1] + [0] * (l - 1) + [1]
-    for d in range(1, l):
-        if l % d == 0:
-            num = _poly_divmod_exact(num, _cyclotomic_cached(d))
-    return tuple(num)
-
-
-def cyclotomic_polynomial(l: int) -> List[int]:
-    """Integer coefficients of the l-th cyclotomic polynomial, low first."""
-    if l < 1:
-        raise InvalidInputError("l must be >= 1")
-    return list(_cyclotomic_cached(l))
-
 
 # -- exact ranks modulo split primes -----------------------------------------
 
@@ -283,30 +247,58 @@ def rank_mod_p(a: np.ndarray, p: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _power_basis(l: int) -> np.ndarray:
-    """Row e is zeta_l^e on the power basis 1, zeta_l, ..., zeta_l^(phi-1):
-    x^e reduced modulo Phi_l, for 0 <= e < l.  A sum of roots of unity with
-    exponent counts c vanishes exactly when c @ _power_basis(l) is zero."""
-    phi = np.array(cyclotomic_polynomial(l), dtype=np.int64)
-    deg = len(phi) - 1
-    basis = np.zeros((l, deg), dtype=np.int64)
-    basis[:deg] = np.eye(deg, dtype=np.int64)
-    for e in range(deg, l):
-        # x * x^(e-1), with its x^deg term replaced by -(Phi_l - x^deg)
-        basis[e, 1:] = basis[e - 1, :-1]
-        basis[e] -= basis[e - 1, -1] * phi[:deg]
-    basis.flags.writeable = False
-    return basis
+def _peel_index(l: int) -> Tuple[Tuple[int, np.ndarray], ...]:
+    """Per prime p | l, with p^a exactly dividing l: for each r < l/p, the
+    member of the p-cycle {r + j*l/p} whose residue mod p^a is below
+    p^(a-1)."""
+    out = []
+    for p in _prime_factors(l):
+        q = math.gcd(l, p ** l.bit_length())      # p^a
+        cycles = np.arange(l).reshape(p, l // p).T  # row r: the cycle through r
+        first = cycles[cycles % q < q // p]         # one member per row
+        first.flags.writeable = False
+        out.append((p, first))
+    return tuple(out)
+
+
+def _cycle_peel(counts, l: int) -> Tuple[List[Tuple[int, np.ndarray]], np.ndarray]:
+    """Peel exponent counts into rotated prime cycles, over the last axis.
+
+    counts[..., e] is the multiplicity of zeta_l^e.  Returns, for each
+    prime p | l in increasing order, (p, coefficients) with coefficient
+    [..., r] on zeta_l^r times the sum of all p-th roots, r < l/p; and
+    the counts left over.
+
+    Let p^a exactly divide l.  The p-cycle through r fixes e mod l/p^a,
+    and its residues mod p^a run once through a coset of p^(a-1).  Since
+    Q(zeta_{p^a}) and Q(zeta_{l/p^a}) are linearly disjoint and
+    Phi_{p^a}(x) = sum_j x^(j*p^(a-1)), a sum vanishes exactly when the
+    count rows at residues mod p^a of one coset differ by vanishing sums
+    over the other primes.  Giving every p-cycle the current count of its
+    member with e mod p^a < p^(a-1), and subtracting, leaves each row a
+    vanishing sum over the other primes.  So the sum vanishes exactly when
+    nothing is left after the last prime, and the coefficients then write
+    it as an integer combination of rotated cycles (de Bruijn, Indag.
+    Math. 15, 1953; Lam and Leung, J. Algebra 224, 2000).
+    """
+    c = np.array(counts, dtype=np.int64, order="C")
+    coefs = []
+    for p, first in _peel_index(l):
+        coef = c.take(first, axis=-1)
+        cycles = c.reshape(-1, p, l // p)   # a view: column r, the cycle through r
+        cycles -= coef.reshape(-1, 1, l // p)
+        coefs.append((p, coef))
+    return coefs, c
 
 
 def _vanishing_rows(exponents: Sequence[Sequence[int]], l: int) -> np.ndarray:
     """Per row of an exponent table, whether the sum of zeta_l^e over the
-    row is exactly zero: its exponent counts reduce to zero modulo Phi_l."""
+    row is exactly zero: the peel of its exponent counts leaves nothing."""
     e = np.asarray(exponents, dtype=np.int64) % l
     rows = e.shape[0]
     keys = np.arange(rows)[:, None] * l + e
     counts = np.bincount(keys.ravel(), minlength=rows * l).reshape(rows, l)
-    return ~np.any(counts @ _power_basis(l), axis=1)
+    return ~_cycle_peel(counts, l)[1].any(axis=1)
 
 
 # -- symmetry-adapted blocks -------------------------------------------------
@@ -624,7 +616,10 @@ def exact_defect_butson(exponents: Sequence[Sequence[int]], l: int) -> ButsonDef
         raise InvalidInputError("ragged exponent table") from None
     if E.ndim != 2 or not E.size:
         raise InvalidInputError("empty exponent table")
-    phi = len(cyclotomic_polynomial(l)) - 1
+    if l < 1:
+        raise InvalidInputError("l must be >= 1")
+    factors = _prime_factors(l)
+    phi = l * math.prod(p - 1 for p in factors) // math.prod(factors)
     m, n = E.shape
     if m == 1:
         return ButsonDefect(n, True, "proof", (), (), 0)
@@ -662,4 +657,7 @@ def exact_defect_butson(exponents: Sequence[Sequence[int]], l: int) -> ButsonDef
 
 def exact_vanishing(exponents: Sequence[int], l: int) -> bool:
     """Whether the sum of zeta_l^e over the exponent list is exactly zero."""
-    return bool(_vanishing_rows([[int(e) % l for e in exponents]], l)[0])
+    if l < 1:
+        raise InvalidInputError("l must be >= 1")
+    counts = np.bincount([int(e) % l for e in exponents], minlength=l)
+    return not _cycle_peel(counts, l)[1].any()

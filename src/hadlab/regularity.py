@@ -7,20 +7,23 @@ zeta_p^{p-1}}.  The decomposition search is an exact cover of the term
 indices by forced completion: a p-cycle through a term a is exactly
 {a * zeta_p^m}, so its other p-1 terms are looked up, not searched for.
 Exact input is searched on its exponents, over the primes dividing the
-root order; a sum with no such cover is still written over the integers
-as rotated cycles, where negative coefficients can appear.
+root order.  Whether an exact sum vanishes at all is decided by peeling
+its exponent counts into rotated prime cycles (``cyclotomic._cycle_peel``);
+a vanishing sum with no cover is written over the integers by that peel,
+where negative coefficients can appear.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cyclotomic import _prime_factors, exact_vanishing
+from .cyclotomic import _cycle_peel, _prime_factors
 from .errors import ConsistencyError, InvalidInputError, SearchBudgetExceeded
 from .matrix import PHMatrix, ensure_verified, row_quotient
 from .phases import TAU, ExactPhases, PhaseEntry
@@ -266,57 +269,28 @@ class IntegerCycleDecomposition:
     search_complete: bool
 
 
-def _cycle_peel(counts: Sequence[int], l: int) -> list:
-    """Signed rotated prime cycles summing to a vanishing count vector.
-
-    counts[e] is the multiplicity of zeta_l^e.  Returns the components
-    (p, rotation, coefficient) of one integer combination, rotations
-    reduced mod l/p, coefficients nonzero.
-
-    Let p^a exactly divide l.  The p-cycle {r + j*l/p} fixes e mod l/p^a,
-    and its residues mod p^a run once through a coset of p^(a-1).  Since
-    Q(zeta_{p^a}) and Q(zeta_{l/p^a}) are linearly disjoint and
-    Phi_{p^a}(x) = sum_j x^(j*p^(a-1)), a sum vanishes exactly when the
-    count rows at residues mod p^a of one coset differ by vanishing sums
-    over the other primes.  Giving every p-cycle the current count of its
-    member with e mod p^a < p^(a-1), and subtracting, leaves each row a
-    vanishing sum over the other primes, so after the last prime nothing
-    is left (de Bruijn, Indag. Math. 15, 1953; Lam and Leung, J. Algebra
-    224, 2000).  ConsistencyError when something is left: the counts did
-    not vanish.
-    """
-    c = np.array(counts, dtype=np.int64)
-    comps = []
-    for p in _prime_factors(l):
-        q = p
-        while l % (q * p) == 0:
-            q *= p
-        step = l // p
-        cycles = np.arange(step)[:, None] + step * np.arange(p)  # row r: through r
-        coef = c[cycles[cycles % q < q // p]]       # exactly one member per row
-        c[cycles] -= coef[:, None]
-        comps += [(p, r, k) for r, k in enumerate(coef.tolist()) if k]
-    if c.any():
-        raise ConsistencyError(
-            f"sum of {l}-th roots is not an integer combination of rotated "
-            f"prime cycles; it cannot vanish")
-    return sorted(comps, key=lambda t: (-t[0], t[1]))
+def _by_prime(comps) -> tuple:
+    """Components (p, rotation, coefficient), largest prime first, then by
+    rotation."""
+    return tuple(sorted(comps, key=lambda t: (-t[0], t[1])))
 
 
 def cycle_decompose_integer(exponents: Sequence[int], l: int,
                             budget: int = DEFAULT_BUDGET) -> IntegerCycleDecomposition:
     """Exact decomposition of sum_k zeta_l^{e_k} over the integers.
 
-    Tries the same exact-cover search as the floating route (p restricted to
-    primes dividing l, arithmetic exact); if no partition exists, peels the
-    counts into rotated prime cycles, where coefficients may need to be
-    negative.
+    The counts are peeled into rotated prime cycles once: anything left
+    means the sum does not vanish.  A vanishing sum goes to the same
+    exact-cover search as the floating route (p restricted to primes
+    dividing l, arithmetic exact); if no partition exists, the peel's
+    coefficients, some of which may be negative, are the account.
     """
     if l < 1:
         raise InvalidInputError("l must be >= 1")
     exps = [int(e) % l for e in exponents]
     n = len(exps)
-    if not exact_vanishing(exps, l):
+    peel, rest = _cycle_peel(np.bincount(exps, minlength=l), l)
+    if rest.any():
         return IntegerCycleDecomposition(l, False, None, None, None, True)
 
     complete = True
@@ -327,15 +301,12 @@ def cycle_decompose_integer(exponents: Sequence[int], l: int,
         except SearchBudgetExceeded:
             complete = False
     if found is not None:
-        agg = {}
-        for p, idxs in found:
-            key = (p, exps[idxs[0]] % (l // p))
-            agg[key] = agg.get(key, 0) + 1
-        comps = tuple(sorted(((p, r, c) for (p, r), c in agg.items()),
-                             key=lambda t: (-t[0], t[1])))
+        agg = Counter((p, exps[idxs[0]] % (l // p)) for p, idxs in found)
+        comps = _by_prime((p, r, c) for (p, r), c in agg.items())
         return IntegerCycleDecomposition(l, True, comps, True, "exact-cover", complete)
 
-    comps = tuple(_cycle_peel(np.bincount(exps, minlength=l), l))
+    comps = _by_prime((p, r, k) for p, coef in peel
+                      for r, k in enumerate(coef.tolist()) if k)
     allpos = all(c >= 0 for _, _, c in comps)
     if allpos and complete:
         raise ConsistencyError(

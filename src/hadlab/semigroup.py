@@ -112,17 +112,24 @@ def pre_latin_square(h: PHMatrix, tol: float = 1e-8):
     vector of the first pair assigned label x.  On a classical grid each
     pair is labelled by the first pair, row-major, parallel to it.
     """
+    return _grid_classes(h, tol)[1]
+
+
+def _grid_classes(h: PHMatrix, tol: float):
+    """The classicality report of the projection grid and what
+    pre_latin_square returns, from one grid."""
     grid = ProjectionGrid(h)
     ov = grid.overlaps()
-    if not _classicality(ov, tol).classical:
-        return None
+    report = _classicality(ov, tol)
+    if not report.classical:
+        return report, None
     first, labels = np.unique(np.argmax(ov > 0.5, axis=1), return_inverse=True)
     labels = labels.reshape(grid.m, grid.m) + 1
     for axis, where in ((1, "row"), (0, "column")):
         if np.any(np.diff(np.sort(labels, axis=axis), axis=axis) == 0):
             raise ConsistencyError(f"class label repeated within a {where}")
     square = PreLatinSquare(tuple(map(tuple, labels.tolist())), len(first))
-    return square, list(grid.vectors.reshape(-1, grid.n)[first])
+    return report, (square, list(grid.vectors.reshape(-1, grid.n)[first]))
 
 
 @dataclass(frozen=True)

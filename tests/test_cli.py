@@ -8,7 +8,7 @@ import pytest
 from hadlab import (CATALOG_RECORD_SCHEMA, PHM_V1_SCHEMA, RESULT_SCHEMA,
                     ConsistencyError, content_hash, cyclic_defect_closed_form,
                     defect, defect_split_truncated_fourier, detect_butson,
-                    f22q_master_spec, fourier_cyclic, load_phm, loads_phm,
+                    f22q, f22q_master_spec, fourier_cyclic, load_phm, loads_phm,
                     read_records, save_phm, truncated_fourier)
 from hadlab.cli import run_command
 from hadlab.cyclotomic import exact_defect_butson
@@ -439,7 +439,7 @@ def test_semigroup_command(f25_file, tmp_path):
     assert body["data"]["classical"] is False
 
 
-def test_semigroup_command_builds_one_grid(f25_file, monkeypatch):
+def test_semigroup_command_builds_one_grid(f25_file, tmp_path, monkeypatch):
     from hadlab import semigroup
     built = []
 
@@ -450,6 +450,12 @@ def test_semigroup_command_builds_one_grid(f25_file, monkeypatch):
     monkeypatch.setattr(semigroup, "ProjectionGrid", Counting)
     code, _ = run_command(["semigroup", f25_file])
     assert code == 0 and len(built) == 1
+    # a non-classical grid answers from the same one grid
+    quantum = tmp_path / "f22q.json"
+    save_phm(f22q(Fraction(1, 20)), str(quantum))
+    built.clear()
+    code, _ = run_command(["semigroup", str(quantum)])
+    assert code == 1 and len(built) == 1
 
 
 def test_moments_command(tmp_path):

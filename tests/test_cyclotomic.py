@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from hadlab import (InvalidInputError, MWSpec, PHMatrix, PhaseEntry,
                     fourier_cyclic, fourier_group, isolation_certificate,
                     mw_construct, petrescu, tensor_product)
 from hadlab.cyclotomic import (PROOF_CAP, _automorphism, _block_layout,
-                               _power_basis, _tangent_blocks,
-                               cyclotomic_polynomial, exact_defect_butson,
-                               exact_vanishing, rank_mod_p, split_primes)
+                               _cycle_peel, _tangent_blocks, _vanishing_rows,
+                               exact_defect_butson, exact_vanishing,
+                               rank_mod_p, split_primes)
 
 KNOWN = {
     1: [-1, 1],
@@ -29,49 +30,99 @@ KNOWN = {
 
 def test_cyclotomic_polynomials_known_table():
     for l, coeffs in KNOWN.items():
-        assert cyclotomic_polynomial(l) == coeffs
-    with pytest.raises(InvalidInputError):
-        cyclotomic_polynomial(0)
+        assert _reference_cyclotomic(l) == coeffs
 
 
 def test_cyclotomic_first_nontrivial_coefficient():
     # smallest order with a coefficient outside {-1, 0, 1}
-    assert -2 in cyclotomic_polynomial(105)
+    assert -2 in _reference_cyclotomic(105)
 
 
 def test_cyclotomic_root_numerically():
     for l in (5, 7, 12, 30):
         z = np.exp(2j * np.pi / l)
-        val = sum(c * z ** k for k, c in enumerate(cyclotomic_polynomial(l)))
+        val = sum(c * z ** k for k, c in enumerate(_reference_cyclotomic(l)))
         assert abs(val) < 1e-9
 
 
 def test_power_basis_rows_are_powers_of_zeta():
     for l in (5, 7, 12, 30, 105):
         z = np.exp(2j * np.pi / l)
-        basis = _power_basis(l)
+        basis = _OracleField(l).pow
         for e in range(l):
             val = sum(int(c) * z ** k for k, c in enumerate(basis[e]))
             assert abs(val - z ** e) < 1e-9, (l, e)
 
 
 def test_context_power_wraps_and_reduces():
-    assert _power_basis(5).shape == (5, 4)
     # exponents are read modulo l: e and e + l name the same root
     assert exact_vanishing([5, 11, -3, 8, 14], 5)
     assert not exact_vanishing([2, -3], 5)
     # zeta^4 = -1 - zeta - zeta^2 - zeta^3
-    assert _power_basis(5)[4].tolist() == [-1, -1, -1, -1]
+    assert _OracleField(5).pow[4] == [-1, -1, -1, -1]
     assert not exact_vanishing([0, 1, 2, 3], 5)
     assert not exact_vanishing([4], 5)
+    assert exact_vanishing([], 5) and not exact_vanishing([0], 1)
 
 
 def test_from_exponent_counts_vanishing_sum():
-    basis = _power_basis(6)
-    assert not np.any(np.array([1, 0, 1, 0, 1, 0]) @ basis)
-    assert np.any(np.array([1, 1, 0, 0, 0, 0]) @ basis)
+    # the smallest prime peels first: 1 + z^2 + z^4 is the three 2-cycles
+    # less the 3-cycle through z
+    peel, rest = _cycle_peel([1, 0, 1, 0, 1, 0], 6)
+    assert not rest.any()
+    assert [(p, c.tolist()) for p, c in peel] == [(2, [1, 1, 1]), (3, [0, -1])]
+    assert _cycle_peel([1, 1, 0, 0, 0, 0], 6)[1].any()
+    # one call peels many rows
+    rows = _cycle_peel([[1, 0, 1, 0, 1, 0], [1, 1, 0, 0, 0, 0]], 6)[1]
+    assert rows.any(axis=1).tolist() == [False, True]
     assert exact_vanishing([0, 2, 4], 6)
     assert not exact_vanishing([0, 1], 6)
+
+
+def test_order_below_one_is_refused():
+    for l in (0, -3):
+        with pytest.raises(InvalidInputError, match="l must be >= 1"):
+            exact_vanishing([1, 2], l)
+        with pytest.raises(InvalidInputError, match="l must be >= 1"):
+            exact_defect_butson([[0, 1], [1, 0]], l)
+
+
+@st.composite
+def exponent_rows(draw, orders):
+    """An order l and rows of one length: a union of rotated prime cycles
+    of l-th roots, a rotation of it, a copy with one exponent moved, and
+    random exponents."""
+    l = draw(orders)
+    primes = [p for p in range(2, l + 1) if l % p == 0 and _is_prime(p)]
+    base = []
+    for _ in range(draw(st.integers(0, 4)) if primes else 0):
+        p, r = draw(st.sampled_from(primes)), draw(st.integers(0, l - 1))
+        base += [r + k * (l // p) for k in range(p)]
+    base += draw(st.lists(st.integers(0, l - 1), max_size=2))
+    n = len(base)
+    moved = list(base)
+    if n:
+        moved[draw(st.integers(0, n - 1))] += draw(st.integers(1, l))
+    shift = draw(st.integers(-l, l))
+    rotated = [e + shift for e in base]
+    noise = draw(st.lists(st.integers(-2 * l, 2 * l), min_size=n, max_size=n))
+    return l, [base, rotated, moved, noise]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(exponent_rows(st.integers(1, 120)),
+                 exponent_rows(st.sampled_from((105, 210)))))
+def test_vanishing_rows_match_the_fraction_oracle(case):
+    l, rows = case
+    ctx = _OracleField(l)
+    want = []
+    for row in rows:
+        total = ctx.zero()
+        for e in row:
+            total = ctx.sub(total, ctx.neg(ctx.zeta_power(e)))
+        want.append(ctx.is_zero(total))
+    assert _vanishing_rows(rows, l).tolist() == want
+    assert [exact_vanishing(row, l) for row in rows] == want
 
 
 def test_exact_defect_small_fourier():
@@ -232,12 +283,28 @@ def _oracle_poly_divmod(num, den):
     return _oracle_trim(q), _oracle_trim(num)
 
 
+@lru_cache(maxsize=None)
+def _reference_cyclotomic_cached(l):
+    num = [Fraction(-1)] + [Fraction(0)] * (l - 1) + [Fraction(1)]
+    for d in range(1, l):
+        if l % d == 0:
+            num, rest = _oracle_poly_divmod(num, _reference_cyclotomic_cached(d))
+            assert not rest
+    return tuple(num)
+
+
+def _reference_cyclotomic(l):
+    """Integer coefficients of Phi_l, lowest degree first: x^l - 1 divided
+    by Phi_d for every proper divisor d of l."""
+    return [int(c) for c in _reference_cyclotomic_cached(l)]
+
+
 class _OracleField:
     """Q(zeta_l) on the power basis, Fraction coefficients."""
 
     def __init__(self, l):
         self.l = l
-        self.phi_poly = cyclotomic_polynomial(l)
+        self.phi_poly = _reference_cyclotomic(l)
         self.deg = len(self.phi_poly) - 1
         table = []
         for e in range(max(l, 2 * self.deg - 1)):
@@ -342,7 +409,7 @@ def test_oracle_matches_closed_forms():
 def _in_old_exact_box(h, l):
     """The sizes the Fraction route certified: (deg <= 4 and <= 40 cells)
     or (deg <= 2 and <= 64 cells)."""
-    deg, cells = len(cyclotomic_polynomial(l)) - 1, h.m * h.n
+    deg, cells = len(_reference_cyclotomic(l)) - 1, h.m * h.n
     return (deg <= 4 and cells <= 40) or (deg <= 2 and cells <= 64)
 
 
@@ -391,7 +458,7 @@ def test_modular_certificates_match_the_fraction_oracle(h):
     if want > bound:
         # the Hadamard bound on a minor of order r+1 is closed
         r = h.m * h.n - want
-        phi = len(cyclotomic_polynomial(table.order)) - 1
+        phi = len(_reference_cyclotomic(table.order)) - 1
         assert sum(map(math.log, primes)) > phi * (r + 1) / 2 * math.log(2 * h.n)
 
 

@@ -4,6 +4,7 @@ Modules form one order; each imports at module level only hadlab modules
 earlier in it.  The arithmetic layers stand alone: ``cyclotomic`` and
 ``phases`` import no hadlab module but ``errors``.  The few imports that
 would run against the order sit inside the one function that needs them.
+Every name a module imports at module level is read in it.
 """
 
 import ast
@@ -98,3 +99,32 @@ def test_the_check_sees_relative_and_absolute_imports(tmp_path):
                                     "f": {"constructors"}, "g": {"cli"}}
     assert _hadlab_imports(src) == {"errors", "matrix", "defect", "io",
                                     "constructors", "cli"}
+
+
+def _unread_imports(path: Path) -> set:
+    """Names that module-level imports of a source file bind but that the
+    file never reads; ``from __future__`` imports bind nothing."""
+    tree = ast.parse(path.read_text(), str(path))
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return bound - read
+
+
+@pytest.mark.parametrize("module", LAYER_ORDER + ["__main__"])
+def test_every_module_level_import_is_read(module):
+    assert _unread_imports(SRC / f"{module}.py") == set()
+
+
+def test_the_unread_import_check_sees_each_form(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("from __future__ import annotations\n"
+                   "import os.path\nimport numpy as np\n"
+                   "from typing import List, Optional\nfrom . import matrix\n"
+                   "def f(x: Optional[int]):\n    import sys\n"
+                   "    return np.zeros(1), sys\n")
+    assert _unread_imports(src) == {"os", "List", "matrix"}
