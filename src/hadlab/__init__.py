@@ -12,9 +12,8 @@ __version__ = "0.1.0"
 from .errors import (ConsistencyError, InvalidInputError, MatrixFormatError,
                      SearchBudgetExceeded)
 from .phases import PhaseEntry, parse_phase
-from .matrix import (EquivalenceProfile, PHMatrix, VerificationReport,
-                     apply_equivalence, dephase, dephase_at, detect_butson,
-                     ensure_verified, equivalence_profile, row_quotient,
+from .matrix import (PHMatrix, VerificationReport, apply_equivalence, dephase,
+                     dephase_at, detect_butson, ensure_verified, row_quotient,
                      tensor_product, verify_partial_hadamard)
 from .constructors import (DitaParams, MasterSpec, dita_deformation, f22q,
                            f22q_master_spec, fourier_cyclic, fourier_group,
@@ -28,9 +27,10 @@ from .defect import (DefectReport, IsolationCertificate, defect, defect_exact,
                      isolation_certificate, numerical_rank,
                      real_truncation_defect_formula, truncation_probe,
                      unitary_completion)
-from .regularity import (CycleDecomposition, IntegerCycleDecomposition,
-                         cycle_decompose, cycle_decompose_integer,
-                         cycle_structure_profile, is_regular,
+from .regularity import (CycleDecomposition, EquivalenceProfile,
+                         IntegerCycleDecomposition, cycle_decompose,
+                         cycle_decompose_integer, cycle_structure_profile,
+                         equivalence_profile, is_regular,
                          lam_leung_length_admissible, term_multiset,
                          weak_isolation_probe)
 from .mcnulty_weigert import (CirculantVector, MWSpec,

@@ -32,10 +32,10 @@ from .defect import (defect, defect_exact, defect_master,
 from .errors import ConsistencyError, InvalidInputError, SearchBudgetExceeded
 from .io import (dumps_phm, loads_phm, number_from_json, to_document,
                  turn_from_json)
-from .matrix import PHMatrix, equivalence_profile, verify_partial_hadamard
+from .matrix import PHMatrix, verify_partial_hadamard
 from .mcnulty_weigert import MWSpec, arithmetic_isolation_probe, mw_construct
 from .phases import PhaseEntry, parse_phase
-from .regularity import cycle_structure_profile
+from .regularity import cycle_structure_profile, equivalence_profile
 from .semigroup import _grid_classes, moment, square_closure
 
 OK = 0

@@ -40,9 +40,12 @@ B_k = sum_u omega^(ku) G_u.  The F_p rank of M is the sum of the ranks of
 the B_k, exactly, so the proof logic above is unchanged.  The blocks are
 r times smaller, and eliminating them costs about r^2 times less.
 
-The elimination runs in float64 on integers: products of residues below p
-stay below 2^52 for the number of updates an entry takes between
-reductions, so every sum is exact.
+The elimination runs in float64 on integers, one leaf of _LEAF columns at
+a time.  A leaf adds at most _LEAF products of residues below p to any
+entry, each below p^2, and entries are reduced again before the products
+they took could carry them past 2^52, so every sum is exact.  This admits
+every prime with _LEAF * p^2 + p <= 2^52, up to just under 2^24 (see
+``rank_mod_p``); the split primes used are just above 2^20.
 """
 
 from __future__ import annotations
@@ -62,8 +65,6 @@ PROOF_CAP = 16
 _PRIME_FLOOR = 1 << 20      # every prime used exceeds this
 _EXACT = float(1 << 52)     # magnitudes kept below this stay exact in float64
 _LEAF = 16                  # columns eliminated by rank-1 steps
-_PANEL = 128                # columns whose updates reach the rest in one GEMM
-_CHUNK = 512                # trailing columns per GEMM, bounding its temporary
 _SHORT = 128                # vectors this short reduce in one np.remainder call
 _SYMMETRY_FLOOR = 400       # below this many unknowns no automorphism is sought
 _SEARCH_NODES = 1000        # branches the automorphism search may open
@@ -129,20 +130,20 @@ def _reduce(x: np.ndarray, p: int) -> None:
     x -= q
 
 
-def _leaf(v: np.ndarray, y: np.ndarray, r0: int, c0: int, c1: int,
-          p: int) -> Tuple[int, np.ndarray]:
-    """Eliminate columns c0:c1 of v among its rows r0: by rank-1 steps.
+def _leaf(v: np.ndarray, c0: int, c1: int, p: int) -> Tuple[int, np.ndarray]:
+    """Eliminate columns c0:c1 of v by rank-1 steps.
 
     The steps run on a transposed copy that holds the leaf columns and,
     below them, each row's coefficients on the pivot rows as those were
-    when the leaf began.  The pivot rows move to r0, r0+1, ... in v and y.
-    Returns the pivot count k and, for the rows of v from r0+k on, the
-    coefficients (unreduced) by which the leaf's steps changed them.
+    when the leaf began.  The pivot rows move to the top of v.  Returns
+    the pivot count k and, for the rows of v from k on, the coefficients
+    y (unreduced) by which the leaf's steps changed them: the leaf adds
+    y @ v[:k] to v[k:].
     """
     w = c1 - c0
-    rows = v.shape[0] - r0
+    rows = v.shape[0]
     t = np.zeros((2 * w, rows))
-    t[:w] = v[r0:, c0:c1].T
+    t[:w] = v[:, c0:c1].T
     buf = np.empty(2 * w * rows)
     order = list(range(rows))
     k = 0
@@ -172,75 +173,52 @@ def _leaf(v: np.ndarray, y: np.ndarray, r0: int, c0: int, c1: int,
     order = np.array(order)
     moved = np.flatnonzero(order != np.arange(rows))
     if len(moved):
-        v[r0 + moved] = v[r0 + order[moved]]
-        y[r0 + moved] = y[r0 + order[moved]]
+        v[moved] = v[order[moved]]
     return k, t[w:w + k, k:].T
 
 
-def _panel(v: np.ndarray, c0: int, c1: int, p: int) -> Tuple[int, np.ndarray]:
-    """Eliminate columns c0:c1 of v, leaf by leaf, updating only c0:c1.
-
-    Returns the pivot count k, with the pivot rows moved to the top of v,
-    and reduced coefficients y: the elimination adds y[i] @ (v[:k] as it
-    was when the panel began) to row k + i of v.
-    """
-    rows = v.shape[0]
-    y = np.zeros((rows, c1 - c0))
-    k = 0
-    for s in range(c0, c1, _LEAF):
-        e = min(s + _LEAF, c1)
-        kl, yl = _leaf(v, y, k, s, e, p)
-        if not kl:
-            continue
-        top = k + kl
-        _reduce(yl, p)
-        y[range(k, top), range(k, top)] = 1.0
-        for src, dst in ((v[k:top, e:c1], v[top:, e:c1]),
-                         (y[k:top, :top], y[top:, :top])):
-            _reduce(src, p)
-            dst += yl @ src
-        k = top
-        if k == rows:
-            break
-    yk = np.ascontiguousarray(y[k:, :k])
-    _reduce(yk, p)
-    return k, yk
-
-
 def rank_mod_p(a: np.ndarray, p: int) -> int:
-    """Rank over F_p of an integer matrix held in float64; a is overwritten.
+    """Rank over F_p of an integer matrix held in float64, with entries
+    below p in magnitude; a is overwritten.
 
-    Right-looking elimination: rank-1 steps inside leaves of _LEAF columns,
-    GEMM updates from each leaf to the rest of its panel of _PANEL columns
-    and from each panel to the trailing columns.  Every operand is reduced
-    below p before it is multiplied, so each update adds less than p^2 to
-    an entry; entries are reduced when their panel comes up, and the
-    trailing block as a whole whenever the updates it took since would
-    exceed ``cap``, which keeps every entry and partial sum below 2^52.
+    Right-looking elimination, one leaf of _LEAF columns at a time: rank-1
+    steps inside the leaf (``_leaf``), then one GEMM adds the leaf's
+    coefficients times its pivot rows to all trailing columns.
+
+    Every operand is reduced below p in magnitude before it is multiplied,
+    so each product is below p^2, and a leaf adds at most _LEAF products
+    to any entry.  In ``_leaf``'s copy a leaf column is reduced as the leaf
+    begins and again when its own step comes, taking at most _LEAF - 1
+    products in between, and a coefficient starts from 0 and takes at most
+    one product per pivot; the GEMM sums k <= _LEAF products.  The trailing
+    block is reduced again whenever the products it took since (``stale``)
+    plus the next leaf's k would pass cap = floor((2^52 - p) / p^2), so
+    every entry and partial sum stays below p + cap * p^2 <= 2^52, where
+    float64 holds integers exactly.  This needs one leaf to fit, cap >=
+    _LEAF, that is _LEAF * p^2 + p <= 2^52: with _LEAF = 16 the largest
+    accepted prime is just under 2^24 (16777213 has cap 16, 16777259 cap
+    15 and is refused).
     """
     rows, cols = a.shape
     cap = int((_EXACT - p) // (p * p))
-    if p < 2 or cap < _PANEL:
+    if p < 2 or cap < _LEAF:
         raise InvalidInputError(f"p = {p} is outside the exact float64 range")
     rank = stale = 0
-    buf = np.empty(rows * _CHUNK)
-    for c0 in range(0, cols, _PANEL):
+    for c0 in range(0, cols, _LEAF):
         if rank == rows:
             break
-        c1 = min(c0 + _PANEL, cols)
+        c1 = min(c0 + _LEAF, cols)
         v = a[rank:]
         _reduce(v[:, c0:c1], p)
-        k, y = _panel(v, c0, c1, p)
+        k, y = _leaf(v, c0, c1, p)
         if k and c1 < cols:
             if stale + k > cap:
                 _reduce(v[k:, c1:], p)
                 stale = 0
             src = v[:k, c1:]
             _reduce(src, p)
-            for s in range(c1, cols, _CHUNK):
-                t = min(s + _CHUNK, cols)
-                gemm = buf[:y.shape[0] * (t - s)].reshape(y.shape[0], t - s)
-                v[k:, s:t] += np.matmul(y, src[:, s - c1:t - c1], out=gemm)
+            _reduce(y, p)
+            v[k:, c1:] += y @ src
             stale += k
         rank += k
     return rank

@@ -264,37 +264,5 @@ def apply_equivalence(h: PHMatrix,
     return PHMatrix.from_phases(p, label=_derived_label(h, "equiv"))
 
 
-@dataclass(frozen=True)
-class EquivalenceProfile:
-    """A tuple of invariants shared by all equivalent forms of a matrix."""
-    shape: tuple
-    defect: int
-    cycle_labels: tuple
-    butson_order: Optional[int]
-
-
-def equivalence_profile(h: PHMatrix, tol: float = 1e-9,
-                        cycle_tol: float = 1e-8, budget: int = 10 ** 7) -> EquivalenceProfile:
-    """Invariants of the equivalence class of H.
-
-    The Butson order of the matrix as given is not invariant (row and column
-    phases change entry orders), so the reported order is that of the
-    dephasing D at (0, 0), which phase changes cannot affect.  It is also
-    the least over all pivots: the dephasing at (r, c) is D dephased at
-    (r, c), and D is that one dephased at (0, 0), so each holds the roots
-    of unity of the other's order.
-    """
-    ensure_verified(h, tol)
-    # imported here: defect and regularity modules build on this one
-    from .defect import defect as _defect
-    from .regularity import cycle_structure_profile
-
-    rep = _defect(h, tol=tol)
-    labels = tuple(sorted(cycle_structure_profile(h, tol=cycle_tol, budget=budget).values()))
-    table = detect_butson(dephase(h)[0])
-    return EquivalenceProfile((h.m, h.n), rep.defect, labels,
-                              table.order if table is not None else None)
-
-
 def _derived_label(h: PHMatrix, op: str) -> Optional[str]:
     return f"{op}({h.label})" if h.label else None

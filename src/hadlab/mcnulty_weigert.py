@@ -18,6 +18,7 @@ from typing import Tuple
 import numpy as np
 
 from .cyclotomic import is_odd_prime
+from .defect import isolation_certificate
 from .errors import ConsistencyError, InvalidInputError
 from .matrix import PHMatrix, ensure_verified, verify_partial_hadamard
 from .phases import ExactPhases, PhaseEntry, multiply, phase_array
@@ -203,8 +204,6 @@ def arithmetic_isolation_probe(spec: MWSpec, tol: float = 1e-9) -> ArithmeticPro
     Consecutive odd s against consecutive even t is the pattern of interest
     for isolation; other patterns are analyzed all the same but flagged.
     """
-    from .defect import isolation_certificate
-
     h = mw_construct(spec, tol)
     cert = isolation_certificate(h, tol=tol)
     notes = []

@@ -10,7 +10,9 @@ Exact input is searched on its exponents, over the primes dividing the
 root order.  Whether an exact sum vanishes at all is decided by peeling
 its exponent counts into rotated prime cycles (``cyclotomic._cycle_peel``);
 a vanishing sum with no cover is written over the integers by that peel,
-where negative coefficients can appear.
+where negative coefficients can appear.  ``equivalence_profile`` collects
+the labels with the defect and the Butson order as invariants of an
+equivalence class.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .cyclotomic import _cycle_peel, _prime_factors
+from .defect import defect, isolation_certificate
 from .errors import ConsistencyError, InvalidInputError, SearchBudgetExceeded
-from .matrix import PHMatrix, ensure_verified, row_quotient
+from .matrix import PHMatrix, dephase, detect_butson, ensure_verified, row_quotient
 from .phases import TAU, ExactPhases, PhaseEntry
 
 DEFAULT_BUDGET = 10 ** 7
@@ -410,8 +413,6 @@ def weak_isolation_probe(h: PHMatrix, tol: float = 1e-9,
     root-of-unity type; such an example would separate regularity from the
     stronger arithmetic properties.
     """
-    from .defect import isolation_certificate
-
     cert = isolation_certificate(h, tol=tol)
     try:
         reg: Optional[bool] = is_regular(h, tol=cycle_tol, budget=budget)
@@ -423,3 +424,32 @@ def weak_isolation_probe(h: PHMatrix, tol: float = 1e-9,
         regular=reg, certified_isolated=cert.certified_isolated,
         isolation_status=cert.status, butson_order=order,
         counterexample_candidate=candidate)
+
+
+@dataclass(frozen=True)
+class EquivalenceProfile:
+    """A tuple of invariants shared by all equivalent forms of a matrix."""
+    shape: tuple
+    defect: int
+    cycle_labels: tuple
+    butson_order: Optional[int]
+
+
+def equivalence_profile(h: PHMatrix, tol: float = 1e-9,
+                        cycle_tol: float = 1e-8,
+                        budget: int = DEFAULT_BUDGET) -> EquivalenceProfile:
+    """Invariants of the equivalence class of H.
+
+    The Butson order of the matrix as given is not invariant (row and column
+    phases change entry orders), so the reported order is that of the
+    dephasing D at (0, 0), which phase changes cannot affect.  It is also
+    the least over all pivots: the dephasing at (r, c) is D dephased at
+    (r, c), and D is that one dephased at (0, 0), so each holds the roots
+    of unity of the other's order.
+    """
+    ensure_verified(h, tol)
+    rep = defect(h, tol=tol)
+    labels = tuple(sorted(cycle_structure_profile(h, tol=cycle_tol, budget=budget).values()))
+    table = detect_butson(dephase(h)[0])
+    return EquivalenceProfile((h.m, h.n), rep.defect, labels,
+                              table.order if table is not None else None)

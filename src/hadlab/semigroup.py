@@ -250,10 +250,10 @@ def semigroup_closure(generators: Sequence[PartialPermutation],
 
 def _closure_order(elems) -> Tuple[PartialPermutation, ...]:
     """Display order: larger domains first, then by the first undefined
-    point, then by targets."""
+    point, then by targets as numbers, an undefined one after all."""
     return tuple(sorted(elems, key=lambda e: (
         -e.kappa, e.targets.index(None) if None in e.targets else -1,
-        str(e.targets))))
+        tuple(e.m if t is None else t for t in e.targets))))
 
 
 def extract_semigroup(h: PHMatrix, tol: float = 1e-8,

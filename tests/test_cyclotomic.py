@@ -175,7 +175,7 @@ def test_split_primes(l):
 
 def _rank_reference(a, p):
     """Plain Gaussian elimination over F_p, one pivot at a time, in int64
-    (residues below 2^23, so products stay below 2^46)."""
+    (residues below 2^24, so products stay below 2^48)."""
     a = np.array(a, dtype=np.int64) % p
     rank = 0
     for c in range(a.shape[1]):
@@ -191,10 +191,15 @@ def _rank_reference(a, p):
     return rank
 
 
-# 1048609 is the first prime used for l = 6 and l = 12; 5800079 is close
-# to the largest prime the kernel accepts, so the trailing block is
-# reduced again after every panel of 128 columns
-@pytest.mark.parametrize("p", [1048609, 5800079])
+# 1048609 is the first prime used for l = 6 and l = 12.  The trailing
+# block is reduced again whenever the pivots since its last reduction would
+# pass cap: at 5800079 (cap 133) after about every eighth full leaf, and at
+# 16777213, just under the largest prime the kernel accepts (cap 16), after
+# every full leaf.
+NEAR_LARGEST = 16777213
+
+
+@pytest.mark.parametrize("p", [1048609, 5800079, NEAR_LARGEST])
 def test_rank_mod_p_matches_reference(p):
     rng = np.random.default_rng(5)
     for shape, rank in [((1, 1), 1), ((3, 5), 2), ((40, 17), 9),
@@ -206,8 +211,22 @@ def test_rank_mod_p_matches_reference(p):
         a[:, rng.integers(0, shape[1], size=shape[1] // 4)] = 0
         a %= p
         assert rank_mod_p(a.astype(np.float64), p) == _rank_reference(a, p)
+    # the first prime above 2^24 has cap 15 < _LEAF
     with pytest.raises(InvalidInputError):
-        rank_mod_p(np.ones((2, 2)), 8388617)
+        rank_mod_p(np.ones((2, 2)), 16777259)
+
+
+@pytest.mark.parametrize("p", [1048609, NEAR_LARGEST])
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 260), cols=st.integers(1, 260).filter(lambda c: c % 16),
+       data=st.data())
+def test_rank_mod_p_matches_reference_on_random_shapes(p, rows, cols, data):
+    rank = data.draw(st.integers(0, min(rows, cols) - 1), label="rank")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    a = rng.integers(0, p, size=(rows, rank)) @ rng.integers(0, p, size=(rank, cols)) % p
+    a[rng.integers(0, rows, size=rows // 4)] = 0
+    a[:, rng.integers(0, cols, size=cols // 4)] = 0
+    assert rank_mod_p(a.astype(np.float64), p) == _rank_reference(a, p) <= rank
 
 
 def test_exact_vanishing():
@@ -218,14 +237,13 @@ def test_exact_vanishing():
 
 
 def test_rank_mod_p_keeps_every_entry_in_the_exact_range(monkeypatch):
-    # Shrink the exact range to p + 8 p^2 and the blocks to match, and use
-    # residues in [0, p) only, so every update adds and the trailing block
-    # must be reduced again after each panel; every block the kernel
-    # reduces must still be inside the range.
+    # Shrink the exact range to p + 8 p^2 and the leaves to 4 columns, and
+    # use residues in [0, p) only, so every update adds and the trailing
+    # block must be reduced again after every second leaf; every block the
+    # kernel reduces must still be inside the range.
     import hadlab.cyclotomic as cyc
     p = 1048609
     monkeypatch.setattr(cyc, "_EXACT", float(p + 8 * p * p))
-    monkeypatch.setattr(cyc, "_PANEL", 8)
     monkeypatch.setattr(cyc, "_LEAF", 4)
     monkeypatch.setattr(cyc, "_SHORT", 1 << 30)
     reduce, seen = cyc._reduce, []
@@ -540,6 +558,22 @@ def test_without_a_usable_automorphism_the_system_is_ranked_whole(monkeypatch):
     assert res.symmetry_order == 1 and res.block_ranks == ()
     assert res.primes == (1048783, 1048867) and res.ranks == (34, 34)
     assert res.defect == 15 and not res.exact
+
+
+def test_a_permuted_mw13_is_ranked_as_13_blocks():
+    # the isolation certificate the benchmark spends most of its time on:
+    # 13 blocks of 204 x 208 at each of two primes
+    h = mw_construct(MWSpec(13, (1, 3, 5, 7), (0, 2, 4, 6), fourier_cyclic(4)))
+    rng = np.random.default_rng(0)
+    one = [PhaseEntry.one()] * h.m
+    g = apply_equivalence(h, [int(i) for i in rng.permutation(h.m)],
+                          [int(j) for j in rng.permutation(h.n)], one, one)
+    res = exact_defect_butson(g.phases.exp, g.phases.order)
+    assert (res.defect, res.exact, res.route) == (104, False, "bound")
+    assert res.primes == (1048633, 1049101) and res.ranks == (2600, 2600)
+    # which ranks the blocks take depends on the automorphism found
+    assert res.symmetry_order == 13 and len(res.block_ranks) == 13
+    assert sum(res.block_ranks) == 2600
 
 
 def test_exhausted_search_falls_back_to_the_whole_system(monkeypatch):

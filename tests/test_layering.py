@@ -2,9 +2,8 @@
 
 Modules form one order; each imports at module level only hadlab modules
 earlier in it.  The arithmetic layers stand alone: ``cyclotomic`` and
-``phases`` import no hadlab module but ``errors``.  The few imports that
-would run against the order sit inside the one function that needs them.
-Every name a module imports at module level is read in it.
+``phases`` import no hadlab module but ``errors``.  No import sits inside
+a function.  Every name a module imports at module level is read in it.
 """
 
 import ast
@@ -15,18 +14,11 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "hadlab"
 
 LAYER_ORDER = ["errors", "phases", "cyclotomic", "matrix", "constructors",
-               "mcnulty_weigert", "regularity", "defect", "semigroup", "io",
+               "defect", "mcnulty_weigert", "regularity", "semigroup", "io",
                "catalog", "schemas", "cli"]
 
 # modules that read the package's __version__ from hadlab/__init__.py
 READS_VERSION = {"catalog", "cli"}
-
-# (module, function) -> the hadlab modules imported inside that function
-FUNCTION_IMPORTS = {
-    ("matrix", "equivalence_profile"): {"defect", "regularity"},
-    ("regularity", "weak_isolation_probe"): {"defect"},
-    ("mcnulty_weigert", "arithmetic_isolation_probe"): {"defect"},
-}
 
 
 def _imported(node: ast.AST) -> set:
@@ -82,11 +74,11 @@ def test_module_level_imports_follow_the_order(module):
     assert _scoped_imports(SRC / f"{module}.py").get(None, set()) <= allowed
 
 
-def test_function_level_imports_are_the_known_few():
+def test_no_import_sits_inside_a_function():
     found = {(module, scope): names for module in LAYER_ORDER
              for scope, names in _scoped_imports(SRC / f"{module}.py").items()
              if scope is not None}
-    assert found == FUNCTION_IMPORTS
+    assert found == {}
 
 
 def test_the_check_sees_relative_and_absolute_imports(tmp_path):

@@ -261,6 +261,12 @@ def test_closure_matches_all_products_reference():
         assert len(closure.elements) == len({e.targets for e in closure.elements})
 
 
+def test_closure_orders_targets_as_numbers():
+    # with 11 rows a target can have two digits: 0 -> 2 comes before 0 -> 10
+    gens = [PartialPermutation((t,) + (None,) * 10) for t in (10, 2)]
+    assert [e.targets[0] for e in semigroup_closure(gens).elements] == [2, 10, None]
+
+
 def test_extract_semigroup_rejects_quantum_grid():
     with pytest.raises(InvalidInputError):
         extract_semigroup(f22q(Fraction(1, 20)))
