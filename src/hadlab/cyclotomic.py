@@ -41,8 +41,10 @@ the B_k, exactly, so the proof logic above is unchanged.  The blocks are
 r times smaller, and eliminating them costs about r^2 times less.
 
 The elimination runs in float64 on integers, one leaf of _LEAF columns at
-a time.  A leaf adds at most _LEAF products of residues below p to any
-entry, each below p^2, and entries are reduced again before the products
+a time, and takes the r blocks of a prime together as one stack, each
+matrix with its own pivots.  A leaf adds at most _LEAF products of
+residues below p to any entry of a matrix, one per pivot that matrix
+takes, each below p^2, and entries are reduced again before the products
 they took could carry them past 2^52, so every sum is exact.  This admits
 every prime with _LEAF * p^2 + p <= 2^52, up to just under 2^24 (see
 ``rank_mod_p``); the split primes used are just above 2^20.
@@ -130,98 +132,131 @@ def _reduce(x: np.ndarray, p: int) -> None:
     x -= q
 
 
-def _leaf(v: np.ndarray, c0: int, c1: int, p: int) -> Tuple[int, np.ndarray]:
-    """Eliminate columns c0:c1 of v by rank-1 steps.
+def _leaf(t: np.ndarray, p: int) -> Tuple[List[int], List[List[int]]]:
+    """Eliminate by rank-1 steps the leaf held transposed in t, of shape
+    (b, 2w, rows): the w leaf columns of each matrix, reduced, with zeros
+    in the rows already holding a pivot, and below them w zero coefficient
+    slots.
 
-    The steps run on a transposed copy that holds the leaf columns and,
-    below them, each row's coefficients on the pivot rows as those were
-    when the leaf began.  The pivot rows move to the top of v.  Returns
-    the pivot count k and, for the rows of v from k on, the coefficients
-    y (unreduced) by which the leaf's steps changed them: the leaf adds
-    y @ v[:k] to v[k:].
+    At step c every matrix takes its first nonzero row in column c as
+    pivot; a matrix with none has only zeros left in that column, so the
+    step adds nothing to it (its multiplier is set to 0).  Slot w + c of
+    each row collects its coefficient on the pivot row of step c, as that
+    row was when the leaf began, and a pivot row is zeroed once used, so
+    it takes no further step or update.
+    Returns the steps at which some matrix found a pivot and, per matrix,
+    its pivot rows by step, -1 where it found none.
     """
-    w = c1 - c0
-    rows = v.shape[0]
-    t = np.zeros((2 * w, rows))
-    t[:w] = v[:, c0:c1].T
-    buf = np.empty(2 * w * rows)
-    order = list(range(rows))
-    k = 0
+    b, w2, rows = t.shape
+    w = w2 // 2
+    stack = np.arange(b)
+    steps, pivots = [], [[] for _ in range(b)]
     for c in range(w):
-        if k == rows:
-            break
-        col = t[c, k:]
+        col = t[:, c]
         _reduce(col, p)
-        nz = col.nonzero()[0]
-        if not len(nz):
+        i = (col != 0).argmax(1)
+        values = col[stack, i].tolist()
+        if not any(values):
             continue
-        i = k + int(nz[0])
-        if i != k:
-            t[:, [k, i]] = t[:, [i, k]]
-            order[k], order[i] = order[i], order[k]
-        t[w + k, k] = 1.0
-        # the rest of the pivot row and its coefficients, times -1/pivot
-        piv = t[c + 1:w + k + 1, k]
+        il = i.tolist()
+        found = [j for j in range(b) if values[j]]
+        # the rest of each pivot row and its coefficients, times -1/pivot
+        piv = t[stack, c + 1:w + c + 1, i]
+        piv[:, w - 1] = 1.0
         _reduce(piv, p)
-        piv *= p - pow(int(t[c, k]) % p, -1, p)
+        piv *= np.array([p - pow(int(x), -1, p) if x else 0 for x in values])[:, None]
         _reduce(piv, p)
-        below = rows - k - 1
-        upd = buf[:len(piv) * below].reshape(len(piv), below)
-        np.multiply(piv[:, None], col[1:], out=upd)
-        t[c + 1:w + k + 1, k + 1:] += upd
-        k += 1
-    order = np.array(order)
-    moved = np.flatnonzero(order != np.arange(rows))
-    if len(moved):
-        v[moved] = v[order[moved]]
-    return k, t[w:w + k, k:].T
+        if len(found) == b:
+            t[stack, :, i] = 0.0
+        else:
+            t[found, :, i[found]] = 0.0
+        t[:, c + 1:w + c + 1] += piv[:, :, None] * col[:, None, :]
+        steps.append(c)
+        for j in range(b):
+            pivots[j].append(il[j] if values[j] else -1)
+    return steps, pivots
 
 
-def rank_mod_p(a: np.ndarray, p: int) -> int:
-    """Rank over F_p of an integer matrix held in float64, with entries
-    below p in magnitude; a is overwritten.
+def rank_mod_p(a: np.ndarray, p: int) -> List[int]:
+    """Ranks over F_p of a stack of b integer matrices held in float64, of
+    shape (b, rows, cols), with entries below p in magnitude; a is
+    overwritten.  A single matrix is a stack of one.
 
-    Right-looking elimination, one leaf of _LEAF columns at a time: rank-1
-    steps inside the leaf (``_leaf``), then one GEMM adds the leaf's
-    coefficients times its pivot rows to all trailing columns.
+    Right-looking elimination of the whole stack, one leaf of _LEAF columns
+    at a time: rank-1 steps inside the leaf (``_leaf``), each taking one
+    pivot per matrix, then one stacked GEMM adds each matrix's coefficients
+    times its own pivot rows to all trailing columns.  Each matrix keeps
+    its rank; its first rank rows hold its pivots and take no part, and a
+    leaf works on the rows from the least rank in the stack on.
 
     Every operand is reduced below p in magnitude before it is multiplied,
     so each product is below p^2, and a leaf adds at most _LEAF products
-    to any entry.  In ``_leaf``'s copy a leaf column is reduced as the leaf
-    begins and again when its own step comes, taking at most _LEAF - 1
-    products in between, and a coefficient starts from 0 and takes at most
-    one product per pivot; the GEMM sums k <= _LEAF products.  The trailing
-    block is reduced again whenever the products it took since (``stale``)
-    plus the next leaf's k would pass cap = floor((2^52 - p) / p^2), so
-    every entry and partial sum stays below p + cap * p^2 <= 2^52, where
-    float64 holds integers exactly.  This needs one leaf to fit, cap >=
-    _LEAF, that is _LEAF * p^2 + p <= 2^52: with _LEAF = 16 the largest
-    accepted prime is just under 2^24 (16777213 has cap 16, 16777259 cap
-    15 and is refused).
+    to any entry of a matrix, one per pivot that matrix takes; the steps
+    and GEMM terms of matrices without a pivot add exact zeros.  In
+    ``_leaf``'s copy a leaf column is reduced as the leaf begins and again
+    when its own step comes, taking at most _LEAF - 1 products in between,
+    and a coefficient starts from 0 and takes at most one product per
+    pivot; the GEMM sums at most k <= _LEAF nonzero products, k the most
+    pivots any matrix took in the leaf.  The trailing stack is reduced
+    again whenever the products it took since (``stale``) plus the next
+    leaf's k would pass cap = floor((2^52 - p) / p^2), so every entry and
+    partial sum stays below p + cap * p^2 <= 2^52, where float64 holds
+    integers exactly.  This needs one leaf to fit, cap >= _LEAF, that is
+    _LEAF * p^2 + p <= 2^52: with _LEAF = 16 the largest accepted prime is
+    just under 2^24 (16777213 has cap 16, 16777259 cap 15 and is refused).
     """
-    rows, cols = a.shape
+    b, rows, cols = a.shape
     cap = int((_EXACT - p) // (p * p))
     if p < 2 or cap < _LEAF:
         raise InvalidInputError(f"p = {p} is outside the exact float64 range")
-    rank = stale = 0
+    ranks = [0] * b
+    stale = 0
+    stack = np.arange(b)
     for c0 in range(0, cols, _LEAF):
-        if rank == rows:
+        lo = min(ranks, default=rows)
+        if lo == rows:
             break
         c1 = min(c0 + _LEAF, cols)
-        v = a[rank:]
-        _reduce(v[:, c0:c1], p)
-        k, y = _leaf(v, c0, c1, p)
-        if k and c1 < cols:
+        w = c1 - c0
+        v = a[:, lo:]
+        done = [r - lo for r in ranks]
+        t = np.zeros((b, 2 * w, rows - lo))
+        np.copyto(t[:, :w], v[:, :, c0:c1].transpose(0, 2, 1),
+                  where=np.arange(rows - lo) >= np.array(done)[:, None, None])
+        _reduce(t[:, :w], p)
+        steps, pivots = _leaf(t, p)
+        if not steps:
+            continue
+        found = [[r for r in by_step if r >= 0] for by_step in pivots]
+        k = max(map(len, found))
+        if c1 < cols:
             if stale + k > cap:
-                _reduce(v[k:, c1:], p)
+                _reduce(v[:, :, c1:], p)
                 stale = 0
-            src = v[:k, c1:]
+            # a step where a matrix found no pivot (-1) gathers its last row,
+            # which that step's coefficient slot, all zero, cancels
+            src = v[stack[:, None], np.array(pivots), c1:]
             _reduce(src, p)
+            y = t[:, [w + c for c in steps]].transpose(0, 2, 1).copy()
             _reduce(y, p)
-            v[k:, c1:] += y @ src
+            v[:, :, c1:] += y @ src
             stale += k
-        rank += k
-    return rank
+        # each matrix's pivot rows move to its rows from its rank on, and
+        # the other rows there to the places the pivot rows left
+        of, to, fro = [], [], []
+        for j, rows_j in enumerate(found):
+            top = done[j] + len(rows_j)
+            held = set(rows_j)
+            for d, s in zip([*range(done[j], top), *(r for r in rows_j if r >= top)],
+                            rows_j + [r for r in range(done[j], top) if r not in held]):
+                if d != s:
+                    of.append(j)
+                    to.append(d)
+                    fro.append(s)
+            ranks[j] = top + lo
+        if to:
+            v[of, to] = v[of, fro]
+    return ranks
 
 
 @lru_cache(maxsize=None)
@@ -618,7 +653,7 @@ def exact_defect_butson(exponents: Sequence[Sequence[int]], l: int) -> ButsonDef
     for p, w in split_primes(l):
         primes.append(p)
         # no name holds the blocks, so they are freed before the next are built
-        block_ranks = [rank_mod_p(b, p) for b in _tangent_blocks(E, l, p, w, r, layout)]
+        block_ranks = rank_mod_p(_tangent_blocks(E, l, p, w, r, layout), p)
         ranks.append(sum(block_ranks))
         rank = max(ranks)
         if rank == top:

@@ -210,10 +210,10 @@ def test_rank_mod_p_matches_reference(p):
         a[rng.integers(0, shape[0], size=shape[0] // 4)] = 0
         a[:, rng.integers(0, shape[1], size=shape[1] // 4)] = 0
         a %= p
-        assert rank_mod_p(a.astype(np.float64), p) == _rank_reference(a, p)
+        assert rank_mod_p(a[None].astype(np.float64), p) == [_rank_reference(a, p)]
     # the first prime above 2^24 has cap 15 < _LEAF
     with pytest.raises(InvalidInputError):
-        rank_mod_p(np.ones((2, 2)), 16777259)
+        rank_mod_p(np.ones((1, 2, 2)), 16777259)
 
 
 @pytest.mark.parametrize("p", [1048609, NEAR_LARGEST])
@@ -226,7 +226,35 @@ def test_rank_mod_p_matches_reference_on_random_shapes(p, rows, cols, data):
     a = rng.integers(0, p, size=(rows, rank)) @ rng.integers(0, p, size=(rank, cols)) % p
     a[rng.integers(0, rows, size=rows // 4)] = 0
     a[:, rng.integers(0, cols, size=cols // 4)] = 0
-    assert rank_mod_p(a.astype(np.float64), p) == _rank_reference(a, p) <= rank
+    [got] = rank_mod_p(a[None].astype(np.float64), p)
+    assert got == _rank_reference(a, p) <= rank
+
+
+@pytest.mark.parametrize("p", [1048609, NEAR_LARGEST])
+@settings(max_examples=40, deadline=None)
+@given(b=st.integers(1, 16), rows=st.integers(1, 120), cols=st.integers(1, 120),
+       data=st.data())
+def test_a_stack_is_ranked_as_its_matrices_one_at_a_time(p, b, rows, cols, data):
+    # each matrix draws its own rank, rows and columns shuffled on their
+    # own so that pivots fall in different rows and leaves; the first is
+    # all zero and the second has every pivot in its first leaf (full rank
+    # there when rows <= 16 and rows <= cols)
+    ranks = data.draw(st.lists(st.integers(0, min(rows, cols)), min_size=b, max_size=b),
+                      label="ranks")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    a = np.zeros((b, rows, cols), dtype=np.int64)
+    for j, rank in enumerate(ranks):
+        x = rng.integers(0, p, size=(rows, rank)) @ rng.integers(0, p, size=(rank, cols)) % p
+        a[j] = x[rng.permutation(rows)][:, rng.permutation(cols)]
+    a[0] = 0
+    if b > 1:
+        k = min(rows, cols, 16)
+        y = rng.integers(0, p, size=(k, cols))
+        y[:, :k] = np.eye(k, dtype=np.int64)
+        a[1] = rng.integers(0, p, size=(rows, k)) @ y % p
+    got = rank_mod_p(a.astype(np.float64), p)
+    alone = [rank_mod_p(x[None].astype(np.float64), p)[0] for x in a]
+    assert got == alone == [_rank_reference(x, p) for x in a]
 
 
 def test_exact_vanishing():
@@ -239,8 +267,10 @@ def test_exact_vanishing():
 def test_rank_mod_p_keeps_every_entry_in_the_exact_range(monkeypatch):
     # Shrink the exact range to p + 8 p^2 and the leaves to 4 columns, and
     # use residues in [0, p) only, so every update adds and the trailing
-    # block must be reduced again after every second leaf; every block the
-    # kernel reduces must still be inside the range.
+    # stack must be reduced again after every second leaf; every block the
+    # kernel reduces must still be inside the range.  The stack's matrices
+    # take different pivot counts in each leaf: one has rank 120, one has
+    # every fifth column zero, and one is of rank 30.
     import hadlab.cyclotomic as cyc
     p = 1048609
     monkeypatch.setattr(cyc, "_EXACT", float(p + 8 * p * p))
@@ -252,8 +282,13 @@ def test_rank_mod_p_keeps_every_entry_in_the_exact_range(monkeypatch):
         seen.append(float(np.abs(x).max()) if x.size else 0.0)
         reduce(x, q)
     monkeypatch.setattr(cyc, "_reduce", watched)
-    a = np.random.default_rng(9).integers(0, p, size=(120, 130))
-    assert rank_mod_p(a.astype(np.float64), p) == _rank_reference(a, p) == 120
+    rng = np.random.default_rng(9)
+    a = rng.integers(0, p, size=(3, 120, 130))
+    a[1][:, ::5] = 0
+    a[2] = rng.integers(0, p, size=(120, 30)) @ rng.integers(0, p, size=(30, 130)) % p
+    ranks = [_rank_reference(x, p) for x in a]
+    assert ranks == [120, 104, 30]
+    assert rank_mod_p(a.astype(np.float64), p) == ranks
     assert max(seen) < cyc._EXACT
 
 
@@ -537,8 +572,8 @@ def test_block_ranks_sum_to_the_whole_rank(table):
     for p, w in split_primes(l)[:2]:
         blocks = _tangent_blocks(e, l, p, w, r, layout)
         assert blocks.shape == (r, m * (m - 1) // r, m * n // r)
-        block_ranks = [rank_mod_p(b, p) for b in blocks]
-        rank = rank_mod_p(_tangent_blocks(e, l, p, w, 1, whole)[0], p)
+        block_ranks = rank_mod_p(blocks, p)
+        [rank] = rank_mod_p(_tangent_blocks(e, l, p, w, 1, whole), p)
         assert sum(block_ranks) == rank
         assert rank == _rank_reference(_conjugate_stacked_system(e, l, p, w), p)
 
