@@ -1,8 +1,9 @@
 """Exact arithmetic with cyclotomic integers, and exact ranks of Butson
 tangent systems.
 
-``exact_vanishing`` peels exponent counts into rotated prime cycles; a sum
-vanishes exactly when nothing is left (see ``_cycle_peel``).
+``exact_vanishing`` peels the exponents present into rotated prime cycles,
+over the primes p <= k dividing l for a sum of k terms; a sum vanishes
+exactly when nothing is left (see ``_cycle_peel``).
 ``exact_defect_butson`` ranks the tangent system of a Butson matrix modulo
 split primes: a prime p = 1 (mod l) has an element w of order l in F_p,
 and zeta_l -> w is a ring map from Z[zeta_l] onto F_p.  The stacked system
@@ -259,28 +260,47 @@ def rank_mod_p(a: np.ndarray, p: int) -> List[int]:
     return ranks
 
 
-@lru_cache(maxsize=None)
-def _peel_index(l: int) -> Tuple[Tuple[int, np.ndarray], ...]:
-    """Per prime p | l, with p^a exactly dividing l: for each r < l/p, the
-    member of the p-cycle {r + j*l/p} whose residue mod p^a is below
-    p^(a-1)."""
-    out = []
-    for p in _prime_factors(l):
-        q = math.gcd(l, p ** l.bit_length())      # p^a
-        cycles = np.arange(l).reshape(p, l // p).T  # row r: the cycle through r
-        first = cycles[cycles % q < q // p]         # one member per row
-        first.flags.writeable = False
-        out.append((p, first))
-    return tuple(out)
+def _primes_upto(n: int) -> list:
+    """The primes up to n, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (n + 1)
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p in range(2, n + 1) if sieve[p]]
 
 
-def _cycle_peel(counts, l: int) -> Tuple[List[Tuple[int, np.ndarray]], np.ndarray]:
-    """Peel exponent counts into rotated prime cycles, over the last axis.
+def _vanishing_primes(k: int, l: int) -> list:
+    """The primes p <= k dividing l, increasing: the only cycle lengths a
+    vanishing sum of k l-th roots needs (see ``_cycle_peel``).  They are
+    read off the primes up to min(k, l), so l itself is never factored:
+    trial division is slow at orders near 2^70."""
+    return [p for p in _primes_upto(min(k, l)) if l % p == 0]
 
-    counts[..., e] is the multiplicity of zeta_l^e.  Returns, for each
-    prime p | l in increasing order, (p, coefficients) with coefficient
-    [..., r] on zeta_l^r times the sum of all p-th roots, r < l/p; and
-    the counts left over.
+
+def _integer_table(exponents) -> np.ndarray:
+    """A table of exponents as a 2-D array: as numpy reads it when that
+    gives an integer dtype, else as Python ints, so no entry is rounded.
+    InvalidInputError for a ragged table or any entry that is not a Python
+    or numpy integer."""
+    try:
+        a = np.asarray(exponents)
+        if a.dtype.kind not in "iu":
+            a = np.asarray(exponents, dtype=object)
+    except ValueError:
+        raise InvalidInputError("ragged exponent table") from None
+    if a.ndim != 2 or (a.dtype == object and not all(
+            isinstance(x, (int, np.integer)) for x in a.flat)):
+        raise InvalidInputError("exponents must be a table of integers")
+    return a
+
+
+def _cycle_peel(exponents, l: int):
+    """Peel each row of a (rows, k) exponent table into rotated prime
+    cycles, over the primes p <= k dividing l.
+
+    Returns, per such prime in increasing order, (p, rows, rotations,
+    coefficients): the nonzero coefficient on zeta_l^r times the sum of all
+    p-th roots in that row, r < l/p; and per row whether anything is left.
 
     Let p^a exactly divide l.  The p-cycle through r fixes e mod l/p^a,
     and its residues mod p^a run once through a coset of p^(a-1).  Since
@@ -289,29 +309,54 @@ def _cycle_peel(counts, l: int) -> Tuple[List[Tuple[int, np.ndarray]], np.ndarra
     count rows at residues mod p^a of one coset differ by vanishing sums
     over the other primes.  Giving every p-cycle the current count of its
     member with e mod p^a < p^(a-1), and subtracting, leaves each row a
-    vanishing sum over the other primes.  So the sum vanishes exactly when
-    nothing is left after the last prime, and the coefficients then write
-    it as an integer combination of rotated cycles (de Bruijn, Indag.
-    Math. 15, 1953; Lam and Leung, J. Algebra 224, 2000).
+    vanishing sum over the other primes.  So a sum vanishes exactly when
+    nothing is left after the last prime of l, and the coefficients then
+    write it as an integer combination of rotated cycles (de Bruijn,
+    Indag. Math. 15, 1953; Lam and Leung, J. Algebra 224, 2000).
+
+    The primes q > k need no peeling.  Take q^b exactly dividing l: by
+    linear disjointness the sum is sum_x zeta_(q^b)^x U_x, with U_x the
+    part of the terms whose exponent is x mod q^b, over the rest of l.  A
+    relation needs the U_x equal across each coset of q^(b-1), and at most
+    k < q of them are nonzero, so all of them are zero.  The classes of
+    exponents mod q^b therefore vanish separately, and no p-cycle with
+    p <= k mixes them, so peeling the primes <= k alone decides every sum;
+    on a vanishing sum a peel over all primes of l gives zero coefficients
+    at the primes > k.
+
+    Terms are held sparsely, each (row, exponent) as the key row * l + e
+    with its count, so memory is bounded by k times the product of the
+    primes <= k, whatever l is.  Keys stay int64 while they fit and are
+    Python ints beyond.
     """
-    c = np.array(counts, dtype=np.int64, order="C")
-    coefs = []
-    for p, first in _peel_index(l):
-        coef = c.take(first, axis=-1)
-        cycles = c.reshape(-1, p, l // p)   # a view: column r, the cycle through r
-        cycles -= coef.reshape(-1, 1, l // p)
-        coefs.append((p, coef))
-    return coefs, c
+    a = _integer_table(exponents)
+    rows, k = a.shape
+    dtype = np.int64 if rows * l < 1 << 63 else object
+    e = (a if a.dtype == dtype else a.astype(object)) % l
+    g = np.asarray(np.arange(rows, dtype=dtype)[:, None] * l + e, dtype=dtype).ravel()
+    count = np.ones(len(g), dtype=np.int64)
+    peel = []
+    for p in _vanishing_primes(k, l):
+        s, q = l // p, math.gcd(l, p ** l.bit_length())     # q = p^a
+        j = g % l // s
+        cycle, at = np.unique(g - j * s, return_inverse=True)  # row * l + r, r < s
+        members = cycle[:, None] + np.arange(p, dtype=dtype) * s
+        t = np.zeros(members.shape, dtype=np.int64)
+        np.add.at(t, (at, j.astype(np.intp)), count)
+        coef = t[members % q < q // p]         # one member per cycle, in order
+        t -= coef[:, None]
+        hit, nonzero = coef != 0, t != 0
+        peel.append((p, cycle[hit] // l, cycle[hit] % l, coef[hit]))
+        g, count = members[nonzero], t[nonzero]
+    left = np.zeros(rows, dtype=bool)
+    left[(g // l).astype(np.intp)] = True
+    return peel, left
 
 
-def _vanishing_rows(exponents: Sequence[Sequence[int]], l: int) -> np.ndarray:
+def _vanishing_rows(exponents, l: int) -> np.ndarray:
     """Per row of an exponent table, whether the sum of zeta_l^e over the
-    row is exactly zero: the peel of its exponent counts leaves nothing."""
-    e = np.asarray(exponents, dtype=np.int64) % l
-    rows = e.shape[0]
-    keys = np.arange(rows)[:, None] * l + e
-    counts = np.bincount(keys.ravel(), minlength=rows * l).reshape(rows, l)
-    return ~_cycle_peel(counts, l)[1].any(axis=1)
+    row is exactly zero: its peel leaves nothing."""
+    return ~_cycle_peel(exponents, l)[1]
 
 
 # -- symmetry-adapted blocks -------------------------------------------------
@@ -623,11 +668,8 @@ def exact_defect_butson(exponents: Sequence[Sequence[int]], l: int) -> ButsonDef
     reductions, reductions continue until it does; when it cannot, two
     reductions give an upper bound and ``exact`` is False.
     """
-    try:
-        E = np.asarray(exponents, dtype=np.int64)
-    except ValueError:
-        raise InvalidInputError("ragged exponent table") from None
-    if E.ndim != 2 or not E.size:
+    E = np.asarray(_integer_table(exponents), dtype=np.int64)
+    if not E.size:
         raise InvalidInputError("empty exponent table")
     if l < 1:
         raise InvalidInputError("l must be >= 1")
@@ -638,8 +680,10 @@ def exact_defect_butson(exponents: Sequence[Sequence[int]], l: int) -> ButsonDef
         return ButsonDefect(n, True, "proof", (), (), 0)
     iu, ju = np.triu_indices(m, 1)
     # the column phase directions always lie in the kernel, the row phase
-    # directions when the rows are orthogonal
-    top = m * n - (m + n - 1 if _vanishing_rows(E[iu] - E[ju], l).all() else n)
+    # directions when the rows are orthogonal; pairs with one term multiset
+    # are peeled once
+    d = np.sort((E[iu] - E[ju]) % l, axis=1)
+    top = m * n - (m + n - 1 if _vanishing_rows(d[_distinct_rows(d, l)[0]], l).all() else n)
     found = _automorphism(E, l) if m * n >= _SYMMETRY_FLOOR else None
     sigma, tau, r = found or (np.arange(m), np.arange(n), 1)
     layout = _block_layout(sigma, tau, r)
@@ -672,5 +716,4 @@ def exact_vanishing(exponents: Sequence[int], l: int) -> bool:
     """Whether the sum of zeta_l^e over the exponent list is exactly zero."""
     if l < 1:
         raise InvalidInputError("l must be >= 1")
-    counts = np.bincount([int(e) % l for e in exponents], minlength=l)
-    return not _cycle_peel(counts, l)[1].any()
+    return not _cycle_peel([exponents], l)[1][0]

@@ -6,13 +6,15 @@ p-th roots of unity (p prime): subsets of the form rho * {1, zeta_p, ...,
 zeta_p^{p-1}}.  The decomposition search is an exact cover of the term
 indices by forced completion: a p-cycle through a term a is exactly
 {a * zeta_p^m}, so its other p-1 terms are looked up, not searched for.
-Exact input is searched on its exponents, over the primes dividing the
-root order.  Whether an exact sum vanishes at all is decided by peeling
-its exponent counts into rotated prime cycles (``cyclotomic._cycle_peel``);
-a vanishing sum with no cover is written over the integers by that peel,
-where negative coefficients can appear.  ``equivalence_profile`` collects
-the labels with the defect and the Butson order as invariants of an
-equivalence class.
+Exact input is searched on its exponents, over the primes up to the
+number of terms that divide the root order
+(``cyclotomic._vanishing_primes``), so the order is never factored.
+Whether an exact sum vanishes at all is decided by peeling the exponents
+present into rotated prime cycles over those primes
+(``cyclotomic._cycle_peel``); a vanishing sum with no cover is written
+over the integers by that peel, where negative coefficients can appear.
+``equivalence_profile`` collects the labels with the defect and the
+Butson order as invariants of an equivalence class.
 """
 
 from __future__ import annotations
@@ -25,21 +27,13 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cyclotomic import _cycle_peel, _prime_factors
+from .cyclotomic import _cycle_peel, _primes_upto, _vanishing_primes
 from .defect import defect, isolation_certificate
 from .errors import ConsistencyError, InvalidInputError, SearchBudgetExceeded
 from .matrix import PHMatrix, dephase, detect_butson, ensure_verified, row_quotient
 from .phases import TAU, ExactPhases, PhaseEntry
 
 DEFAULT_BUDGET = 10 ** 7
-
-
-def _primes_upto(n: int) -> list:
-    out = []
-    for p in range(2, n + 1):
-        if all(p % q for q in out):
-            out.append(p)
-    return out
 
 
 def _label(primes) -> str:
@@ -282,25 +276,26 @@ def cycle_decompose_integer(exponents: Sequence[int], l: int,
                             budget: int = DEFAULT_BUDGET) -> IntegerCycleDecomposition:
     """Exact decomposition of sum_k zeta_l^{e_k} over the integers.
 
-    The counts are peeled into rotated prime cycles once: anything left
+    The exponents are peeled into rotated prime cycles once: anything left
     means the sum does not vanish.  A vanishing sum goes to the same
-    exact-cover search as the floating route (p restricted to primes
-    dividing l, arithmetic exact); if no partition exists, the peel's
-    coefficients, some of which may be negative, are the account.
+    exact-cover search as the floating route (p restricted to the primes
+    up to the number of terms dividing l, arithmetic exact); if no
+    partition exists, the peel's coefficients, some of which may be
+    negative, are the account.
     """
     if l < 1:
         raise InvalidInputError("l must be >= 1")
+    peel, left = _cycle_peel([exponents], l)
+    if left[0]:
+        return IntegerCycleDecomposition(l, False, None, None, None, True)
     exps = [int(e) % l for e in exponents]
     n = len(exps)
-    peel, rest = _cycle_peel(np.bincount(exps, minlength=l), l)
-    if rest.any():
-        return IntegerCycleDecomposition(l, False, None, None, None, True)
 
     complete = True
     found: Optional[list] = [] if n == 0 else None
     if n > 0:
         try:
-            found = _cover(*_exponent_classes(exps, l), _prime_factors(l)[::-1], budget)
+            found = _cover(*_exponent_classes(exps, l), _vanishing_primes(n, l)[::-1], budget)
         except SearchBudgetExceeded:
             complete = False
     if found is not None:
@@ -308,8 +303,8 @@ def cycle_decompose_integer(exponents: Sequence[int], l: int,
         comps = _by_prime((p, r, c) for (p, r), c in agg.items())
         return IntegerCycleDecomposition(l, True, comps, True, "exact-cover", complete)
 
-    comps = _by_prime((p, r, k) for p, coef in peel
-                      for r, k in enumerate(coef.tolist()) if k)
+    comps = _by_prime((p, r, k) for p, _, rotations, coef in peel
+                      for r, k in zip(rotations.tolist(), coef.tolist()))
     allpos = all(c >= 0 for _, _, c in comps)
     if allpos and complete:
         raise ConsistencyError(
@@ -322,13 +317,14 @@ def cycle_decompose_integer(exponents: Sequence[int], l: int,
 def lam_leung_length_admissible(n: int, l: int) -> bool:
     """Can n be written as a nonnegative combination of the primes of l?
 
-    Vanishing sums of l-th roots only exist at such lengths.
+    Vanishing sums of l-th roots only exist at such lengths.  Only the
+    primes up to n can take part, so l is never factored.
     """
     if n < 0:
         raise InvalidInputError("length must be >= 0")
     reachable = [False] * (n + 1)
     reachable[0] = True
-    for p in _prime_factors(l):
+    for p in _vanishing_primes(n, l):
         for v in range(p, n + 1):
             if reachable[v - p]:
                 reachable[v] = True
@@ -372,8 +368,7 @@ def cycle_structure_profile(h: PHMatrix, tol: float = 1e-8,
         return {(i, j): _pair_label(row_quotient(h, i, j), tol, budget)
                 for i in range(h.m) for j in range(i + 1, h.m)}
     e, l = phases.exp, phases.order
-    # l itself is not factored: trial division is slow at orders near 2^70
-    primes = [p for p in _primes_upto(h.n)[::-1] if l % p == 0]
+    primes = _vanishing_primes(h.n, l)[::-1]
     labels: dict = {}
     out = {}
     for i in range(h.m - 1):

@@ -68,15 +68,29 @@ def test_context_power_wraps_and_reduces():
 def test_from_exponent_counts_vanishing_sum():
     # the smallest prime peels first: 1 + z^2 + z^4 is the three 2-cycles
     # less the 3-cycle through z
-    peel, rest = _cycle_peel([1, 0, 1, 0, 1, 0], 6)
-    assert not rest.any()
-    assert [(p, c.tolist()) for p, c in peel] == [(2, [1, 1, 1]), (3, [0, -1])]
-    assert _cycle_peel([1, 1, 0, 0, 0, 0], 6)[1].any()
-    # one call peels many rows
-    rows = _cycle_peel([[1, 0, 1, 0, 1, 0], [1, 1, 0, 0, 0, 0]], 6)[1]
-    assert rows.any(axis=1).tolist() == [False, True]
+    peel, left = _cycle_peel([[0, 2, 4]], 6)
+    assert not left.any()
+    assert [(p, rows.tolist(), r.tolist(), c.tolist()) for p, rows, r, c in peel] == \
+        [(2, [0, 0, 0], [0, 1, 2], [1, 1, 1]), (3, [0], [1], [-1])]
+    assert _cycle_peel([[0, 1]], 6)[1].any()
+    # one call peels many rows; 1 + z + z^3 = z holds a vanishing 2-cycle
+    assert _cycle_peel([[0, 2, 4], [0, 1, 3]], 6)[1].tolist() == [False, True]
     assert exact_vanishing([0, 2, 4], 6)
     assert not exact_vanishing([0, 1], 6)
+
+
+def test_only_integer_exponents_are_read():
+    # a float or text exponent is refused, never truncated or parsed
+    for bad in ([0.5, 2.7], ["1", "3"]):
+        with pytest.raises(InvalidInputError, match="integers"):
+            exact_vanishing(bad, 4)
+    with pytest.raises(InvalidInputError, match="integers"):
+        exact_defect_butson([[0, 0], [0, 1.9]], 2)
+    with pytest.raises(InvalidInputError, match="ragged"):
+        exact_defect_butson([[0, 1], [0]], 2)
+    # numpy integers and Python ints past int64 are integers
+    assert exact_vanishing(np.array([0, 3], dtype=np.int32), 6)
+    assert exact_vanishing([2 ** 64, 2 ** 64 + 3], 6)
 
 
 def test_order_below_one_is_refused():

@@ -15,7 +15,7 @@ from hadlab import (InvalidInputError, MWSpec, PHMatrix, PhaseEntry,
                     cycle_structure_profile, fourier_cyclic, fourier_group,
                     is_regular, lam_leung_length_admissible, mw_construct,
                     petrescu, term_multiset, weak_isolation_probe)
-from hadlab.cyclotomic import _cycle_peel
+from hadlab.cyclotomic import _cycle_peel, exact_vanishing
 from hadlab.regularity import DEFAULT_BUDGET
 
 
@@ -168,6 +168,13 @@ def _cycle_sum(components, l):
     return counts
 
 
+def _exponents(counts) -> list:
+    """The exponent list of a count vector: a signed one first takes whole
+    sets of l-th roots, which vanish, until no count is negative."""
+    lift = max(0, -min(counts))
+    return [e for e, c in enumerate(counts) for _ in range(c + lift)]
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from((6, 12, 30, 60, 210, 360, 420)), st.data())
 def test_cycle_peel_reconstructs_signed_cycle_sums(l, data):
@@ -175,16 +182,21 @@ def test_cycle_peel_reconstructs_signed_cycle_sums(l, data):
     comps = data.draw(st.lists(st.tuples(st.sampled_from(primes),
                                          st.integers(0, l - 1),
                                          st.integers(-3, 3)), max_size=12))
-    counts = _cycle_sum(comps, l)
-    peel, rest = _cycle_peel(counts, l)
-    assert not rest.any()
-    assert [p for p, _ in peel] == primes
-    assert all(coef.shape == (l // p,) for p, coef in peel)
-    peeled = [(p, r, k) for p, coef in peel for r, k in enumerate(coef.tolist())]
+    exps = _exponents(_cycle_sum(comps, l))
+    counts = np.bincount(exps, minlength=l).tolist()
+    peel, left = _cycle_peel([exps], l)
+    assert not left.any()
+    peeled = [(p, r, k) for p, _, rot, coef in peel
+              for r, k in zip(rot.tolist(), coef.tolist())]
     assert _cycle_sum(peeled, l) == counts
     # one more term anywhere leaves a sum that does not vanish
-    counts[data.draw(st.integers(0, l - 1))] += 1
-    assert _cycle_peel(counts, l)[1].any()
+    extra = exps + [data.draw(st.integers(0, l - 1))]
+    assert _cycle_peel([extra], l)[1].any()
+    # one call peels many rows: the extra term with its 2-cycle partner
+    # vanishes, with its neighbour it does not
+    x = extra[-1]
+    assert _cycle_peel([extra + [x + l // 2], extra + [x + 1]], l)[1].tolist() == \
+        [False, True]
 
 
 def test_integer_route_budget_gives_indeterminate_sign():
@@ -203,6 +215,10 @@ def test_lam_leung_admissible_lengths():
     assert not lam_leung_length_admissible(7, 5)
     with pytest.raises(InvalidInputError):
         lam_leung_length_admissible(-1, 6)
+    # only the primes up to the length count, so the order is never factored
+    assert not lam_leung_length_admissible(3, 2 ** 61 - 1)
+    assert lam_leung_length_admissible(2, 2 ** 70)
+    assert lam_leung_length_admissible(13, BIG)
 
 
 def test_weak_isolation_probe_fields():
@@ -425,12 +441,52 @@ def test_grouped_profile_matches_per_pair_search(case):
 
 
 def test_profile_never_factors_the_order(monkeypatch):
-    # trial division of BIG takes seconds; the profile reads the primes
-    # dividing the order off the primes up to N instead
+    # trial division of BIG takes seconds; every exact vanishing question
+    # reads the primes dividing the order off the primes up to its length
     def refuse(l):
         raise AssertionError(f"factored {l}")
-    monkeypatch.setattr("hadlab.regularity._prime_factors", refuse)
+    monkeypatch.setattr("hadlab.cyclotomic._prime_factors", refuse)
     assert set(cycle_structure_profile(_fourier13_at_big_order()).values()) == {"13"}
+    thirteen = [k * (BIG // 13) for k in range(13)]
+    assert exact_vanishing(thirteen, BIG)
+    assert cycle_decompose_integer(thirteen, BIG).components == ((13, 0, 1),)
+    assert lam_leung_length_admissible(13, BIG)
+
+
+@pytest.mark.parametrize("l, exps, components", [
+    (2 ** 40, [0, 2 ** 39], ((2, 0, 1),)),
+    (2 ** 61 - 1, [0, 1], None),
+    (2 ** 70, [0, 2 ** 69], ((2, 0, 1),)),
+    (BIG, [k * (BIG // 13) + 5 for k in range(13)], ((13, 5, 1),)),
+    (BIG, [0, BIG // 13], None),
+])
+def test_exact_vanishing_at_large_orders(l, exps, components):
+    # the peel never indexes by l, so orders past any array length decide
+    assert exact_vanishing(exps, l) is (components is not None)
+    d = cycle_decompose_integer(exps, l)
+    assert d.vanishing is (components is not None)
+    assert d.components == components
+
+
+def _peel_peak(exps, l) -> int:
+    cycle_decompose_integer(exps, l)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        exact_vanishing(exps, l)
+        cycle_decompose_integer(exps, l)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_peel_memory_does_not_grow_with_the_order():
+    assert _peel_peak([0, 2 ** 39], 2 ** 40) <= _peel_peak([0, 20], 40) + 8 * 1024
+
+
+def test_integer_route_reads_only_integers():
+    with pytest.raises(InvalidInputError, match="integers"):
+        cycle_decompose_integer([0.9, 2.2], 4)
 
 
 def test_grouped_profile_fixed_cases():
