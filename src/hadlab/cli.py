@@ -34,7 +34,7 @@ from .io import (dumps_phm, loads_phm, number_from_json, to_document,
                  turn_from_json)
 from .matrix import PHMatrix, verify_partial_hadamard
 from .mcnulty_weigert import MWSpec, arithmetic_isolation_probe, mw_construct
-from .phases import PhaseEntry, parse_phase
+from .phases import PhaseEntry, _number, parse_phase
 from .regularity import cycle_structure_profile, equivalence_profile
 from .semigroup import _grid_classes, moment, square_closure
 
@@ -100,14 +100,6 @@ def _comma_list(text: str, convert: Callable, error: str) -> list:
 
 def _ints(text: str) -> list:
     return _comma_list(text, int, "expected comma-separated integers: {text!r}")
-
-
-def _number(t: str):
-    if "/" in t:
-        return Fraction(t)
-    if "." in t or "e" in t or "E" in t:
-        return float(t)
-    return int(t)
 
 
 def _numbers(text: str) -> list:
@@ -297,14 +289,19 @@ def _defect(args, h: Optional[PHMatrix]) -> Outcome:
                     "ambiguous": rep.ambiguous})
 
 
+def _certificate_data(cert) -> dict:
+    """The ``--json`` fields of an isolation certificate."""
+    return {"defect": cert.defect, "bound": cert.bound, "status": cert.status,
+            "exact": cert.exact, "method": cert.report.method,
+            "breakdown": cert.report.breakdown}
+
+
 def _isolated(args, h: PHMatrix) -> Outcome:
     cert = isolation_certificate(h, args.tol, args.confidence)
     code = {"isolated": OK, "undetermined": PROPERTY_FAILS,
             "ambiguous": AMBIGUOUS}[cert.status]
-    data = {"defect": cert.defect, "bound": cert.bound,
-            "certified_isolated": cert.certified_isolated,
-            "status": cert.status, "exact": cert.exact,
-            "method": cert.report.method, "breakdown": cert.report.breakdown}
+    data = {**_certificate_data(cert),
+            "certified_isolated": cert.certified_isolated}
     return Outcome(code, data, str(cert), data)
 
 
@@ -379,9 +376,7 @@ def _probe_truncation(args, _) -> Outcome:
     sizes = _ints(args.sizes) if args.sizes else None
     certs = truncation_probe(args.n, sizes, args.tol, args.confidence)
     data = {"certificates": [
-        {"rows": c.shape[0], "cols": c.shape[1], "defect": c.defect,
-         "bound": c.bound, "status": c.status, "exact": c.exact,
-         "method": c.report.method, "breakdown": c.report.breakdown}
+        {"rows": c.shape[0], "cols": c.shape[1], **_certificate_data(c)}
         for c in certs]}
     return Outcome(OK, data, "\n".join(str(c) for c in certs),
                    {"n": args.n, "statuses": [c.status for c in certs]})

@@ -566,25 +566,29 @@ def _automorphism(e: np.ndarray, l: int) -> Optional[Tuple[np.ndarray, np.ndarra
     return best
 
 
+def _orbits(perm: np.ndarray, r: int):
+    """The orbits of a permutation whose order divides r.  Returns steps,
+    with steps[t, u] = perm^t(u) for t < r; reps, the least point of each
+    orbit, increasing; index, the orbit of each point; and pos, the t with
+    u = perm^t(reps[index[u]]).  Orbit sizes are np.bincount(index)."""
+    steps = [np.arange(len(perm))]
+    for _ in range(r - 1):
+        steps.append(perm[steps[-1]])
+    steps = np.array(steps)
+    reps, index = np.unique(steps.min(axis=0), return_inverse=True)
+    return steps, reps, index, (r - steps.argmin(axis=0)) % r
+
+
 def _block_layout(sigma: np.ndarray, tau: np.ndarray, r: int):
     """Orbit data of the action (i, k) -> (sigma i, tau k) on unknowns and
     (i, j) -> (sigma i, sigma j) on ordered pairs of distinct rows, every
     orbit of length r.  Returns the representative pairs (iu, ju) and, for
     each unknown u, the index of its orbit and the t with u = pi^t(rep)."""
     m, n = len(sigma), len(tau)
-
-    def orbits(perm):
-        steps = [np.arange(len(perm))]
-        for _ in range(r - 1):
-            steps.append(perm[steps[-1]])
-        steps = np.array(steps)                  # steps[t, u] = perm^t(u)
-        reps, index = np.unique(steps.min(axis=0), return_inverse=True)
-        return reps, index, (r - steps.argmin(axis=0)) % r
-
-    reps = orbits((sigma[:, None] * m + sigma[None, :]).ravel())[0]
-    iu, ju = np.divmod(reps, m)
+    pairs = _orbits((sigma[:, None] * m + sigma[None, :]).ravel(), r)[1]
+    iu, ju = np.divmod(pairs, m)
     off = iu != ju
-    _, index, pos = orbits((sigma[:, None] * n + tau[None, :]).ravel())
+    _, _, index, pos = _orbits((sigma[:, None] * n + tau[None, :]).ravel(), r)
     return iu[off], ju[off], index, pos
 
 

@@ -31,7 +31,8 @@ import numpy as np
 from .constructors import (MasterSpec, group_elements, master_matrix,
                            normalize_row_subset, truncated_fourier,
                            _check_orders)
-from .cyclotomic import PROOF_CAP, _dephased, _distinct_rows, exact_defect_butson
+from .cyclotomic import (PROOF_CAP, _dephased, _distinct_rows, _prime_factors,
+                         exact_defect_butson)
 from .errors import ConsistencyError, InvalidInputError
 from .matrix import BUTSON_ORDER_CAP, PHMatrix, detect_butson, ensure_verified
 from .phases import ExactPhases
@@ -486,18 +487,11 @@ def cyclic_defect_closed_form(n: int) -> int:
     if n < 1:
         raise InvalidInputError("n must be >= 1")
     total = 1
-    rem = n
-    p = 2
-    while rem > 1:
-        if rem % p == 0:
-            a = 0
-            pk = 1
-            while rem % p == 0:
-                rem //= p
-                a += 1
-                pk *= p
-            total *= (pk // p) * (p + a * p - a)
-        p += 1 if p == 2 else 2
+    for p in _prime_factors(n):
+        a = 1                       # the exponent of p in n
+        while n % p ** (a + 1) == 0:
+            a += 1
+        total *= p ** (a - 1) * (p + a * (p - 1))
     return total
 
 

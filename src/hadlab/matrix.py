@@ -219,8 +219,8 @@ def detect_butson(h: PHMatrix) -> Optional[ExactPhases]:
     entry, or None.
 
     An exact matrix answers with its stored table, whatever its order; the
-    entries of a complex matrix are matched against l-th roots within 1e-9
-    for l <= BUTSON_ORDER_CAP.
+    entries of a complex matrix are matched within 1e-9 against the values
+    of l-th roots (ExactPhases.values) for l <= BUTSON_ORDER_CAP.
     """
     p = h.phases
     if isinstance(p, ExactPhases):
@@ -228,10 +228,9 @@ def detect_butson(h: PHMatrix) -> Optional[ExactPhases]:
     z = h.to_array()
     turns = (np.angle(z) / (2.0 * math.pi)) % 1.0
     for l in range(1, BUTSON_ORDER_CAP + 1):
-        e = np.rint(turns * l).astype(int) % l
-        resid = np.abs(z - np.exp(2j * math.pi * e / l))
-        if np.max(resid) <= 1e-9:
-            return ExactPhases(e, l)
+        table = ExactPhases(np.rint(turns * l).astype(int) % l, l)
+        if np.max(np.abs(z - table.values())) <= 1e-9:
+            return table
     return None
 
 

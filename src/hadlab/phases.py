@@ -6,11 +6,11 @@ A phase is one of two kinds:
 * ``cartesian`` -- a plain complex number of modulus ~1.
 
 A turn t stands for exp(2*pi*i*t): a Fraction turn is read as a ``butson``
-phase, a float turn as the ``cartesian`` value it gives.  Arrays of phases
-split the same way: an integer exponent array at one order
-(``ExactPhases``), or a complex array.  ``multiply`` is the one product
-rule for both: exponents add at the lcm order, anything else multiplies
-values.
+phase, a float turn as the ``cartesian`` value it gives, and a turn that is
+not finite is refused.  Arrays of phases split the same way: an integer
+exponent array at one order (``ExactPhases``), or a complex array.
+``multiply`` is the one product rule for both: exponents add at the lcm
+order, anything else multiplies values.
 """
 
 from __future__ import annotations
@@ -61,10 +61,14 @@ class PhaseEntry:
 
     @classmethod
     def turns(cls, t: Union[Fraction, float]) -> "PhaseEntry":
-        """exp(2*pi*i*t): exact for a Fraction, cartesian for anything else."""
+        """exp(2*pi*i*t): exact for a Fraction, cartesian for any other
+        finite number."""
         if isinstance(t, Fraction):
             return cls.butson(t.numerator, t.denominator)
-        return cls("cartesian", z=_cis(float(t) % 1.0))
+        t = float(t)
+        if not math.isfinite(t):
+            raise InvalidInputError(f"turn must be finite, got {t!r}")
+        return cls("cartesian", z=_cis(t % 1.0))
 
     @classmethod
     def cartesian(cls, z: complex, tol: float = 1e-9) -> "PhaseEntry":
@@ -127,17 +131,23 @@ class PhaseEntry:
         return f"PhaseEntry.cartesian({self.z!r})"
 
 
+def _number(t: str):
+    """A number in text: 'p/q' as a Fraction, text with '.', 'e' or 'E' as
+    a float, anything else as an int."""
+    if "/" in t:
+        return Fraction(t)
+    if "." in t or "e" in t or "E" in t:
+        return float(t)
+    return int(t)
+
+
 def parse_phase(text: str) -> PhaseEntry:
-    """Parse a phase given as a turn: 'p/q' or an integer exactly, or a
-    decimal float."""
+    """Parse a phase given as a turn, spelled as _number reads it: 'p/q' or
+    an integer exactly, or a decimal float, which must be finite."""
     text = text.strip()
     try:
-        if "/" in text:
-            return PhaseEntry.turns(Fraction(text))
-        try:
-            return PhaseEntry.turns(Fraction(int(text)))
-        except ValueError:
-            return PhaseEntry.turns(float(text))
+        t = _number(text)
+        return PhaseEntry.turns(Fraction(t) if isinstance(t, int) else t)
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidInputError(f"cannot parse phase {text!r}: {exc}") from exc
 

@@ -31,7 +31,7 @@ from .cyclotomic import _cycle_peel, _primes_upto, _vanishing_primes
 from .defect import defect, isolation_certificate
 from .errors import ConsistencyError, InvalidInputError, SearchBudgetExceeded
 from .matrix import PHMatrix, dephase, detect_butson, ensure_verified, row_quotient
-from .phases import TAU, ExactPhases, PhaseEntry
+from .phases import TAU, ExactPhases, PhaseEntry, _cis
 
 DEFAULT_BUDGET = 10 ** 7
 
@@ -72,8 +72,7 @@ def term_multiset(h: PHMatrix, i: int, j: int) -> np.ndarray:
 def _on_root(q: complex, p: int, m: int, tol: float) -> bool:
     """Is q within tol of zeta_p^m, with m the p-th root nearest to q?"""
     near = int(round((math.atan2(q.imag, q.real) / (2.0 * math.pi)) * p)) % p
-    return near == m and abs(q - complex(math.cos(2.0 * math.pi * m / p),
-                                         math.sin(2.0 * math.pi * m / p))) <= tol
+    return near == m and abs(q - _cis(m / p)) <= tol
 
 
 def _exponent_classes(exps: Sequence[int], l: int):

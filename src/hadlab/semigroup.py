@@ -21,6 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .cyclotomic import _orbits
 from .errors import ConsistencyError, InvalidInputError, SearchBudgetExceeded
 from .matrix import PHMatrix, ensure_verified
 
@@ -280,9 +281,14 @@ def square_closure(square: PreLatinSquare, cap: int = MAX_CLOSURE) -> SemigroupC
 
 def interval_shift_maps(m: int) -> Tuple[PartialPermutation, ...]:
     """All order-preserving shifts between index intervals, plus the empty
-    map: 1 + sum_k (m+1-k)^2 elements over interval lengths k = 1..m."""
+    map: 1 + sum_k (m+1-k)^2 elements over interval lengths k = 1..m,
+    refused before any work past MAX_CLOSURE, as a closure would be."""
     if m < 1:
         raise InvalidInputError("need at least 1 row")
+    size = 1 + m * (m + 1) * (2 * m + 1) // 6
+    if size > MAX_CLOSURE:
+        raise InvalidInputError(
+            f"{size} interval shift maps exceed {MAX_CLOSURE}; refusing")
     elems = {PartialPermutation.empty(m).targets: PartialPermutation.empty(m)}
     for k in range(1, m + 1):
         for src in range(m - k + 1):
@@ -410,21 +416,16 @@ def _rotation_block_eigenvalues(grid: ProjectionGrid, p: int) -> np.ndarray:
     sum_tau w^(-k tau) e_{S^tau a} / sqrt(s) when k s = 0 (mod p), and block
     k has entries sqrt(s_a s_b) / p * sum_tau w^(k tau) t[a, S^tau b] over
     those representatives.  The block sizes add up to m^p, and only the
-    representative rows of t are built.
+    representative rows of t are built.  The orbits are laid out by
+    cyclotomic._orbits, as are those of the modular symmetry blocks.
     """
-    m = grid.m
-    words = np.arange(m ** p)
-    # rot[tau, w] = S^tau w, with S (i_1 .. i_p) = (i_2 .. i_p, i_1)
-    rot = np.empty((p + 1, words.size), dtype=np.intp)
-    rot[0] = words
-    for tau in range(1, p + 1):
-        prev = rot[tau - 1]
-        rot[tau] = prev % m ** (p - 1) * m + prev // m ** (p - 1)
-    reps = np.flatnonzero(rot[:p].min(axis=0) == words)
-    # orbit size: the first tau >= 1 with S^tau a = a (S^p is the identity)
-    s = np.argmax(rot[1:, reps] == reps, axis=0) + 1
+    words = np.arange(grid.m ** p)
+    # S (i_1 .. i_p) = (i_2 .. i_p, i_1); S^p is the identity
+    shift = grid.m ** (p - 1)
+    rot, reps, index, _ = _orbits(words % shift * grid.m + words // shift, p)
+    s = np.bincount(index)
     # gathered[a, tau, b] = t[a, S^tau b], for representatives a and b
-    gathered = _moment_rows(grid, p, reps)[:, rot[:p, reps]]
+    gathered = _moment_rows(grid, p, reps)[:, rot[:, reps]]
     phase = np.exp(2j * np.pi / p * np.outer(np.arange(p), np.arange(p)))
     blocks = np.einsum("kt,atb->kab", phase, gathered)
     blocks *= np.sqrt(np.outer(s, s)) / p

@@ -214,16 +214,20 @@ def test_defect_master_from_spec_file(tmp_path):
 
 
 @pytest.mark.parametrize("case", ["dita-turn-zero-denominator",
-                                  "spec-bad-exponent", "spec-not-json"])
+                                  "dita-turn-nan", "spec-bad-exponent",
+                                  "spec-not-json"])
 def test_malformed_phase_and_spec_files_exit_2(tmp_path, case):
-    """Bad turns, bad exponents and undecodable files are invalid input."""
+    """Bad turns, bad exponents and undecodable files are invalid input,
+    and gen writes no file."""
     f2 = tmp_path / "f2.json"
     save_phm(fourier_cyclic(2), str(f2))
     bad = tmp_path / "bad.json"
-    if case == "dita-turn-zero-denominator":
-        bad.write_text(json.dumps([[0, [1, 0]], [0, 0]]))
+    out = tmp_path / "out.json"
+    if case.startswith("dita-turn"):
+        turn = [1, 0] if case == "dita-turn-zero-denominator" else "nan"
+        bad.write_text(json.dumps([[0, turn], [0, 0]]))
         argvs = [["gen", "dita", "--outer", str(f2), "--inner", str(f2),
-                  "--phases", str(bad)]]
+                  "--phases", str(bad), "-o", str(out)]]
     elif case == "spec-bad-exponent":
         argvs = []
         for e in ("x", [1, 0]):
@@ -240,6 +244,7 @@ def test_malformed_phase_and_spec_files_exit_2(tmp_path, case):
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -253,18 +258,24 @@ def test_malformed_phase_and_spec_files_exit_2(tmp_path, case):
     "defect F --confidence nan",
     "defect F --confidence -1",
     "regularity F --budget -5",
+] + [f"gen {kind} --q={q} -o OUT" for kind in ("f22q", "petrescu")
+     for q in ("nan", "inf", "-inf", "infinity", "1e400")] + [
+    "gen master-dita 1 1 1 --p 1e400 --r 0 -o OUT",
 ])
 def test_malformed_arguments_exit_2(tmp_path, monkeypatch, capsys, argv):
+    """Each is refused with an error and, from gen, no file written."""
     from hadlab import cli
     f8 = tmp_path / "f8.json"
+    out = tmp_path / "out.json"
     assert run_command(["gen", "fourier", "8", "-o", str(f8)])[0] == 0
-    argv = [str(f8) if a == "F" else a for a in argv.split()]
+    argv = [{"F": str(f8), "OUT": str(out)}.get(a, a) for a in argv.split()]
     monkeypatch.setattr(sys, "argv", ["hadlab"] + argv)
     with pytest.raises(SystemExit) as exc:
         cli.main()
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("case", ["catalog-is-directory",

@@ -11,9 +11,9 @@ from hadlab import (InvalidInputError, MWSpec, PHMatrix, PhaseEntry,
                     fourier_cyclic, fourier_group, isolation_certificate,
                     mw_construct, petrescu, tensor_product)
 from hadlab.cyclotomic import (PROOF_CAP, _automorphism, _block_layout,
-                               _cycle_peel, _tangent_blocks, _vanishing_rows,
-                               exact_defect_butson, exact_vanishing,
-                               rank_mod_p, split_primes)
+                               _cycle_peel, _orbits, _tangent_blocks,
+                               _vanishing_rows, exact_defect_butson,
+                               exact_vanishing, rank_mod_p, split_primes)
 
 KNOWN = {
     1: [-1, 1],
@@ -590,6 +590,38 @@ def test_block_ranks_sum_to_the_whole_rank(table):
         [rank] = rank_mod_p(_tangent_blocks(e, l, p, w, 1, whole), p)
         assert sum(block_ranks) == rank
         assert rank == _rank_reference(_conjugate_stacked_system(e, l, p, w), p)
+
+
+@st.composite
+def cycle_permutations(draw):
+    """A permutation whose cycle lengths divide r, with r and its cycles."""
+    r = draw(st.sampled_from([2, 3, 4, 5, 6, 13]))
+    divisors = [d for d in range(1, r + 1) if r % d == 0]
+    lengths = draw(st.lists(st.sampled_from(divisors), min_size=1, max_size=12))
+    points = np.array(draw(st.permutations(range(sum(lengths)))))
+    cycles = np.split(points, np.cumsum(lengths)[:-1])
+    perm = np.empty(len(points), dtype=np.int64)
+    for cycle in cycles:
+        perm[cycle] = np.roll(cycle, -1)
+    return perm, r, cycles
+
+
+@settings(max_examples=80, deadline=None)
+@given(cycle_permutations())
+def test_orbits_lay_out_each_cycle(case):
+    perm, r, cycles = case
+    steps, reps, index, pos = _orbits(perm, r)
+    assert steps.shape == (r, len(perm))
+    assert np.array_equal(steps[0], np.arange(len(perm)))
+    assert np.array_equal(steps[1:], perm[steps[:-1]])
+    assert np.array_equal(steps[pos, reps[index]], np.arange(len(perm)))
+    assert np.all(np.diff(reps) > 0)
+    sizes = np.bincount(index)
+    assert len(sizes) == len(reps) == len(cycles)
+    for cycle in cycles:
+        assert np.all(index[cycle] == index[cycle[0]])
+        assert sizes[index[cycle[0]]] == len(cycle)
+        assert reps[index[cycle[0]]] == cycle.min()
 
 
 def _petrescu7():

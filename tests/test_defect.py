@@ -56,6 +56,11 @@ def test_fourier_defect_table():
     for n, expected in zip(range(2, 21), FOURIER_DEFECTS):
         assert cyclic_defect_closed_form(n) == expected
         assert fourier_defect_formula([n]) == expected
+    # at a prime near 10^12 the closed form ends by factoring up to the
+    # square root, not up to the prime
+    big = 10 ** 12 + 39
+    assert cyclic_defect_closed_form(big) == 2 * big - 1
+    assert cyclic_defect_closed_form(4 * big) == 8 * (2 * big - 1)
     rep = defect(fourier_cyclic(6))
     assert rep.defect == 15
     assert rep.method == "direct"

@@ -24,6 +24,9 @@ def test_turns_exact_and_float():
     p = PhaseEntry.turns(0.3)
     assert p.exact_turn() is None
     assert close(p.value, cmath.exp(1j * TAU * 0.3))
+    for turn in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(InvalidInputError, match="finite"):
+            PhaseEntry.turns(turn)
 
 
 def test_cartesian_rejects_off_circle():
@@ -82,3 +85,7 @@ def test_parse_phase_fraction_integer_float():
         parse_phase("nonsense")
     with pytest.raises(InvalidInputError):
         parse_phase("1/0")
+    for text in ("nan", "inf", "-inf", "infinity", "1e400"):
+        with pytest.raises(InvalidInputError, match="cannot parse phase"):
+            parse_phase(text)
+

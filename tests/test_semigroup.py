@@ -15,8 +15,9 @@ from hadlab import (DitaParams, InvalidInputError, MWSpec, PartialPermutation,
                     moment_matrix, mw_construct, petrescu, pre_latin_square,
                     predicted_truncated_semigroup, semigroup_closure,
                     sigma_from_square, truncated_fourier, verify_submagic)
-from hadlab.semigroup import (MAX_MOMENT_ENTRIES, PreLatinSquare,
-                              ProjectionGrid, _rotation_block_eigenvalues)
+from hadlab.semigroup import (MAX_CLOSURE, MAX_MOMENT_ENTRIES,
+                              PreLatinSquare, ProjectionGrid,
+                              _rotation_block_eigenvalues)
 
 
 def f25():
@@ -285,13 +286,24 @@ def test_closure_cap():
     assert semigroup_closure([]).size == 0
 
 
-def test_interval_shift_maps_counts():
+def test_interval_shift_maps_counts(monkeypatch):
     assert len(interval_shift_maps(1)) == 2
     for m in range(1, 6):
         expect = 1 + sum((m + 1 - k) ** 2 for k in range(1, m + 1))
         assert len(interval_shift_maps(m)) == expect
     with pytest.raises(InvalidInputError):
         interval_shift_maps(0)
+    # 984,985 maps at m = 143; from m = 144 they pass MAX_CLOSURE and are
+    # refused, as a closure would be, before any map is built
+    assert 1 + 143 * 144 * 287 // 6 <= MAX_CLOSURE < 1 + 144 * 145 * 289 // 6
+
+    def built(self):
+        raise AssertionError("a map was built")
+    monkeypatch.setattr(PartialPermutation, "__post_init__", built)
+    for call in (lambda: interval_shift_maps(144),
+                 lambda: predicted_truncated_semigroup(144, 300)):
+        with pytest.raises(InvalidInputError, match="interval shift maps"):
+            call()
 
 
 def test_predicted_semigroup_guards():
