@@ -85,7 +85,7 @@ def is_odd_prime(q: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _prime_factors(l: int) -> Tuple[int, ...]:
     """The primes dividing l, increasing; none for l < 2."""
     out, q = [], 2

@@ -41,8 +41,7 @@ def number_from_json(x, what: str = "turn") -> Union[Fraction, int, float]:
 
 def turn_from_json(x) -> PhaseEntry:
     """The phase of a JSON turn: exact for [num, den] and integers."""
-    t = number_from_json(x)
-    return PhaseEntry.turns(Fraction(t) if isinstance(t, int) else t)
+    return PhaseEntry.turns(number_from_json(x))
 
 
 def to_document(h: PHMatrix, label: Optional[str] = None) -> dict:

@@ -60,10 +60,10 @@ class PhaseEntry:
         return cls("butson", e=e % l, l=l)
 
     @classmethod
-    def turns(cls, t: Union[Fraction, float]) -> "PhaseEntry":
-        """exp(2*pi*i*t): exact for a Fraction, cartesian for any other
-        finite number."""
-        if isinstance(t, Fraction):
+    def turns(cls, t: Union[Fraction, int, float]) -> "PhaseEntry":
+        """exp(2*pi*i*t): exact for a Fraction or an int, cartesian for any
+        other finite number."""
+        if isinstance(t, (Fraction, int)):
             return cls.butson(t.numerator, t.denominator)
         t = float(t)
         if not math.isfinite(t):
@@ -146,8 +146,7 @@ def parse_phase(text: str) -> PhaseEntry:
     an integer exactly, or a decimal float, which must be finite."""
     text = text.strip()
     try:
-        t = _number(text)
-        return PhaseEntry.turns(Fraction(t) if isinstance(t, int) else t)
+        return PhaseEntry.turns(_number(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidInputError(f"cannot parse phase {text!r}: {exc}") from exc
 

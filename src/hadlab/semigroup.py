@@ -181,26 +181,19 @@ class PartialPermutation:
         return self.notation()
 
 
-def _compose_targets(f: tuple, g: tuple) -> tuple:
-    """Targets of f after g: defined at x when g(x) and f(g(x)) both are."""
-    return tuple(None if y is None else f[y] for y in g)
-
-
 def compose(f: PartialPermutation, g: PartialPermutation) -> PartialPermutation:
     """f after g: defined at x when g(x) and f(g(x)) both are."""
     if f.m != g.m:
         raise InvalidInputError("mismatched sizes")
-    return PartialPermutation(_compose_targets(f.targets, g.targets))
+    return PartialPermutation(tuple(None if y is None else f.targets[y]
+                                    for y in g.targets))
 
 
 def sigma_from_square(square: PreLatinSquare, label: int) -> PartialPermutation:
     """The partial permutation of class x: sends j to i when labels[i][j] = x."""
-    m = len(square.labels)
-    targets: List[Optional[int]] = [None] * m
-    for i in range(m):
-        for j in range(m):
-            if square.labels[i][j] == label:
-                targets[j] = i
+    targets: List[Optional[int]] = [None] * len(square.labels)
+    for i, j in zip(*np.nonzero(np.asarray(square.labels) == label)):
+        targets[j] = int(i)
     return PartialPermutation(tuple(targets))
 
 
@@ -219,42 +212,70 @@ class SemigroupClosure:
 
 def semigroup_closure(generators: Sequence[PartialPermutation],
                       cap: int = MAX_CLOSURE) -> SemigroupClosure:
-    """Close a set of partial permutations under composition (BFS over
-    right multiplication by the generators, O(|S| |G|) compositions)."""
+    """Close a set of partial permutations under composition: a BFS over
+    right multiplication by the generators, O(|S| |G|) compositions.
+
+    Elements are rows of targets with -1 where undefined, plus one more -1
+    column, so that composing every frontier row with generator g is one
+    gather frontier[:, g] (an undefined g(x) reads that column).  Composites
+    of injective maps are injective, so only the generators are checked.
+    """
     gens = list(generators)
     if not gens:
         return SemigroupClosure((), 0)
     m = gens[0].m
     if any(g.m != m for g in gens):
         raise InvalidInputError("generators act on different index sets")
+    rows = np.array([[-1 if t is None else t for t in g.targets] + [-1]
+                     for g in gens], dtype=np.int64)
+    seen: set = set()
+
+    def fresh(block: np.ndarray) -> np.ndarray:
+        """The rows of block not seen before, now marked seen."""
+        block = np.ascontiguousarray(block)
+        new = []
+        for i, key in enumerate(block.view(f"V{8 * (m + 1)}").ravel().tolist()):
+            if key not in seen:
+                seen.add(key)
+                new.append(i)
+        if len(seen) > cap:
+            raise SearchBudgetExceeded(f"closure exceeded {cap} elements")
+        return block[new]
+
     # every element is a word in the generators, so right-multiplying each
-    # new element by each generator reaches them all
-    seen = {g.targets: g for g in gens}
-    if len(seen) > cap:
-        raise SearchBudgetExceeded(f"closure exceeded {cap} elements")
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                # compose(a, g), wrapped only when new
-                c = _compose_targets(a, g.targets)
-                if c not in seen:
-                    seen[c] = PartialPermutation(c)
-                    nxt.append(c)
-                    if len(seen) > cap:
-                        raise SearchBudgetExceeded(
-                            f"closure exceeded {cap} elements")
-        frontier = nxt
-    return SemigroupClosure(_closure_order(seen.values()), len(gens))
+    # new element by each distinct generator reaches them all
+    frontier = rows = fresh(rows)
+    found = [frontier]
+    while len(frontier):
+        frontier = np.concatenate([fresh(frontier[:, g]) for g in rows])
+        found.append(frontier)
+    elems = _closure_order(np.concatenate(found)[:, :m])
+    return SemigroupClosure(_unchecked(elems), len(gens))
 
 
-def _closure_order(elems) -> Tuple[PartialPermutation, ...]:
-    """Display order: larger domains first, then by the first undefined
-    point, then by targets as numbers, an undefined one after all."""
-    return tuple(sorted(elems, key=lambda e: (
-        -e.kappa, e.targets.index(None) if None in e.targets else -1,
-        tuple(e.m if t is None else t for t in e.targets))))
+def _closure_order(rows: np.ndarray) -> np.ndarray:
+    """Rows of targets (-1 undefined) in display order: larger domains
+    first, then by the first undefined point (-1 when there is none), then
+    by targets as numbers, an undefined one after all."""
+    undefined = rows < 0
+    first = np.where(undefined.any(axis=1), undefined.argmax(axis=1), -1)
+    numbers = np.where(undefined, rows.shape[1], rows)
+    # np.lexsort sorts by its last key first
+    keys = np.vstack([numbers[:, ::-1].T, first, undefined.sum(axis=1)])
+    return rows[np.lexsort(keys)]
+
+
+def _unchecked(rows: np.ndarray) -> Tuple[PartialPermutation, ...]:
+    """PartialPermutations of rows of targets (-1 undefined) known to be
+    injective, built without running __post_init__."""
+    cells = rows.astype(object)
+    cells[rows < 0] = None
+    out = []
+    for targets in cells.tolist():
+        pp = object.__new__(PartialPermutation)
+        object.__setattr__(pp, "targets", tuple(targets))
+        out.append(pp)
+    return tuple(out)
 
 
 def extract_semigroup(h: PHMatrix, tol: float = 1e-8,
@@ -289,16 +310,15 @@ def interval_shift_maps(m: int) -> Tuple[PartialPermutation, ...]:
     if size > MAX_CLOSURE:
         raise InvalidInputError(
             f"{size} interval shift maps exceed {MAX_CLOSURE}; refusing")
-    elems = {PartialPermutation.empty(m).targets: PartialPermutation.empty(m)}
+    rows = [np.full((1, m), -1, dtype=np.int64)]
     for k in range(1, m + 1):
-        for src in range(m - k + 1):
-            for dst in range(m - k + 1):
-                targets: List[Optional[int]] = [None] * m
-                for t in range(k):
-                    targets[src + t] = dst + t
-                pp = PartialPermutation(tuple(targets))
-                elems[pp.targets] = pp
-    return _closure_order(elems.values())
+        # the (m+1-k)^2 shifts of length k, src major, then dst
+        src, dst = np.divmod(np.arange((m + 1 - k) ** 2), m + 1 - k)
+        block = np.full((len(src), m), -1, dtype=np.int64)
+        block[np.arange(len(src))[:, None], src[:, None] + np.arange(k)] = \
+            dst[:, None] + np.arange(k)
+        rows.append(block)
+    return _unchecked(_closure_order(np.concatenate(rows)))
 
 
 def predicted_truncated_semigroup(m: int, n: int) -> SemigroupClosure:

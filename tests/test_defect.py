@@ -17,7 +17,7 @@ from hadlab import (ConsistencyError, DitaParams, InvalidInputError, MWSpec,
                     real_truncation_defect_formula, tensor_product,
                     truncated_fourier, truncation_probe, unitary_completion,
                     weak_isolation_probe)
-from hadlab.cyclotomic import PROOF_CAP, exact_defect_butson
+from hadlab.cyclotomic import PROOF_CAP, _prime_factors, exact_defect_butson
 from hadlab.defect import (_character_count, extension_system, master_system,
                            real_rows, tangent_system)
 from conftest import TRUNCATED_CASES, first_rows, walsh
@@ -65,6 +65,15 @@ def test_fourier_defect_table():
     assert rep.defect == 15
     assert rep.method == "direct"
     assert rep.bound == 11
+
+
+def test_closed_form_keeps_a_bounded_factor_cache():
+    # every n the public closed form is asked for passes through the
+    # factor cache, which must not keep them all
+    for n in range(1, 20001):
+        cyclic_defect_closed_form(n)
+    info = _prime_factors.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize <= 64
 
 
 def test_group_fourier_defect_three_ways():

@@ -29,6 +29,13 @@ def test_turns_exact_and_float():
             PhaseEntry.turns(turn)
 
 
+def test_turns_reads_an_int_exactly():
+    for turn in (0, 3, -2):
+        p = PhaseEntry.turns(turn)
+        assert p.kind == "butson" and p.exact_turn() == 0
+    assert PhaseEntry.turns(0.0).kind == "cartesian"
+
+
 def test_cartesian_rejects_off_circle():
     with pytest.raises(InvalidInputError):
         PhaseEntry.cartesian(1.5 + 0.0j)

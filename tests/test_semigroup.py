@@ -246,6 +246,42 @@ def _closure_all_products(gens):
     return set(seen)
 
 
+def _display_key(targets):
+    """The closure's display order on target tuples: larger domains first,
+    then the first undefined point (-1 when none), then the targets as
+    numbers, an undefined one read as m."""
+    m = len(targets)
+    return (-sum(t is not None for t in targets),
+            targets.index(None) if None in targets else -1,
+            tuple(m if t is None else t for t in targets))
+
+
+def _closure_tuple_bfs(gens):
+    """Reference closure on target tuples: right-multiply each new element
+    by each generator, then sort by _display_key."""
+    seen = {g.targets for g in gens}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens:
+                c = tuple(None if y is None else a[y] for y in g.targets)
+                if c not in seen:
+                    seen.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    return sorted(seen, key=_display_key)
+
+
+def _assert_closure_matches_references(gens):
+    closure = semigroup_closure(gens)
+    targets = [e.targets for e in closure.elements]
+    assert set(targets) == _closure_all_products(gens)
+    assert targets == sorted(targets, key=_display_key) == _closure_tuple_bfs(gens)
+    for e in closure.elements:
+        e.__post_init__()       # injective and in range, checked explicitly
+
+
 def test_closure_matches_all_products_reference():
     rng = random.Random(5)
     for _ in range(40):
@@ -257,9 +293,18 @@ def test_closure_matches_all_products_reference():
             for src, dst in zip(rng.sample(range(m), k), rng.sample(range(m), k)):
                 targets[src] = dst
             gens.append(PartialPermutation(tuple(targets)))
+        _assert_closure_matches_references(gens)
+
+
+def test_closure_matches_the_tuple_bfs_on_truncated_fourier():
+    # F2|8 ... F11|44 (the last is also F44 rows 0-10) and the wrapping F4|6
+    for rows, order in [(m, 4 * m) for m in range(2, 12)] + [(4, 6)]:
+        square, _ = pre_latin_square(truncated_fourier(list(range(rows)), [order]))
+        gens = [sigma_from_square(square, x) for x in range(1, square.n_labels + 1)]
         closure = semigroup_closure(gens)
-        assert {e.targets for e in closure.elements} == _closure_all_products(gens)
-        assert len(closure.elements) == len({e.targets for e in closure.elements})
+        assert [e.targets for e in closure.elements] == _closure_tuple_bfs(gens)
+        for e in closure.elements:
+            e.__post_init__()
 
 
 def test_closure_orders_targets_as_numbers():
@@ -273,17 +318,27 @@ def test_extract_semigroup_rejects_quantum_grid():
         extract_semigroup(f22q(Fraction(1, 20)))
 
 
-def test_closure_cap():
+def test_closure_cap(monkeypatch):
     square, _ = pre_latin_square(truncated_fourier([0, 1, 2], [7]))
     gens = [sigma_from_square(square, x) for x in range(1, square.n_labels + 1)]
     with pytest.raises(SearchBudgetExceeded):
         semigroup_closure(gens, cap=5)
+    # F3|7 closes on 15 elements: a cap of 14 is exceeded, 15 is not
+    with pytest.raises(SearchBudgetExceeded):
+        semigroup_closure(gens, cap=14)
+    assert semigroup_closure(gens, cap=15).size == 15
     # the cap binds the generators too, before any composition
     with pytest.raises(SearchBudgetExceeded):
         semigroup_closure([PartialPermutation.identity(2),
                            PartialPermutation.empty(2),
                            PartialPermutation((1, None))], cap=2)
     assert semigroup_closure([]).size == 0
+    # composites of checked generators are not checked again
+    calls = []
+    monkeypatch.setattr(PartialPermutation, "__post_init__",
+                        lambda self: calls.append(self))
+    assert semigroup_closure(gens).size == 15
+    assert calls == []
 
 
 def test_interval_shift_maps_counts(monkeypatch):
