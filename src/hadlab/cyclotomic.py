@@ -69,7 +69,9 @@ _PRIME_FLOOR = 1 << 20      # every prime used exceeds this
 _EXACT = float(1 << 52)     # magnitudes kept below this stay exact in float64
 _LEAF = 16                  # columns eliminated by rank-1 steps
 _SHORT = 128                # vectors this short reduce in one np.remainder call
-_SYMMETRY_FLOOR = 400       # below this many unknowns no automorphism is sought
+# Below this size (unknowns of a tangent system, rows of a moment matrix) no
+# automorphism is sought: the search would cost about what its blocks save.
+_SYMMETRY_FLOOR = 400
 _SEARCH_NODES = 1000        # branches the automorphism search may open
 
 # -- exact ranks modulo split primes -----------------------------------------
@@ -98,7 +100,7 @@ def _prime_factors(l: int) -> Tuple[int, ...]:
     return tuple(out + [l] if l > 1 else out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def split_primes(l: int) -> Tuple[Tuple[int, int], ...]:
     """The PROOF_CAP smallest primes p = 1 (mod l) above 2^20, each paired
     with an element of order l in F_p."""
@@ -566,15 +568,20 @@ def _automorphism(e: np.ndarray, l: int) -> Optional[Tuple[np.ndarray, np.ndarra
     return best
 
 
-def _orbits(perm: np.ndarray, r: int):
-    """The orbits of a permutation whose order divides r.  Returns steps,
-    with steps[t, u] = perm^t(u) for t < r; reps, the least point of each
-    orbit, increasing; index, the orbit of each point; and pos, the t with
-    u = perm^t(reps[index[u]]).  Orbit sizes are np.bincount(index)."""
+def _steps(perm: np.ndarray, r: int) -> np.ndarray:
+    """The step table of a permutation: steps[t, u] = perm^t(u) for t < r."""
     steps = [np.arange(len(perm))]
     for _ in range(r - 1):
         steps.append(perm[steps[-1]])
-    steps = np.array(steps)
+    return np.array(steps)
+
+
+def _orbits(perm: np.ndarray, r: int):
+    """The orbits of a permutation whose order divides r.  Returns steps,
+    its step table (``_steps``); reps, the least point of each orbit,
+    increasing; index, the orbit of each point; and pos, the t with
+    u = perm^t(reps[index[u]]).  Orbit sizes are np.bincount(index)."""
+    steps = _steps(perm, r)
     reps, index = np.unique(steps.min(axis=0), return_inverse=True)
     return steps, reps, index, (r - steps.argmin(axis=0)) % r
 
@@ -605,8 +612,9 @@ def _tangent_blocks(e: np.ndarray, l: int, p: int, w: int, r: int,
     """
     iu, ju, index, pos = layout
     n = e.shape[1]
-    powers = np.array([pow(w, x, p) for x in range(l)], dtype=np.float64)
-    c = powers[(e[iu] - e[ju]) % l]
+    # w^x only for the exponent differences x present, not for all x < l
+    x, inverse = np.unique((e[iu] - e[ju]) % l, return_inverse=True)
+    c = np.array([pow(w, v, p) for v in x.tolist()], dtype=np.float64)[inverse]
     at = np.arange(len(iu))[:, None]
     g = np.zeros((r, len(iu), len(pos) // r))
     for row, value in ((iu, c), (ju, p - c)):

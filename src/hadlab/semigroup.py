@@ -9,21 +9,26 @@ partial permutations of the rows; composing them generates a finite
 semigroup.  Traces of words in the P's are collected in moment matrices
 whose unit eigenvalues count the semigroup elements reachable at each word
 length, in the square case N^{p-1}.  A trace is unchanged when the row and
-column words rotate together, so a moment matrix splits into p Hermitian
-blocks, one per eigenvalue of the rotation, which are diagonalised apart.
+column words rotate together, and when an automorphism of the matrix acts
+on both words letter by letter, so a moment matrix splits into Hermitian
+blocks, one per character of the group these generate, Z_p x Z_r, which
+are diagonalised apart (Gatermann and Parrilo, J. Pure Appl. Algebra 192,
+2004).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cyclotomic import _orbits
+from .cyclotomic import _SYMMETRY_FLOOR, _automorphism, _steps
 from .errors import ConsistencyError, InvalidInputError, SearchBudgetExceeded
-from .matrix import PHMatrix, ensure_verified
+from .matrix import BUTSON_ORDER_CAP, PHMatrix, ensure_verified
+from .phases import ExactPhases
 
 MAX_CLOSURE = 10 ** 6
 MAX_MOMENT_ENTRIES = 16 * 10 ** 6
@@ -38,8 +43,22 @@ class ProjectionGrid:
         z = h.to_array()
         self.m = h.m
         self.n = h.n
+        self.phases = h.phases
         # V[i, j, :] = row i over row j, a unit-modulus vector of length N
         self.vectors = z[:, None, :] * np.conj(z[None, :, :])
+
+    @cached_property
+    def automorphism(self) -> Tuple[np.ndarray, int]:
+        """The row permutation sigma and prime order r of an automorphism
+        E[sigma i, tau j] = E[i, j] + d_i + e_j (mod l) of the exponent
+        table (cyclotomic._automorphism), or the identity and 1.  It is
+        sought only for exact phases of order at most BUTSON_ORDER_CAP,
+        since the search's noise table grows with the order."""
+        ph = self.phases
+        found = None
+        if isinstance(ph, ExactPhases) and ph.order <= BUTSON_ORDER_CAP:
+            found = _automorphism(ph.exp, ph.order)
+        return (found[0], found[2]) if found else (np.arange(self.m), 1)
 
     def overlaps(self) -> np.ndarray:
         """|<v_ij, v_kl>| / N for every two pairs, both taken row-major."""
@@ -381,7 +400,8 @@ def _moment_rows(grid: ProjectionGrid, p: int, words: np.ndarray) -> np.ndarray:
     factors = [a[letters[:, t], :, letters[:, (t + 1) % p], :] for t in range(p)]
     col = "abcdefghijklmnopqrstuvwxy"[:p]     # p <= MAX_WORD_LENGTH
     subs = ",".join("z" + col[t] + col[(t + 1) % p] for t in range(p))
-    t = np.einsum(f"{subs}->z{col}", *factors) / (n ** (p + 1))
+    t = np.einsum(f"{subs}->z{col}", *factors)
+    t /= n ** (p + 1)
     return t.reshape(len(words), m ** p)
 
 
@@ -403,6 +423,7 @@ class MomentReport:
     formal: bool
     ambiguous: bool
     nearest_excluded: float   # distance to 1 of the closest non-counted eigenvalue
+    symmetry_order: int       # r of the Z_p x Z_r blocks; 1 for the rotation alone
 
 
 def moment(h: PHMatrix, p: int, tol: float = 1e-8) -> MomentReport:
@@ -423,36 +444,68 @@ def moment(h: PHMatrix, p: int, tol: float = 1e-8) -> MomentReport:
     excluded = dist[dist >= tol]
     nearest = float(np.min(excluded)) if excluded.size else math.inf
     ambiguous = bool(np.any((dist >= tol) & (dist < 10 * tol)))
-    return MomentReport(p, value, grid.m < grid.n, ambiguous, nearest)
+    return MomentReport(p, value, grid.m < grid.n, ambiguous, nearest,
+                        _word_symmetry(grid, p)[1])
+
+
+def _word_symmetry(grid: ProjectionGrid, p: int) -> Tuple[np.ndarray, int]:
+    """The grid's automorphism (sigma, r) when the length-p moment matrix
+    has at least _SYMMETRY_FLOOR rows, below which the search costs what
+    it saves; else the identity and 1."""
+    if grid.m ** p < _SYMMETRY_FLOOR:
+        return np.arange(grid.m), 1
+    return grid.automorphism
 
 
 def _rotation_block_eigenvalues(grid: ProjectionGrid, p: int) -> np.ndarray:
     """Eigenvalues of the length-p moment matrix t of the grid, over words
-    in its m row letters, one Hermitian block per eigenvalue w^k of the
-    word rotation S.
+    in its m row letters, one Hermitian block per character of the group
+    G = <S, sigma> = Z_p x Z_r, for S the word rotation and sigma the row
+    permutation of the grid's automorphism (r = 1 without one), applied
+    letter by letter.
 
-    t[S I, S J] = t[I, J] (the trace is cyclic), so t commutes with S.  An
-    orbit of size s with representative a carries the S-eigenvector
-    sum_tau w^(-k tau) e_{S^tau a} / sqrt(s) when k s = 0 (mod p), and block
-    k has entries sqrt(s_a s_b) / p * sum_tau w^(k tau) t[a, S^tau b] over
-    those representatives.  The block sizes add up to m^p, and only the
-    representative rows of t are built.  The orbits are laid out by
-    cyclotomic._orbits, as are those of the modular symmetry blocks.
+    t[S I, S J] = t[I, J] (the trace is cyclic), and t[sigma I, sigma J] =
+    t[I, J]: v_(sigma i, sigma j) is v_ij with its entries permuted by tau
+    and times a unit, so P_(sigma i, sigma j) = Q P_ij Q* for a permutation
+    matrix Q.  So t commutes with G; g = (a, b) stands for S^a sigma^b,
+    and the character (k, c) takes it to exp(2 pi i (k a r + c b p) / pr).
+    An orbit of size s with representative x carries the vector
+    sum_g chi(g) e_(g x) when chi is trivial on the stabiliser of x,
+    that is k a r + c b p = 0 (mod pr) for every (a, b) fixing x, and
+    block chi has entries sqrt(s_x s_y) / pr * sum_g chi(g) t[x, g y] over
+    those representatives.  For r = 1 the mask is k s = 0 (mod p).  The
+    block sizes add up to m^p, and only the representative rows of t are
+    built.  The step tables of S and sigma come from cyclotomic._steps,
+    which also lays out the orbits of the modular symmetry blocks.
     """
-    words = np.arange(grid.m ** p)
+    sigma, r = _word_symmetry(grid, p)
+    m, pr = grid.m, p * r
+    words = np.arange(m ** p)
     # S (i_1 .. i_p) = (i_2 .. i_p, i_1); S^p is the identity
-    shift = grid.m ** (p - 1)
-    rot, reps, index, _ = _orbits(words % shift * grid.m + words // shift, p)
-    s = np.bincount(index)
-    # gathered[a, tau, b] = t[a, S^tau b], for representatives a and b
-    gathered = _moment_rows(grid, p, reps)[:, rot[:, reps]]
-    phase = np.exp(2j * np.pi / p * np.outer(np.arange(p), np.arange(p)))
-    blocks = np.einsum("kt,atb->kab", phase, gathered)
-    blocks *= np.sqrt(np.outer(s, s)) / p
+    shift = m ** (p - 1)
+    rot = _steps(words % shift * m + words // shift, p)
+    # sigma^b on rows, then on each letter of a word
+    letter = turn = _steps(sigma, r)
+    for _ in range(p - 1):
+        turn = (turn[:, :, None] * m + letter[:, None, :]).reshape(r, -1)
+    # steps[a r + b, u] = S^a sigma^b u; an orbit's least point represents it
+    steps = rot[:, turn].reshape(pr, -1)
+    least = steps.min(axis=0)
+    reps = np.flatnonzero(least == words)
+    s = np.bincount(least)[reps]
+    # chi[k r + c, a r + b] = k a r + c b p, the character's turns times pr
+    a, b = np.divmod(np.arange(pr), r)
+    chi = np.outer(a, a) * r + np.outer(b, b) * p
+    keep = ~((chi % pr != 0) @ (steps[:, reps] == reps))
+    # gathered[g, y, x] = t[x, g y], for representatives x and y
+    gathered = _moment_rows(grid, p, reps).T[steps[:, reps]]
+    blocks = np.tensordot(np.exp(2j * np.pi / pr * chi), gathered, 1)
+    blocks = blocks.transpose(0, 2, 1)
+    blocks *= np.sqrt(np.outer(s, s)) / pr
     out = []
-    for k in range(p):
-        keep = np.flatnonzero(k * s % p == 0)
-        out.append(np.linalg.eigvalsh(blocks[k][np.ix_(keep, keep)]))
+    for k in range(pr):
+        kept = np.flatnonzero(keep[k])
+        out.append(np.linalg.eigvalsh(blocks[k][np.ix_(kept, kept)]))
     return np.concatenate(out)
 
 

@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -185,6 +187,38 @@ def test_split_primes(l):
         assert _is_prime(p) and p % l == 1 % l
         orders = [d for d in range(1, l + 1) if pow(w, d, p) == 1]
         assert orders[0] == l
+
+
+def test_split_prime_cache_is_bounded():
+    # a long-running caller asking about many orders keeps at most 64
+    for l in range(1, 101):
+        split_primes(l)
+    info = split_primes.cache_info()
+    assert info.maxsize == 64 and info.currsize <= 64
+
+
+def _butson_peak(l: int):
+    """The certificate of [[0, 0], [0, l/2]] and the traced memory peak of
+    computing it again, once its split primes are cached."""
+    table = [[0, 0], [0, l // 2]]
+    exact_defect_butson(table, l)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        res = exact_defect_butson(table, l)
+        return res, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_tangent_blocks_tabulate_only_the_differences_present():
+    # F2 rephased to order l: one exponent difference besides 0, so no
+    # table of all l powers of w
+    small, small_peak = _butson_peak(2 ** 8)
+    big, big_peak = _butson_peak(2 ** 16)
+    for res in (small, big):
+        assert (res.defect, res.exact, res.ranks) == (3, True, (1,))
+    assert big_peak <= small_peak + 8 * 1024 and big_peak < 64 * 1024
 
 
 def _rank_reference(a, p):

@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 
 import math
@@ -17,7 +19,7 @@ from hadlab import (DitaParams, InvalidInputError, MWSpec, PartialPermutation,
                     sigma_from_square, truncated_fourier, verify_submagic)
 from hadlab.semigroup import (MAX_CLOSURE, MAX_MOMENT_ENTRIES,
                               PreLatinSquare, ProjectionGrid,
-                              _rotation_block_eigenvalues)
+                              _rotation_block_eigenvalues, _word_symmetry)
 
 
 def f25():
@@ -496,6 +498,105 @@ def test_moment_matrix_rotation_invariant(case):
     shift = [*range(1, p), 0]
     rotated = t.transpose(shift + [p + a for a in shift])
     assert np.max(np.abs(rotated - t)) <= 1e-13
+
+
+
+# the bases stored exactly at an order the automorphism search accepts
+EXACT_MOMENT_BASES = [h for h in MOMENT_BASES if not isinstance(h, str)
+                      and h.common_butson_order() is not None]
+
+
+@st.composite
+def exact_moment_cases(draw):
+    """An exact base, its rows and columns permuted and rephased at its own
+    order, so that it keeps its automorphisms; and a word length."""
+    h = draw(st.sampled_from(EXACT_MOMENT_BASES))
+    l = h.common_butson_order()
+    phase = st.integers(0, l - 1).map(lambda x: PhaseEntry.butson(x, l))
+    h = apply_equivalence(h, draw(st.permutations(range(h.m))),
+                          draw(st.permutations(range(h.n))),
+                          [draw(phase) for _ in range(h.m)],
+                          [draw(phase) for _ in range(h.n)])
+    ps = [p for p in range(1, 6)
+          if h.m ** (2 * p) <= MAX_MOMENT_ENTRIES and h.m ** p <= ORACLE_SIDE]
+    return h, draw(st.sampled_from(ps))
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_moment_cases())
+@example((fourier_cyclic(2), 2))
+@example((fourier_cyclic(4), 3))
+@example((truncated_fourier([(0, 0), (1, 2)], [2, 3]), 2))
+@example((mw_construct(MWSpec(q=5, s=(1, 3), t=(0, 2), base=fourier_cyclic(2))), 2))
+def test_character_blocks_match_full_eigensolve(case):
+    # with no size floor every exact grid of order <= 60 is searched, so
+    # each Z_p x Z_r split, and each stabiliser mask, meets the oracle;
+    # on the F_2 x F_3 rows, a mask blind to sigma loses eigenvalues
+    h, p = case
+    value, formal, ambiguous, nearest, ev = _oracle_moment(h, p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("hadlab.semigroup._SYMMETRY_FLOOR", 0)
+        grid = ProjectionGrid(h)
+        rep = moment(h, p)
+        blocks = _rotation_block_eigenvalues(grid, p)
+        assert rep.symmetry_order == _word_symmetry(grid, p)[1] == grid.automorphism[1]
+    assert (rep.value, rep.formal, rep.ambiguous) == (value, formal, ambiguous)
+    if math.isinf(nearest):
+        assert math.isinf(rep.nearest_excluded)
+    else:
+        assert abs(rep.nearest_excluded - nearest) <= 1e-12
+    assert blocks.shape == ev.shape
+    assert np.max(np.abs(np.sort(blocks) - np.sort(ev))) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(exact_moment_cases())
+def test_moment_matrix_automorphism_invariant(case):
+    # T[sigma I, sigma J] = T[I, J], sigma applied to every letter
+    h, p = case
+    sigma = ProjectionGrid(h).automorphism[0]
+    t = moment_matrix(h, p).matrix.reshape((h.m,) * (2 * p))
+    assert np.max(np.abs(t[np.ix_(*[sigma] * (2 * p))] - t)) <= 1e-13
+
+
+def test_symmetry_order_of_the_benchmark_moments():
+    # F5 at p = 4 (625 rows) splits over Z_4 x Z_5; F4 at p = 4 (256) and
+    # F3 at p = 5 (243) sit below the floor and keep the rotation alone
+    for n, p, r in ((5, 4, 5), (4, 4, 1), (3, 5, 1)):
+        rep = moment(fourier_cyclic(n), p)
+        assert (rep.value, rep.symmetry_order) == (n ** (p - 1), r)
+    # an order above BUTSON_ORDER_CAP is not searched
+    h = apply_equivalence(fourier_cyclic(6), [0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 5],
+                          [PhaseEntry.one()] * 6,
+                          [PhaseEntry.butson(1, 61)] + [PhaseEntry.one()] * 5)
+    assert moment(h, 4).symmetry_order == 1
+
+
+def _moment_peak(order: int):
+    """moment(F5 with one column phase of the given order, 4) and the
+    traced memory peak of computing it again."""
+    h = apply_equivalence(fourier_cyclic(5), [0, 1, 2, 3, 4], [0, 1, 2, 3, 4],
+                          [PhaseEntry.one()] * 5,
+                          [PhaseEntry.butson(1, order)] + [PhaseEntry.one()] * 4)
+    assert h.common_butson_order() == 5 * order
+    moment(h, 4)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        rep = moment(h, 4)
+        return rep, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_moment_at_a_huge_order_skips_the_search():
+    # stored at order 5 (2^70 + 3): the search's noise table would have
+    # 2 * 5 * l entries, so it is not run, and the peak does not grow with l
+    big, big_peak = _moment_peak(2 ** 70 + 3)
+    small, small_peak = _moment_peak(61)
+    for rep in (big, small):
+        assert (rep.value, rep.symmetry_order, rep.ambiguous) == (125, 1, False)
+    assert big_peak <= small_peak + 8 * 1024
 
 
 def test_moment_truncated_is_formal():
