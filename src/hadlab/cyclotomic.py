@@ -69,8 +69,9 @@ _PRIME_FLOOR = 1 << 20      # every prime used exceeds this
 _EXACT = float(1 << 52)     # magnitudes kept below this stay exact in float64
 _LEAF = 16                  # columns eliminated by rank-1 steps
 _SHORT = 128                # vectors this short reduce in one np.remainder call
-# Below this size (unknowns of a tangent system, rows of a moment matrix) no
-# automorphism is sought: the search would cost about what its blocks save.
+# Below this size (unknowns of a tangent system, rows of a moment matrix of
+# a square table) no automorphism is sought: the search would cost about
+# what its blocks save.
 _SYMMETRY_FLOOR = 400
 _SEARCH_NODES = 1000        # branches the automorphism search may open
 
@@ -613,8 +614,10 @@ def _tangent_blocks(e: np.ndarray, l: int, p: int, w: int, r: int,
     iu, ju, index, pos = layout
     n = e.shape[1]
     # w^x only for the exponent differences x present, not for all x < l
-    x, inverse = np.unique((e[iu] - e[ju]) % l, return_inverse=True)
-    c = np.array([pow(w, v, p) for v in x.tolist()], dtype=np.float64)[inverse]
+    d = (e[iu] - e[ju]) % l
+    x, inverse = np.unique(d, return_inverse=True)
+    c = np.array([pow(w, v, p) for v in x.tolist()],
+                 dtype=np.float64)[inverse].reshape(d.shape)
     at = np.arange(len(iu))[:, None]
     g = np.zeros((r, len(iu), len(pos) // r))
     for row, value in ((iu, c), (ju, p - c)):

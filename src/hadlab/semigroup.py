@@ -450,9 +450,13 @@ def moment(h: PHMatrix, p: int, tol: float = 1e-8) -> MomentReport:
 
 def _word_symmetry(grid: ProjectionGrid, p: int) -> Tuple[np.ndarray, int]:
     """The grid's automorphism (sigma, r) when the length-p moment matrix
-    has at least _SYMMETRY_FLOOR rows, below which the search costs what
-    it saves; else the identity and 1."""
-    if grid.m ** p < _SYMMETRY_FLOOR:
+    has at least _SYMMETRY_FLOOR (N/M)^2 rows; else the identity and 1.
+    On a square table the search costs what it saves below the floor.  On
+    an M x N one it dephases the table at up to (M - 1) N candidates,
+    (N/M)^2 times its work on a square table whatever p is, while the
+    blocks save only on the rows and the eigensolve, so the floor grows by
+    that factor."""
+    if grid.m ** (p + 2) < _SYMMETRY_FLOOR * grid.n ** 2:
         return np.arange(grid.m), 1
     return grid.automorphism
 

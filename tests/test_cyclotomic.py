@@ -221,6 +221,28 @@ def test_tangent_blocks_tabulate_only_the_differences_present():
     assert big_peak <= small_peak + 8 * 1024 and big_peak < 64 * 1024
 
 
+@pytest.mark.parametrize("floor", [400, 0])
+def test_tangent_blocks_read_a_flat_unique_inverse(monkeypatch, floor):
+    # before NumPy 2.0, np.unique returns the inverse of a 2-D input
+    # flattened; the certificate must not depend on the inverse's shape
+    import hadlab.cyclotomic as cyc
+    monkeypatch.setattr(cyc, "_SYMMETRY_FLOOR", floor)
+    e = np.array(fourier_cyclic(5).phases.exp, dtype=np.int64)
+    want = exact_defect_butson(e, 5)
+    unique = np.unique
+
+    def flat(x, *args, **kw):
+        out = unique(x, *args, **kw)
+        if not kw.get("return_inverse"):
+            return out
+        at = 1 + bool(kw.get("return_index"))
+        return out[:at] + (out[at].ravel(),) + out[at + 1:]
+
+    monkeypatch.setattr(np, "unique", flat)
+    got = exact_defect_butson(e, 5)
+    assert got == want and got.symmetry_order == (5 if floor == 0 else 1)
+
+
 def _rank_reference(a, p):
     """Plain Gaussian elimination over F_p, one pivot at a time, in int64
     (residues below 2^24, so products stay below 2^48)."""

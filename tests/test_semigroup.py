@@ -17,6 +17,7 @@ from hadlab import (DitaParams, InvalidInputError, MWSpec, PartialPermutation,
                     moment_matrix, mw_construct, petrescu, pre_latin_square,
                     predicted_truncated_semigroup, semigroup_closure,
                     sigma_from_square, truncated_fourier, verify_submagic)
+from hadlab.phases import ExactPhases
 from hadlab.semigroup import (MAX_CLOSURE, MAX_MOMENT_ENTRIES,
                               PreLatinSquare, ProjectionGrid,
                               _rotation_block_eigenvalues, _word_symmetry)
@@ -570,6 +571,28 @@ def test_symmetry_order_of_the_benchmark_moments():
                           [PhaseEntry.one()] * 6,
                           [PhaseEntry.butson(1, 61)] + [PhaseEntry.one()] * 5)
     assert moment(h, 4).symmetry_order == 1
+
+
+def test_a_wide_moment_skips_the_search(monkeypatch):
+    # F20 beside itself, 20 x 40, keeps F20's automorphism, but at p = 2
+    # its moment matrix has 400 rows, below the floor times (N/M)^2 = 4:
+    # the search walks (M - 1) N candidates whatever p is, so it is not run
+    import hadlab.semigroup as sg
+    assert moment(fourier_cyclic(20), 2).symmetry_order == 5
+
+    def refuse(*args):
+        raise AssertionError("automorphism search ran")
+
+    monkeypatch.setattr(sg, "_automorphism", refuse)
+    f20 = np.array(fourier_cyclic(20).phases.exp)
+    h = PHMatrix.from_phases(ExactPhases(np.tile(f20, 2), 20))
+    value, formal, ambiguous, _, ev = _oracle_moment(h, 2)
+    rep = moment(h, 2)
+    assert (rep.value, rep.formal, rep.ambiguous, rep.symmetry_order) == \
+        (value, formal, ambiguous, 1)
+    grid = ProjectionGrid(h)
+    blocks = _rotation_block_eigenvalues(grid, 2)
+    assert np.max(np.abs(np.sort(blocks) - np.sort(ev))) <= 1e-12
 
 
 def _moment_peak(order: int):
