@@ -26,7 +26,7 @@ from .catalog import CatalogRecord, append_record, catalog_path, content_hash
 from .constructors import (DitaParams, MasterSpec, dita_deformation, f22q,
                            fourier_cyclic, fourier_group, master_dita,
                            master_matrix, petrescu, truncated_fourier)
-from .defect import (defect, defect_exact, defect_master,
+from .defect import (DEFAULT_CONFIDENCE, defect, defect_exact, defect_master,
                      defect_split_truncated_fourier, defect_via_extension,
                      isolation_certificate, truncation_probe)
 from .errors import ConsistencyError, InvalidInputError, SearchBudgetExceeded
@@ -35,7 +35,8 @@ from .io import (dumps_phm, loads_phm, number_from_json, to_document,
 from .matrix import PHMatrix, verify_partial_hadamard
 from .mcnulty_weigert import MWSpec, arithmetic_isolation_probe, mw_construct
 from .phases import PhaseEntry, _number, parse_phase
-from .regularity import cycle_structure_profile, equivalence_profile
+from .regularity import (DEFAULT_BUDGET, cycle_structure_profile,
+                         equivalence_profile)
 from .semigroup import _grid_classes, moment, square_closure
 
 OK = 0
@@ -405,11 +406,12 @@ def _arg(*flags, **kwargs) -> tuple:
 
 FILE = (_arg("file"),)
 TOL = (_arg("--tol", type=_finite_positive, default=1e-9),)
-CONFIDENCE = (_arg("--confidence", type=_finite_positive, default=1e6,
+CONFIDENCE = (_arg("--confidence", type=_finite_positive,
+                   default=DEFAULT_CONFIDENCE,
                    help="minimum spectral gap ratio for a confident "
                         "rank decision"),)
 CYCLE_TOL = (_arg("--cycle-tol", type=_finite_positive, default=1e-8),)
-BUDGET = (_arg("--budget", type=_budget, default=10 ** 7,
+BUDGET = (_arg("--budget", type=_budget, default=DEFAULT_BUDGET,
                help="search nodes (calls + completion attempts) per search; "
                     "exact input has one search per distinct term multiset"),)
 MW_SPEC = (

@@ -65,6 +65,11 @@ from .errors import InvalidInputError
 # Proofs of a defect above M+N-1 use at most this many reductions; past it
 # the defect is reported as the upper bound from two primes.
 PROOF_CAP = 16
+# Root-of-unity orders above this are not sought in a complex matrix
+# (matrix.detect_butson), exact defects above it come only from the
+# character count, and the automorphism search refuses them: its noise
+# table grows with the order.
+BUTSON_ORDER_CAP = 60
 _PRIME_FLOOR = 1 << 20      # every prime used exceeds this
 _EXACT = float(1 << 52)     # magnitudes kept below this stay exact in float64
 _LEAF = 16                  # columns eliminated by rank-1 steps
@@ -159,21 +164,19 @@ def _leaf(t: np.ndarray, p: int) -> Tuple[List[int], List[List[int]]]:
         col = t[:, c]
         _reduce(col, p)
         i = (col != 0).argmax(1)
-        values = col[stack, i].tolist()
+        head = col[stack, i]
+        values = head.tolist()
         if not any(values):
             continue
         il = i.tolist()
-        found = [j for j in range(b) if values[j]]
+        found = np.flatnonzero(head)
         # the rest of each pivot row and its coefficients, times -1/pivot
         piv = t[stack, c + 1:w + c + 1, i]
         piv[:, w - 1] = 1.0
         _reduce(piv, p)
         piv *= np.array([p - pow(int(x), -1, p) if x else 0 for x in values])[:, None]
         _reduce(piv, p)
-        if len(found) == b:
-            t[stack, :, i] = 0.0
-        else:
-            t[found, :, i[found]] = 0.0
+        t[found, :, i[found]] = 0.0
         t[:, c + 1:w + c + 1] += piv[:, :, None] * col[:, None, :]
         steps.append(c)
         for j in range(b):
@@ -356,12 +359,6 @@ def _cycle_peel(exponents, l: int):
     return peel, left
 
 
-def _vanishing_rows(exponents, l: int) -> np.ndarray:
-    """Per row of an exponent table, whether the sum of zeta_l^e over the
-    row is exactly zero: its peel leaves nothing."""
-    return ~_cycle_peel(exponents, l)[1]
-
-
 # -- symmetry-adapted blocks -------------------------------------------------
 
 def _dephased(e: np.ndarray, a: int, b: int, l: int) -> np.ndarray:
@@ -530,8 +527,11 @@ def _automorphism(e: np.ndarray, l: int) -> Optional[Tuple[np.ndarray, np.ndarra
     first automorphism, or product of two found, whose power of the
     largest prime order dividing l is fixed-point-free on rows ends the
     search; the best power found so far is returned when all candidates
-    are tried or the node budget runs out.
+    are tried or the node budget runs out.  None for l > BUTSON_ORDER_CAP,
+    since the noise table has 2 max(M, N) l entries.
     """
+    if l > BUTSON_ORDER_CAP:
+        return None
     m, n = e.shape
     rng = np.random.default_rng(0)
     noise = rng.integers(-(1 << 62), 1 << 62, size=2 * max(m, n) * l)
@@ -577,14 +577,15 @@ def _steps(perm: np.ndarray, r: int) -> np.ndarray:
     return np.array(steps)
 
 
-def _orbits(perm: np.ndarray, r: int):
-    """The orbits of a permutation whose order divides r.  Returns steps,
-    its step table (``_steps``); reps, the least point of each orbit,
-    increasing; index, the orbit of each point; and pos, the t with
-    u = perm^t(reps[index[u]]).  Orbit sizes are np.bincount(index)."""
-    steps = _steps(perm, r)
-    reps, index = np.unique(steps.min(axis=0), return_inverse=True)
-    return steps, reps, index, (r - steps.argmin(axis=0)) % r
+def _orbits(steps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The orbits of a group given by its step table, whose row g holds
+    each point's image under element g, the identity among the rows.
+    Returns reps, the least point of each orbit, increasing, and index,
+    the orbit of each point; orbit sizes are np.bincount(index)."""
+    least = steps.min(axis=0)
+    # exactly the least points are their own orbit's least point
+    reps = np.flatnonzero(least == np.arange(len(least)))
+    return reps, np.searchsorted(reps, least)
 
 
 def _block_layout(sigma: np.ndarray, tau: np.ndarray, r: int):
@@ -593,11 +594,13 @@ def _block_layout(sigma: np.ndarray, tau: np.ndarray, r: int):
     orbit of length r.  Returns the representative pairs (iu, ju) and, for
     each unknown u, the index of its orbit and the t with u = pi^t(rep)."""
     m, n = len(sigma), len(tau)
-    pairs = _orbits((sigma[:, None] * m + sigma[None, :]).ravel(), r)[1]
+    pairs = _orbits(_steps((sigma[:, None] * m + sigma[None, :]).ravel(), r))[0]
     iu, ju = np.divmod(pairs, m)
     off = iu != ju
-    _, _, index, pos = _orbits((sigma[:, None] * n + tau[None, :]).ravel(), r)
-    return iu[off], ju[off], index, pos
+    steps = _steps((sigma[:, None] * n + tau[None, :]).ravel(), r)
+    # the least point of u's orbit is pi^t(u) at t = argmin, so u = pi^(r-t)
+    pos = (r - steps.argmin(axis=0)) % r
+    return iu[off], ju[off], _orbits(steps)[1], pos
 
 
 def _tangent_blocks(e: np.ndarray, l: int, p: int, w: int, r: int,
@@ -609,7 +612,7 @@ def _tangent_blocks(e: np.ndarray, l: int, p: int, w: int, r: int,
     negative in column j*N + k.  With G_t[E, U] = M[E, pi^t U] on orbit
     representatives, block k is B_k = sum_t omega^(kt) G_t for
     omega = w^(l/r).  For r = 1 the one block is the whole system, one row
-    per ordered pair.
+    per ordered pair, and the transform is the identity.
     """
     iu, ju, index, pos = layout
     n = e.shape[1]
@@ -623,8 +626,6 @@ def _tangent_blocks(e: np.ndarray, l: int, p: int, w: int, r: int,
     for row, value in ((iu, c), (ju, p - c)):
         u = row[:, None] * n + np.arange(n)
         g[pos[u], at, index[u]] = value
-    if r == 1:
-        return g
     omega = pow(w, l // r, p)
     dft = np.array([[pow(omega, k * t, p) for t in range(r)] for k in range(r)],
                    dtype=np.float64)
@@ -698,7 +699,8 @@ def exact_defect_butson(exponents: Sequence[Sequence[int]], l: int) -> ButsonDef
     # directions when the rows are orthogonal; pairs with one term multiset
     # are peeled once
     d = np.sort((E[iu] - E[ju]) % l, axis=1)
-    top = m * n - (m + n - 1 if _vanishing_rows(d[_distinct_rows(d, l)[0]], l).all() else n)
+    orthogonal = not _cycle_peel(d[_distinct_rows(d, l)[0]], l)[1].any()
+    top = m * n - (m + n - 1 if orthogonal else n)
     found = _automorphism(E, l) if m * n >= _SYMMETRY_FLOOR else None
     sigma, tau, r = found or (np.arange(m), np.arange(n), 1)
     layout = _block_layout(sigma, tau, r)

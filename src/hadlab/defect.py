@@ -31,10 +31,10 @@ import numpy as np
 from .constructors import (MasterSpec, group_elements, master_matrix,
                            normalize_row_subset, truncated_fourier,
                            _check_orders)
-from .cyclotomic import (PROOF_CAP, _dephased, _distinct_rows, _prime_factors,
-                         exact_defect_butson)
+from .cyclotomic import (BUTSON_ORDER_CAP, PROOF_CAP, _dephased, _distinct_rows,
+                         _prime_factors, exact_defect_butson)
 from .errors import ConsistencyError, InvalidInputError
-from .matrix import BUTSON_ORDER_CAP, PHMatrix, detect_butson, ensure_verified
+from .matrix import PHMatrix, detect_butson, ensure_verified
 from .phases import ExactPhases
 
 DEFAULT_CONFIDENCE = 1e6
@@ -87,10 +87,6 @@ class DefectReport:
     ambiguous: bool
     exact: bool = False
     breakdown: Optional[dict] = None
-
-    @property
-    def certifies_isolation(self) -> bool:
-        return (self.defect == self.bound) and not self.ambiguous
 
 
 def real_rows(a: np.ndarray, b: Optional[np.ndarray] = None) -> tuple:

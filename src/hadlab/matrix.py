@@ -17,15 +17,12 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from .cyclotomic import BUTSON_ORDER_CAP
 from .errors import InvalidInputError
 from .phases import (ExactPhases, PhaseArray, PhaseEntry, multiply, phase_array,
                      phase_entries, phase_values)
 
 PhaseLike = Union[PhaseEntry, complex, float, int, Fraction]
-
-# Root-of-unity orders above this are not sought in a complex matrix, and
-# exact defects above it come only from the character count.
-BUTSON_ORDER_CAP = 60
 
 
 def as_phase(v: PhaseLike, tol: float = 1e-9) -> PhaseEntry:

@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cyclotomic import _SYMMETRY_FLOOR, _automorphism, _steps
+from .cyclotomic import _SYMMETRY_FLOOR, _automorphism, _orbits, _steps
 from .errors import ConsistencyError, InvalidInputError, SearchBudgetExceeded
-from .matrix import BUTSON_ORDER_CAP, PHMatrix, ensure_verified
+from .matrix import PHMatrix, ensure_verified
 from .phases import ExactPhases
 
 MAX_CLOSURE = 10 ** 6
@@ -46,19 +45,6 @@ class ProjectionGrid:
         self.phases = h.phases
         # V[i, j, :] = row i over row j, a unit-modulus vector of length N
         self.vectors = z[:, None, :] * np.conj(z[None, :, :])
-
-    @cached_property
-    def automorphism(self) -> Tuple[np.ndarray, int]:
-        """The row permutation sigma and prime order r of an automorphism
-        E[sigma i, tau j] = E[i, j] + d_i + e_j (mod l) of the exponent
-        table (cyclotomic._automorphism), or the identity and 1.  It is
-        sought only for exact phases of order at most BUTSON_ORDER_CAP,
-        since the search's noise table grows with the order."""
-        ph = self.phases
-        found = None
-        if isinstance(ph, ExactPhases) and ph.order <= BUTSON_ORDER_CAP:
-            found = _automorphism(ph.exp, ph.order)
-        return (found[0], found[2]) if found else (np.arange(self.m), 1)
 
     def overlaps(self) -> np.ndarray:
         """|<v_ij, v_kl>| / N for every two pairs, both taken row-major."""
@@ -438,30 +424,34 @@ def moment(h: PHMatrix, p: int, tol: float = 1e-8) -> MomentReport:
     if not (math.isfinite(tol) and tol > 0):
         raise InvalidInputError(f"tolerance must be finite and positive, got {tol!r}")
     grid = _moment_grid(h, p)
-    ev = _rotation_block_eigenvalues(grid, p)
+    ev, r = _rotation_block_eigenvalues(grid, p)
     dist = np.abs(ev - 1.0)
     value = int(np.sum(dist < tol))
     excluded = dist[dist >= tol]
     nearest = float(np.min(excluded)) if excluded.size else math.inf
     ambiguous = bool(np.any((dist >= tol) & (dist < 10 * tol)))
-    return MomentReport(p, value, grid.m < grid.n, ambiguous, nearest,
-                        _word_symmetry(grid, p)[1])
+    return MomentReport(p, value, grid.m < grid.n, ambiguous, nearest, r)
 
 
 def _word_symmetry(grid: ProjectionGrid, p: int) -> Tuple[np.ndarray, int]:
-    """The grid's automorphism (sigma, r) when the length-p moment matrix
-    has at least _SYMMETRY_FLOOR (N/M)^2 rows; else the identity and 1.
-    On a square table the search costs what it saves below the floor.  On
-    an M x N one it dephases the table at up to (M - 1) N candidates,
-    (N/M)^2 times its work on a square table whatever p is, while the
-    blocks save only on the rows and the eigensolve, so the floor grows by
-    that factor."""
-    if grid.m ** (p + 2) < _SYMMETRY_FLOOR * grid.n ** 2:
-        return np.arange(grid.m), 1
-    return grid.automorphism
+    """The row permutation sigma and prime order r of an automorphism
+    E[sigma i, tau j] = E[i, j] + d_i + e_j (mod l) of the grid's exponent
+    table (cyclotomic._automorphism), or the identity and 1.  It is sought
+    only on exact phases when the length-p moment matrix has at least
+    _SYMMETRY_FLOOR (N/M)^2 rows.  On a square table the search costs what
+    it saves below the floor.  On an M x N one it dephases the table at up
+    to (M - 1) N candidates, (N/M)^2 times its work on a square table
+    whatever p is, while the blocks save only on the rows and the
+    eigensolve, so the floor grows by that factor."""
+    ph, found = grid.phases, None
+    if (isinstance(ph, ExactPhases)
+            and grid.m ** (p + 2) >= _SYMMETRY_FLOOR * grid.n ** 2):
+        found = _automorphism(ph.exp, ph.order)
+    return (found[0], found[2]) if found else (np.arange(grid.m), 1)
 
 
-def _rotation_block_eigenvalues(grid: ProjectionGrid, p: int) -> np.ndarray:
+def _rotation_block_eigenvalues(grid: ProjectionGrid,
+                                p: int) -> Tuple[np.ndarray, int]:
     """Eigenvalues of the length-p moment matrix t of the grid, over words
     in its m row letters, one Hermitian block per character of the group
     G = <S, sigma> = Z_p x Z_r, for S the word rotation and sigma the row
@@ -479,8 +469,8 @@ def _rotation_block_eigenvalues(grid: ProjectionGrid, p: int) -> np.ndarray:
     block chi has entries sqrt(s_x s_y) / pr * sum_g chi(g) t[x, g y] over
     those representatives.  For r = 1 the mask is k s = 0 (mod p).  The
     block sizes add up to m^p, and only the representative rows of t are
-    built.  The step tables of S and sigma come from cyclotomic._steps,
-    which also lays out the orbits of the modular symmetry blocks.
+    built.  The orbits come from cyclotomic._orbits, which also lays out
+    the modular symmetry blocks.  Returns the eigenvalues and r.
     """
     sigma, r = _word_symmetry(grid, p)
     m, pr = grid.m, p * r
@@ -494,9 +484,8 @@ def _rotation_block_eigenvalues(grid: ProjectionGrid, p: int) -> np.ndarray:
         turn = (turn[:, :, None] * m + letter[:, None, :]).reshape(r, -1)
     # steps[a r + b, u] = S^a sigma^b u; an orbit's least point represents it
     steps = rot[:, turn].reshape(pr, -1)
-    least = steps.min(axis=0)
-    reps = np.flatnonzero(least == words)
-    s = np.bincount(least)[reps]
+    reps, index = _orbits(steps)
+    s = np.bincount(index)
     # chi[k r + c, a r + b] = k a r + c b p, the character's turns times pr
     a, b = np.divmod(np.arange(pr), r)
     chi = np.outer(a, a) * r + np.outer(b, b) * p
@@ -510,7 +499,7 @@ def _rotation_block_eigenvalues(grid: ProjectionGrid, p: int) -> np.ndarray:
     for k in range(pr):
         kept = np.flatnonzero(keep[k])
         out.append(np.linalg.eigvalsh(blocks[k][np.ix_(kept, kept)]))
-    return np.concatenate(out)
+    return np.concatenate(out), r
 
 
 def cyclic_moment_oracle(n: int, p: int) -> int:

@@ -3,15 +3,18 @@ import subprocess
 import sys
 
 import jsonschema
+import numpy as np
 import pytest
 
 from hadlab import (CATALOG_RECORD_SCHEMA, PHM_V1_SCHEMA, RESULT_SCHEMA,
-                    ConsistencyError, content_hash, cyclic_defect_closed_form,
-                    defect, defect_split_truncated_fourier, detect_butson,
-                    f22q, f22q_master_spec, fourier_cyclic, load_phm, loads_phm,
+                    ConsistencyError, PHMatrix, content_hash,
+                    cyclic_defect_closed_form, defect,
+                    defect_split_truncated_fourier, detect_butson, f22q,
+                    f22q_master_spec, fourier_cyclic, load_phm, loads_phm,
                     read_records, save_phm, truncated_fourier)
 from hadlab.cli import run_command
 from hadlab.cyclotomic import exact_defect_butson
+from hadlab.phases import ExactPhases
 from fractions import Fraction
 
 
@@ -195,6 +198,8 @@ def test_defect_methods_agree(f6_file, f25_file, tmp_path):
                               "--orders", "5", "--rows", "0,1"])
     assert code == 2 and text == ("error: file does not match the declared "
                                   "truncated Fourier construction")
+    code, text = run_command(["defect", "--method", "split", "--rows", "0,1"])
+    assert code == 2 and text == "error: split method needs --orders and --rows"
 
 
 def test_defect_master_from_spec_file(tmp_path):
@@ -211,11 +216,19 @@ def test_defect_master_from_spec_file(tmp_path):
     assert body["data"]["breakdown"]["direct_defect"] == 8
     code, text = run_command(["defect", "--method", "master"])
     assert code == 2 and "--spec" in text
+    # exponents as exact text: (1/3) * (3/2) = 1/2 turn on principal turns,
+    # so the rows are [1, 1] and [1, -1]
+    spec_file.write_text(json.dumps({"eigenphases": ["0", "1/3"],
+                                     "exponents": ["0", "3/2"]}))
+    code, body = run_json(["defect", "--method", "master",
+                           "--spec", str(spec_file)])
+    assert code == 0
+    assert body["data"]["defect"] == 3 == defect(fourier_cyclic(2)).defect
 
 
 @pytest.mark.parametrize("case", ["dita-turn-zero-denominator",
                                   "dita-turn-nan", "spec-bad-exponent",
-                                  "spec-not-json"])
+                                  "spec-malformed", "spec-not-json"])
 def test_malformed_phase_and_spec_files_exit_2(tmp_path, case):
     """Bad turns, bad exponents and undecodable files are invalid input,
     and gen writes no file."""
@@ -234,6 +247,14 @@ def test_malformed_phase_and_spec_files_exit_2(tmp_path, case):
             path = tmp_path / f"spec{len(argvs)}.json"
             path.write_text(json.dumps({"eigenphases": ["0", "1/2"],
                                         "exponents": [0, e]}))
+            argvs.append(["defect", "--method", "master", "--spec", str(path)])
+    elif case == "spec-malformed":
+        argvs = []
+        for doc in ([], {"eigenphases": ["0"]},
+                    {"eigenphases": "0", "exponents": [0]},
+                    {"eigenphases": ["0"], "exponents": ["1/0"]}):
+            path = tmp_path / f"spec{len(argvs)}.json"
+            path.write_text(json.dumps(doc))
             argvs.append(["defect", "--method", "master", "--spec", str(path)])
     else:
         bad.write_text("{not json")
@@ -276,6 +297,21 @@ def test_malformed_arguments_exit_2(tmp_path, monkeypatch, capsys, argv):
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("verify F --tol abc", "expected a finite number > 0, got 'abc'"),
+    ("regularity F --budget x", "expected an integer >= 1, got 'x'"),
+])
+def test_unparsable_numbers_exit_2_with_the_rule(monkeypatch, capsys, argv, message):
+    """Text that is no number at all gets the option's own rule, like a
+    number out of range does, not argparse's generic complaint."""
+    from hadlab import cli
+    monkeypatch.setattr(sys, "argv", ["hadlab"] + argv.split())
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("case", ["catalog-is-directory",
@@ -422,6 +458,14 @@ def test_regularity_command(f6_file, tmp_path):
     code, body = run_json(["regularity", str(p7), "--budget", "2"])
     assert code == 3
     assert body["data"]["inconclusive_pairs"]
+    # six 30th roots that vanish only as a signed cycle combination: the
+    # rows are orthogonal, but the pair is no sum of whole cycles
+    irregular = tmp_path / "irregular.json"
+    save_phm(PHMatrix.from_phases(ExactPhases(
+        np.array([[0] * 6, [5, 6, 12, 18, 24, 25]]), 30)), str(irregular))
+    code, body = run_json(["regularity", str(irregular)])
+    assert code == 1 and body["data"]["regular"] is False
+    assert body["data"]["irregular_pairs"] == [[0, 1]]
 
 
 def test_regularity_command_decides_f24(tmp_path):

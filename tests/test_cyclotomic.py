@@ -13,9 +13,9 @@ from hadlab import (InvalidInputError, MWSpec, PHMatrix, PhaseEntry,
                     fourier_cyclic, fourier_group, isolation_certificate,
                     mw_construct, petrescu, tensor_product)
 from hadlab.cyclotomic import (PROOF_CAP, _automorphism, _block_layout,
-                               _cycle_peel, _orbits, _tangent_blocks,
-                               _vanishing_rows, exact_defect_butson,
-                               exact_vanishing, rank_mod_p, split_primes)
+                               _cycle_peel, _orbits, _steps, _tangent_blocks,
+                               exact_defect_butson, exact_vanishing,
+                               rank_mod_p, split_primes)
 
 KNOWN = {
     1: [-1, 1],
@@ -137,7 +137,7 @@ def test_vanishing_rows_match_the_fraction_oracle(case):
         for e in row:
             total = ctx.sub(total, ctx.neg(ctx.zeta_power(e)))
         want.append(ctx.is_zero(total))
-    assert _vanishing_rows(rows, l).tolist() == want
+    assert (~_cycle_peel(rows, l)[1]).tolist() == want
     assert [exact_vanishing(row, l) for row in rows] == want
 
 
@@ -209,6 +209,21 @@ def _butson_peak(l: int):
         return res, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_the_search_refuses_orders_above_the_cap():
+    # F20's table rephased to order 20 * 2^10 keeps its automorphisms, but
+    # the search's noise table would hold 2 * 20 * l int64 values
+    f20 = np.array(fourier_cyclic(20).phases.exp, dtype=np.int64)
+    assert _automorphism(f20, 20)[2] == 5
+    gc.collect()
+    tracemalloc.start()
+    try:
+        found = _automorphism(f20 << 10, 20 << 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found is None and peak < 64 * 1024
 
 
 def test_tangent_blocks_tabulate_only_the_differences_present():
@@ -666,11 +681,11 @@ def cycle_permutations(draw):
 @given(cycle_permutations())
 def test_orbits_lay_out_each_cycle(case):
     perm, r, cycles = case
-    steps, reps, index, pos = _orbits(perm, r)
+    steps = _steps(perm, r)
     assert steps.shape == (r, len(perm))
     assert np.array_equal(steps[0], np.arange(len(perm)))
     assert np.array_equal(steps[1:], perm[steps[:-1]])
-    assert np.array_equal(steps[pos, reps[index]], np.arange(len(perm)))
+    reps, index = _orbits(steps)
     assert np.all(np.diff(reps) > 0)
     sizes = np.bincount(index)
     assert len(sizes) == len(reps) == len(cycles)
@@ -678,6 +693,15 @@ def test_orbits_lay_out_each_cycle(case):
         assert np.all(index[cycle] == index[cycle[0]])
         assert sizes[index[cycle[0]]] == len(cycle)
         assert reps[index[cycle[0]]] == cycle.min()
+    # the unknowns (i, k) under (i, k) -> (perm i, perm k): each is pi^pos
+    # of its orbit's least point
+    n = len(perm)
+    _, _, index, pos = _block_layout(perm, perm, r)
+    u = np.arange(n * n)
+    least = np.full(index.max() + 1, n * n)
+    np.minimum.at(least, index, u)
+    pi = (perm[:, None] * n + perm[None, :]).ravel()
+    assert np.array_equal(_steps(pi, r)[pos, least[index]], u)
 
 
 def _petrescu7():

@@ -17,6 +17,7 @@ from hadlab import (DitaParams, InvalidInputError, MWSpec, PartialPermutation,
                     moment_matrix, mw_construct, petrescu, pre_latin_square,
                     predicted_truncated_semigroup, semigroup_closure,
                     sigma_from_square, truncated_fourier, verify_submagic)
+from hadlab.cyclotomic import _automorphism
 from hadlab.phases import ExactPhases
 from hadlab.semigroup import (MAX_CLOSURE, MAX_MOMENT_ENTRIES,
                               PreLatinSquare, ProjectionGrid,
@@ -159,6 +160,9 @@ def test_partial_permutation_basics():
     assert PartialPermutation.identity(3).notation() == "id"
     assert PartialPermutation.empty(3).notation() == "∅"
     assert PartialPermutation((1, 2, None)).notation() == "12,23"
+    # from ten points two-digit indices would run together: j→t
+    assert PartialPermutation((1, 0) + (None,) * 7 + (9,)).notation() == \
+        "1→2,2→1,10→10"
     with pytest.raises(InvalidInputError):
         PartialPermutation((0, 0, None))
     with pytest.raises(InvalidInputError):
@@ -485,7 +489,8 @@ def test_moment_blocks_match_full_eigensolve(case):
         assert math.isinf(rep.nearest_excluded)
     else:
         assert abs(rep.nearest_excluded - nearest) <= 1e-12
-    blocks = _rotation_block_eigenvalues(ProjectionGrid(h), p)
+    blocks, r = _rotation_block_eigenvalues(ProjectionGrid(h), p)
+    assert r == rep.symmetry_order
     assert blocks.shape == ev.shape
     assert np.max(np.abs(np.sort(blocks) - np.sort(ev))) <= 1e-12
 
@@ -539,8 +544,8 @@ def test_character_blocks_match_full_eigensolve(case):
         mp.setattr("hadlab.semigroup._SYMMETRY_FLOOR", 0)
         grid = ProjectionGrid(h)
         rep = moment(h, p)
-        blocks = _rotation_block_eigenvalues(grid, p)
-        assert rep.symmetry_order == _word_symmetry(grid, p)[1] == grid.automorphism[1]
+        blocks, r = _rotation_block_eigenvalues(grid, p)
+        assert rep.symmetry_order == r == _word_symmetry(grid, p)[1]
     assert (rep.value, rep.formal, rep.ambiguous) == (value, formal, ambiguous)
     if math.isinf(nearest):
         assert math.isinf(rep.nearest_excluded)
@@ -555,7 +560,8 @@ def test_character_blocks_match_full_eigensolve(case):
 def test_moment_matrix_automorphism_invariant(case):
     # T[sigma I, sigma J] = T[I, J], sigma applied to every letter
     h, p = case
-    sigma = ProjectionGrid(h).automorphism[0]
+    found = _automorphism(h.phases.exp, h.phases.order)
+    sigma = found[0] if found else np.arange(h.m)
     t = moment_matrix(h, p).matrix.reshape((h.m,) * (2 * p))
     assert np.max(np.abs(t[np.ix_(*[sigma] * (2 * p))] - t)) <= 1e-13
 
@@ -591,7 +597,8 @@ def test_a_wide_moment_skips_the_search(monkeypatch):
     assert (rep.value, rep.formal, rep.ambiguous, rep.symmetry_order) == \
         (value, formal, ambiguous, 1)
     grid = ProjectionGrid(h)
-    blocks = _rotation_block_eigenvalues(grid, 2)
+    blocks, r = _rotation_block_eigenvalues(grid, 2)
+    assert r == 1
     assert np.max(np.abs(np.sort(blocks) - np.sort(ev))) <= 1e-12
 
 
