@@ -21,7 +21,7 @@ from hadlab.cyclotomic import _automorphism
 from hadlab.phases import ExactPhases
 from hadlab.semigroup import (MAX_CLOSURE, MAX_MOMENT_ENTRIES,
                               PreLatinSquare, ProjectionGrid,
-                              _rotation_block_eigenvalues, _word_symmetry)
+                              _rotation_block_eigenvalues)
 
 
 def f25():
@@ -545,7 +545,10 @@ def test_character_blocks_match_full_eigensolve(case):
         grid = ProjectionGrid(h)
         rep = moment(h, p)
         blocks, r = _rotation_block_eigenvalues(grid, p)
-        assert rep.symmetry_order == r == _word_symmetry(grid, p)[1]
+    # the ungated search is the oracle for r, so a patch that stopped
+    # reaching the gate would show here as r = 1
+    found = _automorphism(h.phases.exp, h.phases.order)
+    assert rep.symmetry_order == r == (found[2] if found else 1)
     assert (rep.value, rep.formal, rep.ambiguous) == (value, formal, ambiguous)
     if math.isinf(nearest):
         assert math.isinf(rep.nearest_excluded)
@@ -553,6 +556,15 @@ def test_character_blocks_match_full_eigensolve(case):
         assert abs(rep.nearest_excluded - nearest) <= 1e-12
     assert blocks.shape == ev.shape
     assert np.max(np.abs(np.sort(blocks) - np.sort(ev))) <= 1e-12
+
+
+def test_open_gate_splits_the_examples(monkeypatch):
+    # the examples above meet the oracle split, not with r = 1
+    monkeypatch.setattr("hadlab.semigroup._SYMMETRY_FLOOR", 0)
+    mw = mw_construct(MWSpec(q=5, s=(1, 3), t=(0, 2), base=fourier_cyclic(2)))
+    for h, p, r in ((fourier_cyclic(4), 3, 2), (mw, 2, 5)):
+        assert _rotation_block_eigenvalues(ProjectionGrid(h), p)[1] == r
+        assert moment(h, p).symmetry_order == r
 
 
 @settings(max_examples=30, deadline=None)
