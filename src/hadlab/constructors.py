@@ -49,10 +49,7 @@ def group_index(g: Sequence[int], orders: Sequence[int]) -> int:
 
 def fourier_cyclic(n: int) -> PHMatrix:
     """The n x n Fourier matrix of Z_n, entries exp(2*pi*i*jk/n)."""
-    if n < 1:
-        raise InvalidInputError("order must be >= 1")
-    k = np.arange(n)
-    return PHMatrix.from_phases(ExactPhases(np.outer(k, k) % n, n), label=f"F{n}")
+    return fourier_group((n,))
 
 
 def _character_rows(rows: Sequence, orders: Tuple[int, ...]) -> ExactPhases:

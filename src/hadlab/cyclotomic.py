@@ -46,9 +46,11 @@ a time, and takes the r blocks of a prime together as one stack, each
 matrix with its own pivots.  A leaf adds at most _LEAF products of
 residues below p to any entry of a matrix, one per pivot that matrix
 takes, each below p^2, and entries are reduced again before the products
-they took could carry them past 2^52, so every sum is exact.  This admits
-every prime with _LEAF * p^2 + p <= 2^52, up to just under 2^24 (see
-``rank_mod_p``); the split primes used are just above 2^20.
+they took could carry them past 2^52, so every sum is exact.  The primes
+for which this holds are those of ``_usable_prime``, up to just under
+2^24.  The split primes used are the least of them above 2^20; an order
+whose first candidate p = 1 (mod l) is already past them has none, and
+``exact_defect_butson`` refuses it.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, SearchBudgetExceeded
 
 # Proofs of a defect above M+N-1 use at most this many reductions; past it
 # the defect is reported as the upper bound from two primes.
@@ -106,20 +108,30 @@ def _prime_factors(l: int) -> Tuple[int, ...]:
     return tuple(out + [l] if l > 1 else out)
 
 
+def _usable_prime(p: int) -> bool:
+    """Whether rank_mod_p eliminates modulo p exactly: one leaf of _LEAF
+    products below p^2, on top of a residue below p, stays below 2^52
+    (see ``rank_mod_p``).  With _LEAF = 16 this holds up to just under
+    2^24: 16777213 passes, 16777259 does not."""
+    return p >= 2 and _LEAF * p * p + p <= _EXACT
+
+
 @lru_cache(maxsize=64)
 def split_primes(l: int) -> Tuple[Tuple[int, int], ...]:
-    """The PROOF_CAP smallest primes p = 1 (mod l) above 2^20, each paired
-    with an element of order l in F_p."""
+    """The PROOF_CAP smallest primes p = 1 (mod l) above 2^20 that
+    ``rank_mod_p`` can use, each paired with an element of order l in F_p;
+    fewer, or none, when the usable range holds fewer.  l is factored
+    only once a candidate is prime, so an order past the range costs
+    nothing."""
     if l < 1:
         raise InvalidInputError("l must be >= 1")
-    factors = _prime_factors(l)
     out = []
     p = (_PRIME_FLOOR // l + 1) * l + 1
-    while len(out) < PROOF_CAP:
+    while len(out) < PROOF_CAP and _usable_prime(p):
         if is_odd_prime(p):
             g = 2
             w = pow(g, (p - 1) // l, p)
-            while any(pow(w, l // q, p) == 1 for q in factors):
+            while any(pow(w, l // q, p) == 1 for q in _prime_factors(l)):
                 g += 1
                 w = pow(g, (p - 1) // l, p)
             out.append((p, w))
@@ -208,14 +220,13 @@ def rank_mod_p(a: np.ndarray, p: int) -> List[int]:
     again whenever the products it took since (``stale``) plus the next
     leaf's k would pass cap = floor((2^52 - p) / p^2), so every entry and
     partial sum stays below p + cap * p^2 <= 2^52, where float64 holds
-    integers exactly.  This needs one leaf to fit, cap >= _LEAF, that is
-    _LEAF * p^2 + p <= 2^52: with _LEAF = 16 the largest accepted prime is
-    just under 2^24 (16777213 has cap 16, 16777259 cap 15 and is refused).
+    integers exactly.  This needs one leaf to fit, cap >= _LEAF, which is
+    ``_usable_prime``; other primes are refused.
     """
+    if not _usable_prime(p):
+        raise InvalidInputError(f"p = {p} is outside the exact float64 range")
     b, rows, cols = a.shape
     cap = int((_EXACT - p) // (p * p))
-    if p < 2 or cap < _LEAF:
-        raise InvalidInputError(f"p = {p} is outside the exact float64 range")
     ranks = [0] * b
     stale = 0
     stack = np.arange(b)
@@ -284,18 +295,20 @@ def _vanishing_primes(k: int, l: int) -> list:
 
 
 def _integer_table(exponents) -> np.ndarray:
-    """A table of exponents as a 2-D array: as numpy reads it when that
-    gives an integer dtype, else as Python ints, so no entry is rounded.
+    """A table of exponents as a 2-D array: a numpy integer array as it
+    is, anything else as Python objects, so no entry is rounded.
     InvalidInputError for a ragged table or any entry that is not a Python
-    or numpy integer."""
+    or numpy integer: a float, a string or a boolean, also a True in a
+    list of ints, which numpy reads as 1.  ``phases._exponents`` keeps the
+    same rule, since phases and cyclotomic import nothing from each other."""
     try:
         a = np.asarray(exponents)
-        if a.dtype.kind not in "iu":
-            a = np.asarray(exponents, dtype=object)
     except ValueError:
         raise InvalidInputError("ragged exponent table") from None
+    if not (isinstance(exponents, np.ndarray) and a.dtype.kind in "iu"):
+        a = np.asarray(exponents, dtype=object)
     if a.ndim != 2 or (a.dtype == object and not all(
-            isinstance(x, (int, np.integer)) for x in a.flat)):
+            isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in a.flat)):
         raise InvalidInputError("exponents must be a table of integers")
     return a
 
@@ -335,6 +348,8 @@ def _cycle_peel(exponents, l: int):
     primes <= k, whatever l is.  Keys stay int64 while they fit and are
     Python ints beyond.
     """
+    if l < 1:
+        raise InvalidInputError("l must be >= 1")
     a = _integer_table(exponents)
     rows, k = a.shape
     dtype = np.int64 if rows * l < 1 << 63 else object
@@ -433,10 +448,6 @@ def _prime_order_power(sigma: np.ndarray, tau: np.ndarray,
     return None
 
 
-class _Exhausted(Exception):
-    pass
-
-
 def _same_sizes(x: np.ndarray, y: np.ndarray) -> bool:
     """Whether the joint labels x and y name classes of equal sizes."""
     k = int(max(x.max(), y.max())) + 1
@@ -458,8 +469,8 @@ def _isomorphisms(base: np.ndarray, other: np.ndarray, l: int,
     that class in other in turn.  Once base has as many column classes as
     ``distinct`` columns, the classes are its equal-column groups, which
     fixes tau; sigma then matches rows, and the pair is checked exactly.
-    Each branch costs one node of ``budget``; _Exhausted is raised when
-    none is left.
+    Each branch costs one node of ``budget``; SearchBudgetExceeded is
+    raised when none is left.
     """
     m, n = base.shape
 
@@ -486,7 +497,7 @@ def _isomorphisms(base: np.ndarray, other: np.ndarray, l: int,
 
     def search(r0, r1):
         if budget[0] <= 0:
-            raise _Exhausted
+            raise SearchBudgetExceeded("automorphism search budget exhausted")
         budget[0] -= 1
         refined = refine(r0, r1)
         if refined is None:
@@ -564,7 +575,7 @@ def _automorphism(e: np.ndarray, l: int) -> Optional[Tuple[np.ndarray, np.ndarra
                         if best[2] == top:
                             return best
                 seen.append((sigma, tau))
-        except _Exhausted:
+        except SearchBudgetExceeded:
             return best
     return best
 
@@ -667,8 +678,8 @@ class ButsonDefect:
 def _reductions_needed(l: int, phi: int, n: int, rank: int) -> int:
     """Fewest leading split primes whose product exceeds (2N)^(phi(r+1)/2),
     the Hadamard bound on the norm of a minor of order r+1; past the
-    PROOF_CAP cached primes, an estimate that takes each further prime as
-    large as the last."""
+    cached primes, an estimate that takes each further prime as large as
+    the last."""
     target = phi * (rank + 1) / 2 * math.log(2 * n)
     logs = [math.log(p) for p, _ in split_primes(l)]
     total = 0.0
@@ -681,19 +692,20 @@ def _reductions_needed(l: int, phi: int, n: int, rank: int) -> int:
 
 def exact_defect_butson(exponents: Sequence[Sequence[int]], l: int) -> ButsonDefect:
     """Defect of the Butson matrix zeta_l^E from ranks of its tangent system
-    modulo split primes (see the module docstring for the proof).  An int64
-    exponent array is read as it is.
+    modulo split primes (see the module docstring for the proof).  The
+    exponents are reduced mod l before anything else reads them.  An order
+    with no split prime in the exact range (``split_primes``) is refused.
 
     The first reduction that reaches the largest possible rank proves the
     defect.  Otherwise, when the Hadamard bound closes within PROOF_CAP
     reductions, reductions continue until it does; when it cannot, two
     reductions give an upper bound and ``exact`` is False.
     """
-    E = np.asarray(_integer_table(exponents), dtype=np.int64)
+    if not split_primes(l):
+        raise InvalidInputError(f"no split prime p = 1 (mod {l}) in the exact float64 range")
+    E = np.asarray(_integer_table(exponents) % l, dtype=np.int64)
     if not E.size:
         raise InvalidInputError("empty exponent table")
-    if l < 1:
-        raise InvalidInputError("l must be >= 1")
     factors = _prime_factors(l)
     phi = l * math.prod(p - 1 for p in factors) // math.prod(factors)
     m, n = E.shape
@@ -736,6 +748,4 @@ def exact_defect_butson(exponents: Sequence[Sequence[int]], l: int) -> ButsonDef
 
 def exact_vanishing(exponents: Sequence[int], l: int) -> bool:
     """Whether the sum of zeta_l^e over the exponent list is exactly zero."""
-    if l < 1:
-        raise InvalidInputError("l must be >= 1")
     return not _cycle_peel([exponents], l)[1][0]

@@ -330,15 +330,13 @@ def _character_report(h: PHMatrix, table: ExactPhases) -> Optional[DefectReport]
     in K.  Once the span is K, K is closed under adding its generators,
     hence a subgroup, and the characters are read on the generators alone.
     """
-    l = table.order
-    e = _dephased(table.exp, 0, 0, l)
     # K has exponent at most |K| <= N, and the entries generate gZ_l of
     # order l/g, which divides it; dividing by g maps gZ_l onto Z_(l/g)
-    g = int(np.gcd.reduce(e.ravel(), initial=l))
-    l //= g
+    t = ExactPhases(_dephased(table.exp, 0, 0, table.order), table.order).reduced()
+    l = t.order
     if l > h.n:
         return None
-    e = (e // g).astype(np.int64)
+    e = t.exp.astype(np.int64)
     group = e.T[_distinct_rows(e.T, l)[0]]
     k = len(group)
     spanned = ~group.any(axis=1)

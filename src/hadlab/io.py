@@ -89,12 +89,14 @@ def from_document(doc: dict) -> PHMatrix:
     label = doc.get("label")
     if rep == "butson":
         l = _positive_int(doc, "butson_order")
-        for r in entries:
-            for e in r:
-                if not isinstance(e, int) or isinstance(e, bool):
-                    raise MatrixFormatError(f"butson exponent {e!r} is not an integer")
-        return PHMatrix.from_phases(ExactPhases(np.array(entries, dtype=object) % l, l),
-                                    label=label)
+        try:
+            table = ExactPhases(entries, l)
+        except InvalidInputError as exc:
+            raise MatrixFormatError(str(exc)) from exc
+        if table.shape != (m, n):
+            # numpy reads equal-length lists in every entry as a third axis
+            raise MatrixFormatError("butson exponents must be integers, not lists")
+        return PHMatrix.from_phases(table, label=label)
     if rep == "turns":
         rows = []
         for i, r in enumerate(entries):

@@ -47,9 +47,8 @@ def quadratic_diagonal_exponents(q: int, k: int = 1) -> list:
 
 def mub_unitary(q: int, k: int) -> PHMatrix:
     """The (unnormalized) unitary D^k F_q, a Butson matrix of order q."""
-    _require_odd_prime(q)
     c = np.arange(q)
-    exp = (k * (c * (c - 1) // 2))[:, None] + np.outer(c, c)
+    exp = np.array(quadratic_diagonal_exponents(q, k))[:, None] + np.outer(c, c)
     return PHMatrix.from_phases(ExactPhases(exp % q, q), label=f"D^{k} F{q}")
 
 

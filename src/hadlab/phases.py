@@ -111,9 +111,7 @@ class PhaseEntry:
 
     def __neg__(self) -> "PhaseEntry":
         if self.kind == "butson":
-            if self.l % 2 == 0:
-                return PhaseEntry.butson(self.e + self.l // 2, self.l)
-            return PhaseEntry.butson(2 * self.e + self.l, 2 * self.l)
+            return self * PhaseEntry.butson(1, 2)
         return PhaseEntry("cartesian", z=-self.z)
 
     def __mul__(self, other: "PhaseEntry") -> "PhaseEntry":
@@ -154,7 +152,19 @@ def parse_phase(text: str) -> PhaseEntry:
 # -- phase arrays -------------------------------------------------------------
 
 def _exponents(exp, order: int) -> np.ndarray:
-    """exp as an array of the dtype that holds exponents at this order."""
+    """exp as an array of the dtype that holds exponents at this order.  A
+    numpy integer array is taken as it is.  Anything else is read entry by
+    entry and reduced mod order, so no entry overflows the dtype; an entry
+    that is not a Python or numpy integer is refused: a float, a string or
+    a boolean, also a True in a list of ints, which numpy reads as 1.
+    ``cyclotomic._integer_table`` keeps the same rule, since phases and
+    cyclotomic import nothing from each other."""
+    if not (isinstance(exp, np.ndarray) and exp.dtype.kind in "iu"):
+        exp = np.asarray(exp, dtype=object)
+        for x in exp.flat:
+            if not isinstance(x, (int, np.integer)) or isinstance(x, bool):
+                raise InvalidInputError(f"butson exponent {x!r} is not an integer")
+        exp = exp % order
     return np.asarray(exp, dtype=np.int64 if order < INT64_ORDER else object)
 
 

@@ -282,8 +282,6 @@ def cycle_decompose_integer(exponents: Sequence[int], l: int,
     partition exists, the peel's coefficients, some of which may be
     negative, are the account.
     """
-    if l < 1:
-        raise InvalidInputError("l must be >= 1")
     peel, left = _cycle_peel([exponents], l)
     if left[0]:
         return IntegerCycleDecomposition(l, False, None, None, None, True)

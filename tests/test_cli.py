@@ -616,3 +616,31 @@ def test_module_invocation():
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.startswith("hadlab ")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "is not valid JSON"),
+    ("[]", "spec file must be a JSON object"),
+    ('{"eigenphases": ["0"]}', "spec file missing field 'exponents'"),
+    ('{"eigenphases": "0", "exponents": [0]}',
+     "spec eigenphases and exponents must be lists"),
+    ('{"eigenphases": ["0", "1/2"], "exponents": [0, "x"]}',
+     "cannot parse exponent 'x'"),
+])
+def test_each_malformed_spec_file_names_its_fault(tmp_path, text, message):
+    # in-process, so that each guard's own message is checked
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    code, out = run_command(["defect", "--method", "master", "--spec", str(spec)])
+    assert code == 2 and out.startswith("error:") and message in out
+
+
+def test_gen_dita_refuses_a_grid_that_is_not_a_list(tmp_path):
+    f2 = tmp_path / "f2.json"
+    save_phm(fourier_cyclic(2), str(f2))
+    grid = tmp_path / "grid.json"
+    for doc in ({"rows": [[0, 0], [0, 0]]}, [0, 0]):
+        grid.write_text(json.dumps(doc))
+        code, out = run_command(["gen", "dita", "--outer", str(f2), "--inner",
+                                 str(f2), "--phases", str(grid)])
+        assert code == 2 and "phase grid must be a list of rows" in out

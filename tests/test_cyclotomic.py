@@ -1,5 +1,8 @@
 import gc
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
@@ -9,13 +12,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hadlab import (InvalidInputError, MWSpec, PHMatrix, PhaseEntry,
-                    apply_equivalence, defect, defect_exact, detect_butson,
-                    fourier_cyclic, fourier_group, isolation_certificate,
-                    mw_construct, petrescu, tensor_product)
+                    apply_equivalence, cycle_decompose_integer, defect,
+                    defect_exact, detect_butson, fourier_cyclic, fourier_group,
+                    isolation_certificate, mw_construct, petrescu,
+                    tensor_product)
 from hadlab.cyclotomic import (PROOF_CAP, _automorphism, _block_layout,
-                               _cycle_peel, _orbits, _steps, _tangent_blocks,
-                               exact_defect_butson, exact_vanishing,
-                               rank_mod_p, split_primes)
+                               _cycle_peel, _integer_table, _orbits, _steps,
+                               _tangent_blocks, exact_defect_butson,
+                               exact_vanishing, rank_mod_p, split_primes)
+from hadlab.phases import ExactPhases
 
 KNOWN = {
     1: [-1, 1],
@@ -101,6 +106,83 @@ def test_order_below_one_is_refused():
             exact_vanishing([1, 2], l)
         with pytest.raises(InvalidInputError, match="l must be >= 1"):
             exact_defect_butson([[0, 1], [1, 0]], l)
+        with pytest.raises(InvalidInputError, match="l must be >= 1"):
+            split_primes(l)
+        with pytest.raises(InvalidInputError, match="l must be >= 1"):
+            cycle_decompose_integer([], l)
+
+
+@pytest.mark.parametrize("bad", [
+    [[0, 2.9], [0, 0]], [["1", "3"]], [[True, False]], [[0, True], [0, 1]],
+    np.array([[0.0, 1.0]]), np.array([[True, False]]),
+    np.array([[0, True]], dtype=object)])
+def test_both_integer_rules_refuse_the_same_tables(bad):
+    """phases and cyclotomic each hold the exponent rule (neither imports
+    the other); floats, strings and booleans are refused by both, also a
+    True in a list of ints, which numpy alone reads as 1."""
+    with pytest.raises(InvalidInputError, match="not an integer"):
+        ExactPhases(bad, 4)
+    with pytest.raises(InvalidInputError, match="table of integers"):
+        _integer_table(bad)
+
+
+def test_no_exponent_is_truncated_or_read_as_a_boolean():
+    # 2.9 at order 4 once became 2, and the table then the order-2 [[0, 1]]
+    with pytest.raises(InvalidInputError, match="2.9 is not an integer"):
+        PHMatrix.from_phases(ExactPhases([[0, 2.9], [0, 0]], 4))
+    with pytest.raises(InvalidInputError, match="integers"):
+        exact_vanishing([True, False], 2)
+    # both rules still read numpy integers and Python ints of any size
+    for good in ([[0, 2 ** 70 + 1]], np.array([[0, 5]], dtype=np.uint8),
+                 [[np.int32(0), 1]]):
+        assert _integer_table(good).shape == (1, 2)
+    assert ExactPhases([[0, 2 ** 70 + 1]], 4).exp.tolist() == [[0, 1]]
+
+
+def test_exponents_are_reduced_before_the_int64_cast():
+    big = exact_defect_butson([[0, 0], [0, 2 ** 70 + 2]], 4)
+    assert big == exact_defect_butson([[0, 0], [0, 2]], 4)
+    assert big.exact and big.defect == 3
+
+
+def test_orders_past_the_exact_range_are_refused_at_once():
+    # the first candidate p = l + 1 is past 2^24 at each of these orders,
+    # so l is never factored (trial division of the prime 2^61 - 1 alone
+    # takes over 10 s).  A child process with a timeout turns a hang into
+    # a failure.
+    script = (
+        "from hadlab.cyclotomic import exact_defect_butson\n"
+        "from hadlab.errors import InvalidInputError\n"
+        "for l in (2 ** 61 - 1, 2 ** 62, 2 ** 70):\n"
+        "    try:\n"
+        "        exact_defect_butson([[0, 0], [0, 1]], l)\n"
+        "    except InvalidInputError as exc:\n"
+        "        assert 'exact float64 range' in str(exc), exc\n"
+        "    else:\n"
+        "        raise SystemExit(f'order {l} was not refused')\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["hadlab"].__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_split_primes_are_primes_the_elimination_accepts():
+    orders = sorted({2 ** k + d for k in range(15, 25) for d in (-1, 0, 1)}
+                    | {3 * 2 ** k for k in range(15, 23)})
+    for l in orders:
+        for p, _ in split_primes(l):
+            assert rank_mod_p(np.ones((1, 2, 2)), p) == [1], (l, p)
+    # the search stops at the end of the range, not at PROOF_CAP primes:
+    # 2^18 has 9 there, the last 16515073; the three candidates for 2^22
+    # (5 * 838861, 3 * 2796203, 7 * 1797559) are not prime
+    assert len(split_primes(2 ** 15)) == PROOF_CAP
+    assert [p for p, _ in split_primes(2 ** 18)][-1] == 16515073
+    assert len(split_primes(2 ** 18)) == 9
+    assert split_primes(2 ** 22) == ()
+    with pytest.raises(InvalidInputError, match="exact float64 range"):
+        exact_defect_butson([[0, 0], [0, 1]], 2 ** 22)
 
 
 @st.composite
@@ -169,6 +251,8 @@ def test_exact_defect_guards():
     assert exact_defect_butson([[0, 1]], 23).defect == 2   # degree 22
     with pytest.raises(InvalidInputError):
         exact_defect_butson([], 2)
+    with pytest.raises(InvalidInputError, match="empty exponent table"):
+        exact_defect_butson([[]], 2)
     with pytest.raises(InvalidInputError):
         exact_defect_butson([[0, 1], [1]], 2)
 

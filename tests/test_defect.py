@@ -83,6 +83,7 @@ def test_group_fourier_defect_three_ways():
         assert subgroup_index_sum(orders) == expected
         assert fourier_defect_formula(orders) == expected
         assert count_one_entries(h) == expected
+        assert count_one_entries(PHMatrix.from_phases(h.to_array())) == expected
         assert defect(h).defect == expected
 
 
@@ -207,6 +208,10 @@ def test_master_route_input_checks():
         defect_master(MasterSpec((PhaseEntry.one(),), (0, 1)))  # not square
     with pytest.raises(InvalidInputError):
         defect_master(MasterSpec((PhaseEntry.one(), PhaseEntry.one()), (0, 1)))
+    # a loose tolerance lets those equal rows pass verification, so the
+    # eigenphase check itself must refuse them
+    with pytest.raises(InvalidInputError, match="pairwise distinct"):
+        defect_master(MasterSpec((PhaseEntry.one(), PhaseEntry.one()), (0, 1)), tol=2.5)
 
 
 def test_exact_defect_route():
@@ -479,6 +484,8 @@ def test_truncation_probe_statuses():
     assert certs[-1].status == "isolated"      # F_5 itself
     with pytest.raises(InvalidInputError):
         truncation_probe(5, sizes=[9])
+    with pytest.raises(InvalidInputError, match="n must be >= 2"):
+        truncation_probe(1)
 
 
 def test_defect_rejects_unverified_input():

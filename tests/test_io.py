@@ -184,3 +184,16 @@ def test_catalog_path_resolution(monkeypatch):
     assert catalog_path("flag.jsonl") == "flag.jsonl"
     monkeypatch.setenv("HADLAB_CATALOG", "")
     assert catalog_path(None) is None
+
+
+def test_butson_entries_are_read_by_the_phases_rule():
+    base = {"format": "phm-v1", "rows": 2, "cols": 2,
+            "representation": "butson", "butson_order": 4}
+    for entries, message in (([[0, 1], [0, "2"]], "'2' is not an integer"),
+                             ([[0, 1], [0, None]], "None is not an integer"),
+                             ([[[0], [1]], [[0], [2]]], "not lists")):
+        with pytest.raises(MatrixFormatError, match=message):
+            from_document({**base, "entries": entries})
+    # exponents past int64 are reduced mod the order, not cast
+    h = from_document({**base, "entries": [[0, 0], [0, 2 ** 70 + 2]]})
+    assert h.phases.order == 2 and h.phases.exp.tolist() == [[0, 0], [0, 1]]

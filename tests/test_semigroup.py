@@ -20,7 +20,7 @@ from hadlab import (DitaParams, InvalidInputError, MWSpec, PartialPermutation,
 from hadlab.cyclotomic import _automorphism
 from hadlab.phases import ExactPhases
 from hadlab.semigroup import (MAX_CLOSURE, MAX_MOMENT_ENTRIES,
-                              PreLatinSquare, ProjectionGrid,
+                              MAX_WORD_LENGTH, PreLatinSquare, ProjectionGrid,
                               _rotation_block_eigenvalues)
 
 
@@ -655,6 +655,15 @@ def test_moment_guards():
         moment_matrix(fourier_cyclic(2), 13)
     with pytest.raises(InvalidInputError):
         cyclic_moment_oracle(0, 1)
+    # one row keeps the moment matrix at one entry, so only the word-length
+    # cap refuses p = 14
+    with pytest.raises(InvalidInputError, match="word length too large"):
+        moment(PHMatrix([[1, 1]]), MAX_WORD_LENGTH + 1)
     for tol in (0.0, -1e-8, math.nan, math.inf):
         with pytest.raises(InvalidInputError):
             moment(fourier_cyclic(2), 1, tol)
+
+
+def test_closure_refuses_generators_of_mixed_sizes():
+    with pytest.raises(InvalidInputError, match="different index sets"):
+        semigroup_closure([PartialPermutation((0,)), PartialPermutation((0, 1))])
