@@ -18,16 +18,16 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .matrix import PHMatrix, PhaseLike, as_phase, ensure_verified
-from .phases import ExactPhases, PhaseEntry, multiply, phase_array
+from .phases import ExactPhases, PhaseEntry, is_integer, multiply, phase_array
 
 
 def _check_orders(orders: Sequence[int]) -> Tuple[int, ...]:
-    orders = tuple(int(n) for n in orders)
+    orders = tuple(orders)
     if not orders:
         raise InvalidInputError("need at least one cyclic factor")
-    if any(n < 1 for n in orders):
-        raise InvalidInputError(f"cyclic orders must be positive, got {orders}")
-    return orders
+    if not all(is_integer(n) and n >= 1 for n in orders):
+        raise InvalidInputError(f"cyclic orders must be integers >= 1, got {orders}")
+    return tuple(int(n) for n in orders)
 
 
 def group_elements(orders: Sequence[int]) -> list:
@@ -59,7 +59,7 @@ def _character_rows(rows: Sequence, orders: Tuple[int, ...]) -> ExactPhases:
     l = math.lcm(*orders)
     elems = np.array(group_elements(orders), dtype=np.int64)
     weights = np.array([l // n for n in orders], dtype=np.int64)
-    return ExactPhases((np.array(rows, dtype=np.int64) * weights) @ elems.T % l, l)
+    return ExactPhases((np.array(rows, dtype=np.int64) * weights) @ elems.T, l)
 
 
 def _group_label(orders: Tuple[int, ...]) -> str:
@@ -80,15 +80,16 @@ def normalize_row_subset(rows: Sequence, orders: Sequence[int]) -> list:
     elems = group_elements(orders)
     out = []
     for r in rows:
-        if isinstance(r, int):
+        if is_integer(r):
             if not (0 <= r < len(elems)):
                 raise InvalidInputError(f"row index {r} out of range 0..{len(elems) - 1}")
             out.append(elems[r])
         else:
-            g = tuple(int(c) for c in r)
-            if len(g) != len(orders):
-                raise InvalidInputError(f"element {g} has wrong arity for orders {orders}")
-            out.append(tuple(c % n for c, n in zip(g, orders)))
+            g = tuple(r) if isinstance(r, (tuple, list, np.ndarray)) else ()
+            if len(g) != len(orders) or not all(is_integer(c) for c in g):
+                raise InvalidInputError(
+                    f"row {r!r} is neither a row index nor an element of {orders}")
+            out.append(tuple(int(c) % n for c, n in zip(g, orders)))
     if len(set(out)) != len(out):
         raise InvalidInputError("row subset has duplicates")
     if not out:

@@ -299,7 +299,7 @@ def _integer_table(exponents) -> np.ndarray:
     is, anything else as Python objects, so no entry is rounded.
     InvalidInputError for a ragged table or any entry that is not a Python
     or numpy integer: a float, a string or a boolean, also a True in a
-    list of ints, which numpy reads as 1.  ``phases._exponents`` keeps the
+    list of ints, which numpy reads as 1.  ``phases.is_integer`` keeps the
     same rule, since phases and cyclotomic import nothing from each other."""
     try:
         a = np.asarray(exponents)

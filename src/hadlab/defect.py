@@ -35,7 +35,7 @@ from .cyclotomic import (BUTSON_ORDER_CAP, PROOF_CAP, _dephased, _distinct_rows,
                          _prime_factors, exact_defect_butson)
 from .errors import ConsistencyError, InvalidInputError
 from .matrix import PHMatrix, detect_butson, ensure_verified
-from .phases import ExactPhases
+from .phases import ExactPhases, is_integer
 
 DEFAULT_CONFIDENCE = 1e6
 
@@ -478,8 +478,8 @@ def fourier_defect_formula(orders: Sequence[int]) -> int:
 
 def cyclic_defect_closed_form(n: int) -> int:
     """Same number for a cyclic group, as a product over prime powers."""
-    if n < 1:
-        raise InvalidInputError("n must be >= 1")
+    if not (is_integer(n) and n >= 1):
+        raise InvalidInputError(f"n must be an integer >= 1, got {n!r}")
     total = 1
     for p in _prime_factors(n):
         a = 1                       # the exponent of p in n

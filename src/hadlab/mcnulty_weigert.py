@@ -21,11 +21,11 @@ from .cyclotomic import is_odd_prime
 from .defect import isolation_certificate
 from .errors import ConsistencyError, InvalidInputError
 from .matrix import PHMatrix, ensure_verified, verify_partial_hadamard
-from .phases import ExactPhases, PhaseEntry, multiply, phase_array
+from .phases import ExactPhases, PhaseEntry, is_integer, multiply, phase_array
 
 
 def _require_odd_prime(q: int) -> None:
-    if not is_odd_prime(q):
+    if not (is_integer(q) and is_odd_prime(q)):
         raise InvalidInputError(f"q must be an odd prime, got {q}")
 
 
@@ -49,7 +49,7 @@ def mub_unitary(q: int, k: int) -> PHMatrix:
     """The (unnormalized) unitary D^k F_q, a Butson matrix of order q."""
     c = np.arange(q)
     exp = np.array(quadratic_diagonal_exponents(q, k))[:, None] + np.outer(c, c)
-    return PHMatrix.from_phases(ExactPhases(exp % q, q), label=f"D^{k} F{q}")
+    return PHMatrix.from_phases(ExactPhases(exp, q), label=f"D^{k} F{q}")
 
 
 def mub_family(q: int) -> list:
@@ -141,8 +141,11 @@ class MWSpec:
 
     def __post_init__(self):
         _require_odd_prime(self.q)
-        s = tuple(int(x) % self.q for x in self.s)
-        t = tuple(int(x) % self.q for x in self.t)
+        if not all(is_integer(x) for x in (*self.s, *self.t)):
+            raise InvalidInputError("exponent sets must hold integers")
+        q = int(self.q)
+        s = tuple(int(x) % q for x in self.s)
+        t = tuple(int(x) % q for x in self.t)
         if self.base.m != self.base.n:
             raise InvalidInputError("base must be square")
         if len(s) != self.base.m or len(t) != self.base.m:
@@ -154,6 +157,7 @@ class MWSpec:
             raise InvalidInputError(
                 f"exponent sets must be disjoint mod q; both contain "
                 f"{sorted(set(s) & set(t))}")
+        object.__setattr__(self, "q", q)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "t", t)
 

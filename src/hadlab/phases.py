@@ -19,7 +19,6 @@ import cmath
 import functools
 import math
 from fractions import Fraction
-from math import gcd
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -55,16 +54,14 @@ class PhaseEntry:
 
     @classmethod
     def butson(cls, e: int, l: int) -> "PhaseEntry":
-        if l < 1:
-            raise InvalidInputError(f"butson order must be >= 1, got {l}")
-        return cls("butson", e=e % l, l=l)
+        return cls("butson", e=_exponents([e], l).item(), l=l)
 
     @classmethod
     def turns(cls, t: Union[Fraction, int, float]) -> "PhaseEntry":
         """exp(2*pi*i*t): exact for a Fraction or an int, cartesian for any
         other finite number."""
         if isinstance(t, (Fraction, int)):
-            return cls.butson(t.numerator, t.denominator)
+            return cls("butson", e=t.numerator % t.denominator, l=t.denominator)
         t = float(t)
         if not math.isfinite(t):
             raise InvalidInputError(f"turn must be finite, got {t!r}")
@@ -105,9 +102,7 @@ class PhaseEntry:
     # -- arithmetic ---------------------------------------------------------
 
     def conj(self) -> "PhaseEntry":
-        if self.kind == "butson":
-            return PhaseEntry.butson(-self.e, self.l)
-        return PhaseEntry("cartesian", z=self.z.conjugate())
+        return phase_entries(phase_array([self], (1, 1)).conj())[0][0]
 
     def __neg__(self) -> "PhaseEntry":
         if self.kind == "butson":
@@ -117,11 +112,11 @@ class PhaseEntry:
     def __mul__(self, other: "PhaseEntry") -> "PhaseEntry":
         if not isinstance(other, PhaseEntry):
             return NotImplemented
-        a, b = self, other
-        if a.kind == "butson" and b.kind == "butson":
-            l = a.l * b.l // gcd(a.l, b.l)
-            return PhaseEntry.butson(a.e * (l // a.l) + b.e * (l // b.l), l)
-        return PhaseEntry("cartesian", z=a.value * b.value)
+        if self.kind == "butson" and other.kind == "butson":
+            p = multiply(ExactPhases(np.array([self.e]), self.l),
+                         ExactPhases(np.array([other.e]), other.l))
+            return PhaseEntry("butson", e=p.exp.item(), l=p.order)
+        return PhaseEntry("cartesian", z=self.value * other.value)
 
     def __repr__(self) -> str:
         if self.kind == "butson":
@@ -151,18 +146,26 @@ def parse_phase(text: str) -> PhaseEntry:
 
 # -- phase arrays -------------------------------------------------------------
 
+def is_integer(x) -> bool:
+    """True for a Python or numpy integer, False for anything else: a
+    float, a string or a boolean, which numpy and int() would read as an
+    integer.  ``cyclotomic._integer_table`` keeps the same rule, since
+    phases and cyclotomic import nothing from each other."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _exponents(exp, order: int) -> np.ndarray:
-    """exp as an array of the dtype that holds exponents at this order.  A
-    numpy integer array is taken as it is.  Anything else is read entry by
-    entry and reduced mod order, so no entry overflows the dtype; an entry
-    that is not a Python or numpy integer is refused: a float, a string or
-    a boolean, also a True in a list of ints, which numpy reads as 1.
-    ``cyclotomic._integer_table`` keeps the same rule, since phases and
-    cyclotomic import nothing from each other."""
+    """exp as an array of the dtype that holds exponents at this order,
+    which must be an integer >= 1.  A numpy integer array is taken as it
+    is.  Anything else is read entry by entry and reduced mod order, so no
+    entry overflows the dtype; an entry that is not an integer is refused,
+    also a True in a list of ints, which numpy reads as 1."""
+    if not (is_integer(order) and order >= 1):
+        raise InvalidInputError(f"phase order must be an integer >= 1, got {order!r}")
     if not (isinstance(exp, np.ndarray) and exp.dtype.kind in "iu"):
         exp = np.asarray(exp, dtype=object)
         for x in exp.flat:
-            if not isinstance(x, (int, np.integer)) or isinstance(x, bool):
+            if not is_integer(x):
                 raise InvalidInputError(f"butson exponent {x!r} is not an integer")
         exp = exp % order
     return np.asarray(exp, dtype=np.int64 if order < INT64_ORDER else object)
@@ -177,8 +180,9 @@ def _roots(l: int) -> np.ndarray:
 
 
 class ExactPhases:
-    """The array zeta_l^E: integer exponents ``exp``, residues in
-    [0, order), at order ``order``."""
+    """The array zeta_l^E: integer exponents ``exp`` at order ``order``, an
+    integer >= 1.  A numpy integer table is kept as given, so slices pay no
+    remainder; ``reduced`` gives residues in [0, order)."""
 
     __slots__ = ("exp", "order")
 
@@ -200,9 +204,11 @@ class ExactPhases:
         return ExactPhases(-self.exp % self.order, self.order)
 
     def reduced(self) -> "ExactPhases":
-        """The same phases at the least order that holds them all."""
-        g = gcd(self.order, int(np.gcd.reduce(self.exp, axis=None)))
-        return ExactPhases(self.exp // g, self.order // g)
+        """The same phases as residues at the least order that holds them
+        all."""
+        exp = self.exp % self.order
+        g = math.gcd(self.order, int(np.gcd.reduce(exp, axis=None)))
+        return ExactPhases(exp // g, self.order // g)
 
     def values(self) -> np.ndarray:
         """Complex values, each computed as PhaseEntry.value would."""

@@ -1,4 +1,5 @@
 import json
+import runpy
 import subprocess
 import sys
 
@@ -558,6 +559,20 @@ def test_probe_arithmetic():
                            "--s", "1,3", "--t", "0,2"])
     assert code == 1
     assert body["data"]["status"] == "undetermined"
+    code, text = run_command(["probe", "arithmetic", "--q", "5",
+                              "--s", "0,2", "--t", "1,3"])
+    assert code == 0
+    assert text.splitlines()[1:] == [
+        "note: s is not a run of consecutive odd residues",
+        "note: t is not a run of consecutive even residues"]
+
+
+def test_python_dash_m_runs_the_command_line(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["hadlab", "gen", "fourier", "2"])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("hadlab", run_name="__main__")
+    assert exit_.value.code == 0
+    assert loads_phm(capsys.readouterr().out).common_butson_order() == 2
 
 
 def test_catalog_records(f6_file, tmp_path, monkeypatch):

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from hadlab import (DitaParams, InvalidInputError, MasterSpec, PhaseEntry,
-                    dita_deformation, f22q, f22q_master_spec, fourier_cyclic,
-                    fourier_group, group_elements, group_index, master_dita,
-                    master_matrix, normalize_row_subset, petrescu,
+                    dita_deformation, dumps_phm, f22q, f22q_master_spec,
+                    fourier_cyclic, fourier_group, group_elements, group_index,
+                    master_dita, master_matrix, normalize_row_subset, petrescu,
                     tensor_product, truncated_fourier, verify_partial_hadamard)
 
 
@@ -19,6 +19,8 @@ def test_fourier_cyclic_entries_and_label():
     assert verify_partial_hadamard(h).is_hadamard
     with pytest.raises(InvalidInputError):
         fourier_cyclic(0)
+    with pytest.raises(InvalidInputError, match="at least one cyclic factor"):
+        fourier_group([])
 
 
 def test_group_elements_row_major():
@@ -48,6 +50,33 @@ def test_normalize_row_subset_flat_and_tuples():
         normalize_row_subset([9], [2, 3])
     with pytest.raises(InvalidInputError):
         normalize_row_subset([(1,)], [2, 3])
+    with pytest.raises(InvalidInputError, match="row subset is empty"):
+        truncated_fourier([], [4])
+
+
+@pytest.mark.parametrize("orders", [[2.5], [True, 2], [4.0], ["3"], [0], [2, -1]])
+def test_cyclic_orders_must_be_integers_above_zero(orders):
+    with pytest.raises(InvalidInputError, match="cyclic orders must be integers >= 1"):
+        fourier_group(orders)
+    with pytest.raises(InvalidInputError, match="cyclic orders must be integers >= 1"):
+        truncated_fourier([0], orders)
+
+
+def test_cyclic_orders_may_be_numpy_integers():
+    h = fourier_group(np.array([2, 3]))
+    assert h.label == "F2x3"
+    assert dumps_phm(h) == dumps_phm(fourier_group([2, 3]))
+
+
+@pytest.mark.parametrize("rows", [[(0.7,), (1,)], [True, 0], [0.0], [(1, True)], ["1"],
+                                  [()], [None]])
+def test_a_row_is_an_integer_index_or_a_tuple_of_integers(rows):
+    with pytest.raises(InvalidInputError, match="neither a row index nor an element"):
+        truncated_fourier(rows, [4])
+
+
+def test_rows_may_be_numpy_integers():
+    assert normalize_row_subset([np.int64(5), np.array([1, 0])], [2, 3]) == [(1, 2), (1, 0)]
 
 
 def test_truncated_fourier_rows():

@@ -50,6 +50,16 @@ def test_numerical_rank_gap_and_edge_cases():
     rr = numerical_rank(a)
     assert rr.rank == 2
     assert rr.gap_ratio == pytest.approx(1e14, rel=1e-3)
+    for shape in ((0, 3), (3, 0), (0, 0)):
+        rr = numerical_rank(np.zeros(shape))
+        assert (rr.rank, rr.smallest_kept, rr.largest_dropped, rr.gap_ratio) == \
+            (0, None, None, math.inf)
+
+
+@pytest.mark.parametrize("n", [0, -4, 6.0, True, "6"])
+def test_closed_form_needs_an_integer_above_zero(n):
+    with pytest.raises(InvalidInputError, match="n must be an integer >= 1"):
+        cyclic_defect_closed_form(n)
 
 
 def test_fourier_defect_table():
@@ -225,6 +235,8 @@ def test_exact_defect_route():
         assert rep.defect == cyclic_defect_closed_form(n)
     with pytest.raises(InvalidInputError):
         defect_exact(PHMatrix([[1, np.exp(0.7j)], [np.exp(0.7j), 1]]))
+    with pytest.raises(InvalidInputError, match="no root-of-unity form of order"):
+        defect_exact(f22q(np.exp(0.7j)))
 
 
 def test_tensor_defects():

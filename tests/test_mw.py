@@ -98,6 +98,20 @@ def test_mwspec_validation():
         MWSpec(5, (1, 3), (0, 2), truncated_fourier([0, 1], [5]))
 
 
+@pytest.mark.parametrize("q, s", [(5, (1.5, 3)), (5, (True, 3)), (5.0, (1, 3)),
+                                  (True, (1, 3)), (5, ("1", 3))])
+def test_mwspec_refuses_what_is_not_an_integer(q, s):
+    with pytest.raises(InvalidInputError, match="odd prime|must hold integers"):
+        MWSpec(q, s, (0, 2), fourier_cyclic(2))
+
+
+def test_mwspec_takes_numpy_integers():
+    spec = MWSpec(np.int64(5), tuple(np.array([1, 3])), (0, 2), fourier_cyclic(2))
+    assert (spec.q, spec.s) == (5, (1, 3))
+    assert all(type(x) is int for x in (spec.q, *spec.s, *spec.t))
+    assert mw_construct(spec).shape == (10, 10)
+
+
 def test_mw_construct_q5():
     spec = MWSpec(5, (1, 3), (0, 2), fourier_cyclic(2))
     h = mw_construct(spec)

@@ -16,6 +16,7 @@ from fractions import Fraction
 from math import gcd
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hadlab import (DitaParams, MWSpec, PHMatrix, PhaseEntry, apply_equivalence,
@@ -388,3 +389,12 @@ def test_float_matrices_agree_to_the_last_bits():
         assert cycle_structure_profile(h) == cycle_structure_profile(ref)
         back = PHMatrix(h.entries)
         assert back.to_array().tobytes() == h.to_array().tobytes()
+
+
+@pytest.mark.parametrize("table", [[[0, 0], [0, 3]], [[0, 0], [0, -1]], [[2, 4], [6, 1]]])
+def test_an_unreduced_table_is_stored_as_residues(table):
+    h = PHMatrix.from_phases(ExactPhases(np.array(table), 2), label="F2")
+    assert h.phases.exp.tolist() == [[0, 0], [0, 1]]
+    assert dumps_phm(h) == dumps_phm(fourier_cyclic(2))
+    assert h.to_array().tobytes() == fourier_cyclic(2).to_array().tobytes()
+    assert cycle_structure_profile(h) == {(0, 1): "2"}

@@ -1,10 +1,13 @@
 import cmath
 from fractions import Fraction
+from math import gcd
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hadlab import InvalidInputError, PhaseEntry, parse_phase
+from hadlab.phases import ExactPhases
 
 TAU = 2.0 * cmath.pi
 
@@ -96,3 +99,82 @@ def test_parse_phase_fraction_integer_float():
         with pytest.raises(InvalidInputError, match="cannot parse phase"):
             parse_phase(text)
 
+
+
+@pytest.mark.parametrize("order", [0, -3, 2.5, True, np.int64(0), "4"])
+def test_exact_phases_refuse_an_order_that_is_not_an_integer_above_zero(order):
+    with pytest.raises(InvalidInputError, match="order must be an integer >= 1"):
+        ExactPhases(np.array([[1]]), order)
+
+
+@pytest.mark.parametrize("e, l", [(2.9, 4), (True, 2), (1, 2.5), (1, True), (1, 0)])
+def test_butson_refuses_what_is_not_an_exact_phase(e, l):
+    with pytest.raises(InvalidInputError, match="not an integer|order must be"):
+        PhaseEntry.butson(e, l)
+
+
+def test_butson_takes_numpy_integers_and_huge_orders():
+    p = PhaseEntry.butson(np.int64(-1), np.int64(4))
+    assert (p.e, p.l) == (3, 4) and type(p.e) is int
+    big = 2 ** 70
+    p = PhaseEntry.butson(-1, big)
+    assert (p.e, p.l) == (big - 1, big)
+
+
+def test_exact_views_and_foreign_products():
+    p = PhaseEntry.butson(3, 8)
+    assert p.turn_value() == 0.375
+    assert repr(p) == "PhaseEntry.butson(3, 8)"
+    assert repr(PhaseEntry.cartesian(1j)) == "PhaseEntry.cartesian(1j)"
+    with pytest.raises(TypeError):
+        p * 2
+
+
+# The formulas scalar products had before they went through phase arrays:
+# exponents add at the lcm order, anything else is a Python complex product.
+def _old_times(a, b):
+    if a.kind == "butson" and b.kind == "butson":
+        l = a.l * b.l // gcd(a.l, b.l)
+        return ("butson", (a.e * (l // a.l) + b.e * (l // b.l)) % l, l)
+    return ("cartesian", a.value * b.value)
+
+
+def _old_conj(a):
+    if a.kind == "butson":
+        return ("butson", -a.e % a.l, a.l)
+    return ("cartesian", a.z.conjugate())
+
+
+def _old_neg(a):
+    if a.kind == "butson":
+        return _old_times(a, PhaseEntry("butson", e=1, l=2))
+    return ("cartesian", -a.z)
+
+
+def _bits(p):
+    """A phase's kind and exact or complex data, floats as hex."""
+    if p.kind == "butson":
+        return ("butson", p.e, p.l)
+    return ("cartesian", p.z.real.hex(), p.z.imag.hex())
+
+
+def _old_bits(t):
+    if t[0] == "butson":
+        return t
+    return ("cartesian", t[1].real.hex(), t[1].imag.hex())
+
+
+orders = st.sampled_from([1, 2, 3, 4, 6, 7, 12, 30, 97, 2 ** 61 + 1, 2 ** 70])
+exact_phases = st.builds(lambda l, e: PhaseEntry.butson(e % l, l), orders,
+                         st.integers(-10 ** 22, 10 ** 22))
+cartesian_phases = st.floats(-4.0, 4.0).map(PhaseEntry.turns)
+any_phase = st.one_of(exact_phases, cartesian_phases)
+
+
+@settings(max_examples=3000, deadline=None)
+@given(any_phase, any_phase)
+def test_scalar_arithmetic_keeps_the_old_bits(a, b):
+    assert _bits(a * b) == _old_bits(_old_times(a, b))
+    assert _bits(a.conj()) == _old_bits(_old_conj(a))
+    assert _bits(-a) == _old_bits(_old_neg(a))
+    assert all(type(p.e) is int for p in (a * b, a.conj(), -a))

@@ -27,7 +27,7 @@ def test_single_prime_cycles():
     for p in (2, 3, 5, 7):
         dec = cycle_decompose(roots(p, rho=np.exp(0.321j)))
         assert dec is not None
-        assert dec.label == str(p)
+        assert dec.label == str(p) == str(dec)
         assert dec.cycles[0].indices == tuple(range(p))
 
 
@@ -199,6 +199,17 @@ def test_cycle_peel_reconstructs_signed_cycle_sums(l, data):
         [False, True]
 
 
+def test_a_failed_state_is_searched_once():
+    # two orders of the same cycles leave one remainder, which fails; the
+    # second visit is answered from the record of failures, and without it
+    # these budgets run out
+    exps = [5, 15, 5, 5, 20, 17, 23, 25, 24, 11, 4]
+    d = cycle_decompose_integer(exps, 30, budget=17)
+    assert d.search_complete and d.nonnegative is False
+    z = np.exp(2j * np.pi / 30)
+    assert cycle_decompose([z ** e for e in exps], budget=21) is None
+
+
 def test_integer_route_budget_gives_indeterminate_sign():
     d = cycle_decompose_integer([5, 6, 12, 18, 24, 25], 30, budget=2)
     assert d.vanishing and d.method == "lattice-solve"
@@ -227,6 +238,17 @@ def test_weak_isolation_probe_fields():
     assert probe.certified_isolated
     assert probe.butson_order == 5
     # root-of-unity type, so not a separating candidate
+    assert not probe.counterexample_candidate
+
+
+def test_an_exhausted_budget_leaves_regularity_undecided():
+    h = PHMatrix.from_phases(fourier_cyclic(5).to_array())     # complex
+    assert h.common_butson_order() is None
+    assert set(cycle_structure_profile(h, budget=1).values()) == {"inconclusive"}
+    with pytest.raises(SearchBudgetExceeded, match="regularity undecided"):
+        is_regular(h, budget=1)
+    probe = weak_isolation_probe(h, budget=1)
+    assert probe.regular is None and probe.certified_isolated
     assert not probe.counterexample_candidate
 
 

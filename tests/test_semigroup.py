@@ -156,7 +156,7 @@ def test_grid_answers_match_the_loop_references(h):
 def test_partial_permutation_basics():
     pp = PartialPermutation((None, 0))
     assert pp.m == 2 and pp.kappa == 1
-    assert pp.notation() == "21"
+    assert pp.notation() == "21" == str(pp)
     assert PartialPermutation.identity(3).notation() == "id"
     assert PartialPermutation.empty(3).notation() == "∅"
     assert PartialPermutation((1, 2, None)).notation() == "12,23"
