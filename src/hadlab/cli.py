@@ -57,25 +57,17 @@ class Outcome(NamedTuple):
 
 
 def _jsonable(x):
+    """A command's data or summary as JSON values: what a command puts
+    there is dicts, lists and tuples of str, int, bool, None, finite
+    floats, Fractions (``gen master-dita`` exponents) and +inf (a
+    confident ``gap_ratio``)."""
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
     if isinstance(x, Fraction):
         return [x.numerator, x.denominator]
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        if math.isnan(x):
-            return "nan"
-        return x
-    if isinstance(x, (str, int, bool)) or x is None:
-        return x
-    if isinstance(x, complex):
-        return [x.real, x.imag]
-    if hasattr(x, "item"):
-        return _jsonable(x.item())
-    return str(x)
+    return "inf" if x == math.inf else x
 
 
 def _dumps(x) -> str:

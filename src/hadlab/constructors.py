@@ -18,16 +18,14 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .matrix import PHMatrix, PhaseLike, as_phase, ensure_verified
-from .phases import ExactPhases, PhaseEntry, is_integer, multiply, phase_array
+from .phases import ExactPhases, PhaseEntry, integer, is_integer, multiply, phase_array
 
 
 def _check_orders(orders: Sequence[int]) -> Tuple[int, ...]:
     orders = tuple(orders)
     if not orders:
         raise InvalidInputError("need at least one cyclic factor")
-    if not all(is_integer(n) and n >= 1 for n in orders):
-        raise InvalidInputError(f"cyclic orders must be integers >= 1, got {orders}")
-    return tuple(int(n) for n in orders)
+    return tuple(integer(n, "cyclic order", 1) for n in orders)
 
 
 def group_elements(orders: Sequence[int]) -> list:
@@ -42,8 +40,8 @@ def group_elements(orders: Sequence[int]) -> list:
 
 def group_index(g: Sequence[int], orders: Sequence[int]) -> int:
     idx = 0
-    for c, n in zip(g, orders):
-        idx = idx * n + (c % n)
+    for c, n in zip(g, _check_orders(orders)):
+        idx = idx * n + integer(c, "coordinate") % n
     return idx
 
 
@@ -81,9 +79,7 @@ def normalize_row_subset(rows: Sequence, orders: Sequence[int]) -> list:
     out = []
     for r in rows:
         if is_integer(r):
-            if not (0 <= r < len(elems)):
-                raise InvalidInputError(f"row index {r} out of range 0..{len(elems) - 1}")
-            out.append(elems[r])
+            out.append(elems[integer(r, "row index", 0, len(elems))])
         else:
             g = tuple(r) if isinstance(r, (tuple, list, np.ndarray)) else ()
             if len(g) != len(orders) or not all(is_integer(c) for c in g):
@@ -204,8 +200,11 @@ class MasterSpec:
         if not phases or not expo:
             raise InvalidInputError("need at least one eigenphase and one exponent")
         for e in expo:
-            if not isinstance(e, (int, Fraction, float)):
-                raise InvalidInputError(f"exponent {e!r} is not a real number")
+            if not (is_integer(e) or isinstance(e, Fraction)
+                    or (isinstance(e, float) and math.isfinite(e))):
+                raise InvalidInputError(
+                    f"exponent {e!r} is not an integer, a Fraction or a finite float")
+        expo = tuple(int(e) if is_integer(e) else e for e in expo)
         object.__setattr__(self, "eigenphases", phases)
         object.__setattr__(self, "exponents", expo)
 
@@ -262,12 +261,10 @@ def master_dita(n_outer: int, m_inner: int, k: int,
     r_j are integers; for fractional parameters the two differ by branch
     terms and only H is guaranteed Hadamard.
     """
-    if n_outer < 1 or m_inner < 1 or k < 1:
-        raise InvalidInputError("sizes and k must be positive integers")
-    if len(p) != m_inner or len(r) != n_outer:
-        raise InvalidInputError(
-            f"need {m_inner} inner parameters and {n_outer} outer parameters")
-    n, m = n_outer, m_inner
+    n, m, k = (integer(x, name, 1) for x, name in
+               ((n_outer, "n_outer"), (m_inner, "m_inner"), (k, "k")))
+    if len(p) != m or len(r) != n:
+        raise InvalidInputError(f"need {m} inner parameters and {n} outer parameters")
     base = m * n * k
 
     def _turn(num) -> PhaseEntry:

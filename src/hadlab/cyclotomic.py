@@ -95,9 +95,23 @@ def is_odd_prime(q: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=64)
+def _is_integer(x) -> bool:
+    """The rule of ``phases.is_integer``, which cyclotomic may not import:
+    a Python or numpy integer, not a float, a string or a boolean."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _root_order(l) -> int:
+    """The root order l as an int, refused unless it is an integer >= 1."""
+    if not (_is_integer(l) and l >= 1):
+        raise InvalidInputError(f"l must be >= 1 and an integer, got {l!r}")
+    return int(l)
+
+
+@lru_cache(maxsize=64, typed=True)
 def _prime_factors(l: int) -> Tuple[int, ...]:
-    """The primes dividing l, increasing; none for l < 2."""
+    """The primes dividing l, increasing; none for l = 1."""
+    l = _root_order(l)
     out, q = [], 2
     while q * q <= l:
         if l % q == 0:
@@ -116,15 +130,14 @@ def _usable_prime(p: int) -> bool:
     return p >= 2 and _LEAF * p * p + p <= _EXACT
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def split_primes(l: int) -> Tuple[Tuple[int, int], ...]:
     """The PROOF_CAP smallest primes p = 1 (mod l) above 2^20 that
     ``rank_mod_p`` can use, each paired with an element of order l in F_p;
     fewer, or none, when the usable range holds fewer.  l is factored
     only once a candidate is prime, so an order past the range costs
     nothing."""
-    if l < 1:
-        raise InvalidInputError("l must be >= 1")
+    l = _root_order(l)
     out = []
     p = (_PRIME_FLOOR // l + 1) * l + 1
     while len(out) < PROOF_CAP and _usable_prime(p):
@@ -299,16 +312,14 @@ def _integer_table(exponents) -> np.ndarray:
     is, anything else as Python objects, so no entry is rounded.
     InvalidInputError for a ragged table or any entry that is not a Python
     or numpy integer: a float, a string or a boolean, also a True in a
-    list of ints, which numpy reads as 1.  ``phases.is_integer`` keeps the
-    same rule, since phases and cyclotomic import nothing from each other."""
+    list of ints, which numpy reads as 1 (``_is_integer``)."""
     try:
         a = np.asarray(exponents)
     except ValueError:
         raise InvalidInputError("ragged exponent table") from None
     if not (isinstance(exponents, np.ndarray) and a.dtype.kind in "iu"):
         a = np.asarray(exponents, dtype=object)
-    if a.ndim != 2 or (a.dtype == object and not all(
-            isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in a.flat)):
+    if a.ndim != 2 or (a.dtype == object and not all(map(_is_integer, a.flat))):
         raise InvalidInputError("exponents must be a table of integers")
     return a
 
@@ -348,8 +359,7 @@ def _cycle_peel(exponents, l: int):
     primes <= k, whatever l is.  Keys stay int64 while they fit and are
     Python ints beyond.
     """
-    if l < 1:
-        raise InvalidInputError("l must be >= 1")
+    l = _root_order(l)
     a = _integer_table(exponents)
     rows, k = a.shape
     dtype = np.int64 if rows * l < 1 << 63 else object
@@ -701,6 +711,7 @@ def exact_defect_butson(exponents: Sequence[Sequence[int]], l: int) -> ButsonDef
     reductions, reductions continue until it does; when it cannot, two
     reductions give an upper bound and ``exact`` is False.
     """
+    l = _root_order(l)
     if not split_primes(l):
         raise InvalidInputError(f"no split prime p = 1 (mod {l}) in the exact float64 range")
     E = np.asarray(_integer_table(exponents) % l, dtype=np.int64)

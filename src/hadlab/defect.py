@@ -35,7 +35,7 @@ from .cyclotomic import (BUTSON_ORDER_CAP, PROOF_CAP, _dephased, _distinct_rows,
                          _prime_factors, exact_defect_butson)
 from .errors import ConsistencyError, InvalidInputError
 from .matrix import PHMatrix, detect_butson, ensure_verified
-from .phases import ExactPhases, is_integer
+from .phases import ExactPhases, integer
 
 DEFAULT_CONFIDENCE = 1e6
 
@@ -478,8 +478,7 @@ def fourier_defect_formula(orders: Sequence[int]) -> int:
 
 def cyclic_defect_closed_form(n: int) -> int:
     """Same number for a cyclic group, as a product over prime powers."""
-    if not (is_integer(n) and n >= 1):
-        raise InvalidInputError(f"n must be an integer >= 1, got {n!r}")
+    n = integer(n, "n", 1)
     total = 1
     for p in _prime_factors(n):
         a = 1                       # the exponent of p in n
@@ -499,8 +498,7 @@ def count_one_entries(h: PHMatrix, tol: float = 1e-9) -> int:
 
 def real_truncation_defect_formula(m: int, n: int) -> int:
     """Defect of a row truncation of a real Hadamard matrix of order n."""
-    if not (1 <= m <= n):
-        raise InvalidInputError("need 1 <= m <= n")
+    m = integer(m, "m", 1, integer(n, "n", 1) + 1)
     return m * (m + 1) // 2 + m * (n - m)
 
 
@@ -558,14 +556,11 @@ def truncation_probe(n: int, sizes: Optional[Sequence[int]] = None,
                      tol: float = 1e-9,
                      confidence: float = DEFAULT_CONFIDENCE) -> list:
     """Isolation certificates for initial-interval truncations of F_n."""
-    if n < 2:
-        raise InvalidInputError("n must be >= 2")
+    n = integer(n, "n", 2)
     if sizes is None:
         sizes = range(2, n + 1)
     out = []
     for m in sizes:
-        if not (1 <= m <= n):
-            raise InvalidInputError(f"truncation size {m} out of range for n={n}")
-        h = truncated_fourier(range(m), [n])
+        h = truncated_fourier(range(integer(m, "truncation size", 1, n + 1)), [n])
         out.append(isolation_certificate(h, tol, confidence))
     return out

@@ -19,8 +19,8 @@ import numpy as np
 
 from .cyclotomic import BUTSON_ORDER_CAP
 from .errors import InvalidInputError
-from .phases import (ExactPhases, PhaseArray, PhaseEntry, multiply, phase_array,
-                     phase_entries, phase_values)
+from .phases import (ExactPhases, PhaseArray, PhaseEntry, integer, multiply,
+                     phase_array, phase_entries, phase_values)
 
 PhaseLike = Union[PhaseEntry, complex, float, int, Fraction]
 
@@ -193,8 +193,7 @@ def dephase(h: PHMatrix):
 
 def dephase_at(h: PHMatrix, r: int, c: int) -> PHMatrix:
     """Dephase relative to pivot row r and pivot column c."""
-    if not (0 <= r < h.m and 0 <= c < h.n):
-        raise InvalidInputError("pivot out of range")
+    r, c = integer(r, "pivot row", 0, h.m), integer(c, "pivot column", 0, h.n)
     return PHMatrix.from_phases(_dephased(h.phases, r, c),
                                 label=_derived_label(h, f"dephased@{r},{c}"))
 
@@ -205,8 +204,7 @@ def row_quotient(h: PHMatrix, i: int, j: int) -> np.ndarray:
     For an exact matrix each term is the root of unity of its exponent
     difference, so equal terms are equal to the bit.
     """
-    if not (0 <= i < h.m and 0 <= j < h.m):
-        raise InvalidInputError(f"row indices ({i},{j}) out of range for {h.m} rows")
+    i, j = (integer(x, "row index", 0, h.m) for x in (i, j))
     p = h.phases
     return phase_values(multiply(p[i], p[j].conj()))
 

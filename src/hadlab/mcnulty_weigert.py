@@ -21,7 +21,7 @@ from .cyclotomic import is_odd_prime
 from .defect import isolation_certificate
 from .errors import ConsistencyError, InvalidInputError
 from .matrix import PHMatrix, ensure_verified, verify_partial_hadamard
-from .phases import ExactPhases, PhaseEntry, is_integer, multiply, phase_array
+from .phases import ExactPhases, PhaseEntry, integer, is_integer, multiply, phase_array
 
 
 def _require_odd_prime(q: int) -> None:
@@ -32,7 +32,7 @@ def _require_odd_prime(q: int) -> None:
 def legendre_symbol(a: int, q: int) -> int:
     """1 for nonzero squares mod q, -1 for non-squares, 0 at zero."""
     _require_odd_prime(q)
-    a %= q
+    a = integer(a, "a") % q
     if a == 0:
         return 0
     r = pow(a, (q - 1) // 2, q)
@@ -42,6 +42,7 @@ def legendre_symbol(a: int, q: int) -> int:
 def quadratic_diagonal_exponents(q: int, k: int = 1) -> list:
     """Exponents of D^k = diag(w^{k c(c-1)/2}) as integers mod q."""
     _require_odd_prime(q)
+    k = integer(k, "k")
     return [(k * (c * (c - 1) // 2)) % q for c in range(q)]
 
 
@@ -64,7 +65,7 @@ def gauss_vector_direct(q: int, k: int) -> np.ndarray:
     checked explicitly, since everything downstream rides on it.
     """
     _require_odd_prime(q)
-    if k % q == 0:
+    if integer(k, "k") % q == 0:
         raise InvalidInputError("k must be nonzero mod q; D^0 gives no flat row")
     w = np.exp(2j * np.pi / q)
     f = w ** (np.outer(np.arange(q), np.arange(q)))
@@ -90,6 +91,7 @@ def gauss_vector_closed(q: int, k: int) -> Tuple[PhaseEntry, ...]:
     Each entry is an exact rational turn with denominator dividing 4q.
     """
     _require_odd_prime(q)
+    k = integer(k, "k")
     if k % q == 0:
         raise InvalidInputError("k must be nonzero mod q")
     inv2 = (q + 1) // 2

@@ -10,7 +10,8 @@ phase, a float turn as the ``cartesian`` value it gives, and a turn that is
 not finite is refused.  Arrays of phases split the same way: an integer
 exponent array at one order (``ExactPhases``), or a complex array.
 ``multiply`` is the one product rule for both: exponents add at the lcm
-order, anything else multiplies values.
+order, anything else multiplies values.  ``integer`` is the one door for
+the counts, orders and indices the other modules read.
 """
 
 from __future__ import annotations
@@ -149,9 +150,21 @@ def parse_phase(text: str) -> PhaseEntry:
 def is_integer(x) -> bool:
     """True for a Python or numpy integer, False for anything else: a
     float, a string or a boolean, which numpy and int() would read as an
-    integer.  ``cyclotomic._integer_table`` keeps the same rule, since
-    phases and cyclotomic import nothing from each other."""
+    integer.  ``cyclotomic._is_integer`` keeps the same rule, since phases
+    and cyclotomic import nothing from each other."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def integer(x, what: str, least=None, below=None) -> int:
+    """x as an int, when is_integer(x) holds and least <= x < below (a
+    bound that is None is not checked): the one door for counts, orders
+    and indices.  Otherwise InvalidInputError, worded "{what} must be an
+    integer >= {least}" or "in [{least}, {below})", then ", got {x!r}"."""
+    if is_integer(x) and (least is None or x >= least) and (below is None or x < below):
+        return int(x)
+    bound = (f" in [{least}, {below})" if below is not None
+             else "" if least is None else f" >= {least}")
+    raise InvalidInputError(f"{what} must be an integer{bound}, got {x!r}")
 
 
 def _exponents(exp, order: int) -> np.ndarray:
@@ -160,8 +173,7 @@ def _exponents(exp, order: int) -> np.ndarray:
     is.  Anything else is read entry by entry and reduced mod order, so no
     entry overflows the dtype; an entry that is not an integer is refused,
     also a True in a list of ints, which numpy reads as 1."""
-    if not (is_integer(order) and order >= 1):
-        raise InvalidInputError(f"phase order must be an integer >= 1, got {order!r}")
+    integer(order, "phase order", 1)
     if not (isinstance(exp, np.ndarray) and exp.dtype.kind in "iu"):
         exp = np.asarray(exp, dtype=object)
         for x in exp.flat:
@@ -211,12 +223,14 @@ class ExactPhases:
         return ExactPhases(exp // g, self.order // g)
 
     def values(self) -> np.ndarray:
-        """Complex values, each computed as PhaseEntry.value would."""
+        """Complex values, each computed as PhaseEntry.value would on the
+        residue of its exponent."""
         l = self.order
+        exp = self.exp % l
         if l <= ROOT_TABLE:
-            return _roots(l)[self.exp]
-        return np.array([_cis(e / l) for e in self.exp.ravel().tolist()],
-                        dtype=np.complex128).reshape(self.exp.shape)
+            return _roots(l)[exp]
+        return np.array([_cis(e / l) for e in exp.ravel().tolist()],
+                        dtype=np.complex128).reshape(exp.shape)
 
 
 PhaseArray = Union[ExactPhases, np.ndarray]

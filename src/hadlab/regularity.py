@@ -31,7 +31,7 @@ from .cyclotomic import _cycle_peel, _primes_upto, _vanishing_primes
 from .defect import defect, isolation_certificate
 from .errors import ConsistencyError, InvalidInputError, SearchBudgetExceeded
 from .matrix import PHMatrix, dephase, detect_butson, ensure_verified, row_quotient
-from .phases import TAU, ExactPhases, PhaseEntry, _cis
+from .phases import TAU, ExactPhases, PhaseEntry, _cis, integer
 
 DEFAULT_BUDGET = 10 ** 7
 
@@ -317,8 +317,7 @@ def lam_leung_length_admissible(n: int, l: int) -> bool:
     Vanishing sums of l-th roots only exist at such lengths.  Only the
     primes up to n can take part, so l is never factored.
     """
-    if n < 0:
-        raise InvalidInputError("length must be >= 0")
+    n, l = integer(n, "length n", 0), integer(l, "l", 1)
     reachable = [False] * (n + 1)
     reachable[0] = True
     for p in _vanishing_primes(n, l):

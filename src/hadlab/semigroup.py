@@ -27,7 +27,7 @@ import numpy as np
 from .cyclotomic import _SYMMETRY_FLOOR, _automorphism, _orbits, _steps
 from .errors import ConsistencyError, InvalidInputError, SearchBudgetExceeded
 from .matrix import PHMatrix, ensure_verified
-from .phases import ExactPhases
+from .phases import ExactPhases, integer
 
 MAX_CLOSURE = 10 ** 6
 MAX_MOMENT_ENTRIES = 16 * 10 ** 6
@@ -156,11 +156,10 @@ class PartialPermutation:
         return sum(1 for t in self.targets if t is not None)
 
     def __post_init__(self):
-        defined = [t for t in self.targets if t is not None]
+        defined = [integer(t, "target", 0, self.m)
+                   for t in self.targets if t is not None]
         if len(set(defined)) != len(defined):
             raise InvalidInputError("partial permutation must be injective")
-        if any(t is not None and not (0 <= t < self.m) for t in self.targets):
-            raise InvalidInputError("target out of range")
 
     @classmethod
     def identity(cls, m: int) -> "PartialPermutation":
@@ -309,8 +308,7 @@ def interval_shift_maps(m: int) -> Tuple[PartialPermutation, ...]:
     """All order-preserving shifts between index intervals, plus the empty
     map: 1 + sum_k (m+1-k)^2 elements over interval lengths k = 1..m,
     refused before any work past MAX_CLOSURE, as a closure would be."""
-    if m < 1:
-        raise InvalidInputError("need at least 1 row")
+    m = integer(m, "m", 1)
     size = 1 + m * (m + 1) * (2 * m + 1) // 6
     if size > MAX_CLOSURE:
         raise InvalidInputError(
@@ -333,8 +331,7 @@ def predicted_truncated_semigroup(m: int, n: int) -> SemigroupClosure:
     For shorter matrices the wrap-around of Z_N produces extra
     coincidences, so the prediction refuses to apply.
     """
-    if m < 2:
-        raise InvalidInputError("need at least 2 rows")
+    m, n = integer(m, "m", 2), integer(n, "n", 1)
     if not n > 2 * m - 2:
         raise InvalidInputError(
             f"prediction requires N > 2M - 2 (got M={m}, N={n})")
@@ -356,8 +353,7 @@ class MomentMatrix:
 
 def _moment_grid(h: PHMatrix, p: int) -> ProjectionGrid:
     """The projection grid of h, once word length p passes the guards."""
-    if p < 1:
-        raise InvalidInputError("word length p must be >= 1")
+    integer(p, "word length p", 1)
     grid = ProjectionGrid(h)
     m = grid.m
     if m ** (2 * p) > MAX_MOMENT_ENTRIES:
@@ -504,6 +500,4 @@ def _rotation_block_eigenvalues(grid: ProjectionGrid,
 
 def cyclic_moment_oracle(n: int, p: int) -> int:
     """Unit-eigenvalue count for the full Fourier matrix F_n: n^{p-1}."""
-    if n < 1 or p < 1:
-        raise InvalidInputError("need n, p >= 1")
-    return n ** (p - 1)
+    return integer(n, "n", 1) ** (integer(p, "p", 1) - 1)

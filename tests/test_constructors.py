@@ -56,9 +56,9 @@ def test_normalize_row_subset_flat_and_tuples():
 
 @pytest.mark.parametrize("orders", [[2.5], [True, 2], [4.0], ["3"], [0], [2, -1]])
 def test_cyclic_orders_must_be_integers_above_zero(orders):
-    with pytest.raises(InvalidInputError, match="cyclic orders must be integers >= 1"):
+    with pytest.raises(InvalidInputError, match="cyclic order must be an integer >= 1"):
         fourier_group(orders)
-    with pytest.raises(InvalidInputError, match="cyclic orders must be integers >= 1"):
+    with pytest.raises(InvalidInputError, match="cyclic order must be an integer >= 1"):
         truncated_fourier([0], orders)
 
 

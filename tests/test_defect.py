@@ -496,7 +496,7 @@ def test_truncation_probe_statuses():
     assert certs[-1].status == "isolated"      # F_5 itself
     with pytest.raises(InvalidInputError):
         truncation_probe(5, sizes=[9])
-    with pytest.raises(InvalidInputError, match="n must be >= 2"):
+    with pytest.raises(InvalidInputError, match="n must be an integer >= 2"):
         truncation_probe(1)
 
 
