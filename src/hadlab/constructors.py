@@ -16,9 +16,9 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, integer, is_integer
 from .matrix import PHMatrix, PhaseLike, as_phase, ensure_verified
-from .phases import ExactPhases, PhaseEntry, integer, is_integer, multiply, phase_array
+from .phases import ExactPhases, PhaseEntry, multiply, phase_array
 
 
 def _check_orders(orders: Sequence[int]) -> Tuple[int, ...]:
@@ -183,6 +183,16 @@ def petrescu(q: PhaseLike) -> PHMatrix:
 ExponentLike = Union[int, Fraction, float]
 
 
+def _exponent(e, what: str = "exponent") -> ExponentLike:
+    """A power-sequence exponent: an integer (as an int), a Fraction or a
+    finite float; anything else, a boolean too, is refused."""
+    if is_integer(e):
+        return int(e)
+    if isinstance(e, Fraction) or (isinstance(e, float) and math.isfinite(e)):
+        return e
+    raise InvalidInputError(f"{what} {e!r} is not an integer, a Fraction or a finite float")
+
+
 @dataclass(frozen=True)
 class MasterSpec:
     """Rows as power sequences: H_ij = lambda_i ** n_j.
@@ -199,12 +209,7 @@ class MasterSpec:
         expo = tuple(self.exponents)
         if not phases or not expo:
             raise InvalidInputError("need at least one eigenphase and one exponent")
-        for e in expo:
-            if not (is_integer(e) or isinstance(e, Fraction)
-                    or (isinstance(e, float) and math.isfinite(e))):
-                raise InvalidInputError(
-                    f"exponent {e!r} is not an integer, a Fraction or a finite float")
-        expo = tuple(int(e) if is_integer(e) else e for e in expo)
+        expo = tuple(map(_exponent, expo))
         object.__setattr__(self, "eigenphases", phases)
         object.__setattr__(self, "exponents", expo)
 
@@ -265,6 +270,7 @@ def master_dita(n_outer: int, m_inner: int, k: int,
                ((n_outer, "n_outer"), (m_inner, "m_inner"), (k, "k")))
     if len(p) != m or len(r) != n:
         raise InvalidInputError(f"need {m} inner parameters and {n} outer parameters")
+    p, r = [_exponent(x, "p entry") for x in p], [_exponent(x, "r entry") for x in r]
     base = m * n * k
 
     def _turn(num) -> PhaseEntry:

@@ -62,7 +62,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InvalidInputError, SearchBudgetExceeded
+from .errors import InvalidInputError, SearchBudgetExceeded, integer, is_integer
 
 # Proofs of a defect above M+N-1 use at most this many reductions; past it
 # the defect is reported as the upper bound from two primes.
@@ -95,23 +95,10 @@ def is_odd_prime(q: int) -> bool:
     return True
 
 
-def _is_integer(x) -> bool:
-    """The rule of ``phases.is_integer``, which cyclotomic may not import:
-    a Python or numpy integer, not a float, a string or a boolean."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
-def _root_order(l) -> int:
-    """The root order l as an int, refused unless it is an integer >= 1."""
-    if not (_is_integer(l) and l >= 1):
-        raise InvalidInputError(f"l must be >= 1 and an integer, got {l!r}")
-    return int(l)
-
-
 @lru_cache(maxsize=64, typed=True)
 def _prime_factors(l: int) -> Tuple[int, ...]:
     """The primes dividing l, increasing; none for l = 1."""
-    l = _root_order(l)
+    l = integer(l, "l", 1)
     out, q = [], 2
     while q * q <= l:
         if l % q == 0:
@@ -137,7 +124,7 @@ def split_primes(l: int) -> Tuple[Tuple[int, int], ...]:
     fewer, or none, when the usable range holds fewer.  l is factored
     only once a candidate is prime, so an order past the range costs
     nothing."""
-    l = _root_order(l)
+    l = integer(l, "l", 1)
     out = []
     p = (_PRIME_FLOOR // l + 1) * l + 1
     while len(out) < PROOF_CAP and _usable_prime(p):
@@ -310,16 +297,16 @@ def _vanishing_primes(k: int, l: int) -> list:
 def _integer_table(exponents) -> np.ndarray:
     """A table of exponents as a 2-D array: a numpy integer array as it
     is, anything else as Python objects, so no entry is rounded.
-    InvalidInputError for a ragged table or any entry that is not a Python
-    or numpy integer: a float, a string or a boolean, also a True in a
-    list of ints, which numpy reads as 1 (``_is_integer``)."""
+    InvalidInputError for a ragged table or any entry that fails
+    ``errors.is_integer``: a float, a string or a boolean, also a True in
+    a list of ints, which numpy reads as 1."""
     try:
         a = np.asarray(exponents)
     except ValueError:
         raise InvalidInputError("ragged exponent table") from None
     if not (isinstance(exponents, np.ndarray) and a.dtype.kind in "iu"):
         a = np.asarray(exponents, dtype=object)
-    if a.ndim != 2 or (a.dtype == object and not all(map(_is_integer, a.flat))):
+    if a.ndim != 2 or (a.dtype == object and not all(map(is_integer, a.flat))):
         raise InvalidInputError("exponents must be a table of integers")
     return a
 
@@ -359,7 +346,7 @@ def _cycle_peel(exponents, l: int):
     primes <= k, whatever l is.  Keys stay int64 while they fit and are
     Python ints beyond.
     """
-    l = _root_order(l)
+    l = integer(l, "l", 1)
     a = _integer_table(exponents)
     rows, k = a.shape
     dtype = np.int64 if rows * l < 1 << 63 else object
@@ -711,7 +698,7 @@ def exact_defect_butson(exponents: Sequence[Sequence[int]], l: int) -> ButsonDef
     reductions, reductions continue until it does; when it cannot, two
     reductions give an upper bound and ``exact`` is False.
     """
-    l = _root_order(l)
+    l = integer(l, "l", 1)
     if not split_primes(l):
         raise InvalidInputError(f"no split prime p = 1 (mod {l}) in the exact float64 range")
     E = np.asarray(_integer_table(exponents) % l, dtype=np.int64)

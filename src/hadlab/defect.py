@@ -33,9 +33,9 @@ from .constructors import (MasterSpec, group_elements, master_matrix,
                            _check_orders)
 from .cyclotomic import (BUTSON_ORDER_CAP, PROOF_CAP, _dephased, _distinct_rows,
                          _prime_factors, exact_defect_butson)
-from .errors import ConsistencyError, InvalidInputError
+from .errors import ConsistencyError, InvalidInputError, integer
 from .matrix import PHMatrix, detect_butson, ensure_verified
-from .phases import ExactPhases, integer
+from .phases import ExactPhases
 
 DEFAULT_CONFIDENCE = 1e6
 

@@ -1,4 +1,7 @@
-"""Error types shared across the package."""
+"""Error types shared across the package, and the one rule for what
+counts as an integer."""
+
+import numpy as np
 
 
 class InvalidInputError(ValueError):
@@ -23,3 +26,23 @@ class SearchBudgetExceeded(RuntimeError):
     Callers must treat this as "inconclusive", which is different from a
     completed search that found nothing.
     """
+
+
+def is_integer(x) -> bool:
+    """True for a Python or numpy integer, False for anything else: a
+    float, a string or a boolean, which numpy and int() would read as an
+    integer.  Every layer reads this rule here, the arithmetic layers
+    ``phases`` and ``cyclotomic`` included."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def integer(x, what: str, least=None, below=None) -> int:
+    """x as an int, when is_integer(x) holds and least <= x < below (a
+    bound that is None is not checked): the one door for counts, orders
+    and indices.  Otherwise InvalidInputError, worded "{what} must be an
+    integer >= {least}" or "in [{least}, {below})", then ", got {x!r}"."""
+    if is_integer(x) and (least is None or x >= least) and (below is None or x < below):
+        return int(x)
+    bound = (f" in [{least}, {below})" if below is not None
+             else "" if least is None else f" >= {least}")
+    raise InvalidInputError(f"{what} must be an integer{bound}, got {x!r}")

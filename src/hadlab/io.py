@@ -18,7 +18,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import InvalidInputError, MatrixFormatError
+from .errors import InvalidInputError, MatrixFormatError, is_integer
 from .matrix import PHMatrix
 from .phases import ExactPhases, PhaseEntry
 
@@ -29,12 +29,11 @@ MODULUS_TOL = 1e-6
 def number_from_json(x, what: str = "turn") -> Union[Fraction, int, float]:
     """A real number as JSON: an exact [num, den] pair (den > 0), an
     integer or a finite float; booleans are refused."""
-    if isinstance(x, list) and len(x) == 2 \
-            and all(isinstance(v, int) and not isinstance(v, bool) for v in x):
+    if isinstance(x, list) and len(x) == 2 and all(map(is_integer, x)):
         if x[1] <= 0:
             raise InvalidInputError(f"{what} denominator must be positive, got {x!r}")
         return Fraction(x[0], x[1])
-    if isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x):
+    if (is_integer(x) or isinstance(x, float)) and math.isfinite(x):
         return x
     raise InvalidInputError(f"{what} must be [num, den] or a number, got {x!r}")
 
@@ -65,7 +64,7 @@ def _positive_int(doc: dict, key: str) -> int:
     """A header field that must be a JSON integer >= 1: booleans, strings
     and fractional numbers are refused, not converted."""
     v = doc.get(key)
-    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+    if not (is_integer(v) and v >= 1):
         raise MatrixFormatError(f"{key} must be a positive integer, got {v!r}")
     return v
 
@@ -113,8 +112,7 @@ def from_document(doc: dict) -> PHMatrix:
         for i, r in enumerate(entries):
             for j, e in enumerate(r):
                 if not (isinstance(e, list) and len(e) == 2
-                        and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                                for x in e)):
+                        and all(is_integer(x) or isinstance(x, float) for x in e)):
                     raise MatrixFormatError(
                         f"cartesian entry at ({i},{j}) must be [re, im]")
                 try:

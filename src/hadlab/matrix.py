@@ -18,8 +18,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .cyclotomic import BUTSON_ORDER_CAP
-from .errors import InvalidInputError
-from .phases import (ExactPhases, PhaseArray, PhaseEntry, integer, multiply,
+from .errors import InvalidInputError, integer
+from .phases import (ExactPhases, PhaseArray, PhaseEntry, multiply,
                      phase_array, phase_entries, phase_values)
 
 PhaseLike = Union[PhaseEntry, complex, float, int, Fraction]
@@ -247,6 +247,8 @@ def apply_equivalence(h: PHMatrix,
 
     The image of H under (sigma, tau, a, b) is H'_{sigma(i), tau(j)} = a_i b_j H_ij.
     """
+    row_perm = [integer(x, "row_perm entry", 0, h.m) for x in row_perm]
+    col_perm = [integer(x, "col_perm entry", 0, h.n) for x in col_perm]
     if sorted(row_perm) != list(range(h.m)) or sorted(col_perm) != list(range(h.n)):
         raise InvalidInputError("row_perm/col_perm must be permutations of the index ranges")
     if len(row_phases) != h.m or len(col_phases) != h.n:

@@ -19,9 +19,9 @@ import numpy as np
 
 from .cyclotomic import is_odd_prime
 from .defect import isolation_certificate
-from .errors import ConsistencyError, InvalidInputError
+from .errors import ConsistencyError, InvalidInputError, integer, is_integer
 from .matrix import PHMatrix, ensure_verified, verify_partial_hadamard
-from .phases import ExactPhases, PhaseEntry, integer, is_integer, multiply, phase_array
+from .phases import ExactPhases, PhaseEntry, multiply, phase_array
 
 
 def _require_odd_prime(q: int) -> None:

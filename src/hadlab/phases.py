@@ -10,8 +10,7 @@ phase, a float turn as the ``cartesian`` value it gives, and a turn that is
 not finite is refused.  Arrays of phases split the same way: an integer
 exponent array at one order (``ExactPhases``), or a complex array.
 ``multiply`` is the one product rule for both: exponents add at the lcm
-order, anything else multiplies values.  ``integer`` is the one door for
-the counts, orders and indices the other modules read.
+order, anything else multiplies values.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, integer, is_integer
 
 TAU = 2.0 * math.pi
 
@@ -55,6 +54,7 @@ class PhaseEntry:
 
     @classmethod
     def butson(cls, e: int, l: int) -> "PhaseEntry":
+        l = integer(l, "phase order", 1)
         return cls("butson", e=_exponents([e], l).item(), l=l)
 
     @classmethod
@@ -147,33 +147,14 @@ def parse_phase(text: str) -> PhaseEntry:
 
 # -- phase arrays -------------------------------------------------------------
 
-def is_integer(x) -> bool:
-    """True for a Python or numpy integer, False for anything else: a
-    float, a string or a boolean, which numpy and int() would read as an
-    integer.  ``cyclotomic._is_integer`` keeps the same rule, since phases
-    and cyclotomic import nothing from each other."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
-def integer(x, what: str, least=None, below=None) -> int:
-    """x as an int, when is_integer(x) holds and least <= x < below (a
-    bound that is None is not checked): the one door for counts, orders
-    and indices.  Otherwise InvalidInputError, worded "{what} must be an
-    integer >= {least}" or "in [{least}, {below})", then ", got {x!r}"."""
-    if is_integer(x) and (least is None or x >= least) and (below is None or x < below):
-        return int(x)
-    bound = (f" in [{least}, {below})" if below is not None
-             else "" if least is None else f" >= {least}")
-    raise InvalidInputError(f"{what} must be an integer{bound}, got {x!r}")
-
-
 def _exponents(exp, order: int) -> np.ndarray:
-    """exp as an array of the dtype that holds exponents at this order,
-    which must be an integer >= 1.  A numpy integer array is taken as it
-    is.  Anything else is read entry by entry and reduced mod order, so no
-    entry overflows the dtype; an entry that is not an integer is refused,
-    also a True in a list of ints, which numpy reads as 1."""
-    integer(order, "phase order", 1)
+    """exp as an array of the dtype that holds exponents at this order, an
+    int >= 1 that has passed the door where it entered (``butson``,
+    ``ExactPhases``) or an lcm of such orders.  A numpy integer array is
+    taken as it is.  Anything else is read entry by entry and reduced mod
+    order, so no entry overflows the dtype; an entry that is not an
+    integer is refused, also a True in a list of ints, which numpy reads
+    as 1."""
     if not (isinstance(exp, np.ndarray) and exp.dtype.kind in "iu"):
         exp = np.asarray(exp, dtype=object)
         for x in exp.flat:
@@ -199,8 +180,8 @@ class ExactPhases:
     __slots__ = ("exp", "order")
 
     def __init__(self, exp, order: int):
-        self.exp = _exponents(exp, order)
-        self.order = order
+        self.order = integer(order, "phase order", 1)
+        self.exp = _exponents(exp, self.order)
 
     @property
     def shape(self) -> tuple:

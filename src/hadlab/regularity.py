@@ -29,9 +29,9 @@ import numpy as np
 
 from .cyclotomic import _cycle_peel, _primes_upto, _vanishing_primes
 from .defect import defect, isolation_certificate
-from .errors import ConsistencyError, InvalidInputError, SearchBudgetExceeded
+from .errors import ConsistencyError, InvalidInputError, SearchBudgetExceeded, integer
 from .matrix import PHMatrix, dephase, detect_butson, ensure_verified, row_quotient
-from .phases import TAU, ExactPhases, PhaseEntry, _cis, integer
+from .phases import TAU, ExactPhases, PhaseEntry, _cis
 
 DEFAULT_BUDGET = 10 ** 7
 
@@ -144,10 +144,12 @@ def _cover(classes: Sequence[int], lookup, primes: Sequence[int],
     smallest uncovered index, primes (given largest first) are tried in
     turn, and completions in lexicographic order of their indices.  A node
     is one search call or one completion attempt; SearchBudgetExceeded is
-    raised past budget nodes.  Returns [(p, indices)] with the anchor
-    first in each indices tuple, or None when no cover exists.
+    raised past budget nodes, which must be an integer >= 1.  Returns
+    [(p, indices)] with the anchor first in each indices tuple, or None
+    when no cover exists; the empty multiset has the empty cover.
     """
-    members: List[List[int]] = [[] for _ in range(max(classes) + 1)]
+    budget = integer(budget, "budget", 1)
+    members: List[List[int]] = [[] for _ in range(max(classes, default=-1) + 1)]
     rank = []          # rank[k]: how many copies of its class precede k
     for k, c in enumerate(classes):
         rank.append(len(members[c]))
@@ -234,8 +236,6 @@ def cycle_decompose(terms: Sequence, tol: float = 1e-8,
     values = np.array([t.value if isinstance(t, PhaseEntry) else complex(t)
                        for t in terms], dtype=np.complex128)
     n = len(values)
-    if n == 0:
-        return CycleDecomposition(())
     total = complex(np.sum(values))
     if abs(total) > tol * n:
         raise InvalidInputError(
@@ -289,12 +289,10 @@ def cycle_decompose_integer(exponents: Sequence[int], l: int,
     n = len(exps)
 
     complete = True
-    found: Optional[list] = [] if n == 0 else None
-    if n > 0:
-        try:
-            found = _cover(*_exponent_classes(exps, l), _vanishing_primes(n, l)[::-1], budget)
-        except SearchBudgetExceeded:
-            complete = False
+    try:
+        found = _cover(*_exponent_classes(exps, l), _vanishing_primes(n, l)[::-1], budget)
+    except SearchBudgetExceeded:
+        found, complete = None, False
     if found is not None:
         agg = Counter((p, exps[idxs[0]] % (l // p)) for p, idxs in found)
         comps = _by_prime((p, r, c) for (p, r), c in agg.items())

@@ -25,9 +25,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .cyclotomic import _SYMMETRY_FLOOR, _automorphism, _orbits, _steps
-from .errors import ConsistencyError, InvalidInputError, SearchBudgetExceeded
+from .errors import ConsistencyError, InvalidInputError, SearchBudgetExceeded, integer
 from .matrix import PHMatrix, ensure_verified
-from .phases import ExactPhases, integer
+from .phases import ExactPhases
 
 MAX_CLOSURE = 10 ** 6
 MAX_MOMENT_ENTRIES = 16 * 10 ** 6

@@ -102,13 +102,13 @@ def test_only_integer_exponents_are_read():
 
 def test_order_below_one_is_refused():
     for l in (0, -3):
-        with pytest.raises(InvalidInputError, match="l must be >= 1"):
+        with pytest.raises(InvalidInputError, match="l must be an integer >= 1"):
             exact_vanishing([1, 2], l)
-        with pytest.raises(InvalidInputError, match="l must be >= 1"):
+        with pytest.raises(InvalidInputError, match="l must be an integer >= 1"):
             exact_defect_butson([[0, 1], [1, 0]], l)
-        with pytest.raises(InvalidInputError, match="l must be >= 1"):
+        with pytest.raises(InvalidInputError, match="l must be an integer >= 1"):
             split_primes(l)
-        with pytest.raises(InvalidInputError, match="l must be >= 1"):
+        with pytest.raises(InvalidInputError, match="l must be an integer >= 1"):
             cycle_decompose_integer([], l)
 
 

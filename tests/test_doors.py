@@ -1,4 +1,4 @@
-"""Counts, orders and indices pass one door, ``phases.integer``: an
+"""Counts, orders and indices pass one door, ``errors.integer``: an
 integer in range comes back as an int, anything else is refused with
 InvalidInputError in one wording.  Floats, booleans and strings are
 refused even where Python or numpy would read them as integers."""
@@ -9,19 +9,22 @@ import math
 import numpy as np
 import pytest
 
-from hadlab import (InvalidInputError, MasterSpec, PartialPermutation,
-                    cycle_decompose_integer, cyclic_moment_oracle, dephase_at,
+from hadlab import (InvalidInputError, MasterSpec, PartialPermutation, PhaseEntry,
+                    PHMatrix, apply_equivalence, cycle_decompose,
+                    cycle_decompose_integer, cycle_structure_profile,
+                    cyclic_moment_oracle, dephase_at, dumps_phm,
                     fourier_cyclic, gauss_vector_closed, gauss_vector_direct, group_index,
-                    interval_shift_maps, lam_leung_length_admissible,
+                    interval_shift_maps, is_regular, lam_leung_length_admissible,
                     legendre_symbol, master_dita, moment, moment_matrix,
                     predicted_truncated_semigroup,
                     quadratic_diagonal_exponents,
                     real_truncation_defect_formula, row_quotient,
-                    term_multiset, truncation_probe)
+                    term_multiset, truncated_fourier, truncation_probe)
 from hadlab.cli import run_command
 from hadlab.cyclotomic import (_prime_factors, exact_defect_butson,
                                exact_vanishing, split_primes)
-from hadlab.phases import ExactPhases, integer
+from hadlab.errors import integer
+from hadlab.phases import ExactPhases
 
 F3 = fourier_cyclic(3)
 
@@ -114,7 +117,7 @@ def test_values_past_the_root_table_read_residues():
     lambda: _prime_factors(6.0),
 ])
 def test_cyclotomic_refuses_an_order_that_is_not_an_integer(call):
-    with pytest.raises(InvalidInputError, match="l must be >= 1 and an integer"):
+    with pytest.raises(InvalidInputError, match="l must be an integer >= 1"):
         call()
 
 
@@ -163,3 +166,69 @@ def test_gen_master_dita_refuses_infinite_exponents(r):
                               f"--r={r}", "--json"])
     assert code == 2
     assert "not an integer, a Fraction or a finite float" in json.loads(text)["data"]["error"]
+
+
+# -- orders, parameters, permutations and budgets ----------------------------------
+
+def test_exact_phases_keep_the_door_int_as_order():
+    table = ExactPhases(np.array([[0, 0], [0, 2]]), np.int64(4))
+    assert type(table.order) is int
+    h = PHMatrix.from_phases(table)
+    assert type(h.common_butson_order()) is int
+    assert json.loads(dumps_phm(h))["butson_order"] == 2
+
+
+@pytest.mark.parametrize("p, r", [
+    ([True, 0], [0, 0]), ([1, 0], [0, False]), ([1.0, math.inf], [0, 0]),
+    ([1, 0], ["1", 0]),
+])
+def test_master_dita_reads_p_and_r_by_the_exponent_rule(p, r):
+    with pytest.raises(InvalidInputError, match="is not an integer, a Fraction"):
+        master_dita(2, 2, 1, p, r)
+
+
+def test_master_dita_reads_numpy_parameters_as_ints():
+    h, spec = master_dita(2, 2, 1, [np.int64(1), 0], [0, np.int32(1)])
+    want, want_spec = master_dita(2, 2, 1, [1, 0], [0, 1])
+    assert dumps_phm(h) == dumps_phm(want)
+    assert spec.exponents == want_spec.exponents
+
+
+T3 = truncated_fourier([0, 1], [3])
+ONE = PhaseEntry.one()
+
+
+@pytest.mark.parametrize("rows, cols", [
+    ([True, False], [0, 1, 2]), ([1.0, 0.0], [0, 1, 2]), ([1, 0], [0, 1, 2.0]),
+    ([1, 0], [0, 1, "2"]), ([1, 2], [0, 1, 2]), ([1, 0], [0, -1, 2]),
+])
+def test_equivalence_permutations_pass_the_index_door(rows, cols):
+    with pytest.raises(InvalidInputError, match="must be an integer in"):
+        apply_equivalence(T3, rows, cols, [ONE] * 2, [ONE] * 3)
+
+
+def test_equivalence_reads_numpy_permutations():
+    got = apply_equivalence(T3, np.array([1, 0]), [0, 1, 2], [ONE] * 2, [ONE] * 3)
+    assert got.phases.exp.tolist() == [[0, 1, 2], [0, 0, 0]]
+
+
+@pytest.mark.parametrize("budget", [0, -1, True, 2.5, "10", None])
+@pytest.mark.parametrize("search", [
+    lambda b: cycle_structure_profile(fourier_cyclic(4), budget=b),
+    lambda b: cycle_structure_profile(PHMatrix.from_phases(fourier_cyclic(4).to_array()),
+                                      budget=b),
+    lambda b: cycle_decompose([1, -1], budget=b),
+    lambda b: cycle_decompose([], budget=b),
+    lambda b: cycle_decompose_integer([0, 3], 6, budget=b),
+    lambda b: is_regular(fourier_cyclic(4), budget=b),
+])
+def test_every_cycle_search_passes_the_budget_door(search, budget):
+    with pytest.raises(InvalidInputError, match="^budget must be an integer >= 1, got"):
+        search(budget)
+
+
+def test_the_empty_multiset_has_the_empty_cover():
+    assert cycle_decompose([], budget=np.int64(1)).cycles == ()
+    d = cycle_decompose_integer([], 6, budget=np.int64(1))
+    assert (d.vanishing, d.components, d.nonnegative, d.method, d.search_complete) \
+        == (True, (), True, "exact-cover", True)

@@ -4,9 +4,13 @@ Modules form one order; each imports at module level only hadlab modules
 earlier in it.  The arithmetic layers stand alone: ``cyclotomic`` and
 ``phases`` import no hadlab module but ``errors``.  No import sits inside
 a function.  Every name a module imports at module level is read in it.
+What counts as an integer is decided in ``errors`` alone
+(``errors.is_integer`` and ``errors.integer``): no other module tests for
+a boolean or defines an integer predicate of its own.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -120,3 +124,39 @@ def test_the_unread_import_check_sees_each_form(tmp_path):
                    "def f(x: Optional[int]):\n    import sys\n"
                    "    return np.zeros(1), sys\n")
     assert _unread_imports(src) == {"os", "List", "matrix"}
+
+
+def _integer_rules(path: Path) -> list:
+    """(line, what) for each isinstance(..., bool) call and each function
+    named like an integer predicate (``integer``, ``is_int...``,
+    ``_is_int...``) in a source file."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and re.fullmatch(r"integer|_?is_int\w*", node.name):
+            out.append((node.lineno, f"def {node.name}"))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "isinstance" and len(node.args) == 2:
+            kind = node.args[1]
+            kinds = kind.elts if isinstance(kind, ast.Tuple) else [kind]
+            if any(isinstance(k, ast.Name) and k.id == "bool" for k in kinds):
+                out.append((node.lineno, "isinstance(..., bool)"))
+    return sorted(out)
+
+
+def test_only_errors_decides_what_an_integer_is():
+    found = {module: _integer_rules(SRC / f"{module}.py")
+             for module in LAYER_ORDER + ["__init__", "__main__"] if module != "errors"}
+    assert {m: rules for m, rules in found.items() if rules} == {}
+    assert {what for _, what in _integer_rules(SRC / "errors.py")} \
+        == {"def is_integer", "def integer", "isinstance(..., bool)"}
+
+
+def test_the_integer_rule_check_sees_each_form(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("def _is_integer(x):\n    return isinstance(x, (int, bool))\n"
+                   "def integer(x):\n    return x\n"
+                   "def _integer_table(t):\n    return isinstance(t, bool)\n"
+                   "ok = isinstance(1, int) and isinstance(1, (float, str))\n")
+    assert _integer_rules(src) == [(1, "def _is_integer"), (2, "isinstance(..., bool)"),
+                                   (3, "def integer"), (6, "isinstance(..., bool)")]
