@@ -4,10 +4,13 @@ Exit codes: 0 success (and the checked property holds), 1 the property
 fails (not Hadamard, not certified isolated, irregular, non-classical),
 2 invalid input, 3 a numerical or search outcome too ambiguous to call.
 
-Each command is one entry of COMMANDS: its handler and the options it
-reads.  ``run_command`` is the one dispatcher: it parses, loads the matrix
-file, runs the handler, appends the catalog record and renders the
-outcome as text or as the ``--json`` envelope.
+Each command is one entry of COMMANDS: its handler, the options it reads
+and the analysis modules it runs.  ``run_command`` is the one dispatcher:
+it parses, imports the command's modules, loads the matrix file, runs the
+handler, appends the catalog record and renders the outcome as text or as
+the ``--json`` envelope.  This module imports only what parsing, loading
+and the catalog need, so a command process imports no analysis module
+that its handler does not run.
 """
 
 from __future__ import annotations
@@ -17,27 +20,19 @@ import json
 import math
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _submodule
 from .catalog import CatalogRecord, append_record, catalog_path, content_hash
-from .constructors import (DitaParams, MasterSpec, dita_deformation, f22q,
-                           fourier_cyclic, fourier_group, master_dita,
-                           master_matrix, petrescu, truncated_fourier)
-from .defect import (DEFAULT_CONFIDENCE, defect, defect_exact, defect_master,
-                     defect_split_truncated_fourier, defect_via_extension,
-                     isolation_certificate, truncation_probe)
-from .errors import ConsistencyError, InvalidInputError, SearchBudgetExceeded
+from .errors import (DEFAULT_BUDGET, DEFAULT_CONFIDENCE, ConsistencyError,
+                     InvalidInputError, SearchBudgetExceeded)
 from .io import (dumps_phm, loads_phm, number_from_json, to_document,
                  turn_from_json)
 from .matrix import PHMatrix, verify_partial_hadamard
-from .mcnulty_weigert import MWSpec, arithmetic_isolation_probe, mw_construct
 from .phases import PhaseEntry, _number, parse_phase
-from .regularity import (DEFAULT_BUDGET, cycle_structure_profile,
-                         equivalence_profile)
-from .semigroup import _grid_classes, moment, square_closure
 
 OK = 0
 PROPERTY_FAILS = 1
@@ -153,7 +148,8 @@ def _phase_from_json(e) -> PhaseEntry:
     return parse_phase(e) if isinstance(e, str) else turn_from_json(e)
 
 
-def _spec_from_file(path: str) -> MasterSpec:
+def _spec_from_file(path: str, m: SimpleNamespace):
+    """The MasterSpec of an eigenphase/exponent JSON file."""
     doc = _read_json(path)
     if not isinstance(doc, dict):
         raise InvalidInputError("spec file must be a JSON object")
@@ -163,8 +159,8 @@ def _spec_from_file(path: str) -> MasterSpec:
         raise InvalidInputError(f"spec file missing field {exc}") from exc
     if not (isinstance(lam, list) and isinstance(expo, list)):
         raise InvalidInputError("spec eigenphases and exponents must be lists")
-    return MasterSpec(tuple(_phase_from_json(e) for e in lam),
-                      tuple(_exponent_from_json(e) for e in expo))
+    return m.constructors.MasterSpec(tuple(_phase_from_json(e) for e in lam),
+                                     tuple(_exponent_from_json(e) for e in expo))
 
 
 def _exponent_from_json(e):
@@ -176,19 +172,22 @@ def _exponent_from_json(e):
         raise InvalidInputError(f"cannot parse exponent {e!r}: {exc}") from exc
 
 
-def _mw_spec(args) -> MWSpec:
-    base = _load(args.base)[0] if args.base else fourier_cyclic(args.base_fourier)
-    return MWSpec(args.q, tuple(_ints(args.s)), tuple(_ints(args.t)), base)
+def _mw_spec(args, m: SimpleNamespace):
+    """The MWSpec of the --q, --s, --t and base options."""
+    base = (_load(args.base)[0] if args.base
+            else m.constructors.fourier_cyclic(args.base_fourier))
+    return m.mcnulty_weigert.MWSpec(args.q, tuple(_ints(args.s)),
+                                    tuple(_ints(args.t)), base)
 
 
 # -- gen -------------------------------------------------------------------------
 
 def _gen(build: Callable) -> Callable:
-    """The handler of a gen kind.  ``build(args)`` returns the matrix and
+    """The handler of a gen kind.  ``build(args, m)`` returns the matrix and
     the extra fields of its ``--json`` output; the matrix goes to ``-o
     FILE``, or to stdout as a phm-v1 document."""
-    def handler(args, _) -> Outcome:
-        h, extra = build(args)
+    def handler(args, _, m) -> Outcome:
+        h, extra = build(args, m)
         doc_text = dumps_phm(h, label=args.label)
         summary = {"rows": h.m, "cols": h.n, "label": h.label}
         if args.output:
@@ -203,25 +202,27 @@ def _gen(build: Callable) -> Callable:
     return handler
 
 
-def _dita(args):
+def _dita(args, m):
     outer, _ = _load(args.outer)
     inner, _ = _load(args.inner)
     grid_spec = _read_json(args.phases)
     if not isinstance(grid_spec, list) or not all(isinstance(r, list) for r in grid_spec):
         raise InvalidInputError("phase grid must be a list of rows")
     grid = tuple(tuple(_phase_from_json(e) for e in row) for row in grid_spec)
-    return dita_deformation(DitaParams(outer, inner, grid)), {}
+    c = m.constructors
+    return c.dita_deformation(c.DitaParams(outer, inner, grid)), {}
 
 
-def _master_dita(args):
-    h, spec = master_dita(args.n, args.m, args.k, _numbers(args.p), _numbers(args.r))
+def _master_dita(args, m):
+    h, spec = m.constructors.master_dita(args.n, args.m, args.k,
+                                         _numbers(args.p), _numbers(args.r))
     return h, {"spec": {"eigenphase_turns": spec.angle_turns(),
                         "exponents": spec.exponents}}
 
 
 # -- analysis --------------------------------------------------------------------
 
-def _verify(args, h: PHMatrix) -> Outcome:
+def _verify(args, h: PHMatrix, _) -> Outcome:
     rep = verify_partial_hadamard(h, args.tol)
     data = {"is_hadamard": rep.is_hadamard,
             "max_inner_residual": rep.max_inner_residual,
@@ -241,33 +242,33 @@ def _require_match(h: PHMatrix, declared: PHMatrix, what: str, tol: float) -> No
         raise InvalidInputError(f"file does not match the declared {what}")
 
 
-def _defect(args, h: Optional[PHMatrix]) -> Outcome:
-    method = args.method
+def _defect(args, h: Optional[PHMatrix], m) -> Outcome:
+    method, d = args.method, m.defect
     if method == "split":
         if not (args.orders and args.rows):
             raise InvalidInputError("split method needs --orders and --rows")
         orders, rows = _ints(args.orders), _rows(args.rows)
         if h is not None:
-            _require_match(h, truncated_fourier(rows, orders),
+            _require_match(h, m.constructors.truncated_fourier(rows, orders),
                            "truncated Fourier construction", args.tol)
-        rep = defect_split_truncated_fourier(rows, orders, args.tol,
-                                             args.confidence)
+        rep = d.defect_split_truncated_fourier(rows, orders, args.tol,
+                                               args.confidence)
     elif method == "master":
         if not args.spec:
             raise InvalidInputError("master method needs --spec FILE")
-        spec = _spec_from_file(args.spec)
+        spec = _spec_from_file(args.spec, m)
         if h is not None:
-            _require_match(h, master_matrix(spec),
+            _require_match(h, m.constructors.master_matrix(spec),
                            "eigenphase/exponent table", args.tol)
-        rep = defect_master(spec, args.tol, args.confidence)
+        rep = d.defect_master(spec, args.tol, args.confidence)
     elif h is None:
         raise InvalidInputError("this method needs a matrix FILE")
     elif method == "direct":
-        rep = defect(h, args.tol, args.confidence)
+        rep = d.defect(h, args.tol, args.confidence)
     elif method == "exact":
-        rep = defect_exact(h)
+        rep = d.defect_exact(h)
     else:
-        rep = defect_via_extension(h, args.tol, args.confidence, seed=args.seed)
+        rep = d.defect_via_extension(h, args.tol, args.confidence, seed=args.seed)
     data = {"defect": rep.defect, "method": rep.method, "bound": rep.bound,
             "unknowns": rep.unknowns, "rank": rep.rank,
             "gap_ratio": rep.gap_ratio, "tolerance": rep.tolerance,
@@ -289,8 +290,8 @@ def _certificate_data(cert) -> dict:
             "breakdown": cert.report.breakdown}
 
 
-def _isolated(args, h: PHMatrix) -> Outcome:
-    cert = isolation_certificate(h, args.tol, args.confidence)
+def _isolated(args, h: PHMatrix, m) -> Outcome:
+    cert = m.defect.isolation_certificate(h, args.tol, args.confidence)
     code = {"isolated": OK, "undetermined": PROPERTY_FAILS,
             "ambiguous": AMBIGUOUS}[cert.status]
     data = {**_certificate_data(cert),
@@ -298,8 +299,9 @@ def _isolated(args, h: PHMatrix) -> Outcome:
     return Outcome(code, data, str(cert), data)
 
 
-def _regularity(args, h: PHMatrix) -> Outcome:
-    profile = cycle_structure_profile(h, tol=args.cycle_tol, budget=args.budget)
+def _regularity(args, h: PHMatrix, m) -> Outcome:
+    profile = m.regularity.cycle_structure_profile(h, tol=args.cycle_tol,
+                                                   budget=args.budget)
     inconclusive = sorted(k for k, v in profile.items() if v == "inconclusive")
     irregular = sorted(k for k, v in profile.items() if v == "irregular")
     if inconclusive:
@@ -321,15 +323,15 @@ def _regularity(args, h: PHMatrix) -> Outcome:
                                        "n_inconclusive": len(inconclusive)})
 
 
-def _semigroup(args, h: PHMatrix) -> Outcome:
-    rep, res = _grid_classes(h, args.cycle_tol)
+def _semigroup(args, h: PHMatrix, m) -> Outcome:
+    rep, res = m.semigroup._grid_classes(h, args.cycle_tol)
     if res is None:
         data = {"classical": False, "worst_overlap": rep.worst_overlap}
         return Outcome(PROPERTY_FAILS, data,
                        f"non-classical grid: overlap {rep.worst_overlap:.3g} "
                        f"is neither 0 nor 1", data)
     square = res[0]
-    closure = square_closure(square)
+    closure = m.semigroup.square_closure(square)
     data = {"classical": True, "n_labels": square.n_labels,
             "square": [list(r) for r in square.labels],
             "size": closure.size,
@@ -340,11 +342,11 @@ def _semigroup(args, h: PHMatrix) -> Outcome:
     return Outcome(OK, data, human, {"classical": True, "size": closure.size})
 
 
-def _moments(args, h: PHMatrix) -> Outcome:
+def _moments(args, h: PHMatrix, m) -> Outcome:
     ps = _ints(args.p)
     if not ps:
         raise InvalidInputError(f"--p names no word length: {args.p!r}")
-    reports = [moment(h, p, args.cycle_tol) for p in ps]
+    reports = [m.semigroup.moment(h, p, args.cycle_tol) for p in ps]
     data = {"moments": [{"p": r.p, "value": r.value, "formal": r.formal,
                          "ambiguous": r.ambiguous} for r in reports]}
     human = "; ".join(
@@ -354,8 +356,8 @@ def _moments(args, h: PHMatrix) -> Outcome:
                    data, human, {"values": {str(r.p): r.value for r in reports}})
 
 
-def _profile(args, h: PHMatrix) -> Outcome:
-    prof = equivalence_profile(h, tol=args.tol, budget=args.budget)
+def _profile(args, h: PHMatrix, m) -> Outcome:
+    prof = m.regularity.equivalence_profile(h, tol=args.tol, budget=args.budget)
     data = {"shape": list(prof.shape), "defect": prof.defect,
             "cycle_labels": list(prof.cycle_labels),
             "butson_order": prof.butson_order}
@@ -365,9 +367,9 @@ def _profile(args, h: PHMatrix) -> Outcome:
     return Outcome(OK, data, human, data)
 
 
-def _probe_truncation(args, _) -> Outcome:
+def _probe_truncation(args, _, m) -> Outcome:
     sizes = _ints(args.sizes) if args.sizes else None
-    certs = truncation_probe(args.n, sizes, args.tol, args.confidence)
+    certs = m.defect.truncation_probe(args.n, sizes, args.tol, args.confidence)
     data = {"certificates": [
         {"rows": c.shape[0], "cols": c.shape[1], **_certificate_data(c)}
         for c in certs]}
@@ -375,8 +377,8 @@ def _probe_truncation(args, _) -> Outcome:
                    {"n": args.n, "statuses": [c.status for c in certs]})
 
 
-def _probe_arithmetic(args, _) -> Outcome:
-    rep = arithmetic_isolation_probe(_mw_spec(args), args.tol)
+def _probe_arithmetic(args, _, m) -> Outcome:
+    rep = m.mcnulty_weigert.arithmetic_isolation_probe(_mw_spec(args, m), args.tol)
     data = {"rows": rep.shape[0], "cols": rep.shape[1],
             "defect": rep.defect, "bound": rep.bound,
             "status": rep.status,
@@ -430,9 +432,15 @@ RESULT_OUTPUT = (
 
 
 class Command(NamedTuple):
+    """A command: its help line; ``handler(args, h, m)``, called with the
+    parsed options, the matrix FILE (or None) and ``m``, whose attributes
+    are the modules named in ``modules``; the options it reads; and the
+    analysis modules it runs, in layer order, imported after parsing."""
     help: str
-    handler: Callable[[argparse.Namespace, Optional[PHMatrix]], Outcome]
+    handler: Callable[[argparse.Namespace, Optional[PHMatrix], SimpleNamespace],
+                      Outcome]
     options: tuple
+    modules: Tuple[str, ...] = ()
 
 
 # a two-word name is a subcommand of the group named by its first word
@@ -442,43 +450,48 @@ GROUPS = {"gen": ("construct a matrix", "kind"),
 COMMANDS = {
     "gen fourier": Command(
         "cyclic Fourier matrix",
-        _gen(lambda a: (fourier_cyclic(a.n), {})),
-        (_arg("n", type=int),) + GEN_OUTPUT),
+        _gen(lambda a, m: (m.constructors.fourier_cyclic(a.n), {})),
+        (_arg("n", type=int),) + GEN_OUTPUT, ("constructors",)),
     "gen fourier-group": Command(
         "Fourier matrix of a product of cyclic groups",
-        _gen(lambda a: (fourier_group(a.orders), {})),
-        (_arg("orders", type=int, nargs="+"),) + GEN_OUTPUT),
+        _gen(lambda a, m: (m.constructors.fourier_group(a.orders), {})),
+        (_arg("orders", type=int, nargs="+"),) + GEN_OUTPUT, ("constructors",)),
     "gen truncated-fourier": Command(
         "row truncation",
-        _gen(lambda a: (truncated_fourier(_rows(a.rows), _ints(a.orders)), {})),
+        _gen(lambda a, m: (m.constructors.truncated_fourier(
+            _rows(a.rows), _ints(a.orders)), {})),
         (_arg("--orders", required=True, help="e.g. 6 or 2,3"),
          _arg("--rows", required=True,
-              help="flat indices 0,1 or coordinates 0:0,1:2")) + GEN_OUTPUT),
+              help="flat indices 0,1 or coordinates 0:0,1:2")) + GEN_OUTPUT,
+        ("constructors",)),
     "gen f22q": Command(
         "4x4 one-parameter family",
-        _gen(lambda a: (f22q(parse_phase(a.q)), {})),
+        _gen(lambda a, m: (m.constructors.f22q(parse_phase(a.q)), {})),
         (_arg("--q", required=True, help="phase as a turn: 1/20 or 0.05"),)
-        + GEN_OUTPUT),
+        + GEN_OUTPUT, ("constructors",)),
     "gen petrescu": Command(
         "7x7 one-parameter family",
-        _gen(lambda a: (petrescu(parse_phase(a.q)), {})),
-        (_arg("--q", required=True, help="phase as a turn"),) + GEN_OUTPUT),
+        _gen(lambda a, m: (m.constructors.petrescu(parse_phase(a.q)), {})),
+        (_arg("--q", required=True, help="phase as a turn"),) + GEN_OUTPUT,
+        ("constructors",)),
     "gen dita": Command(
         "phase-deformed tensor product", _gen(_dita),
         (_arg("--outer", required=True, metavar="FILE"),
          _arg("--inner", required=True, metavar="FILE"),
          _arg("--phases", required=True, metavar="FILE",
-              help="JSON 2D array of turns")) + GEN_OUTPUT),
+              help="JSON 2D array of turns")) + GEN_OUTPUT, ("constructors",)),
     "gen master-dita": Command(
         "deformed Fourier tensor with its eigenphase/exponent table",
         _gen(_master_dita),
         (_arg("n", type=int), _arg("m", type=int), _arg("k", type=int),
          _arg("--p", required=True, help="m inner parameters"),
-         _arg("--r", required=True, help="n outer parameters")) + GEN_OUTPUT),
+         _arg("--r", required=True, help="n outer parameters")) + GEN_OUTPUT,
+        ("constructors",)),
     "gen mw": Command(
         "Gauss-sum tensor construction",
-        _gen(lambda a: (mw_construct(_mw_spec(a), tol=a.tol), {})),
-        MW_SPEC + TOL + GEN_OUTPUT),
+        _gen(lambda a, m: (m.mcnulty_weigert.mw_construct(_mw_spec(a, m),
+                                                          tol=a.tol), {})),
+        MW_SPEC + TOL + GEN_OUTPUT, ("constructors", "mcnulty_weigert")),
     "verify": Command("check the partial Hadamard property", _verify,
                       FILE + TOL),
     "defect": Command(
@@ -491,26 +504,27 @@ COMMANDS = {
          _arg("--rows", help="split: row subset"),
          _arg("--spec", metavar="FILE", help="master: eigenphase/exponent JSON"),
          _arg("--seed", type=int, help="extension: completion mixer seed"))
-        + TOL + CONFIDENCE),
+        + TOL + CONFIDENCE, ("constructors", "defect")),
     "isolated": Command("isolation certificate from the defect", _isolated,
-                        FILE + TOL + CONFIDENCE),
+                        FILE + TOL + CONFIDENCE, ("defect",)),
     "regularity": Command("cycle decompositions of row pairs", _regularity,
-                          FILE + CYCLE_TOL + BUDGET),
+                          FILE + CYCLE_TOL + BUDGET, ("regularity",)),
     "semigroup": Command(
         "partial permutation semigroup of the projection grid", _semigroup,
-        FILE + CYCLE_TOL),
+        FILE + CYCLE_TOL, ("semigroup",)),
     "moments": Command(
         "unit-eigenvalue counts of moment matrices", _moments,
         FILE + (_arg("--p", required=True, help="word lengths, e.g. 1,2,3"),)
-        + CYCLE_TOL),
+        + CYCLE_TOL, ("semigroup",)),
     "profile": Command("equivalence invariants", _profile,
-                       FILE + BUDGET + TOL),
+                       FILE + BUDGET + TOL, ("regularity",)),
     "probe truncation": Command(
         "initial truncations of F_n", _probe_truncation,
         (_arg("n", type=int), _arg("--sizes", help="row counts, e.g. 2,3,4"))
-        + TOL + CONFIDENCE),
+        + TOL + CONFIDENCE, ("defect",)),
     "probe arithmetic": Command("isolation of a Gauss-sum matrix",
-                                _probe_arithmetic, MW_SPEC + TOL),
+                                _probe_arithmetic, MW_SPEC + TOL,
+                                ("constructors", "mcnulty_weigert")),
 }
 
 
@@ -544,9 +558,11 @@ def run_command(argv: Sequence[str]) -> Tuple[int, str]:
     except SystemExit as exc:
         # argparse already printed usage to stderr
         return (BAD_INPUT if exc.code not in (0, None) else OK), ""
+    command = COMMANDS[args.entry]
+    m = SimpleNamespace(**{name: _submodule(name) for name in command.modules})
     try:
         h, text = _load(args.file) if getattr(args, "file", None) else (None, None)
-        out = COMMANDS[args.entry].handler(args, h)
+        out = command.handler(args, h, m)
         path = catalog_path(args.catalog)
         if path:
             append_record(path, CatalogRecord(

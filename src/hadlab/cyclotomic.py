@@ -63,15 +63,11 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InvalidInputError, SearchBudgetExceeded, integer, is_integer
+from .phases import BUTSON_ORDER_CAP
 
 # Proofs of a defect above M+N-1 use at most this many reductions; past it
 # the defect is reported as the upper bound from two primes.
 PROOF_CAP = 16
-# Root-of-unity orders above this are not sought in a complex matrix
-# (matrix.detect_butson), exact defects above it come only from the
-# character count, and the automorphism search refuses them: its noise
-# table grows with the order.
-BUTSON_ORDER_CAP = 60
 _PRIME_FLOOR = 1 << 20      # every prime used exceeds this
 _EXACT = float(1 << 52)     # magnitudes kept below this stay exact in float64
 _LEAF = 16                  # columns eliminated by rank-1 steps

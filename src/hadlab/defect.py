@@ -31,13 +31,12 @@ import numpy as np
 from .constructors import (MasterSpec, group_elements, master_matrix,
                            normalize_row_subset, truncated_fourier,
                            _check_orders)
-from .cyclotomic import (BUTSON_ORDER_CAP, PROOF_CAP, _dephased, _distinct_rows,
-                         _prime_factors, exact_defect_butson)
-from .errors import ConsistencyError, InvalidInputError, integer
+from .cyclotomic import (PROOF_CAP, _dephased, _distinct_rows, _prime_factors,
+                         exact_defect_butson)
+from .errors import (DEFAULT_CONFIDENCE, ConsistencyError, InvalidInputError,
+                     integer)
 from .matrix import PHMatrix, detect_butson, ensure_verified
-from .phases import ExactPhases
-
-DEFAULT_CONFIDENCE = 1e6
+from .phases import BUTSON_ORDER_CAP, ExactPhases
 
 
 @dataclass(frozen=True)

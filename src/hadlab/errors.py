@@ -1,7 +1,15 @@
-"""Error types shared across the package, and the one rule for what
-counts as an integer."""
+"""Error types shared across the package, the defaults that decide when
+an answer is too ambiguous to call, and the one rule for what counts as an
+integer."""
 
 import numpy as np
+
+# Least spectral gap ratio of a confident numerical rank decision (defect);
+# a smaller gap makes the answer ambiguous.
+DEFAULT_CONFIDENCE = 1e6
+# Search nodes (calls + completion attempts) a cycle search may spend
+# (regularity) before it raises SearchBudgetExceeded.
+DEFAULT_BUDGET = 10 ** 7
 
 
 class InvalidInputError(ValueError):

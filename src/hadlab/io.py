@@ -33,7 +33,7 @@ def number_from_json(x, what: str = "turn") -> Union[Fraction, int, float]:
         if x[1] <= 0:
             raise InvalidInputError(f"{what} denominator must be positive, got {x!r}")
         return Fraction(x[0], x[1])
-    if (is_integer(x) or isinstance(x, float)) and math.isfinite(x):
+    if is_integer(x) or (isinstance(x, float) and math.isfinite(x)):
         return x
     raise InvalidInputError(f"{what} must be [num, den] or a number, got {x!r}")
 

@@ -17,10 +17,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .cyclotomic import BUTSON_ORDER_CAP
 from .errors import InvalidInputError, integer
-from .phases import (ExactPhases, PhaseArray, PhaseEntry, multiply,
-                     phase_array, phase_entries, phase_values)
+from .phases import (BUTSON_ORDER_CAP, ExactPhases, PhaseArray, PhaseEntry,
+                     multiply, phase_array, phase_entries, phase_values)
 
 PhaseLike = Union[PhaseEntry, complex, float, int, Fraction]
 

@@ -29,11 +29,10 @@ import numpy as np
 
 from .cyclotomic import _cycle_peel, _primes_upto, _vanishing_primes
 from .defect import defect, isolation_certificate
-from .errors import ConsistencyError, InvalidInputError, SearchBudgetExceeded, integer
+from .errors import (DEFAULT_BUDGET, ConsistencyError, InvalidInputError,
+                     SearchBudgetExceeded, integer)
 from .matrix import PHMatrix, dephase, detect_butson, ensure_verified, row_quotient
 from .phases import TAU, ExactPhases, PhaseEntry, _cis
-
-DEFAULT_BUDGET = 10 ** 7
 
 
 def _label(primes) -> str:
@@ -282,6 +281,7 @@ def cycle_decompose_integer(exponents: Sequence[int], l: int,
     partition exists, the peel's coefficients, some of which may be
     negative, are the account.
     """
+    l = integer(l, "l", 1)
     peel, left = _cycle_peel([exponents], l)
     if left[0]:
         return IntegerCycleDecomposition(l, False, None, None, None, True)

@@ -1,7 +1,10 @@
+import functools
+import importlib
 import json
 import runpy
 import subprocess
 import sys
+from typing import Sequence
 
 import jsonschema
 import numpy as np
@@ -77,6 +80,18 @@ def test_gen_f22q_exact_turn():
     code, text = run_command(["gen", "f22q", "--q", "1/20"])
     assert code == 0
     assert json.loads(text)["butson_order"] == 20
+
+
+def test_verify_reads_a_huge_integer_turn_exactly(tmp_path):
+    """A JSON integer turn is exact however large: 10^400 is the turn 0,
+    not a float conversion that overflows."""
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"format": "phm-v1", "rows": 1, "cols": 1,
+                                "representation": "turns",
+                                "entries": [[10 ** 400]]}))
+    code, body = run_json(["verify", str(path)])
+    assert code == 0 and body["data"]["is_hadamard"] is True
+    assert load_phm(str(path)).phases.order == 1
 
 
 def test_gen_petrescu_verifies(tmp_path):
@@ -342,7 +357,8 @@ def test_os_and_decode_errors_exit_2(tmp_path, monkeypatch, capsys, case):
 def test_json_errors_are_envelopes(tmp_path, monkeypatch):
     """Under --json an invalid input or an inconclusive outcome prints the
     envelope with the message as data.error, whatever the command."""
-    from hadlab import cli
+    # hadlab.defect names the function; the handler reads the module's
+    defect_module = importlib.import_module("hadlab.defect")
     f5 = tmp_path / "f5.json"
     save_phm(fourier_cyclic(5), str(f5))
     for argv, command in [
@@ -358,7 +374,7 @@ def test_json_errors_are_envelopes(tmp_path, monkeypatch):
 
     def disagree(*args, **kwargs):
         raise ConsistencyError("routes disagree")
-    monkeypatch.setattr(cli, "isolation_certificate", disagree)
+    monkeypatch.setattr(defect_module, "isolation_certificate", disagree)
     code, body = run_json(["isolated", str(f5)])
     assert code == 3 and body["data"] == {"error": "routes disagree"}
     assert run_command(["isolated", str(f5)]) == (3, "inconclusive: routes disagree")
@@ -376,14 +392,15 @@ def test_gen_json_with_output_file(tmp_path):
     assert body["written"] == str(path) and len(body["spec"]["exponents"]) == 4
 
 
-# a valid command line of each command; F, A and B stand for files
+# a valid command line of each command; F, A, B (matrices) and P (a phase
+# grid) stand for files
 COMMAND_LINES = {
     "gen fourier": "gen fourier 3",
     "gen fourier-group": "gen fourier-group 2 3",
     "gen truncated-fourier": "gen truncated-fourier --orders 3 --rows 0",
     "gen f22q": "gen f22q --q 0",
     "gen petrescu": "gen petrescu --q 0",
-    "gen dita": "gen dita --outer A --inner B --phases F",
+    "gen dita": "gen dita --outer A --inner B --phases P",
     "gen master-dita": "gen master-dita 2 2 1 --p 0,1 --r 0,2",
     "gen mw": "gen mw --q 5 --s 1,3 --t 0,2",
     "verify": "verify F",
@@ -415,6 +432,65 @@ def test_each_command_accepts_only_the_options_it_reads(capsys, command, option)
         err = capsys.readouterr().err
         assert err.startswith(f"usage: hadlab {command} ")
         assert f"unrecognized arguments: {option}" in err
+
+
+# the hadlab modules loaded in a fresh interpreter after running SETUP
+LOADED = ("import importlib, sys\n{setup}\n"
+          "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'hadlab'))")
+
+
+def _loaded(setup: str, args: Sequence[str]) -> set:
+    proc = subprocess.run([sys.executable, "-c", LOADED.format(setup=setup),
+                           *args], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+@functools.lru_cache(maxsize=None)
+def _declared(modules: tuple) -> frozenset:
+    """What importing the CLI and the named analysis modules loads."""
+    return frozenset(_loaded("import hadlab.cli\nfor m in sys.argv[1:]: "
+                             "importlib.import_module('hadlab.' + m)", modules))
+
+
+def _run_loaded(argv: list, code: int) -> set:
+    """What running a command line through run_command loads; the command
+    exits with ``code``."""
+    return _loaded("from hadlab.cli import run_command\n"
+                   f"assert run_command(sys.argv[1:])[0] == {code}", argv)
+
+
+@pytest.fixture(scope="module")
+def command_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("files")
+    save_phm(fourier_cyclic(3), str(d / "F"))
+    save_phm(fourier_cyclic(2), str(d / "A"))
+    save_phm(fourier_cyclic(2), str(d / "B"))
+    (d / "P").write_text("[[0, 0], [0, [1, 4]]]")
+    return d
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_LINES))
+def test_each_command_loads_the_modules_it_names(command_files, command):
+    """A command process imports the CLI's own modules and those its entry
+    names, with what they import, and nothing else."""
+    from hadlab.cli import COMMANDS
+    argv = [str(command_files / t) if t in ("F", "A", "B", "P") else t
+            for t in COMMAND_LINES[command].split()]
+    loaded = _run_loaded(argv, 0)
+    assert loaded == _declared(COMMANDS[command].modules)
+    if command == "verify" or command.startswith("gen ") and command != "gen mw":
+        assert "hadlab.cyclotomic" not in loaded
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--version"], 0), (["--help"], 0), (["verify", "--help"], 0),
+    (["verify"], 2), (["no-such-command"], 2)])
+def test_parsing_loads_no_analysis_module(argv, code):
+    assert _run_loaded(argv, code) == _declared(())
+    assert _declared(()) == {"hadlab", "hadlab.cli", "hadlab.errors",
+                             "hadlab.phases", "hadlab.matrix", "hadlab.io",
+                             "hadlab.catalog"}
 
 
 def test_defect_ambiguous_exit_code(f6_file):

@@ -202,6 +202,14 @@ def test_master_dita_fractional_parameters_still_hadamard():
     assert spec.m == 4 and spec.n == 4
 
 
+def test_master_dita_float_parameters_give_the_fraction_matrix():
+    h, spec = master_dita(2, 2, 1, (0.25, 1.0), (0.0, 0.5))
+    exact, exact_spec = master_dita(2, 2, 1, (Fraction(1, 4), 1), (0, Fraction(1, 2)))
+    assert verify_partial_hadamard(h).is_hadamard
+    assert np.max(np.abs(h.to_array() - exact.to_array())) < 1e-12
+    assert spec.exponents == exact_spec.exponents
+
+
 def test_master_dita_argument_checks():
     with pytest.raises(InvalidInputError):
         master_dita(0, 2, 1, (0, 1), ())

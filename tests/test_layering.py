@@ -2,8 +2,13 @@
 
 Modules form one order; each imports at module level only hadlab modules
 earlier in it.  The arithmetic layers stand alone: ``cyclotomic`` and
-``phases`` import no hadlab module but ``errors``.  No import sits inside
-a function.  Every name a module imports at module level is read in it.
+``phases`` import no hadlab code but ``errors``; ``cyclotomic`` reads one
+constant of ``phases``, ``BUTSON_ORDER_CAP``.  ``matrix`` does not import
+``cyclotomic``, so a command that only builds or verifies matrices never
+loads it.  The analysis modules each CLI command names follow the order.
+``import hadlab`` loads no submodule: the first public name read binds
+them all.  No import sits inside a function.  Every name a module imports at module
+level is read in it.
 What counts as an integer is decided in ``errors`` alone
 (``errors.is_integer`` and ``errors.integer``): no other module tests for
 a boolean or defines an integer predicate of its own.
@@ -11,6 +16,8 @@ a boolean or defines an integer predicate of its own.
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,8 +28,8 @@ LAYER_ORDER = ["errors", "phases", "cyclotomic", "matrix", "constructors",
                "defect", "mcnulty_weigert", "regularity", "semigroup", "io",
                "catalog", "schemas", "cli"]
 
-# modules that read the package's __version__ from hadlab/__init__.py
-READS_VERSION = {"catalog", "cli"}
+# the names modules read from the package itself, hadlab/__init__.py
+FROM_PACKAGE = {"catalog": {"__version__"}, "cli": {"__version__", "_submodule"}}
 
 
 def _imported(node: ast.AST) -> set:
@@ -60,9 +67,33 @@ def _hadlab_imports(path: Path) -> set:
     return set().union(*_scoped_imports(path).values())
 
 
+def _names_from(path: Path, module: str) -> set:
+    """The names a source file imports from one hadlab module."""
+    return {a.name for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            and node.module == module for a in node.names}
+
+
 @pytest.mark.parametrize("module", ["cyclotomic", "phases"])
 def test_arithmetic_layers_import_only_errors(module):
-    assert _hadlab_imports(SRC / f"{module}.py") <= {"errors"}
+    imports = _hadlab_imports(SRC / f"{module}.py")
+    assert imports <= {"errors", "phases"} - {module}
+    if "phases" in imports:
+        # a constant, not phase arithmetic
+        assert _names_from(SRC / f"{module}.py", "phases") == {"BUTSON_ORDER_CAP"}
+
+
+def test_matrix_does_not_import_cyclotomic():
+    assert "cyclotomic" not in _hadlab_imports(SRC / "matrix.py")
+
+
+def test_each_command_names_earlier_modules_in_layer_order():
+    from hadlab.cli import COMMANDS
+    earlier = LAYER_ORDER[:LAYER_ORDER.index("cli")]
+    for name, command in COMMANDS.items():
+        assert set(command.modules) <= set(earlier), name
+        assert list(command.modules) == sorted(set(command.modules),
+                                               key=LAYER_ORDER.index), name
 
 
 def test_the_order_names_every_module():
@@ -73,8 +104,7 @@ def test_the_order_names_every_module():
 @pytest.mark.parametrize("module", LAYER_ORDER)
 def test_module_level_imports_follow_the_order(module):
     allowed = set(LAYER_ORDER[:LAYER_ORDER.index(module)])
-    if module in READS_VERSION:
-        allowed.add("__version__")
+    allowed |= FROM_PACKAGE.get(module, set())
     assert _scoped_imports(SRC / f"{module}.py").get(None, set()) <= allowed
 
 
@@ -160,3 +190,38 @@ def test_the_integer_rule_check_sees_each_form(tmp_path):
                    "ok = isinstance(1, int) and isinstance(1, (float, str))\n")
     assert _integer_rules(src) == [(1, "def _is_integer"), (2, "isinstance(..., bool)"),
                                    (3, "def integer"), (6, "isinstance(..., bool)")]
+
+
+PACKAGE_CHECK = """
+import sys
+before = set(sys.modules)
+import hadlab
+assert hadlab.__version__ and set(sys.modules) - before == {"hadlab"}
+# a submodule loads with what it imports, and no more
+assert hadlab.cyclotomic.__name__ == "hadlab.cyclotomic"
+assert sorted(m for m in sys.modules if m.startswith("hadlab")) == [
+    "hadlab", "hadlab.cyclotomic", "hadlab.errors", "hadlab.phases"]
+import hadlab.regularity   # loads hadlab.defect, the module
+from hadlab import defect
+assert callable(defect) and hadlab.defect is defect is hadlab.regularity.defect
+assert all(hasattr(hadlab, n) for names in hadlab._PUBLIC.values() for n in names)
+print(sorted(m for m in sys.modules if m.startswith("hadlab")))
+"""
+
+
+def test_the_package_binds_every_public_name_on_first_use():
+    """``import hadlab`` loads no submodule; the first public name read
+    binds them all, and the function ``defect`` keeps its name even when
+    the module ``hadlab.defect`` was imported first."""
+    proc = subprocess.run([sys.executable, "-c", PACKAGE_CHECK], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert ast.literal_eval(proc.stdout) == sorted(
+        ["hadlab"] + [f"hadlab.{m}" for m in LAYER_ORDER if m != "cli"])
+
+
+def test_the_package_refuses_a_name_it_does_not_have():
+    import hadlab
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        hadlab.no_such_name
+    assert hadlab.__getattr__("cli") is sys.modules["hadlab.cli"]

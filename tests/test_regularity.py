@@ -1,5 +1,7 @@
+import dataclasses
 import gc
 import itertools
+import json
 import math
 import tracemalloc
 from collections import Counter
@@ -133,6 +135,12 @@ def test_integer_route_simple_cycles():
         for t in range(p):
             counts[(r + t * (6 // p)) % 6] += c
     assert counts == [1] * 6
+
+
+def test_integer_route_keeps_python_ints_for_a_numpy_order():
+    d = cycle_decompose_integer([0, 2, 4], np.int64(6))
+    assert type(d.l) is int and d.components == ((3, 0, 1),)
+    assert json.loads(json.dumps(dataclasses.asdict(d)))["components"] == [[3, 0, 1]]
 
 
 def test_integer_route_nonvanishing():
