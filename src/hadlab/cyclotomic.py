@@ -63,7 +63,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InvalidInputError, SearchBudgetExceeded, integer, is_integer
-from .phases import BUTSON_ORDER_CAP
 
 # Proofs of a defect above M+N-1 use at most this many reductions; past it
 # the defect is reported as the upper bound from two primes.
@@ -531,12 +530,12 @@ def _automorphism(e: np.ndarray, l: int) -> Optional[Tuple[np.ndarray, np.ndarra
     first automorphism, or product of two found, whose power of the
     largest prime order dividing l is fixed-point-free on rows ends the
     search; the best power found so far is returned when all candidates
-    are tried or the node budget runs out.  None for l > BUTSON_ORDER_CAP,
-    since the noise table has 2 max(M, N) l entries.
+    are tried or the node budget runs out.  None for l > M*N, so that the
+    noise table, of 2 max(M, N) l entries, stays within 2 max(M, N) M N.
     """
-    if l > BUTSON_ORDER_CAP:
-        return None
     m, n = e.shape
+    if l > m * n:
+        return None
     rng = np.random.default_rng(0)
     noise = rng.integers(-(1 << 62), 1 << 62, size=2 * max(m, n) * l)
 

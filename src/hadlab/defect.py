@@ -32,7 +32,7 @@ from .constructors import (MasterSpec, group_elements, master_matrix,
                            normalize_row_subset, truncated_fourier,
                            _check_orders)
 from .cyclotomic import (PROOF_CAP, _dephased, _distinct_rows, _prime_factors,
-                         exact_defect_butson)
+                         exact_defect_butson, split_primes)
 from .errors import (DEFAULT_CONFIDENCE, ConsistencyError, InvalidInputError,
                      integer)
 from .matrix import PHMatrix, detect_butson, ensure_verified
@@ -159,15 +159,15 @@ def _butson_report(h: PHMatrix) -> Optional[DefectReport]:
     (_character_report), else from the ranks modulo split primes,
     "direct-exact" when they prove the defect and "direct-modp" when they
     only bound it.  An exact matrix takes the character test at its stored
-    order, whatever that is; BUTSON_ORDER_CAP caps only the detection of a
-    complex matrix's order and the modular route.  None when neither
+    order, whatever that is, and then the modular route when that order
+    has a usable split prime (``split_primes``).  None when neither
     applies.
     """
     table = detect_butson(h)
     if table is None:
         return None
     rep = _character_report(h, table)
-    if rep is not None or table.order > BUTSON_ORDER_CAP:
+    if rep is not None or not split_primes(table.order):
         return rep
     res = exact_defect_butson(table.exp, table.order)
     breakdown = {"butson_order": table.order, "route": res.route,
@@ -196,7 +196,7 @@ def defect_exact(h: PHMatrix) -> DefectReport:
             f"no root-of-unity form of order <= {BUTSON_ORDER_CAP} found; "
             f"exact defect needs a Butson-type matrix" if l is None else
             f"the matrix has root-of-unity order {l} and is not a character "
-            f"matrix; ranks modulo split primes need order <= {BUTSON_ORDER_CAP}")
+            f"matrix; no split prime p = 1 (mod {l}) lies in the exact float64 range")
     if not rep.exact:
         raise InvalidInputError(
             f"exact defect needs {rep.breakdown['reductions_needed']} "
@@ -527,7 +527,7 @@ def isolation_certificate(h: PHMatrix, tol: float = 1e-9,
     exactly, so the certificate does not rest on a floating rank decision:
     a character matrix (a row truncation of a group Fourier matrix up to
     equivalence and repeated columns) by the character count, whatever its
-    order, other input of order at most BUTSON_ORDER_CAP by ranks modulo
+    order, other input whose order has a usable split prime by ranks modulo
     split primes; when those cannot prove the defect, the certificate
     carries their upper bound with ``exact`` False.  Other input takes the
     floating SVD.

@@ -34,9 +34,8 @@ INT64_ORDER = 1 << 61
 # Values of exact phases up to this order are read from a table of roots.
 ROOT_TABLE = 4096
 # Root-of-unity orders above this are not sought in a complex matrix
-# (matrix.detect_butson), exact defects above it come only from the
-# character count, and the automorphism search refuses them: its noise
-# table grows with the order.
+# (matrix.detect_butson).  It binds nothing else: exact input is read at
+# its stored order, whatever that is.
 BUTSON_ORDER_CAP = 60
 
 

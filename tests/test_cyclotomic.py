@@ -821,6 +821,17 @@ def test_a_permuted_mw13_is_ranked_as_13_blocks():
     assert sum(res.block_ranks) == 2600
 
 
+def test_mw17_above_the_order_cap_is_ranked_as_17_blocks():
+    # order 68 > 60: the order has split primes, so the certificate is the
+    # modular bound, split by the cyclic automorphism, and not the float SVD
+    h = mw_construct(MWSpec(17, (1, 3, 5, 7), (0, 2, 4, 6), fourier_cyclic(4)))
+    assert h.phases.order == 68
+    cert = isolation_certificate(h)
+    assert cert.report.method == "direct-modp"
+    assert cert.report.breakdown["symmetry_order"] == 17
+    assert cert.defect == 136 and cert.status == "undetermined"
+
+
 def test_exhausted_search_falls_back_to_the_whole_system(monkeypatch):
     import hadlab.cyclotomic as cyc
     monkeypatch.setattr(cyc, "_SYMMETRY_FLOOR", 0)

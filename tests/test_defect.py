@@ -274,6 +274,34 @@ def _modular(h):
     return exact_defect_butson(table.exp, table.order)
 
 
+@st.composite
+def exact_petrescu(draw):
+    """Petrescu at q = k/d for 61 <= d <= 200, rows and columns permuted and
+    rephased at the matrix's own order."""
+    d = draw(st.integers(61, 200))
+    h = petrescu(PhaseEntry.turns(Fraction(draw(st.integers(1, d - 1)), d)))
+    l = h.phases.order
+    phase = st.integers(0, l - 1).map(lambda x: PhaseEntry.butson(x, l))
+    return apply_equivalence(h, draw(st.permutations(range(h.m))),
+                             draw(st.permutations(range(h.n))),
+                             [draw(phase) for _ in range(h.m)],
+                             [draw(phase) for _ in range(h.n)])
+
+
+@settings(max_examples=20, deadline=None)
+@given(exact_petrescu())
+def test_modular_defect_bounds_the_svd_defect(h):
+    # the modular route against the SVD at orders above 60: a mod-p rank
+    # never exceeds the true rank, and a proved one equals it
+    res = _modular(h)
+    svd = defect(h)
+    assert res.defect >= h.m + h.n - 1
+    if not svd.ambiguous:
+        assert res.defect >= svd.defect
+    if res.exact:
+        assert res.defect == svd.defect
+
+
 def test_criterion_three_certificates_are_exact():
     for p in (7, 11, 13):
         h = fourier_cyclic(p)
@@ -406,8 +434,8 @@ def test_other_butson_input_takes_the_modular_route():
 
 
 def test_exact_character_matrices_above_the_order_cap():
-    # F61 is stored at order 61 > 60: the order cap binds the modular
-    # route only, so both exact answers are the character count
+    # F61 is stored at order 61 > 60: the order cap binds only the scan of
+    # a complex matrix, so both exact answers are the character count
     want = cyclic_defect_closed_form(61)
     cert = isolation_certificate(fourier_cyclic(61))
     rep = defect_exact(fourier_cyclic(61))
@@ -426,31 +454,38 @@ def test_exact_character_matrices_above_the_order_cap():
     cert = isolation_certificate(h)
     assert cert.exact and cert.report.method == "character-exact"
     assert cert.defect == 3 and cert.report.breakdown["butson_order"] == 2 * big
-    # a non-character matrix above the cap still takes the SVD, and
-    # defect_exact refuses it
+    # a non-character matrix above the cap takes the modular route: Petrescu
+    # at q = 1/61, of order 366, gets the SVD's defect as a proved bound
     p = petrescu(PhaseEntry.turns(Fraction(1, 61)))
-    assert p.phases.order > 60
-    assert isolation_certificate(p).report.breakdown["route"] == "float"
-    with pytest.raises(InvalidInputError, match="order <= 60"):
-        defect_exact(p)
+    assert p.phases.order == 366
+    cert = isolation_certificate(p)
+    assert cert.report.method == "direct-modp"
+    assert cert.defect == defect(p).defect == 15
+    assert cert.report.breakdown["route"] == "bound"
+
+
+# Petrescu at q = 1/(2^25 + 1) is exact, of order 67108866, and no character
+# matrix; the first prime p = 1 (mod l) is past the exact elimination's range
+PAST_THE_SPLIT_PRIMES = Fraction(1, 2 ** 25 + 1)
 
 
 def test_exact_refusal_names_the_order():
-    # Petrescu at q = 1/61 is exact, of order 366, but no character matrix
-    p = petrescu(PhaseEntry.turns(Fraction(1, 61)))
+    p = petrescu(PhaseEntry.turns(PAST_THE_SPLIT_PRIMES))
     with pytest.raises(InvalidInputError,
-                       match="order 366 and is not a character matrix"):
+                       match="order 67108866 and is not a character matrix; "
+                             r"no split prime p = 1 \(mod 67108866\)"):
         defect_exact(p)
 
 
 def test_float_route_records_the_stored_order():
-    # Petrescu at q = 1/61 is stored exactly at order 366 but takes the SVD;
-    # the certificate still names the order, and the probe reads it there
-    p = petrescu(PhaseEntry.turns(Fraction(1, 61)))
+    # with no split prime the exact matrix takes the SVD; the certificate
+    # still names the order, and the probe reads it there
+    p = petrescu(PhaseEntry.turns(PAST_THE_SPLIT_PRIMES))
     cert = isolation_certificate(p)
-    assert cert.report.breakdown == {"butson_order": 366, "route": "float"}
+    assert not cert.exact and cert.report.method == "direct"
+    assert cert.report.breakdown == {"butson_order": 67108866, "route": "float"}
     probe = weak_isolation_probe(p)
-    assert probe.butson_order == 366 and not probe.counterexample_candidate
+    assert probe.butson_order == 67108866 and not probe.counterexample_candidate
 
 
 def test_float_route_breakdown():

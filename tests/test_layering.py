@@ -2,8 +2,7 @@
 
 Modules form one order; each imports at module level only hadlab modules
 earlier in it.  The arithmetic layers stand alone: ``cyclotomic`` and
-``phases`` import no hadlab code but ``errors``; ``cyclotomic`` reads one
-constant of ``phases``, ``BUTSON_ORDER_CAP``.  ``matrix`` does not import
+``phases`` import no hadlab code but ``errors``.  ``matrix`` does not import
 ``cyclotomic``, so a command that only builds or verifies matrices never
 loads it.  The analysis modules each CLI command names follow the order.
 ``import hadlab`` loads no submodule: the first public name read binds
@@ -67,20 +66,9 @@ def _hadlab_imports(path: Path) -> set:
     return set().union(*_scoped_imports(path).values())
 
 
-def _names_from(path: Path, module: str) -> set:
-    """The names a source file imports from one hadlab module."""
-    return {a.name for node in ast.walk(ast.parse(path.read_text(), str(path)))
-            if isinstance(node, ast.ImportFrom) and node.level == 1
-            and node.module == module for a in node.names}
-
-
 @pytest.mark.parametrize("module", ["cyclotomic", "phases"])
 def test_arithmetic_layers_import_only_errors(module):
-    imports = _hadlab_imports(SRC / f"{module}.py")
-    assert imports <= {"errors", "phases"} - {module}
-    if "phases" in imports:
-        # a constant, not phase arithmetic
-        assert _names_from(SRC / f"{module}.py", "phases") == {"BUTSON_ORDER_CAP"}
+    assert _hadlab_imports(SRC / f"{module}.py") <= {"errors"}
 
 
 def test_matrix_does_not_import_cyclotomic():
@@ -200,7 +188,7 @@ assert hadlab.__version__ and set(sys.modules) - before == {"hadlab"}
 # a submodule loads with what it imports, and no more
 assert hadlab.cyclotomic.__name__ == "hadlab.cyclotomic"
 assert sorted(m for m in sys.modules if m.startswith("hadlab")) == [
-    "hadlab", "hadlab.cyclotomic", "hadlab.errors", "hadlab.phases"]
+    "hadlab", "hadlab.cyclotomic", "hadlab.errors"]
 import hadlab.regularity   # loads hadlab.defect, the module
 from hadlab import defect
 assert callable(defect) and hadlab.defect is defect is hadlab.regularity.defect

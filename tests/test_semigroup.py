@@ -535,7 +535,7 @@ def exact_moment_cases(draw):
 @example((truncated_fourier([(0, 0), (1, 2)], [2, 3]), 2))
 @example((mw_construct(MWSpec(q=5, s=(1, 3), t=(0, 2), base=fourier_cyclic(2))), 2))
 def test_character_blocks_match_full_eigensolve(case):
-    # with no size floor every exact grid of order <= 60 is searched, so
+    # with no size floor every exact M x N grid of order <= M*N is searched, so
     # each Z_p x Z_r split, and each stabiliser mask, meets the oracle;
     # on the F_2 x F_3 rows, a mask blind to sigma loses eigenvalues
     h, p = case
@@ -584,7 +584,8 @@ def test_symmetry_order_of_the_benchmark_moments():
     for n, p, r in ((5, 4, 5), (4, 4, 1), (3, 5, 1)):
         rep = moment(fourier_cyclic(n), p)
         assert (rep.value, rep.symmetry_order) == (n ** (p - 1), r)
-    # an order above BUTSON_ORDER_CAP is not searched
+    # an order above M*N is not searched: F6 with a phase of order 61 has
+    # order 366 > 36
     h = apply_equivalence(fourier_cyclic(6), [0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 5],
                           [PhaseEntry.one()] * 6,
                           [PhaseEntry.butson(1, 61)] + [PhaseEntry.one()] * 5)
