@@ -65,7 +65,7 @@ import numpy as np
 from .errors import InvalidInputError, SearchBudgetExceeded, integer, is_integer
 
 # Proofs of a defect above M+N-1 use at most this many reductions; past it
-# the defect is reported as the upper bound from two primes.
+# the defect is reported as the upper bound from one prime.
 PROOF_CAP = 16
 _PRIME_FLOOR = 1 << 20      # every prime used exceeds this
 _EXACT = float(1 << 52)     # magnitudes kept below this stay exact in float64
@@ -690,8 +690,10 @@ def exact_defect_butson(exponents: Sequence[Sequence[int]], l: int) -> ButsonDef
 
     The first reduction that reaches the largest possible rank proves the
     defect.  Otherwise, when the Hadamard bound closes within PROOF_CAP
-    reductions, reductions continue until it does; when it cannot, two
-    reductions give an upper bound and ``exact`` is False.
+    reductions, reductions continue until it does; when it cannot, the
+    reductions so far give an upper bound and ``exact`` is False.  Each rank
+    is a lower bound on the true rank, so a further prime could only raise
+    the bound's rank when an earlier one was unlucky.
     """
     l = integer(l, "l", 1)
     if not split_primes(l):
@@ -731,9 +733,8 @@ def exact_defect_butson(exponents: Sequence[Sequence[int]], l: int) -> ButsonDef
             return result(rank, True, 0)
         needed = _reductions_needed(l, phi, n, rank)
         if needed > PROOF_CAP:
-            if len(primes) >= 2:
-                break
-        elif (len(primes) >= needed
+            break
+        if (len(primes) >= needed
               and math.prod(primes) ** 2 > (2 * n) ** (phi * (rank + 1))):
             return result(rank, True, needed)
     return result(max(ranks), False, needed)

@@ -200,7 +200,7 @@ def defect_exact(h: PHMatrix) -> DefectReport:
     if not rep.exact:
         raise InvalidInputError(
             f"exact defect needs {rep.breakdown['reductions_needed']} "
-            f"reductions, over the cap of {PROOF_CAP}; two primes bound it "
+            f"reductions, over the cap of {PROOF_CAP}; one prime bounds it "
             f"by {rep.defect}")
     return rep
 
@@ -447,11 +447,10 @@ def defect_master(spec: MasterSpec, tol: float = 1e-9,
     nsz = spec.m
     h = master_matrix(spec)
     ensure_verified(h, tol)
-    turns = [float(x) for x in spec.angle_turns()]
-    for i in range(nsz):
-        for j in range(i + 1, nsz):
-            if abs(turns[i] - turns[j]) < 1e-12:
-                raise InvalidInputError("eigenphases must be pairwise distinct")
+    turns = np.array([float(x) for x in spec.angle_turns()])
+    iu, ju = np.triu_indices(nsz, 1)
+    if (np.abs(turns[iu] - turns[ju]) < 1e-12).any():
+        raise InvalidInputError("eigenphases must be pairwise distinct")
     rr = numerical_rank(master_system(spec), tol)
     d = 2 * nsz * nsz - rr.rank
 

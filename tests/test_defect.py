@@ -17,7 +17,9 @@ from hadlab import (ConsistencyError, DitaParams, InvalidInputError, MWSpec,
                     real_truncation_defect_formula, tensor_product,
                     truncated_fourier, truncation_probe, unitary_completion,
                     weak_isolation_probe)
-from hadlab.cyclotomic import PROOF_CAP, _prime_factors, exact_defect_butson
+from hadlab.cyclotomic import (PROOF_CAP, _block_layout, _prime_factors,
+                               _tangent_blocks, exact_defect_butson,
+                               rank_mod_p, split_primes)
 from hadlab.defect import (_character_count, extension_system, master_system,
                            real_rows, tangent_system)
 from conftest import TRUNCATED_CASES, first_rows, walsh
@@ -300,6 +302,17 @@ def test_modular_defect_bounds_the_svd_defect(h):
         assert res.defect >= svd.defect
     if res.exact:
         assert res.defect == svd.defect
+    else:
+        # a bound ranks one prime; the whole system at the next split prime
+        # has the same rank, so that reduction would not move the bound
+        assert len(res.primes) == 1
+        table = detect_butson(h)
+        e, l = np.asarray(table.exp, dtype=np.int64) % table.order, table.order
+        p2, w2 = split_primes(l)[1]
+        m, n = e.shape
+        blocks = _tangent_blocks(e, l, p2, w2, 1,
+                                 _block_layout(np.arange(m), np.arange(n), 1))
+        assert rank_mod_p(blocks, p2) == [res.ranks[0]]
 
 
 def test_criterion_three_certificates_are_exact():
@@ -354,7 +367,7 @@ def test_modular_and_float_routes_agree():
                                           else "direct-modp"), name
             assert cert.report.breakdown["route"] == res.route, name
         if res.route == "bound":
-            assert len(res.primes) == 2 and res.needed > PROOF_CAP, name
+            assert len(res.primes) == 1 and res.needed > PROOF_CAP, name
 
 
 # groups whose random row subsets, permuted, rephased and with repeated
