@@ -38,6 +38,9 @@ OK = 0
 PROPERTY_FAILS = 1
 BAD_INPUT = 2
 AMBIGUOUS = 3
+# the exit code of an isolation certificate's status
+STATUS_CODE = {"isolated": OK, "undetermined": PROPERTY_FAILS,
+               "ambiguous": AMBIGUOUS}
 
 
 class Outcome(NamedTuple):
@@ -292,11 +295,9 @@ def _certificate_data(cert) -> dict:
 
 def _isolated(args, h: PHMatrix, m) -> Outcome:
     cert = m.defect.isolation_certificate(h, args.tol, args.confidence)
-    code = {"isolated": OK, "undetermined": PROPERTY_FAILS,
-            "ambiguous": AMBIGUOUS}[cert.status]
     data = {**_certificate_data(cert),
             "certified_isolated": cert.certified_isolated}
-    return Outcome(code, data, str(cert), data)
+    return Outcome(STATUS_CODE[cert.status], data, str(cert), data)
 
 
 def _regularity(args, h: PHMatrix, m) -> Outcome:
@@ -388,8 +389,7 @@ def _probe_arithmetic(args, _, m) -> Outcome:
              f"{rep.bound} -> {rep.status}")
     if rep.pattern_notes:
         human += "\n" + "\n".join("note: " + s for s in rep.pattern_notes)
-    return Outcome(OK if rep.certified_isolated else PROPERTY_FAILS, data,
-                   human, data)
+    return Outcome(STATUS_CODE[rep.status], data, human, data)
 
 
 # -- the command table -------------------------------------------------------------

@@ -212,9 +212,11 @@ def unitary_completion(h: PHMatrix, seed: Optional[int] = None) -> np.ndarray:
 
     The missing rows span the orthogonal complement of the row space; with a
     seed they are mixed by a random unitary, giving a different but equally
-    valid completion.
+    valid completion.  A verification the caller already made stands; the
+    unitarity residual below guards the completion itself.
     """
-    ensure_verified(h)
+    if not h.verified:
+        ensure_verified(h)
     z = h.to_array() / math.sqrt(h.n)
     if h.m == h.n:
         return h.to_array().copy()
@@ -452,16 +454,14 @@ def defect_master(spec: MasterSpec, tol: float = 1e-9,
     if (np.abs(turns[iu] - turns[ju]) < 1e-12).any():
         raise InvalidInputError("eigenphases must be pairwise distinct")
     rr = numerical_rank(master_system(spec), tol)
-    d = 2 * nsz * nsz - rr.rank
-
     direct = defect(h, tol, confidence)
-    ambiguous = rr.gap_ratio < confidence
-    if d != direct.defect and not ambiguous and not direct.ambiguous:
+    rep = _report("master", (nsz, nsz), 2 * nsz * nsz, rr, tol, confidence,
+                  breakdown={"direct_defect": direct.defect})
+    if rep.defect != direct.defect and not rep.ambiguous and not direct.ambiguous:
         raise ConsistencyError(
-            f"eigenphase/exponent defect {d} disagrees with direct defect "
-            f"{direct.defect}")
-    return _report("master", (nsz, nsz), 2 * nsz * nsz, rr, tol, confidence,
-                   breakdown={"direct_defect": direct.defect})
+            f"eigenphase/exponent defect {rep.defect} disagrees with direct "
+            f"defect {direct.defect}")
+    return rep
 
 
 # -- closed forms and certificates --------------------------------------------
@@ -537,15 +537,14 @@ def isolation_certificate(h: PHMatrix, tol: float = 1e-9,
         rep = replace(defect(h, tol, confidence),
                       breakdown={"butson_order": h.common_butson_order(),
                                  "route": "float"})
-    bound = h.m + h.n - 1
     if rep.ambiguous:
         status = "ambiguous"
-    elif rep.defect == bound:
+    elif rep.defect == rep.bound:
         status = "isolated"
     else:
         status = "undetermined"
     return IsolationCertificate(
-        shape=(h.m, h.n), defect=rep.defect, bound=bound,
+        shape=(h.m, h.n), defect=rep.defect, bound=rep.bound,
         certified_isolated=(status == "isolated"), status=status,
         exact=rep.exact, report=rep)
 

@@ -16,11 +16,9 @@ import math
 from fractions import Fraction
 from typing import Optional, Union
 
-import numpy as np
-
 from .errors import InvalidInputError, MatrixFormatError, is_integer
 from .matrix import PHMatrix
-from .phases import ExactPhases, PhaseEntry
+from .phases import ExactPhases, PhaseEntry, phase_array
 
 FORMAT_NAME = "phm-v1"
 MODULUS_TOL = 1e-6
@@ -69,6 +67,32 @@ def _positive_int(doc: dict, key: str) -> int:
     return v
 
 
+def _turn_entry(e, i: int, j: int) -> PhaseEntry:
+    try:
+        return turn_from_json(e)
+    except InvalidInputError as exc:
+        raise MatrixFormatError(f"turn entry at ({i},{j}): {exc}") from exc
+
+
+def _cartesian_entry(e, i: int, j: int) -> PhaseEntry:
+    """An [re, im] pair of JSON numbers in float range, within MODULUS_TOL
+    of the unit circle (PhaseEntry.cartesian's rule)."""
+    if not (isinstance(e, list) and len(e) == 2
+            and all(is_integer(x) or isinstance(x, float) for x in e)):
+        raise MatrixFormatError(f"cartesian entry at ({i},{j}) must be [re, im]")
+    try:
+        z = complex(float(e[0]), float(e[1]))
+    except OverflowError as exc:
+        raise MatrixFormatError(
+            f"cartesian entry at ({i},{j}) is beyond float range") from exc
+    try:
+        return PhaseEntry.cartesian(z, tol=MODULUS_TOL)
+    except InvalidInputError as exc:
+        raise MatrixFormatError(
+            f"entry at ({i},{j}) has modulus {abs(z):.9f}, off the "
+            f"unit circle by more than {MODULUS_TOL}") from exc
+
+
 def from_document(doc: dict) -> PHMatrix:
     if not isinstance(doc, dict):
         raise MatrixFormatError("document must be a JSON object")
@@ -96,38 +120,12 @@ def from_document(doc: dict) -> PHMatrix:
             # numpy reads equal-length lists in every entry as a third axis
             raise MatrixFormatError("butson exponents must be integers, not lists")
         return PHMatrix.from_phases(table, label=label)
-    if rep == "turns":
-        rows = []
-        for i, r in enumerate(entries):
-            row = []
-            for j, e in enumerate(r):
-                try:
-                    row.append(turn_from_json(e))
-                except InvalidInputError as exc:
-                    raise MatrixFormatError(f"turn entry at ({i},{j}): {exc}") from exc
-            rows.append(row)
-        return PHMatrix(rows, label=label)
-    if rep == "cartesian":
-        values = []
-        for i, r in enumerate(entries):
-            for j, e in enumerate(r):
-                if not (isinstance(e, list) and len(e) == 2
-                        and all(is_integer(x) or isinstance(x, float) for x in e)):
-                    raise MatrixFormatError(
-                        f"cartesian entry at ({i},{j}) must be [re, im]")
-                try:
-                    z = complex(float(e[0]), float(e[1]))
-                except OverflowError as exc:
-                    raise MatrixFormatError(
-                        f"cartesian entry at ({i},{j}) is beyond float range") from exc
-                # written so that a NaN part fails it too
-                if not abs(abs(z) - 1.0) <= MODULUS_TOL:
-                    raise MatrixFormatError(
-                        f"entry at ({i},{j}) has modulus {abs(z):.9f}, off the "
-                        f"unit circle by more than {MODULUS_TOL}")
-                values.append(z)
-        return PHMatrix.from_phases(np.array(values).reshape(m, n), label=label)
-    raise MatrixFormatError(f"unknown representation {rep!r}")
+    read = {"turns": _turn_entry, "cartesian": _cartesian_entry}.get(rep)
+    if read is None:
+        raise MatrixFormatError(f"unknown representation {rep!r}")
+    phases = [read(e, i, j)
+              for i, r in enumerate(entries) for j, e in enumerate(r)]
+    return PHMatrix.from_phases(phase_array(phases, (m, n)), label=label)
 
 
 def dumps_phm(h: PHMatrix, label: Optional[str] = None) -> str:

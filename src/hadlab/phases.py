@@ -74,8 +74,11 @@ class PhaseEntry:
 
     @classmethod
     def cartesian(cls, z: complex, tol: float = 1e-9) -> "PhaseEntry":
+        """z, when its modulus is within tol of 1: the one unit-circle rule
+        for values from code and from files alike."""
         z = complex(z)
-        if abs(abs(z) - 1.0) > tol:
+        # written so that a NaN part fails it too
+        if not abs(abs(z) - 1.0) <= tol:
             raise InvalidInputError(
                 f"cartesian phase must have unit modulus within {tol}, got |z|={abs(z)}")
         return cls("cartesian", z=z)

@@ -436,7 +436,6 @@ def equivalence_profile(h: PHMatrix, tol: float = 1e-9,
     (r, c), and D is that one dephased at (0, 0), so each holds the roots
     of unity of the other's order.
     """
-    ensure_verified(h, tol)
     rep = defect(h, tol=tol)
     labels = tuple(sorted(cycle_structure_profile(h, tol=cycle_tol, budget=budget).values()))
     table = detect_butson(dephase(h)[0])

@@ -493,6 +493,20 @@ def test_parsing_loads_no_analysis_module(argv, code):
                              "hadlab.catalog"}
 
 
+def test_extension_route_keeps_the_callers_tolerance(tmp_path):
+    """A matrix that passes verification at --tol is not verified again at
+    the default tolerance when it is completed."""
+    rng = np.random.default_rng(0)
+    z = fourier_cyclic(6).to_array() * np.exp(1j * 1e-8 * rng.standard_normal((6, 6)))
+    path = tmp_path / "f6-perturbed.json"
+    save_phm(PHMatrix.from_phases(z), str(path))
+    code, direct = run_json(["defect", str(path), "--tol", "1e-6"])
+    assert code == 0 and direct["data"]["defect"] == 15
+    code, body = run_json(["defect", str(path), "--method", "extension",
+                           "--tol", "1e-6"])
+    assert code == 0 and body["data"]["defect"] == direct["data"]["defect"]
+
+
 def test_defect_ambiguous_exit_code(f6_file):
     code, text = run_command(["defect", f6_file, "--confidence", "1e20"])
     assert code == 3
@@ -641,6 +655,20 @@ def test_probe_arithmetic():
     assert text.splitlines()[1:] == [
         "note: s is not a run of consecutive odd residues",
         "note: t is not a run of consecutive even residues"]
+
+
+def test_probe_arithmetic_ambiguous_exit_code(monkeypatch):
+    """An ambiguous Gauss-sum certificate exits 3, as `isolated` does."""
+    mw = importlib.import_module("hadlab.mcnulty_weigert")
+
+    def ambiguous(spec, tol):
+        return mw.ArithmeticProbeReport(shape=(2, 10), defect=11, bound=11,
+                                        certified_isolated=False,
+                                        status="ambiguous", pattern_notes=())
+    monkeypatch.setattr(mw, "arithmetic_isolation_probe", ambiguous)
+    code, body = run_json(["probe", "arithmetic", "--q", "5",
+                           "--s", "1,3", "--t", "0,2"])
+    assert code == 3 and body["data"]["status"] == "ambiguous"
 
 
 def test_python_dash_m_runs_the_command_line(monkeypatch, capsys):

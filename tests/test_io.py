@@ -139,6 +139,11 @@ def test_turn_and_cartesian_entry_errors_carry_coordinates():
         from_document(dict(base, representation="cartesian",
                            entries=[[[10 ** 400, 0], [1.0, 0.0]]]))
     # a NaN read from the file itself, as Python's json module allows
+    with pytest.raises(MatrixFormatError) as err:
+        from_document(dict(base, representation="cartesian",
+                           entries=[[[1.0, 0.0], [0.0, math.nan]]]))
+    assert str(err.value) == ("entry at (0,1) has modulus nan, off the unit "
+                              "circle by more than 1e-06")
     with pytest.raises(MatrixFormatError, match="modulus nan"):
         loads_phm('{"format": "phm-v1", "rows": 1, "cols": 2, '
                   '"representation": "cartesian", "entries": [[[NaN, 0], [1, 0]]]}')

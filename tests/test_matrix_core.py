@@ -26,6 +26,11 @@ def test_construction_coerces_and_validates():
         PHMatrix([[2.0]])
 
 
+def test_construction_refuses_a_nan_entry():
+    with pytest.raises(InvalidInputError, match="unit modulus"):
+        PHMatrix([[1, complex("nan")], [1, -1]])
+
+
 def test_to_array_cached_and_readonly():
     h = fourier_cyclic(3)
     z = h.to_array()

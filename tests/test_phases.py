@@ -46,6 +46,12 @@ def test_cartesian_rejects_off_circle():
     assert close(p.value, cmath.exp(0.7j))
 
 
+def test_cartesian_refuses_a_nan_part():
+    for z in (complex("nan"), complex(float("nan"), 1.0)):
+        with pytest.raises(InvalidInputError, match="unit modulus"):
+            PhaseEntry.cartesian(z)
+
+
 def test_one_is_exact_unity():
     assert PhaseEntry.one().value == 1.0
     assert PhaseEntry.one().exact_turn() == 0
