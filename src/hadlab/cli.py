@@ -27,8 +27,9 @@ import numpy as np
 
 from . import __version__, _submodule
 from .catalog import CatalogRecord, append_record, catalog_path, content_hash
-from .errors import (DEFAULT_BUDGET, DEFAULT_CONFIDENCE, ConsistencyError,
-                     InvalidInputError, SearchBudgetExceeded)
+from .errors import (DEFAULT_BUDGET, DEFAULT_CONFIDENCE, DEFAULT_CYCLE_TOL,
+                     DEFAULT_TOL, ConsistencyError, InvalidInputError,
+                     SearchBudgetExceeded, tolerance)
 from .io import (dumps_phm, loads_phm, number_from_json, to_document,
                  turn_from_json)
 from .matrix import PHMatrix, verify_partial_hadamard
@@ -107,16 +108,13 @@ def _rows(text: str) -> list:
 
 
 def _finite_positive(text: str) -> float:
-    """argparse type of --tol, --cycle-tol and --confidence: a finite float
-    above 0."""
+    """argparse type of --tol, --cycle-tol and --confidence: the float of
+    the text, when it passes errors.tolerance."""
     try:
-        x = float(text)
-    except ValueError:
-        x = math.nan
-    if not (math.isfinite(x) and x > 0):
+        return tolerance(float(text), "option")
+    except ValueError:          # InvalidInputError is one
         raise argparse.ArgumentTypeError(
-            f"expected a finite number > 0, got {text!r}")
-    return x
+            f"expected a finite number > 0, got {text!r}") from None
 
 
 def _budget(text: str) -> int:
@@ -399,12 +397,12 @@ def _arg(*flags, **kwargs) -> tuple:
 
 
 FILE = (_arg("file"),)
-TOL = (_arg("--tol", type=_finite_positive, default=1e-9),)
+TOL = (_arg("--tol", type=_finite_positive, default=DEFAULT_TOL),)
 CONFIDENCE = (_arg("--confidence", type=_finite_positive,
                    default=DEFAULT_CONFIDENCE,
                    help="minimum spectral gap ratio for a confident "
                         "rank decision"),)
-CYCLE_TOL = (_arg("--cycle-tol", type=_finite_positive, default=1e-8),)
+CYCLE_TOL = (_arg("--cycle-tol", type=_finite_positive, default=DEFAULT_CYCLE_TOL),)
 BUDGET = (_arg("--budget", type=_budget, default=DEFAULT_BUDGET,
                help="search nodes (calls + completion attempts) per search; "
                     "exact input has one search per distinct term multiset"),)

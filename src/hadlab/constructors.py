@@ -281,7 +281,7 @@ def master_dita(n_outer: int, m_inner: int, k: int,
     grid = [[_turn(i * (m * p[b] + b)) for b in range(m)] for i in range(n)]
     dita = dita_deformation(DitaParams(fourier_cyclic(n), fourier_cyclic(m),
                                        tuple(tuple(row) for row in grid)))
-    ensure_verified(dita, 1e-9)
+    ensure_verified(dita)
 
     lam = [PhaseEntry.turns((Fraction(i, base) + Fraction(a, m)) % 1)
            for i in range(n) for a in range(m)]

@@ -33,8 +33,8 @@ from .constructors import (MasterSpec, group_elements, master_matrix,
                            _check_orders)
 from .cyclotomic import (PROOF_CAP, _dephased, _distinct_rows, _prime_factors,
                          exact_defect_butson, split_primes)
-from .errors import (DEFAULT_CONFIDENCE, ConsistencyError, InvalidInputError,
-                     integer)
+from .errors import (DEFAULT_CONFIDENCE, DEFAULT_TOL, ConsistencyError,
+                     InvalidInputError, integer, tolerance)
 from .matrix import PHMatrix, detect_butson, ensure_verified
 from .phases import BUTSON_ORDER_CAP, ExactPhases
 
@@ -47,13 +47,14 @@ class RankResult:
     gap_ratio: float
 
 
-def numerical_rank(mat: np.ndarray, tol: float = 1e-9) -> RankResult:
+def numerical_rank(mat: np.ndarray, tol: float = DEFAULT_TOL) -> RankResult:
     """SVD rank with the spectral-gap diagnostic.
 
     Threshold is tol * sigma_max * max(shape).  gap_ratio compares the
     smallest kept singular value to the largest dropped one; +inf when
     nothing was dropped (or everything was), which counts as confident.
     """
+    tol = tolerance(tol, "tol")
     if mat.size == 0 or mat.shape[0] == 0:
         return RankResult(0, None, None, math.inf)
     s = np.linalg.svd(mat, compute_uv=False)
@@ -140,9 +141,10 @@ def _report(method: str, h_shape: Tuple[int, int], unknowns: int, rr: RankResult
     return rep
 
 
-def defect(h: PHMatrix, tol: float = 1e-9,
+def defect(h: PHMatrix, tol: float = DEFAULT_TOL,
            confidence: float = DEFAULT_CONFIDENCE) -> DefectReport:
     """Defect from the direct tangent system."""
+    tol, confidence = tolerance(tol, "tol"), tolerance(confidence, "confidence")
     ensure_verified(h, tol)
     if h.m == 1:
         rr = RankResult(0, None, None, math.inf)
@@ -212,8 +214,10 @@ def unitary_completion(h: PHMatrix, seed: Optional[int] = None) -> np.ndarray:
 
     The missing rows span the orthogonal complement of the row space; with a
     seed they are mixed by a random unitary, giving a different but equally
-    valid completion.  A verification the caller already made stands; the
-    unitarity residual below guards the completion itself.
+    valid completion.  A verification the caller already made stands, at
+    the caller's tolerance, for the first M rows.  Only rounding moves the
+    N - M rows added, so they alone are checked, K[M:] K* against
+    N [0 I], within DEFAULT_TOL * N.
     """
     if not h.verified:
         ensure_verified(h)
@@ -230,8 +234,10 @@ def unitary_completion(h: PHMatrix, seed: Optional[int] = None) -> np.ndarray:
         q = q * (np.diag(r) / np.abs(np.diag(r)))
         comp = q @ comp
     k = np.vstack([z, comp]) * math.sqrt(h.n)
-    resid = np.max(np.abs(k @ np.conj(k.T) - h.n * np.eye(h.n)))
-    if resid > 1e-8 * h.n:
+    gram = k[h.m:] @ np.conj(k.T)
+    gram[:, h.m:] -= h.n * np.eye(h.n - h.m)
+    resid = np.max(np.abs(gram))
+    if resid > DEFAULT_TOL * h.n:
         raise ConsistencyError(f"completion failed, unitarity residual {resid:.3g}")
     return k
 
@@ -266,10 +272,11 @@ def extension_system(h: PHMatrix, k: np.ndarray) -> np.ndarray:
     return rows
 
 
-def defect_via_extension(h: PHMatrix, tol: float = 1e-9,
+def defect_via_extension(h: PHMatrix, tol: float = DEFAULT_TOL,
                          confidence: float = DEFAULT_CONFIDENCE,
                          seed: Optional[int] = None) -> DefectReport:
     """Defect from the completion route; agrees with the direct system."""
+    tol, confidence = tolerance(tol, "tol"), tolerance(confidence, "confidence")
     ensure_verified(h, tol)
     k = unitary_completion(h, seed=seed)
     sys = extension_system(h, k)
@@ -368,7 +375,7 @@ def _character_report(h: PHMatrix, table: ExactPhases) -> Optional[DefectReport]
 
 
 def defect_split_truncated_fourier(rows: Sequence, orders: Sequence[int],
-                                   tol: float = 1e-9,
+                                   tol: float = DEFAULT_TOL,
                                    confidence: float = DEFAULT_CONFIDENCE) -> DefectReport:
     """Exact defect of a row truncation S of a group Fourier matrix, by
     counting, cross-checked against the direct tangent system.
@@ -382,6 +389,7 @@ def defect_split_truncated_fourier(rows: Sequence, orders: Sequence[int],
     fourier_defect_formula.  tol and confidence feed only the direct guard,
     which raises ConsistencyError when it confidently disagrees.
     """
+    tol, confidence = tolerance(tol, "tol"), tolerance(confidence, "confidence")
     orders = _check_orders(orders)
     subset = normalize_row_subset(rows, orders)
     h = truncated_fourier(subset, orders)
@@ -433,7 +441,7 @@ def master_system(spec: MasterSpec) -> np.ndarray:
     return np.stack([re, im], axis=1).reshape(2 * len(re), 2 * n * n)
 
 
-def defect_master(spec: MasterSpec, tol: float = 1e-9,
+def defect_master(spec: MasterSpec, tol: float = DEFAULT_TOL,
                   confidence: float = DEFAULT_CONFIDENCE) -> DefectReport:
     """Defect straight from an eigenphase/exponent table.
 
@@ -443,6 +451,7 @@ def defect_master(spec: MasterSpec, tol: float = 1e-9,
     systems (master_system).  Cross-checked against the direct tangent
     system of the materialized matrix.
     """
+    tol, confidence = tolerance(tol, "tol"), tolerance(confidence, "confidence")
     if spec.m != spec.n:
         raise InvalidInputError(
             "eigenphase/exponent defect needs a square table")
@@ -486,7 +495,8 @@ def cyclic_defect_closed_form(n: int) -> int:
     return total
 
 
-def count_one_entries(h: PHMatrix, tol: float = 1e-9) -> int:
+def count_one_entries(h: PHMatrix, tol: float = DEFAULT_TOL) -> int:
+    tol = tolerance(tol, "tol")
     p = h.phases
     if isinstance(p, ExactPhases):
         return int(np.count_nonzero(p.exp == 0))
@@ -516,7 +526,7 @@ class IsolationCertificate:
                 + (" (exact)" if self.exact else ""))
 
 
-def isolation_certificate(h: PHMatrix, tol: float = 1e-9,
+def isolation_certificate(h: PHMatrix, tol: float = DEFAULT_TOL,
                           confidence: float = DEFAULT_CONFIDENCE) -> IsolationCertificate:
     """Decide whether the defect certificate proves isolation.
 
@@ -531,6 +541,7 @@ def isolation_certificate(h: PHMatrix, tol: float = 1e-9,
     carries their upper bound with ``exact`` False.  Other input takes the
     floating SVD.
     """
+    tol, confidence = tolerance(tol, "tol"), tolerance(confidence, "confidence")
     ensure_verified(h, tol)
     rep = _butson_report(h)
     if rep is None:
@@ -550,9 +561,10 @@ def isolation_certificate(h: PHMatrix, tol: float = 1e-9,
 
 
 def truncation_probe(n: int, sizes: Optional[Sequence[int]] = None,
-                     tol: float = 1e-9,
+                     tol: float = DEFAULT_TOL,
                      confidence: float = DEFAULT_CONFIDENCE) -> list:
     """Isolation certificates for initial-interval truncations of F_n."""
+    tol, confidence = tolerance(tol, "tol"), tolerance(confidence, "confidence")
     n = integer(n, "n", 2)
     if sizes is None:
         sizes = range(2, n + 1)

@@ -1,9 +1,16 @@
 """Error types shared across the package, the defaults that decide when
-an answer is too ambiguous to call, and the one rule for what counts as an
-integer."""
+an answer is too ambiguous to call, and the one rule each for what counts
+as an integer and as a tolerance."""
+
+import math
+import numbers
 
 import numpy as np
 
+# Tolerance of verification, numerical rank and phase modulus.
+DEFAULT_TOL = 1e-9
+# Tolerance of grid classes, cycle matching and moment counts.
+DEFAULT_CYCLE_TOL = 1e-8
 # Least spectral gap ratio of a confident numerical rank decision (defect);
 # a smaller gap makes the answer ambiguous.
 DEFAULT_CONFIDENCE = 1e6
@@ -54,3 +61,19 @@ def integer(x, what: str, least=None, below=None) -> int:
     bound = (f" in [{least}, {below})" if below is not None
              else "" if least is None else f" >= {least}")
     raise InvalidInputError(f"{what} must be an integer{bound}, got {x!r}")
+
+
+def tolerance(x, what: str) -> float:
+    """x as a float, when it is a real number (not a boolean) that is
+    finite and above 0: the one door for tolerances and confidences.
+    Otherwise InvalidInputError, worded "{what} must be a finite number
+    > 0, got {x!r}"."""
+    # float first: the ABC check alone costs ~0.5 us, once per file entry
+    if isinstance(x, (float, numbers.Real)) and not isinstance(x, bool):
+        try:
+            value = float(x)
+        except OverflowError:       # an int or Fraction past the float range
+            value = math.inf
+        if math.isfinite(value) and value > 0:
+            return value
+    raise InvalidInputError(f"{what} must be a finite number > 0, got {x!r}")

@@ -17,14 +17,14 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import InvalidInputError, integer
+from .errors import DEFAULT_TOL, InvalidInputError, integer, tolerance
 from .phases import (BUTSON_ORDER_CAP, ExactPhases, PhaseArray, PhaseEntry,
                      multiply, phase_array, phase_entries, phase_values)
 
 PhaseLike = Union[PhaseEntry, complex, float, int, Fraction]
 
 
-def as_phase(v: PhaseLike, tol: float = 1e-9) -> PhaseEntry:
+def as_phase(v: PhaseLike, tol: float = DEFAULT_TOL) -> PhaseEntry:
     """Coerce a scalar to a PhaseEntry.
 
     Fractions are read as exact turns; other numbers as cartesian values.
@@ -136,12 +136,13 @@ class VerificationReport:
     tolerance: float
 
 
-def verify_partial_hadamard(h: PHMatrix, tol: float = 1e-9) -> VerificationReport:
+def verify_partial_hadamard(h: PHMatrix, tol: float = DEFAULT_TOL) -> VerificationReport:
     """Check unit moduli and pairwise row orthogonality.
 
     Inner-product residuals are compared against tol*N (inner products scale
     with the row length), modulus residuals against tol directly.
     """
+    tol = tolerance(tol, "tol")
     z = h.to_array()
     mod_res = float(np.max(np.abs(np.abs(z) - 1.0)))
     # Z Z* must equal N I: the residual covers the diagonal and the off-diagonal
@@ -155,8 +156,9 @@ def verify_partial_hadamard(h: PHMatrix, tol: float = 1e-9) -> VerificationRepor
     return VerificationReport(ok, inner_res, mod_res, tol)
 
 
-def ensure_verified(h: PHMatrix, tol: float = 1e-9) -> None:
+def ensure_verified(h: PHMatrix, tol: float = DEFAULT_TOL) -> None:
     """Establish the partial-Hadamard property or raise InvalidInputError."""
+    tol = tolerance(tol, "tol")      # before the cache: no tolerance passes unread
     if h._verified_tol is not None and h._verified_tol <= tol:
         return
     rep = verify_partial_hadamard(h, tol)
@@ -211,8 +213,8 @@ def detect_butson(h: PHMatrix) -> Optional[ExactPhases]:
     entry, or None.
 
     An exact matrix answers with its stored table, whatever its order; the
-    entries of a complex matrix are matched within 1e-9 against the values
-    of l-th roots (ExactPhases.values) for l <= BUTSON_ORDER_CAP.
+    entries of a complex matrix are matched within DEFAULT_TOL against the
+    values of l-th roots (ExactPhases.values) for l <= BUTSON_ORDER_CAP.
     """
     p = h.phases
     if isinstance(p, ExactPhases):
@@ -221,7 +223,7 @@ def detect_butson(h: PHMatrix) -> Optional[ExactPhases]:
     turns = (np.angle(z) / (2.0 * math.pi)) % 1.0
     for l in range(1, BUTSON_ORDER_CAP + 1):
         table = ExactPhases(np.rint(turns * l).astype(int) % l, l)
-        if np.max(np.abs(z - table.values())) <= 1e-9:
+        if np.max(np.abs(z - table.values())) <= DEFAULT_TOL:
             return table
     return None
 

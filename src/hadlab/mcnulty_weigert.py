@@ -19,9 +19,16 @@ import numpy as np
 
 from .cyclotomic import is_odd_prime
 from .defect import isolation_certificate
-from .errors import ConsistencyError, InvalidInputError, integer, is_integer
+from .errors import (DEFAULT_TOL, ConsistencyError, InvalidInputError, integer,
+                     is_integer)
 from .matrix import PHMatrix, ensure_verified, verify_partial_hadamard
 from .phases import ExactPhases, PhaseEntry, multiply, phase_array
+
+
+def _circulant_index(q: int) -> np.ndarray:
+    """The q x q index (b - a) mod q at [a, b]: a circulant matrix with
+    first row c is c[_circulant_index(q)]."""
+    return (np.arange(q)[None, :] - np.arange(q)[:, None]) % q
 
 
 def _require_odd_prime(q: int) -> None:
@@ -71,13 +78,13 @@ def gauss_vector_direct(q: int, k: int) -> np.ndarray:
     f = w ** (np.outer(np.arange(q), np.arange(q)))
     d = np.diag(w ** np.array(quadratic_diagonal_exponents(q, k)))
     c = (np.conj(f.T) @ d @ f) / q
-    for a in range(q):
-        for b in range(q):
-            if abs(c[a, b] - c[0, (b - a) % q]) > 1e-10:
-                raise ConsistencyError(
-                    f"F* D^{k} F is not circulant within 1e-10 at ({a},{b})")
+    off = np.argwhere(np.abs(c - c[0][_circulant_index(q)]) > DEFAULT_TOL)
+    if off.size:
+        a, b = off[0]
+        raise ConsistencyError(
+            f"F* D^{k} F is not circulant within {DEFAULT_TOL} at ({a},{b})")
     v = c[0] * math.sqrt(q)
-    if np.max(np.abs(np.abs(v) - 1.0)) > 1e-9:
+    if np.max(np.abs(np.abs(v) - 1.0)) > DEFAULT_TOL:
         raise ConsistencyError("circulant row is not flat; Gauss sum magnitude off")
     return v
 
@@ -121,7 +128,7 @@ def gauss_vector(q: int, k: int) -> CirculantVector:
     closed = gauss_vector_closed(q, k)
     direct = gauss_vector_direct(q, k)
     resid = max(abs(p.value - d) for p, d in zip(closed, direct))
-    if resid > 1e-9:
+    if resid > DEFAULT_TOL:
         raise ConsistencyError(
             f"closed-form Gauss vector disagrees with the circulant row "
             f"(q={q}, k={k}, residual {resid:.3g})")
@@ -164,7 +171,7 @@ class MWSpec:
         object.__setattr__(self, "t", t)
 
 
-def mw_construct(spec: MWSpec, tol: float = 1e-9) -> PHMatrix:
+def mw_construct(spec: MWSpec, tol: float = DEFAULT_TOL) -> PHMatrix:
     """Build and verify the Gauss-sum tensor matrix.
 
     Composite indices are row-major: row (i, a) -> i*q + a.  Orthogonality
@@ -179,7 +186,7 @@ def mw_construct(spec: MWSpec, tol: float = 1e-9) -> PHMatrix:
     vectors = phase_array([p for k in used for p in gauss_vector(q, k).entries],
                           (len(used), q))
     at = np.searchsorted(used, ks)
-    shift = (np.arange(q)[None, :] - np.arange(q)[:, None]) % q     # [a, b]
+    shift = _circulant_index(q)                                     # [a, b]
     blocks = vectors[at[:, None, :, None], shift[None, :, None, :]]  # [i, a, j, b]
     p = multiply(spec.base.phases[:, None, :, None], blocks)
     out = PHMatrix.from_phases(p.reshape(m * q, m * q), label=f"MW(q={q})")
@@ -202,7 +209,7 @@ class ArithmeticProbeReport:
     pattern_notes: Tuple[str, ...]
 
 
-def arithmetic_isolation_probe(spec: MWSpec, tol: float = 1e-9) -> ArithmeticProbeReport:
+def arithmetic_isolation_probe(spec: MWSpec, tol: float = DEFAULT_TOL) -> ArithmeticProbeReport:
     """Isolation certificate for a Gauss-sum matrix, with notes on the
     exponent-set pattern.
 

@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import InvalidInputError, integer, is_integer
+from .errors import DEFAULT_TOL, InvalidInputError, integer, is_integer, tolerance
 
 TAU = 2.0 * math.pi
 
@@ -73,10 +73,10 @@ class PhaseEntry:
         return cls("cartesian", z=_cis(t % 1.0))
 
     @classmethod
-    def cartesian(cls, z: complex, tol: float = 1e-9) -> "PhaseEntry":
+    def cartesian(cls, z: complex, tol: float = DEFAULT_TOL) -> "PhaseEntry":
         """z, when its modulus is within tol of 1: the one unit-circle rule
         for values from code and from files alike."""
-        z = complex(z)
+        z, tol = complex(z), tolerance(tol, "tol")
         # written so that a NaN part fails it too
         if not abs(abs(z) - 1.0) <= tol:
             raise InvalidInputError(

@@ -29,8 +29,9 @@ import numpy as np
 
 from .cyclotomic import _cycle_peel, _primes_upto, _vanishing_primes
 from .defect import defect, isolation_certificate
-from .errors import (DEFAULT_BUDGET, ConsistencyError, InvalidInputError,
-                     SearchBudgetExceeded, integer)
+from .errors import (DEFAULT_BUDGET, DEFAULT_CYCLE_TOL, DEFAULT_TOL,
+                     ConsistencyError, InvalidInputError, SearchBudgetExceeded,
+                     integer, tolerance)
 from .matrix import PHMatrix, dephase, detect_butson, ensure_verified, row_quotient
 from .phases import TAU, ExactPhases, PhaseEntry, _cis
 
@@ -221,7 +222,7 @@ def _cover(classes: Sequence[int], lookup, primes: Sequence[int],
     return search(len(classes), 0)
 
 
-def cycle_decompose(terms: Sequence, tol: float = 1e-8,
+def cycle_decompose(terms: Sequence, tol: float = DEFAULT_CYCLE_TOL,
                     budget: int = DEFAULT_BUDGET) -> Optional[CycleDecomposition]:
     """Partition a vanishing multiset into rotated prime cycles.
 
@@ -232,6 +233,7 @@ def cycle_decompose(terms: Sequence, tol: float = 1e-8,
     raises SearchBudgetExceeded when the node budget runs out first, which
     is an inconclusive outcome, not a negative one.
     """
+    tol = tolerance(tol, "tol")
     values = np.array([t.value if isinstance(t, PhaseEntry) else complex(t)
                        for t in terms], dtype=np.complex128)
     n = len(values)
@@ -341,7 +343,7 @@ def _exact_pair_label(exps: list, l: int, primes: list, budget: int) -> str:
     return _label(p for p, _ in found) if found is not None else "irregular"
 
 
-def cycle_structure_profile(h: PHMatrix, tol: float = 1e-8,
+def cycle_structure_profile(h: PHMatrix, tol: float = DEFAULT_CYCLE_TOL,
                             budget: int = DEFAULT_BUDGET) -> dict:
     """Decomposition label for every row pair.
 
@@ -356,6 +358,7 @@ def cycle_structure_profile(h: PHMatrix, tol: float = 1e-8,
     p-cycle of l-th roots needs p | l, so only the primes up to N that
     divide l are tried, and tol plays no part.
     """
+    tol = tolerance(tol, "tol")
     ensure_verified(h)
     phases = h.phases
     if not isinstance(phases, ExactPhases):
@@ -376,7 +379,7 @@ def cycle_structure_profile(h: PHMatrix, tol: float = 1e-8,
     return out
 
 
-def is_regular(h: PHMatrix, tol: float = 1e-8,
+def is_regular(h: PHMatrix, tol: float = DEFAULT_CYCLE_TOL,
                budget: int = DEFAULT_BUDGET) -> bool:
     """True when every row pair decomposes into rotated prime cycles."""
     profile = cycle_structure_profile(h, tol=tol, budget=budget)
@@ -395,13 +398,14 @@ class WeakIsolationProbe:
     counterexample_candidate: bool
 
 
-def weak_isolation_probe(h: PHMatrix, tol: float = 1e-9,
-                         cycle_tol: float = 1e-8,
+def weak_isolation_probe(h: PHMatrix, tol: float = DEFAULT_TOL,
+                         cycle_tol: float = DEFAULT_CYCLE_TOL,
                          budget: int = DEFAULT_BUDGET) -> WeakIsolationProbe:
     """Look for a regular, certified-isolated matrix that is not of
     root-of-unity type; such an example would separate regularity from the
     stronger arithmetic properties.
     """
+    tol, cycle_tol = tolerance(tol, "tol"), tolerance(cycle_tol, "cycle_tol")
     cert = isolation_certificate(h, tol=tol)
     try:
         reg: Optional[bool] = is_regular(h, tol=cycle_tol, budget=budget)
@@ -424,8 +428,8 @@ class EquivalenceProfile:
     butson_order: Optional[int]
 
 
-def equivalence_profile(h: PHMatrix, tol: float = 1e-9,
-                        cycle_tol: float = 1e-8,
+def equivalence_profile(h: PHMatrix, tol: float = DEFAULT_TOL,
+                        cycle_tol: float = DEFAULT_CYCLE_TOL,
                         budget: int = DEFAULT_BUDGET) -> EquivalenceProfile:
     """Invariants of the equivalence class of H.
 
@@ -436,6 +440,7 @@ def equivalence_profile(h: PHMatrix, tol: float = 1e-9,
     (r, c), and D is that one dephased at (0, 0), so each holds the roots
     of unity of the other's order.
     """
+    tol, cycle_tol = tolerance(tol, "tol"), tolerance(cycle_tol, "cycle_tol")
     rep = defect(h, tol=tol)
     labels = tuple(sorted(cycle_structure_profile(h, tol=cycle_tol, budget=budget).values()))
     table = detect_butson(dephase(h)[0])

@@ -25,7 +25,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .cyclotomic import _SYMMETRY_FLOOR, _automorphism, _orbits, _steps
-from .errors import ConsistencyError, InvalidInputError, SearchBudgetExceeded, integer
+from .errors import (DEFAULT_CYCLE_TOL, DEFAULT_TOL, ConsistencyError,
+                     InvalidInputError, SearchBudgetExceeded, integer, tolerance)
 from .matrix import PHMatrix, ensure_verified
 from .phases import ExactPhases
 
@@ -60,8 +61,9 @@ class SubmagicReport:
     tolerance: float
 
 
-def verify_submagic(h: PHMatrix, tol: float = 1e-9) -> SubmagicReport:
+def verify_submagic(h: PHMatrix, tol: float = DEFAULT_TOL) -> SubmagicReport:
     """Row and column sums of the projection grid must be projections."""
+    tol = tolerance(tol, "tol")
     grid = ProjectionGrid(h)
     v, w, n = grid.vectors, np.conj(grid.vectors), grid.n
     # sums[i] = sum_j P_ij for i < M, then sums[M + j] = sum_i P_ij
@@ -80,13 +82,14 @@ class ClassicalityReport:
     tolerance: float
 
 
-def classicality_test(h: PHMatrix, tol: float = 1e-8) -> ClassicalityReport:
+def classicality_test(h: PHMatrix, tol: float = DEFAULT_CYCLE_TOL) -> ClassicalityReport:
     """Are all pairs of quotient vectors either parallel or orthogonal?
 
     Overlaps |<v_ij, v_kl>|/N land in {0, 1} exactly for group Fourier
     matrices and their truncations; anything strictly between witnesses a
     genuinely quantum (non-classical) grid.
     """
+    tol = tolerance(tol, "tol")
     return _classicality(ProjectionGrid(h).overlaps(), tol)
 
 
@@ -111,14 +114,14 @@ class PreLatinSquare:
         return "\n".join(" ".join(f"{x:2d}" for x in row) for row in self.labels)
 
 
-def pre_latin_square(h: PHMatrix, tol: float = 1e-8):
+def pre_latin_square(h: PHMatrix, tol: float = DEFAULT_CYCLE_TOL):
     """Classify quotient vectors up to phase; None when non-classical.
 
     Returns (square, representatives) where representatives[x-1] is the
     vector of the first pair assigned label x.  On a classical grid each
     pair is labelled by the first pair, row-major, parallel to it.
     """
-    return _grid_classes(h, tol)[1]
+    return _grid_classes(h, tolerance(tol, "tol"))[1]
 
 
 def _grid_classes(h: PHMatrix, tol: float):
@@ -282,7 +285,7 @@ def _unchecked(rows: np.ndarray) -> Tuple[PartialPermutation, ...]:
     return tuple(out)
 
 
-def extract_semigroup(h: PHMatrix, tol: float = 1e-8,
+def extract_semigroup(h: PHMatrix, tol: float = DEFAULT_CYCLE_TOL,
                       cap: int = MAX_CLOSURE):
     """Pre-Latin square classes of H, closed under composition.
 
@@ -408,7 +411,7 @@ class MomentReport:
     symmetry_order: int       # r of the Z_p x Z_r blocks; 1 for the rotation alone
 
 
-def moment(h: PHMatrix, p: int, tol: float = 1e-8) -> MomentReport:
+def moment(h: PHMatrix, p: int, tol: float = DEFAULT_CYCLE_TOL) -> MomentReport:
     """Count unit eigenvalues of the length-p moment matrix.
 
     For a square Hadamard matrix this is N^{p-1}.  Eigenvalues within tol
@@ -417,8 +420,7 @@ def moment(h: PHMatrix, p: int, tol: float = 1e-8) -> MomentReport:
     transpose of P_ij, so swapping row and column words conjugates the
     trace), and its eigenvalues are real.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise InvalidInputError(f"tolerance must be finite and positive, got {tol!r}")
+    tol = tolerance(tol, "tol")
     grid = _moment_grid(h, p)
     ev, r = _rotation_block_eigenvalues(grid, p)
     dist = np.abs(ev - 1.0)

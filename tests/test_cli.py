@@ -507,6 +507,20 @@ def test_extension_route_keeps_the_callers_tolerance(tmp_path):
     assert code == 0 and body["data"]["defect"] == direct["data"]["defect"]
 
 
+def test_extension_route_accepts_the_truncation_that_tol_accepted(tmp_path):
+    """Rows 0-3 of F6, moved by 1e-7 rad, pass verification at 1e-6 (inner
+    residual 4.85e-7); the completion adds two rows that only rounding
+    moves, so the extension route answers as the direct one does."""
+    rng = np.random.default_rng(0)
+    z = fourier_cyclic(6).to_array()[:4] * np.exp(1j * 1e-7 * rng.standard_normal((4, 6)))
+    path = tmp_path / "f6-rows-perturbed.json"
+    save_phm(PHMatrix.from_phases(z), str(path))
+    assert json.loads(path.read_text())["representation"] == "cartesian"
+    code, body = run_json(["defect", str(path), "--method", "extension",
+                           "--tol", "1e-6"])
+    assert code == 0 and body["data"]["defect"] == 13
+
+
 def test_defect_ambiguous_exit_code(f6_file):
     code, text = run_command(["defect", f6_file, "--confidence", "1e20"])
     assert code == 3

@@ -4,6 +4,7 @@ makes one route disagree (monkeypatched) and expects its guard to raise."""
 
 import importlib
 import math
+import re
 import runpy
 import sys
 from dataclasses import replace
@@ -18,6 +19,7 @@ from hadlab import (ConsistencyError, MWSpec, PhaseEntry, cycle_decompose_intege
                     gauss_vector_direct, loads_phm, mw_construct,
                     pre_latin_square, truncated_fourier, unitary_completion)
 from hadlab.defect import RankResult
+from hadlab.errors import DEFAULT_TOL
 from hadlab.mcnulty_weigert import CirculantVector
 from hadlab.semigroup import ProjectionGrid
 
@@ -85,6 +87,23 @@ def test_a_product_that_is_not_circulant_is_refused(monkeypatch):
     monkeypatch.setattr(mw, "np", _Numpy(outer=lambda a, b: np.outer(a, b) ** 2))
     with pytest.raises(ConsistencyError, match="is not circulant"):
         gauss_vector_direct(5, 1)
+
+
+def test_the_circulant_check_names_the_first_failing_entry(monkeypatch):
+    """The one comparison against the first row names the entry that the
+    row-major double loop it replaced would: the first (a, b) off by more
+    than DEFAULT_TOL."""
+    q = 5
+    w = np.exp(2j * np.pi / q)
+    f = w ** (np.outer(np.arange(q), np.arange(q)) ** 2)
+    d = np.diag(w ** np.array(mw.quadratic_diagonal_exponents(q, 1)))
+    c = (np.conj(f.T) @ d @ f) / q
+    first = next((a, b) for a in range(q) for b in range(q)
+                 if abs(c[a, b] - c[0, (b - a) % q]) > DEFAULT_TOL)
+    monkeypatch.setattr(mw, "np", _Numpy(outer=lambda a, b: np.outer(a, b) ** 2))
+    with pytest.raises(ConsistencyError,
+                       match=re.escape(f"within {DEFAULT_TOL} at ({first[0]},{first[1]})")):
+        gauss_vector_direct(q, 1)
 
 
 def test_a_circulant_row_that_is_not_flat_is_refused(monkeypatch):

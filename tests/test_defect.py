@@ -104,6 +104,19 @@ def test_single_row_defect_is_exact_n():
     assert rep.defect == 4 and rep.exact
 
 
+def test_extension_route_reads_the_callers_tolerance():
+    """The completion re-checks only the rows it adds, so a truncation that
+    passes at tol=1e-6 gets the direct defect on the extension route."""
+    rng = np.random.default_rng(0)
+    z = fourier_cyclic(6).to_array()[:4] * np.exp(1j * 1e-7 * rng.standard_normal((4, 6)))
+    h = PHMatrix.from_phases(z)
+    assert defect_via_extension(h, tol=1e-6).defect == defect(h, tol=1e-6).defect == 13
+    k = unitary_completion(h)
+    assert np.allclose(k[:4], h.to_array())
+    gram = k[4:] @ np.conj(k.T)
+    assert np.max(np.abs(gram - 6 * np.eye(6)[4:])) <= 1e-12 * 6
+
+
 def test_extension_agrees_and_is_completion_invariant():
     h = truncated_fourier([0, 1, 2], [7])
     d0 = defect(h).defect

@@ -1,29 +1,45 @@
 """Counts, orders and indices pass one door, ``errors.integer``: an
 integer in range comes back as an int, anything else is refused with
 InvalidInputError in one wording.  Floats, booleans and strings are
-refused even where Python or numpy would read them as integers."""
+refused even where Python or numpy would read them as integers.
+Tolerances and confidences pass another, ``errors.tolerance``: a finite
+real number above 0 comes back as a float."""
 
+import dataclasses
+import inspect
 import json
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hadlab import (InvalidInputError, MasterSpec, PartialPermutation, PhaseEntry,
-                    PHMatrix, apply_equivalence, cycle_decompose,
+import hadlab
+from hadlab import (InvalidInputError, MasterSpec, MWSpec, PartialPermutation,
+                    PhaseEntry, PHMatrix, apply_equivalence,
+                    arithmetic_isolation_probe, classicality_test,
+                    count_one_entries, cycle_decompose,
                     cycle_decompose_integer, cycle_structure_profile,
-                    cyclic_moment_oracle, dephase_at, dumps_phm,
-                    fourier_cyclic, gauss_vector_closed, gauss_vector_direct, group_index,
-                    interval_shift_maps, is_regular, lam_leung_length_admissible,
+                    cyclic_moment_oracle, defect, defect_master,
+                    defect_split_truncated_fourier, defect_via_extension,
+                    dephase_at, dumps_phm, ensure_verified,
+                    equivalence_profile, extract_semigroup, f22q_master_spec,
+                    fourier_cyclic, gauss_vector_closed, gauss_vector_direct,
+                    group_index, interval_shift_maps, is_regular,
+                    isolation_certificate, lam_leung_length_admissible,
                     legendre_symbol, master_dita, moment, moment_matrix,
+                    mw_construct, numerical_rank, pre_latin_square,
                     predicted_truncated_semigroup,
                     quadratic_diagonal_exponents,
                     real_truncation_defect_formula, row_quotient,
-                    term_multiset, truncated_fourier, truncation_probe)
+                    term_multiset, truncated_fourier, truncation_probe,
+                    verify_partial_hadamard, verify_submagic,
+                    weak_isolation_probe)
 from hadlab.cli import run_command
 from hadlab.cyclotomic import (_prime_factors, exact_defect_butson,
                                exact_vanishing, split_primes)
-from hadlab.errors import integer
+from hadlab.errors import integer, tolerance
 from hadlab.phases import ExactPhases
 
 F3 = fourier_cyclic(3)
@@ -232,3 +248,140 @@ def test_the_empty_multiset_has_the_empty_cover():
     d = cycle_decompose_integer([], 6, budget=np.int64(1))
     assert (d.vanishing, d.components, d.nonnegative, d.method, d.search_complete) \
         == (True, (), True, "exact-cover", True)
+
+
+# -- tolerances and confidences -------------------------------------------------------
+
+TOLERANCE_PARAMETERS = ("tol", "cycle_tol", "confidence")
+BAD_TOLERANCES = [math.nan, math.inf, -math.inf, 0.0, -1e-9, True, "1e-9", None]
+GOOD_TOLERANCES = [1e-7, np.float32(1e-7), Fraction(1, 10 ** 7)]
+
+
+def _tolerance_callables() -> dict:
+    """Public callable -> its tolerance parameters, by signature: the
+    functions and classes hadlab binds and the methods of those classes.
+    A dataclass record holds a tolerance but applies none, so its
+    constructor is left out."""
+    out = {}
+    for names in hadlab._PUBLIC.values():
+        for name in names:
+            obj = getattr(hadlab, name)
+            found = [(name, obj)] if callable(obj) else []
+            if inspect.isclass(obj):
+                if dataclasses.is_dataclass(obj):
+                    found = []
+                found += [(f"{name}.{a}", getattr(obj, a)) for a in vars(obj)
+                          if not a.startswith("_") and callable(getattr(obj, a))]
+            for label, f in found:
+                try:
+                    params = inspect.signature(f).parameters
+                except (TypeError, ValueError):
+                    continue
+                tols = tuple(p for p in params if p in TOLERANCE_PARAMETERS)
+                if tols:
+                    out[label] = tols
+    return out
+
+
+F4_EXACT = fourier_cyclic(4)
+F6_COMPLEX = PHMatrix.from_phases(fourier_cyclic(6).to_array())
+T24 = truncated_fourier([0, 1], [4])
+MW6 = MWSpec(3, (1,), (0,), fourier_cyclic(1))
+
+# a valid call of each, taking the tolerance as keyword arguments
+TOLERANCE_CALLS = {
+    "PhaseEntry.cartesian": lambda **kw: PhaseEntry.cartesian(1j, **kw),
+    "verify_partial_hadamard": lambda **kw: verify_partial_hadamard(F4_EXACT, **kw),
+    "ensure_verified": lambda **kw: ensure_verified(F4_EXACT, **kw),
+    "defect": lambda **kw: defect(F4_EXACT, **kw),
+    "defect_master": lambda **kw: defect_master(f22q_master_spec(Fraction(1, 20)), **kw),
+    "defect_split_truncated_fourier":
+        lambda **kw: defect_split_truncated_fourier([0, 1], [4], **kw),
+    "defect_via_extension": lambda **kw: defect_via_extension(T24, **kw),
+    "count_one_entries": lambda **kw: count_one_entries(F4_EXACT, **kw),
+    "isolation_certificate": lambda **kw: isolation_certificate(F4_EXACT, **kw),
+    "numerical_rank": lambda **kw: numerical_rank(np.eye(3), **kw),
+    "truncation_probe": lambda **kw: truncation_probe(4, **kw),
+    "cycle_decompose": lambda **kw: cycle_decompose([1, -1], **kw),
+    "cycle_structure_profile": lambda **kw: cycle_structure_profile(F4_EXACT, **kw),
+    "equivalence_profile": lambda **kw: equivalence_profile(F4_EXACT, **kw),
+    "is_regular": lambda **kw: is_regular(F4_EXACT, **kw),
+    "weak_isolation_probe": lambda **kw: weak_isolation_probe(F4_EXACT, **kw),
+    "arithmetic_isolation_probe": lambda **kw: arithmetic_isolation_probe(MW6, **kw),
+    "mw_construct": lambda **kw: mw_construct(MW6, **kw),
+    "classicality_test": lambda **kw: classicality_test(F4_EXACT, **kw),
+    "extract_semigroup": lambda **kw: extract_semigroup(F4_EXACT, **kw),
+    "moment": lambda **kw: moment(F4_EXACT, 2, **kw),
+    "pre_latin_square": lambda **kw: pre_latin_square(F4_EXACT, **kw),
+    "verify_submagic": lambda **kw: verify_submagic(F4_EXACT, **kw),
+}
+TOLERANCE_CASES = [(name, param) for name, params in _tolerance_callables().items()
+                   for param in params]
+
+
+def _refusal(param: str, x) -> str:
+    return f"^{param} must be a finite number > 0, got {re.escape(repr(x))}$"
+
+
+def test_the_tolerance_table_covers_every_public_tolerance():
+    """A new tolerance parameter fails here until it has a row above, and
+    so a test that it passes the door."""
+    assert set(_tolerance_callables()) == set(TOLERANCE_CALLS)
+    assert "DefectReport" not in _tolerance_callables()
+
+
+@pytest.mark.parametrize("name, param", TOLERANCE_CASES)
+def test_every_tolerance_passes_the_door(name, param):
+    call = TOLERANCE_CALLS[name]
+    for bad in BAD_TOLERANCES:
+        with pytest.raises(InvalidInputError, match=_refusal(param, bad)):
+            call(**{param: bad})
+    for good in GOOD_TOLERANCES:
+        call(**{param: good})
+
+
+@pytest.mark.parametrize("x", [np.float32(1e-3), 1, Fraction(1, 10 ** 9), np.float64(2.5)])
+def test_the_tolerance_door_returns_python_floats(x):
+    out = tolerance(x, "tol")
+    assert type(out) is float and out == float(x)
+
+
+@pytest.mark.parametrize("x", BAD_TOLERANCES + [10 ** 400, Fraction(1, 10 ** 400),
+                                                np.float64("nan"), 1j, np.bool_(True)])
+def test_the_tolerance_door_refuses_in_one_wording(x):
+    with pytest.raises(InvalidInputError, match=_refusal("what", x)):
+        tolerance(x, "what")
+
+
+def test_an_infinite_tolerance_does_not_make_a_matrix_hadamard():
+    ones = PHMatrix([[1, 1], [1, 1]])
+    with pytest.raises(InvalidInputError, match="^tol must be a finite number"):
+        verify_partial_hadamard(ones, math.inf)
+    with pytest.raises(InvalidInputError, match="^tol must be a finite number"):
+        defect(ones, math.inf)
+    assert not ones.verified
+
+
+def test_a_verified_matrix_still_refuses_an_infinite_tolerance():
+    h = fourier_cyclic(3)
+    ensure_verified(h)
+    with pytest.raises(InvalidInputError, match="^tol must be a finite number"):
+        ensure_verified(h, math.inf)
+
+
+def test_a_nan_tolerance_does_not_make_f6_non_classical():
+    with pytest.raises(InvalidInputError, match="^tol must be a finite number"):
+        classicality_test(fourier_cyclic(6), math.nan)
+    assert classicality_test(fourier_cyclic(6)).classical
+
+
+def test_a_nan_tolerance_does_not_make_f6_irregular():
+    with pytest.raises(InvalidInputError, match="^tol must be a finite number"):
+        cycle_structure_profile(F6_COMPLEX, tol=math.nan)
+    assert "irregular" not in cycle_structure_profile(F6_COMPLEX).values()
+
+
+def test_a_nan_tolerance_does_not_give_rank_zero():
+    with pytest.raises(InvalidInputError, match="^tol must be a finite number"):
+        numerical_rank(np.eye(3), math.nan)
+    assert numerical_rank(np.eye(3)).rank == 3

@@ -10,7 +10,10 @@ them all.  No import sits inside a function.  Every name a module imports at mod
 level is read in it.
 What counts as an integer is decided in ``errors`` alone
 (``errors.is_integer`` and ``errors.integer``): no other module tests for
-a boolean or defines an integer predicate of its own.
+a boolean or defines an integer predicate of its own.  The small float
+constants left in the source are the documented ones: the two default
+tolerances in ``errors``, the file modulus tolerance in ``io`` and two
+1e-12 guards.
 """
 
 import ast
@@ -178,6 +181,35 @@ def test_the_integer_rule_check_sees_each_form(tmp_path):
                    "ok = isinstance(1, int) and isinstance(1, (float, str))\n")
     assert _integer_rules(src) == [(1, "def _is_integer"), (2, "isinstance(..., bool)"),
                                    (3, "def integer"), (6, "isinstance(..., bool)")]
+
+
+def _small_floats(path: Path) -> list:
+    """(line, value) for each float literal in (0, 0.5) in a source file,
+    read by ``ast``, so every spelling of a value is one value."""
+    return sorted((node.lineno, node.value)
+                  for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                  if isinstance(node, ast.Constant) and type(node.value) is float
+                  and 0 < node.value < 0.5)
+
+
+def test_the_small_float_constants_are_the_documented_ones():
+    """errors.DEFAULT_TOL and DEFAULT_CYCLE_TOL, io.MODULUS_TOL, and the
+    1e-12 of defect_master's equal-eigenphase rule and of _value_classes'
+    bucket guard: every other threshold reads one of these."""
+    found = sorted((module, value) for module in LAYER_ORDER + ["__init__", "__main__"]
+                   for _, value in _small_floats(SRC / f"{module}.py"))
+    assert found == [("defect", 1e-12), ("errors", 1e-9), ("errors", 1e-8),
+                     ("io", 1e-6), ("regularity", 1e-12)]
+    from hadlab import errors, io
+    assert (errors.DEFAULT_TOL, errors.DEFAULT_CYCLE_TOL, io.MODULUS_TOL) == (1e-9, 1e-8, 1e-6)
+
+
+def test_the_small_float_check_sees_each_form(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("a = 1e-9\nb = 1E-9\nc = 0.000000001\nd = -1e-8\n"
+                   "e = f(x, tol=1e-10)\nok = (0.5, 1.0, 1e6, 0, 1, '1e-9')\n")
+    assert _small_floats(src) == [(1, 1e-9), (2, 1e-9), (3, 1e-9), (4, 1e-8),
+                                  (5, 1e-10)]
 
 
 PACKAGE_CHECK = """
