@@ -62,7 +62,10 @@ _PUBLIC = {
                 "content_hash", "read_records"),
     "schemas": ("CATALOG_RECORD_SCHEMA", "PHM_V1_SCHEMA", "RESULT_SCHEMA"),
 }
-_NAMES = frozenset(n for names in _PUBLIC.values() for n in names)
+# read by ``from hadlab import *``, which then binds each name through
+# __getattr__
+__all__ = [n for names in _PUBLIC.values() for n in names]
+_NAMES = frozenset(__all__)
 _MODULES = frozenset(_PUBLIC) | {"cyclotomic", "cli"}
 
 

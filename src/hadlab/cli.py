@@ -27,9 +27,9 @@ import numpy as np
 
 from . import __version__, _submodule
 from .catalog import CatalogRecord, append_record, catalog_path, content_hash
-from .errors import (DEFAULT_BUDGET, DEFAULT_CONFIDENCE, DEFAULT_CYCLE_TOL,
-                     DEFAULT_TOL, ConsistencyError, InvalidInputError,
-                     SearchBudgetExceeded, tolerance)
+from .errors import (DEFAULT_BUDGET, DEFAULT_CONFIDENCE, DEFAULT_TOL,
+                     ConsistencyError, InvalidInputError, SearchBudgetExceeded,
+                     tolerance)
 from .io import (dumps_phm, loads_phm, number_from_json, to_document,
                  turn_from_json)
 from .matrix import PHMatrix, verify_partial_hadamard
@@ -108,7 +108,7 @@ def _rows(text: str) -> list:
 
 
 def _finite_positive(text: str) -> float:
-    """argparse type of --tol, --cycle-tol and --confidence: the float of
+    """argparse type of --tol and --confidence: the float of
     the text, when it passes errors.tolerance."""
     try:
         return tolerance(float(text), "option")
@@ -299,7 +299,7 @@ def _isolated(args, h: PHMatrix, m) -> Outcome:
 
 
 def _regularity(args, h: PHMatrix, m) -> Outcome:
-    profile = m.regularity.cycle_structure_profile(h, tol=args.cycle_tol,
+    profile = m.regularity.cycle_structure_profile(h, tol=args.tol,
                                                    budget=args.budget)
     inconclusive = sorted(k for k, v in profile.items() if v == "inconclusive")
     irregular = sorted(k for k, v in profile.items() if v == "irregular")
@@ -323,7 +323,7 @@ def _regularity(args, h: PHMatrix, m) -> Outcome:
 
 
 def _semigroup(args, h: PHMatrix, m) -> Outcome:
-    rep, res = m.semigroup._grid_classes(h, args.cycle_tol)
+    rep, res = m.semigroup._grid_classes(h, args.tol)
     if res is None:
         data = {"classical": False, "worst_overlap": rep.worst_overlap}
         return Outcome(PROPERTY_FAILS, data,
@@ -345,7 +345,7 @@ def _moments(args, h: PHMatrix, m) -> Outcome:
     ps = _ints(args.p)
     if not ps:
         raise InvalidInputError(f"--p names no word length: {args.p!r}")
-    reports = [m.semigroup.moment(h, p, args.cycle_tol) for p in ps]
+    reports = [m.semigroup.moment(h, p, args.tol) for p in ps]
     data = {"moments": [{"p": r.p, "value": r.value, "formal": r.formal,
                          "ambiguous": r.ambiguous} for r in reports]}
     human = "; ".join(
@@ -397,12 +397,13 @@ def _arg(*flags, **kwargs) -> tuple:
 
 
 FILE = (_arg("file"),)
-TOL = (_arg("--tol", type=_finite_positive, default=DEFAULT_TOL),)
+TOL = (_arg("--tol", type=_finite_positive, default=DEFAULT_TOL,
+            help="residual bound of verification; grid, cycle and moment "
+                 "thresholds are 10x it"),)
 CONFIDENCE = (_arg("--confidence", type=_finite_positive,
                    default=DEFAULT_CONFIDENCE,
                    help="minimum spectral gap ratio for a confident "
                         "rank decision"),)
-CYCLE_TOL = (_arg("--cycle-tol", type=_finite_positive, default=DEFAULT_CYCLE_TOL),)
 BUDGET = (_arg("--budget", type=_budget, default=DEFAULT_BUDGET,
                help="search nodes (calls + completion attempts) per search; "
                     "exact input has one search per distinct term multiset"),)
@@ -506,14 +507,14 @@ COMMANDS = {
     "isolated": Command("isolation certificate from the defect", _isolated,
                         FILE + TOL + CONFIDENCE, ("defect",)),
     "regularity": Command("cycle decompositions of row pairs", _regularity,
-                          FILE + CYCLE_TOL + BUDGET, ("regularity",)),
+                          FILE + TOL + BUDGET, ("regularity",)),
     "semigroup": Command(
         "partial permutation semigroup of the projection grid", _semigroup,
-        FILE + CYCLE_TOL, ("semigroup",)),
+        FILE + TOL, ("semigroup",)),
     "moments": Command(
         "unit-eigenvalue counts of moment matrices", _moments,
         FILE + (_arg("--p", required=True, help="word lengths, e.g. 1,2,3"),)
-        + CYCLE_TOL, ("semigroup",)),
+        + TOL, ("semigroup",)),
     "profile": Command("equivalence invariants", _profile,
                        FILE + BUDGET + TOL, ("regularity",)),
     "probe truncation": Command(

@@ -1,16 +1,15 @@
 """Error types shared across the package, the defaults that decide when
 an answer is too ambiguous to call, and the one rule each for what counts
-as an integer and as a tolerance."""
+as an integer, as a tolerance and as the threshold a tolerance sets."""
 
 import math
 import numbers
 
 import numpy as np
 
-# Tolerance of verification, numerical rank and phase modulus.
+# Tolerance of verification, numerical rank and phase modulus; grid
+# classes, cycle matching and moment counts decide at threshold(tol).
 DEFAULT_TOL = 1e-9
-# Tolerance of grid classes, cycle matching and moment counts.
-DEFAULT_CYCLE_TOL = 1e-8
 # Least spectral gap ratio of a confident numerical rank decision (defect);
 # a smaller gap makes the answer ambiguous.
 DEFAULT_CONFIDENCE = 1e6
@@ -77,3 +76,11 @@ def tolerance(x, what: str) -> float:
         if math.isfinite(value) and value > 0:
             return value
     raise InvalidInputError(f"{what} must be a finite number > 0, got {x!r}")
+
+
+def threshold(tol) -> float:
+    """The threshold of grid classes, cycle matching and moment counts on a
+    matrix verified at tol: 10 tol, for tol through the door tolerance.
+    Phases within tol/2 of an exact matrix put its term ratios and grid
+    overlaps within 2 tol of exact, and 10 * 1e-9 == 1e-8 in float64."""
+    return 10 * tolerance(tol, "tol")

@@ -208,14 +208,15 @@ def row_quotient(h: PHMatrix, i: int, j: int) -> np.ndarray:
     return phase_values(multiply(p[i], p[j].conj()))
 
 
-def detect_butson(h: PHMatrix) -> Optional[ExactPhases]:
+def detect_butson(h: PHMatrix, tol: float = DEFAULT_TOL) -> Optional[ExactPhases]:
     """The exponent table of H at the least order l whose roots hold every
     entry, or None.
 
     An exact matrix answers with its stored table, whatever its order; the
-    entries of a complex matrix are matched within DEFAULT_TOL against the
-    values of l-th roots (ExactPhases.values) for l <= BUTSON_ORDER_CAP.
+    entries of a complex matrix are matched within tol against the values
+    of l-th roots (ExactPhases.values) for l <= BUTSON_ORDER_CAP.
     """
+    tol = tolerance(tol, "tol")
     p = h.phases
     if isinstance(p, ExactPhases):
         return p
@@ -223,7 +224,7 @@ def detect_butson(h: PHMatrix) -> Optional[ExactPhases]:
     turns = (np.angle(z) / (2.0 * math.pi)) % 1.0
     for l in range(1, BUTSON_ORDER_CAP + 1):
         table = ExactPhases(np.rint(turns * l).astype(int) % l, l)
-        if np.max(np.abs(z - table.values())) <= DEFAULT_TOL:
+        if np.max(np.abs(z - table.values())) <= tol:
             return table
     return None
 

@@ -29,9 +29,8 @@ import numpy as np
 
 from .cyclotomic import _cycle_peel, _primes_upto, _vanishing_primes
 from .defect import defect, isolation_certificate
-from .errors import (DEFAULT_BUDGET, DEFAULT_CYCLE_TOL, DEFAULT_TOL,
-                     ConsistencyError, InvalidInputError, SearchBudgetExceeded,
-                     integer, tolerance)
+from .errors import (DEFAULT_BUDGET, DEFAULT_TOL, ConsistencyError,
+                     InvalidInputError, SearchBudgetExceeded, integer, threshold)
 from .matrix import PHMatrix, dephase, detect_butson, ensure_verified, row_quotient
 from .phases import TAU, ExactPhases, PhaseEntry, _cis
 
@@ -222,26 +221,27 @@ def _cover(classes: Sequence[int], lookup, primes: Sequence[int],
     return search(len(classes), 0)
 
 
-def cycle_decompose(terms: Sequence, tol: float = DEFAULT_CYCLE_TOL,
+def cycle_decompose(terms: Sequence, tol: float = DEFAULT_TOL,
                     budget: int = DEFAULT_BUDGET) -> Optional[CycleDecomposition]:
     """Partition a vanishing multiset into rotated prime cycles.
 
     Deterministic search: the anchor is always the smallest uncovered index,
     primes are tried largest first, co-indices in lexicographic order, so
-    equal inputs always give the same decomposition.  Terms are matched
-    within tol.  Returns None when the completed search finds no partition;
-    raises SearchBudgetExceeded when the node budget runs out first, which
-    is an inconclusive outcome, not a negative one.
+    equal inputs always give the same decomposition.  The terms of a row
+    pair verified at tol are matched, and their sum must vanish, within
+    threshold(tol).  Returns None when the completed search finds no
+    partition; raises SearchBudgetExceeded when the node budget runs out
+    first, which is an inconclusive outcome, not a negative one.
     """
-    tol = tolerance(tol, "tol")
+    thr = threshold(tol)
     values = np.array([t.value if isinstance(t, PhaseEntry) else complex(t)
                        for t in terms], dtype=np.complex128)
     n = len(values)
     total = complex(np.sum(values))
-    if abs(total) > tol * n:
+    if abs(total) > thr * n:
         raise InvalidInputError(
-            f"terms sum to {abs(total):.3g}, not a vanishing sum at tol {tol}")
-    found = _cover(*_value_classes(values, tol), _primes_upto(n)[::-1], budget)
+            f"terms sum to {abs(total):.3g}, not a vanishing sum at threshold {thr}")
+    found = _cover(*_value_classes(values, thr), _primes_upto(n)[::-1], budget)
     if found is None:
         return None
     return CycleDecomposition(tuple(Cycle(p, complex(values[idxs[0]]), idxs)
@@ -343,9 +343,10 @@ def _exact_pair_label(exps: list, l: int, primes: list, budget: int) -> str:
     return _label(p for p, _ in found) if found is not None else "irregular"
 
 
-def cycle_structure_profile(h: PHMatrix, tol: float = DEFAULT_CYCLE_TOL,
+def cycle_structure_profile(h: PHMatrix, tol: float = DEFAULT_TOL,
                             budget: int = DEFAULT_BUDGET) -> dict:
-    """Decomposition label for every row pair.
+    """Decomposition label for every row pair of a matrix verified at tol;
+    complex terms are matched within threshold(tol).
 
     Values are labels like "3+2", or "irregular" when the completed search
     finds no partition, or "inconclusive" when the budget ran out.
@@ -356,10 +357,10 @@ def cycle_structure_profile(h: PHMatrix, tol: float = DEFAULT_CYCLE_TOL,
     multiset is searched once, on its sorted exponents, and its label goes
     to every pair that has it; budget bounds each of these searches.  A
     p-cycle of l-th roots needs p | l, so only the primes up to N that
-    divide l are tried, and tol plays no part.
+    divide l are tried, and the terms are matched by exponent, not within
+    a threshold.
     """
-    tol = tolerance(tol, "tol")
-    ensure_verified(h)
+    ensure_verified(h, tol)
     phases = h.phases
     if not isinstance(phases, ExactPhases):
         return {(i, j): _pair_label(row_quotient(h, i, j), tol, budget)
@@ -379,7 +380,7 @@ def cycle_structure_profile(h: PHMatrix, tol: float = DEFAULT_CYCLE_TOL,
     return out
 
 
-def is_regular(h: PHMatrix, tol: float = DEFAULT_CYCLE_TOL,
+def is_regular(h: PHMatrix, tol: float = DEFAULT_TOL,
                budget: int = DEFAULT_BUDGET) -> bool:
     """True when every row pair decomposes into rotated prime cycles."""
     profile = cycle_structure_profile(h, tol=tol, budget=budget)
@@ -399,19 +400,20 @@ class WeakIsolationProbe:
 
 
 def weak_isolation_probe(h: PHMatrix, tol: float = DEFAULT_TOL,
-                         cycle_tol: float = DEFAULT_CYCLE_TOL,
                          budget: int = DEFAULT_BUDGET) -> WeakIsolationProbe:
     """Look for a regular, certified-isolated matrix that is not of
     root-of-unity type; such an example would separate regularity from the
-    stronger arithmetic properties.
+    stronger arithmetic properties.  One tol feeds the certificate, the
+    regularity labels and the order, whose roots are matched within
+    threshold(tol) as cycle terms are.
     """
-    tol, cycle_tol = tolerance(tol, "tol"), tolerance(cycle_tol, "cycle_tol")
     cert = isolation_certificate(h, tol=tol)
     try:
-        reg: Optional[bool] = is_regular(h, tol=cycle_tol, budget=budget)
+        reg: Optional[bool] = is_regular(h, tol=tol, budget=budget)
     except SearchBudgetExceeded:
         reg = None
-    order = cert.report.breakdown["butson_order"]
+    table = detect_butson(h, threshold(tol))
+    order = table.order if table is not None else None
     candidate = bool(reg) and cert.certified_isolated and order is None
     return WeakIsolationProbe(
         regular=reg, certified_isolated=cert.certified_isolated,
@@ -429,9 +431,10 @@ class EquivalenceProfile:
 
 
 def equivalence_profile(h: PHMatrix, tol: float = DEFAULT_TOL,
-                        cycle_tol: float = DEFAULT_CYCLE_TOL,
                         budget: int = DEFAULT_BUDGET) -> EquivalenceProfile:
-    """Invariants of the equivalence class of H.
+    """Invariants of the equivalence class of H.  One tol feeds the defect,
+    the cycle labels and the order, whose roots are matched within
+    threshold(tol): each dephased entry is a product of four entries of H.
 
     The Butson order of the matrix as given is not invariant (row and column
     phases change entry orders), so the reported order is that of the
@@ -440,9 +443,8 @@ def equivalence_profile(h: PHMatrix, tol: float = DEFAULT_TOL,
     (r, c), and D is that one dephased at (0, 0), so each holds the roots
     of unity of the other's order.
     """
-    tol, cycle_tol = tolerance(tol, "tol"), tolerance(cycle_tol, "cycle_tol")
     rep = defect(h, tol=tol)
-    labels = tuple(sorted(cycle_structure_profile(h, tol=cycle_tol, budget=budget).values()))
-    table = detect_butson(dephase(h)[0])
+    labels = tuple(sorted(cycle_structure_profile(h, tol=tol, budget=budget).values()))
+    table = detect_butson(dephase(h)[0], threshold(tol))
     return EquivalenceProfile((h.m, h.n), rep.defect, labels,
                               table.order if table is not None else None)

@@ -25,8 +25,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .cyclotomic import _SYMMETRY_FLOOR, _automorphism, _orbits, _steps
-from .errors import (DEFAULT_CYCLE_TOL, DEFAULT_TOL, ConsistencyError,
-                     InvalidInputError, SearchBudgetExceeded, integer, tolerance)
+from .errors import (DEFAULT_TOL, ConsistencyError, InvalidInputError,
+                     SearchBudgetExceeded, integer, threshold)
 from .matrix import PHMatrix, ensure_verified
 from .phases import ExactPhases
 
@@ -36,10 +36,12 @@ MAX_WORD_LENGTH = 13
 
 
 class ProjectionGrid:
-    """The M x M family of rank-one projections P_ij = v_ij v_ij* / N."""
+    """The M x M family of rank-one projections P_ij = v_ij v_ij* / N, of a
+    matrix verified at tol; its classes and counts decide at threshold."""
 
-    def __init__(self, h: PHMatrix):
-        ensure_verified(h)
+    def __init__(self, h: PHMatrix, tol: float = DEFAULT_TOL):
+        ensure_verified(h, tol)
+        self.threshold = threshold(tol)
         z = h.to_array()
         self.m = h.m
         self.n = h.n
@@ -58,45 +60,46 @@ class SubmagicReport:
     ok: bool
     max_row_residual: float
     max_col_residual: float
-    tolerance: float
+    tolerance: float         # the threshold; residuals are held to it times N
 
 
 def verify_submagic(h: PHMatrix, tol: float = DEFAULT_TOL) -> SubmagicReport:
-    """Row and column sums of the projection grid must be projections."""
-    tol = tolerance(tol, "tol")
-    grid = ProjectionGrid(h)
-    v, w, n = grid.vectors, np.conj(grid.vectors), grid.n
+    """Row and column sums of the projection grid must be projections,
+    within threshold(tol) N."""
+    grid = ProjectionGrid(h, tol)
+    v, w, n, thr = grid.vectors, np.conj(grid.vectors), grid.n, grid.threshold
     # sums[i] = sum_j P_ij for i < M, then sums[M + j] = sum_i P_ij
     sums = np.concatenate([np.einsum("ija,ijb->iab", v, w, optimize=True),
                            np.einsum("ija,ijb->jab", v, w, optimize=True)]) / n
     res = np.max(np.abs(sums @ sums - sums), axis=(1, 2))
     row_res, col_res = (float(np.max(r)) for r in np.split(res, 2))
-    return SubmagicReport(row_res <= tol * n and col_res <= tol * n,
-                          row_res, col_res, tol)
+    return SubmagicReport(row_res <= thr * n and col_res <= thr * n,
+                          row_res, col_res, thr)
 
 
 @dataclass(frozen=True)
 class ClassicalityReport:
     classical: bool
     worst_overlap: float     # the overlap farthest from both 0 and 1
-    tolerance: float
+    tolerance: float         # the threshold applied
 
 
-def classicality_test(h: PHMatrix, tol: float = DEFAULT_CYCLE_TOL) -> ClassicalityReport:
-    """Are all pairs of quotient vectors either parallel or orthogonal?
+def classicality_test(h: PHMatrix, tol: float = DEFAULT_TOL) -> ClassicalityReport:
+    """Are all pairs of quotient vectors either parallel or orthogonal,
+    within threshold(tol)?
 
     Overlaps |<v_ij, v_kl>|/N land in {0, 1} exactly for group Fourier
     matrices and their truncations; anything strictly between witnesses a
     genuinely quantum (non-classical) grid.
     """
-    tol = tolerance(tol, "tol")
-    return _classicality(ProjectionGrid(h).overlaps(), tol)
+    grid = ProjectionGrid(h, tol)
+    return _classicality(grid.overlaps(), grid.threshold)
 
 
-def _classicality(ov: np.ndarray, tol: float) -> ClassicalityReport:
+def _classicality(ov: np.ndarray, thr: float) -> ClassicalityReport:
     dist = np.minimum(ov, np.abs(ov - 1.0))
     worst = float(np.max(dist))
-    return ClassicalityReport(worst <= tol, worst, tol)
+    return ClassicalityReport(worst <= thr, worst, thr)
 
 
 @dataclass(frozen=True)
@@ -114,22 +117,22 @@ class PreLatinSquare:
         return "\n".join(" ".join(f"{x:2d}" for x in row) for row in self.labels)
 
 
-def pre_latin_square(h: PHMatrix, tol: float = DEFAULT_CYCLE_TOL):
+def pre_latin_square(h: PHMatrix, tol: float = DEFAULT_TOL):
     """Classify quotient vectors up to phase; None when non-classical.
 
     Returns (square, representatives) where representatives[x-1] is the
     vector of the first pair assigned label x.  On a classical grid each
     pair is labelled by the first pair, row-major, parallel to it.
     """
-    return _grid_classes(h, tolerance(tol, "tol"))[1]
+    return _grid_classes(h, tol)[1]
 
 
 def _grid_classes(h: PHMatrix, tol: float):
     """The classicality report of the projection grid and what
     pre_latin_square returns, from one grid."""
-    grid = ProjectionGrid(h)
+    grid = ProjectionGrid(h, tol)
     ov = grid.overlaps()
-    report = _classicality(ov, tol)
+    report = _classicality(ov, grid.threshold)
     if not report.classical:
         return report, None
     first, labels = np.unique(np.argmax(ov > 0.5, axis=1), return_inverse=True)
@@ -285,7 +288,7 @@ def _unchecked(rows: np.ndarray) -> Tuple[PartialPermutation, ...]:
     return tuple(out)
 
 
-def extract_semigroup(h: PHMatrix, tol: float = DEFAULT_CYCLE_TOL,
+def extract_semigroup(h: PHMatrix, tol: float = DEFAULT_TOL,
                       cap: int = MAX_CLOSURE):
     """Pre-Latin square classes of H, closed under composition.
 
@@ -354,10 +357,10 @@ class MomentMatrix:
         return self.matrix.shape[0]
 
 
-def _moment_grid(h: PHMatrix, p: int) -> ProjectionGrid:
+def _moment_grid(h: PHMatrix, p: int, tol: float = DEFAULT_TOL) -> ProjectionGrid:
     """The projection grid of h, once word length p passes the guards."""
     integer(p, "word length p", 1)
-    grid = ProjectionGrid(h)
+    grid = ProjectionGrid(h, tol)
     m = grid.m
     if m ** (2 * p) > MAX_MOMENT_ENTRIES:
         raise InvalidInputError(
@@ -409,26 +412,27 @@ class MomentReport:
     ambiguous: bool
     nearest_excluded: float   # distance to 1 of the closest non-counted eigenvalue
     symmetry_order: int       # r of the Z_p x Z_r blocks; 1 for the rotation alone
+    tolerance: float          # the threshold applied
 
 
-def moment(h: PHMatrix, p: int, tol: float = DEFAULT_CYCLE_TOL) -> MomentReport:
+def moment(h: PHMatrix, p: int, tol: float = DEFAULT_TOL) -> MomentReport:
     """Count unit eigenvalues of the length-p moment matrix.
 
-    For a square Hadamard matrix this is N^{p-1}.  Eigenvalues within tol
-    of 1 are counted; any eigenvalue in the decade above tol flags the
-    count as ambiguous.  The moment matrix is Hermitian (P_ji is the
-    transpose of P_ij, so swapping row and column words conjugates the
+    For a square Hadamard matrix this is N^{p-1}.  Eigenvalues within
+    threshold(tol) of 1 are counted; any eigenvalue in the decade above it
+    flags the count as ambiguous.  The moment matrix is Hermitian (P_ji is
+    the transpose of P_ij, so swapping row and column words conjugates the
     trace), and its eigenvalues are real.
     """
-    tol = tolerance(tol, "tol")
-    grid = _moment_grid(h, p)
+    grid = _moment_grid(h, p, tol)
+    thr = grid.threshold
     ev, r = _rotation_block_eigenvalues(grid, p)
     dist = np.abs(ev - 1.0)
-    value = int(np.sum(dist < tol))
-    excluded = dist[dist >= tol]
+    value = int(np.sum(dist < thr))
+    excluded = dist[dist >= thr]
     nearest = float(np.min(excluded)) if excluded.size else math.inf
-    ambiguous = bool(np.any((dist >= tol) & (dist < 10 * tol)))
-    return MomentReport(p, value, grid.m < grid.n, ambiguous, nearest, r)
+    ambiguous = bool(np.any((dist >= thr) & (dist < 10 * thr)))
+    return MomentReport(p, value, grid.m < grid.n, ambiguous, nearest, r, thr)
 
 
 def _word_symmetry(grid: ProjectionGrid, p: int) -> Tuple[np.ndarray, int]:

@@ -1,9 +1,11 @@
 import functools
 import importlib
 import json
+import re
 import runpy
 import subprocess
 import sys
+from pathlib import Path
 from typing import Sequence
 
 import jsonschema
@@ -16,7 +18,7 @@ from hadlab import (CATALOG_RECORD_SCHEMA, PHM_V1_SCHEMA, RESULT_SCHEMA,
                     defect_split_truncated_fourier, detect_butson, f22q,
                     f22q_master_spec, fourier_cyclic, load_phm, loads_phm,
                     read_records, save_phm, truncated_fourier)
-from hadlab.cli import run_command
+from hadlab.cli import build_parser, run_command
 from hadlab.cyclotomic import exact_defect_butson
 from hadlab.phases import ExactPhases
 from fractions import Fraction
@@ -289,8 +291,8 @@ def test_malformed_phase_and_spec_files_exit_2(tmp_path, case):
     "gen truncated-fourier --orders 8 --rows 0:x",
     "defect F --method split --orders 8 --rows 0,3,x",
     "moments F --p ,",
-    "moments F --p 1 --cycle-tol -1",
-    "regularity F --cycle-tol nan",
+    "moments F --p 1 --tol -1",
+    "regularity F --tol nan",
     "verify F --tol -1",
     "defect F --confidence nan",
     "defect F --confidence -1",
@@ -413,8 +415,9 @@ COMMAND_LINES = {
     "probe truncation": "probe truncation 5",
     "probe arithmetic": "probe arithmetic --q 5 --s 1,3 --t 0,2",
 }
-READS = {"--tol": {"gen mw", "verify", "defect", "isolated", "profile",
-                   "probe truncation", "probe arithmetic"},
+READS = {"--tol": {"gen mw", "verify", "defect", "isolated", "regularity",
+                   "semigroup", "moments", "profile", "probe truncation",
+                   "probe arithmetic"},
          "--confidence": {"defect", "isolated", "probe truncation"}}
 
 
@@ -432,6 +435,73 @@ def test_each_command_accepts_only_the_options_it_reads(capsys, command, option)
         err = capsys.readouterr().err
         assert err.startswith(f"usage: hadlab {command} ")
         assert f"unrecognized arguments: {option}" in err
+
+
+@pytest.mark.parametrize("command", ["regularity", "semigroup", "moments"])
+def test_cycle_tol_is_an_unknown_option(capsys, command):
+    """The structural commands read --tol; --cycle-tol is gone."""
+    argv = COMMAND_LINES[command].split() + ["--cycle-tol", "1e-8"]
+    assert run_command(argv) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: hadlab {command} ")
+    assert "unrecognized arguments: --cycle-tol 1e-8" in err
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+# the shorthands of README's command table
+SHORTHANDS = {"output": ["-o", "--label"],
+              "MW spec": ["--q", "--s", "--t", "--base", "--base-fourier"]}
+
+
+def _readme_commands() -> dict:
+    """Command -> the options its row of README's command table names."""
+    text = README.read_text(encoding="utf-8")
+    table = text.split("| command | arguments and options |\n|---|---|\n")[1]
+    out = {}
+    for line in table.split("\n\n")[0].splitlines():
+        _, names, args, _ = re.split(r"(?<!\\)\|", line)
+        quoted = re.findall(r"`([^`]+)`", args)
+        options = [q.split()[0] for q in quoted if q.startswith("-")]
+        plain = re.sub(r"`[^`]*`", "", args)
+        options += [o for word, opts in SHORTHANDS.items() if word in plain
+                    for o in opts]
+        for name in re.findall(r"`([^`]+)`", names):
+            out[name] = sorted(options)
+    return out
+
+
+def test_the_readme_command_table_names_each_commands_options():
+    """Each row names one option string of each option the command's
+    parser has, and no other, leaving out --json and --catalog."""
+    readme = _readme_commands()
+    assert set(readme) == set(COMMAND_LINES)
+    parser = build_parser()
+    for command, line in COMMAND_LINES.items():
+        p = parser.parse_args(line.split()).parser
+        actions = [set(a.option_strings) for a in p._actions
+                   if a.option_strings and a.dest not in ("help", "json", "catalog")]
+        index = {o: k for k, a in enumerate(actions) for o in a}
+        assert sorted(index.get(o, -1) for o in readme[command]) == \
+            list(range(len(actions))), (command, readme[command])
+
+
+def test_a_moved_f6_document_is_answered_at_its_tolerance(tmp_path, f6_file):
+    """F6 with each phase moved by at most 0.49e-6 rad passes verification
+    at --tol 1e-6, and the structural commands answer it there as they
+    answer F6, profile's root-of-unity order included."""
+    rng = np.random.default_rng(0)
+    shift = 0.49e-6 * rng.uniform(-1.0, 1.0, (6, 6))
+    moved = tmp_path / "f6-moved.json"
+    save_phm(PHMatrix.from_phases(fourier_cyclic(6).to_array() * np.exp(1j * shift)),
+             str(moved))
+    assert run_command(["verify", str(moved), "--tol", "1e-6"])[0] == 0
+    assert run_command(["verify", str(moved)])[0] == 1
+    for argv in (["profile"], ["regularity"], ["semigroup"], ["moments", "--p", "1,2,3"]):
+        code, want = run_json([argv[0], f6_file] + argv[1:])
+        assert code == 0
+        code, got = run_json([argv[0], str(moved)] + argv[1:] + ["--tol", "1e-6"])
+        assert code == 0, got
+        assert got == want
 
 
 # the hadlab modules loaded in a fresh interpreter after running SETUP
@@ -604,9 +674,9 @@ def test_semigroup_command_builds_one_grid(f25_file, tmp_path, monkeypatch):
     built = []
 
     class Counting(semigroup.ProjectionGrid):
-        def __init__(self, h):
+        def __init__(self, h, tol):
             built.append(h)
-            super().__init__(h)
+            super().__init__(h, tol)
     monkeypatch.setattr(semigroup, "ProjectionGrid", Counting)
     code, _ = run_command(["semigroup", f25_file])
     assert code == 0 and len(built) == 1

@@ -23,7 +23,7 @@ from hadlab import (InvalidInputError, MasterSpec, MWSpec, PartialPermutation,
                     cycle_decompose_integer, cycle_structure_profile,
                     cyclic_moment_oracle, defect, defect_master,
                     defect_split_truncated_fourier, defect_via_extension,
-                    dephase_at, dumps_phm, ensure_verified,
+                    dephase_at, detect_butson, dumps_phm, ensure_verified,
                     equivalence_profile, extract_semigroup, f22q_master_spec,
                     fourier_cyclic, gauss_vector_closed, gauss_vector_direct,
                     group_index, interval_shift_maps, is_regular,
@@ -252,7 +252,7 @@ def test_the_empty_multiset_has_the_empty_cover():
 
 # -- tolerances and confidences -------------------------------------------------------
 
-TOLERANCE_PARAMETERS = ("tol", "cycle_tol", "confidence")
+TOLERANCE_PARAMETERS = ("tol", "confidence")
 BAD_TOLERANCES = [math.nan, math.inf, -math.inf, 0.0, -1e-9, True, "1e-9", None]
 GOOD_TOLERANCES = [1e-7, np.float32(1e-7), Fraction(1, 10 ** 7)]
 
@@ -292,6 +292,7 @@ MW6 = MWSpec(3, (1,), (0,), fourier_cyclic(1))
 TOLERANCE_CALLS = {
     "PhaseEntry.cartesian": lambda **kw: PhaseEntry.cartesian(1j, **kw),
     "verify_partial_hadamard": lambda **kw: verify_partial_hadamard(F4_EXACT, **kw),
+    "detect_butson": lambda **kw: detect_butson(F6_COMPLEX, **kw),
     "ensure_verified": lambda **kw: ensure_verified(F4_EXACT, **kw),
     "defect": lambda **kw: defect(F4_EXACT, **kw),
     "defect_master": lambda **kw: defect_master(f22q_master_spec(Fraction(1, 20)), **kw),

@@ -11,8 +11,8 @@ level is read in it.
 What counts as an integer is decided in ``errors`` alone
 (``errors.is_integer`` and ``errors.integer``): no other module tests for
 a boolean or defines an integer predicate of its own.  The small float
-constants left in the source are the documented ones: the two default
-tolerances in ``errors``, the file modulus tolerance in ``io`` and two
+constants left in the source are the documented ones: the default
+tolerance in ``errors``, the file modulus tolerance in ``io`` and two
 1e-12 guards.
 """
 
@@ -193,15 +193,15 @@ def _small_floats(path: Path) -> list:
 
 
 def test_the_small_float_constants_are_the_documented_ones():
-    """errors.DEFAULT_TOL and DEFAULT_CYCLE_TOL, io.MODULUS_TOL, and the
-    1e-12 of defect_master's equal-eigenphase rule and of _value_classes'
-    bucket guard: every other threshold reads one of these."""
+    """errors.DEFAULT_TOL, io.MODULUS_TOL, and the 1e-12 of defect_master's
+    equal-eigenphase rule and of _value_classes' bucket guard: every other
+    threshold reads one of these."""
     found = sorted((module, value) for module in LAYER_ORDER + ["__init__", "__main__"]
                    for _, value in _small_floats(SRC / f"{module}.py"))
-    assert found == [("defect", 1e-12), ("errors", 1e-9), ("errors", 1e-8),
+    assert found == [("defect", 1e-12), ("errors", 1e-9),
                      ("io", 1e-6), ("regularity", 1e-12)]
     from hadlab import errors, io
-    assert (errors.DEFAULT_TOL, errors.DEFAULT_CYCLE_TOL, io.MODULUS_TOL) == (1e-9, 1e-8, 1e-6)
+    assert (errors.DEFAULT_TOL, io.MODULUS_TOL) == (1e-9, 1e-6)
 
 
 def test_the_small_float_check_sees_each_form(tmp_path):
@@ -238,6 +238,23 @@ def test_the_package_binds_every_public_name_on_first_use():
     assert proc.returncode == 0, proc.stderr
     assert ast.literal_eval(proc.stdout) == sorted(
         ["hadlab"] + [f"hadlab.{m}" for m in LAYER_ORDER if m != "cli"])
+
+
+STAR_CHECK = """
+from hadlab import *
+import hadlab
+names = [n for names in hadlab._PUBLIC.values() for n in names]
+print([n for n in names if globals().get(n) is not getattr(hadlab, n)])
+"""
+
+
+def test_a_star_import_binds_every_public_name():
+    """``from hadlab import *`` reads ``__all__``, so each public name goes
+    through __getattr__ and is bound."""
+    proc = subprocess.run([sys.executable, "-c", STAR_CHECK], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_the_package_refuses_a_name_it_does_not_have():

@@ -18,6 +18,7 @@ from hadlab import (DitaParams, InvalidInputError, MWSpec, PartialPermutation,
                     predicted_truncated_semigroup, semigroup_closure,
                     sigma_from_square, truncated_fourier, verify_submagic)
 from hadlab.cyclotomic import _automorphism
+from hadlab.errors import DEFAULT_TOL, threshold
 from hadlab.phases import ExactPhases
 from hadlab.semigroup import (MAX_CLOSURE, MAX_MOMENT_ENTRIES,
                               MAX_WORD_LENGTH, PreLatinSquare, ProjectionGrid,
@@ -62,11 +63,12 @@ def test_pre_latin_square_none_for_quantum_grid():
     assert pre_latin_square(f22q(Fraction(1, 20))) is None
 
 
-def _greedy_pre_latin_square(h, tol=1e-8):
+def _greedy_pre_latin_square(h):
     """Reference labelling: each pair, row-major, takes the label of the
     first representative parallel to it, else becomes a new representative.
-    Returns (labels, n_labels, representatives), or None when non-classical."""
-    if not classicality_test(h, tol).classical:
+    Returns (labels, n_labels, representatives), or None when non-classical
+    at the default tolerance."""
+    if not classicality_test(h).classical:
         return None
     grid = ProjectionGrid(h)
     m, n = grid.m, grid.n
@@ -87,9 +89,10 @@ def _greedy_pre_latin_square(h, tol=1e-8):
     return tuple(tuple(r) for r in labels), len(reps), reps
 
 
-def _summed_submagic(h, tol=1e-9):
+def _summed_submagic(h):
     """Reference sub-magic check: each row and column sum of the grid is
-    built from its M outer products.  Returns (ok, row, col residuals)."""
+    built from its M outer products and held to threshold(DEFAULT_TOL) N.
+    Returns (ok, row, col residuals)."""
     grid = ProjectionGrid(h)
     m, n = grid.m, grid.n
 
@@ -102,7 +105,8 @@ def _summed_submagic(h, tol=1e-9):
 
     row = max(residual(sum(projection(i, j) for j in range(m))) for i in range(m))
     col = max(residual(sum(projection(i, j) for i in range(m))) for j in range(m))
-    return row <= tol * n and col <= tol * n, row, col
+    bound = threshold(DEFAULT_TOL) * n
+    return row <= bound and col <= bound, row, col
 
 
 # row subsets of F_n and F_G, and two non-classical square matrices
