@@ -41,6 +41,23 @@ B_k = sum_u omega^(ku) G_u.  The F_p rank of M is the sum of the ranks of
 the B_k, exactly, so the proof logic above is unchanged.  The blocks are
 r times smaller, and eliminating them costs about r^2 times less.
 
+Conjugation halves that again.  Let S swap the pair (i, j) to (j, i).
+Row (j, i) is -conj of row (i, j), S commutes with pi, and the rescaling
+factors of a pair and of its swap are conjugate roots of unity, so
+conj(G_t[E]) = -u_E G_(t-s)[E'], with E' the representative of the orbit
+of S(E), s its step and u_E a root of unity.  Hence conj(B_k) = D P B_(-k)
+for a row permutation P and a diagonal D of units: over Q(zeta_l), B_k
+and B_(r-k) have one rank, and the rank of M is rank B_0 plus twice the
+ranks of the other B_k with k <= r/2, B_(r/2) once when r = 2.  Each F_p
+rank is at most the rank over Q(zeta_l), so ranking k = 0..floor(r/2) and
+counting each k with 2k != 0 (mod r) twice gives a lower bound on the
+rank, which is all that a reduction reaching the largest possible rank,
+or the upper bound on the defect, needs.  The Hadamard bound needs more:
+the whole F_p rank at each prime it multiplies.  Taken at the same w,
+B_k and B_(r-k) are not conjugate over F_p (conjugation sends w to
+w^(-1)), and their F_p ranks can differ, so once that bound is needed the
+other blocks are ranked too, at that prime and at every later one.
+
 The elimination runs in float64 on integers, one leaf of _LEAF columns at
 a time, and takes the r blocks of a prime together as one stack, each
 matrix with its own pivots.  A leaf adds at most _LEAF products of
@@ -607,9 +624,10 @@ def _block_layout(sigma: np.ndarray, tau: np.ndarray, r: int):
 
 
 def _tangent_blocks(e: np.ndarray, l: int, p: int, w: int, r: int,
-                    layout) -> np.ndarray:
-    """The r symmetry-adapted blocks of the tangent system over F_p, with
-    zeta_l -> w, as float64 residues of shape (r, pairs/r, unknowns/r).
+                    layout, ks: Sequence[int]) -> np.ndarray:
+    """The symmetry-adapted blocks B_k, k in ks, of the tangent system over
+    F_p, with zeta_l -> w, as float64 residues of shape
+    (len(ks), pairs/r, unknowns/r).
 
     Row (i, j) of the system is w^(E_ik - E_jk) in column i*N + k and its
     negative in column j*N + k.  With G_t[E, U] = M[E, pi^t U] on orbit
@@ -635,11 +653,11 @@ def _tangent_blocks(e: np.ndarray, l: int, p: int, w: int, r: int,
     if r == 1:
         return g
     omega = pow(w, l // r, p)
-    dft = np.array([[pow(omega, k * t, p) for t in range(r)] for k in range(r)],
+    dft = np.array([[pow(omega, k * t, p) for t in range(r)] for k in ks],
                    dtype=np.float64)
     # pi^t U meets row i and row j of a pair once each over t, so at most
     # two of the r products in an entry are nonzero: the sum is below 2p^2
-    b = (dft @ g.reshape(r, -1)).reshape(g.shape)
+    b = (dft @ g.reshape(r, -1)).reshape((len(dft),) + g.shape[1:])
     _reduce(b, p)
     return b
 
@@ -655,7 +673,11 @@ class ButsonDefect:
     primes), or 0 when one reduction reached the largest possible rank.
     ``symmetry_order`` is the order r of the automorphism whose blocks were
     ranked, 1 when the system was ranked whole, and ``block_ranks`` the
-    ranks of the r blocks at the last prime when r > 1.
+    ranks of the blocks ranked at the last prime when r > 1: those of
+    B_0..B_(r//2), unless the Hadamard bound was needed and all r were
+    ranked.  ``ranks`` holds one rank per prime: the sum of the block
+    ranks, with each k <= r/2 that has 2k != 0 (mod r) counted twice when
+    only those were ranked (see the module docstring).
     """
     defect: int
     exact: bool
@@ -723,11 +745,26 @@ def exact_defect_butson(exponents: Sequence[Sequence[int]], l: int) -> ButsonDef
                             tuple(primes), tuple(ranks), needed, r,
                             tuple(block_ranks) if r > 1 else ())
 
+    # B_k and B_(r-k) have one rank over Q(zeta_l): k counts twice unless
+    # 2k = 0 (mod r), and only k <= r/2 is ranked until the Hadamard bound
+    # needs whole F_p ranks
+    half = r // 2 + 1
+    weights = [1 if 2 * k % r == 0 else 2 for k in range(half)]
     for p, w in split_primes(l):
         primes.append(p)
         # no name holds the blocks, so they are freed before the next are built
-        block_ranks = rank_mod_p(_tangent_blocks(E, l, p, w, r, layout), p)
-        ranks.append(sum(block_ranks))
+        block_ranks = rank_mod_p(_tangent_blocks(E, l, p, w, r, layout,
+                                                 range(len(weights))), p)
+        ranks.append(sum(c * x for c, x in zip(weights, block_ranks)))
+        if (len(weights) < r and ranks[-1] < top
+                and _reductions_needed(l, phi, n, ranks[-1]) <= PROOF_CAP):
+            # the checks below go on to the Hadamard bound, which multiplies
+            # primes at which the whole F_p rank is at most the rank: the
+            # other blocks are ranked too, here and at every later prime
+            block_ranks += rank_mod_p(_tangent_blocks(E, l, p, w, r, layout,
+                                                      range(half, r)), p)
+            weights = [1] * r
+            ranks[-1] = sum(block_ranks)
         rank = max(ranks)
         if rank == top:
             return result(rank, True, 0)

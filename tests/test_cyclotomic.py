@@ -739,12 +739,72 @@ def test_block_ranks_sum_to_the_whole_rank(table):
     layout = _block_layout(sigma, tau, r)
     whole = _block_layout(np.arange(m), np.arange(n), 1)
     for p, w in split_primes(l)[:2]:
-        blocks = _tangent_blocks(e, l, p, w, r, layout)
+        blocks = _tangent_blocks(e, l, p, w, r, layout, range(r))
         assert blocks.shape == (r, m * (m - 1) // r, m * n // r)
         block_ranks = rank_mod_p(blocks, p)
-        [rank] = rank_mod_p(_tangent_blocks(e, l, p, w, 1, whole), p)
+        [rank] = rank_mod_p(_tangent_blocks(e, l, p, w, 1, whole, [0]), p)
         assert sum(block_ranks) == rank
         assert rank == _rank_reference(_conjugate_stacked_system(e, l, p, w), p)
+
+
+def _scaled_rows(block, p):
+    """The rows of a block over F_p, each scaled so that its first nonzero
+    entry is 1, sorted: two blocks whose rows are unit multiples of each
+    other's, in any order, give equal arrays."""
+    x = block.astype(np.int64) % p
+    lead = x[np.arange(len(x)), (x != 0).argmax(1)].tolist()
+    x = x * np.array([pow(v, -1, p) if v else 0 for v in lead])[:, None] % p
+    return x[np.lexsort(x.T[::-1])]
+
+
+def _assert_conjugate_blocks_pair_up(e, l):
+    # conjugation sends zeta_l to its inverse, w to w^-1 over F_p, and B_k
+    # to B_(r-k) up to a row permutation and unit row factors
+    sigma, tau, r = _automorphism(e, l)
+    layout = _block_layout(sigma, tau, r)
+    for p, w in split_primes(l)[:2]:
+        blocks = _tangent_blocks(e, l, p, w, r, layout, range(r))
+        conj = _tangent_blocks(e, l, p, pow(w, -1, p), r, layout, range(r))
+        for k in range(r):
+            assert np.array_equal(_scaled_rows(conj[k], p),
+                                  _scaled_rows(blocks[-k % r], p))
+        ranks = rank_mod_p(blocks, p)
+        assert rank_mod_p(conj, p) == [ranks[-k % r] for k in range(r)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(symmetric_tables())
+def test_conjugate_blocks_pair_up(table):
+    _assert_conjugate_blocks_pair_up(*table)
+
+
+def test_conjugate_blocks_pair_up_on_a_rephased_mw13():
+    h = mw_construct(MWSpec(13, (1, 3, 5, 7), (0, 2, 4, 6), fourier_cyclic(4)))
+    rng = np.random.default_rng(3)
+    phases = [PhaseEntry.butson(int(x), 52) for x in rng.integers(0, 52, 2 * h.m)]
+    g = apply_equivalence(h, [int(i) for i in rng.permutation(h.m)],
+                          [int(j) for j in rng.permutation(h.n)],
+                          phases[:h.m], phases[h.m:])
+    e, l = np.array(g.phases.exp, dtype=np.int64), g.phases.order
+    assert _automorphism(e, l)[2] == 13
+    _assert_conjugate_blocks_pair_up(e, l)
+
+
+@pytest.mark.parametrize("h, reductions, want", [(fourier_cyclic(6), 4, 15),
+                                                 (fourier_group((3, 3)), 11, 33)],
+                         ids=["F6", "F3x3"])
+def test_the_hadamard_bound_ranks_every_block(monkeypatch, h, reductions, want):
+    # a proof through the Hadamard bound needs the whole F_p rank at every
+    # prime, so every block is ranked, and the answer is the whole system's
+    import hadlab.cyclotomic as cyc
+    e, l = np.array(h.phases.exp, dtype=np.int64), h.phases.order
+    whole = exact_defect_butson(e, l)
+    monkeypatch.setattr(cyc, "_SYMMETRY_FLOOR", 0)
+    split = exact_defect_butson(e, l)
+    assert whole.symmetry_order == 1 and split.symmetry_order == 3
+    assert len(split.block_ranks) == 3 and sum(split.block_ranks) == split.ranks[-1]
+    assert (split.defect, split.exact, len(split.primes)) == (want, True, reductions)
+    assert (split.primes, split.ranks) == (whole.primes, whole.ranks)
 
 
 @st.composite
@@ -788,6 +848,12 @@ def test_orbits_lay_out_each_cycle(case):
     assert np.array_equal(_steps(pi, r)[pos, least[index]], u)
 
 
+def _counted(block_ranks, r):
+    """The rank that blocks k = 0..r/2 stand for: B_k and B_(r-k) have one
+    rank over Q(zeta_l), so k counts twice unless 2k = 0 (mod r)."""
+    return sum(x if 2 * k % r == 0 else 2 * x for k, x in enumerate(block_ranks))
+
+
 def _petrescu7():
     return petrescu(PhaseEntry.turns(Fraction(1, 7)))
 
@@ -816,9 +882,10 @@ def test_a_permuted_mw13_is_ranked_as_13_blocks():
     res = exact_defect_butson(g.phases.exp, g.phases.order)
     assert (res.defect, res.exact, res.route) == (104, False, "bound")
     assert res.primes == (1048633,) and res.ranks == (2600,)
-    # which ranks the blocks take depends on the automorphism found
-    assert res.symmetry_order == 13 and len(res.block_ranks) == 13
-    assert sum(res.block_ranks) == 2600
+    # which ranks the blocks take depends on the automorphism found; B_k
+    # and B_(13-k) have one rank, so only k = 0..6 are ranked
+    assert res.symmetry_order == 13 and len(res.block_ranks) == 7
+    assert _counted(res.block_ranks, 13) == 2600
 
 
 def test_mw17_above_the_order_cap_is_ranked_as_17_blocks():
@@ -841,8 +908,8 @@ def test_exhausted_search_falls_back_to_the_whole_system(monkeypatch):
                           [PhaseEntry.one()] * 14, [PhaseEntry.one()] * 14)
     e, l = np.array(h.phases.exp, dtype=np.int64), h.phases.order
     split = exact_defect_butson(e, l)
-    assert split.symmetry_order == 7
-    assert sum(split.block_ranks) == split.ranks[-1]
+    assert split.symmetry_order == 7 and len(split.block_ranks) == 4
+    assert _counted(split.block_ranks, 7) == split.ranks[-1]
     monkeypatch.setattr(cyc, "_SEARCH_NODES", 1)
     assert _automorphism(e, l) is None
     whole = exact_defect_butson(e, l)
@@ -864,6 +931,6 @@ def test_symmetry_search_only_above_the_size_floor():
                           [PhaseEntry.butson(int(x), 44) for x in rng.integers(0, 44, 22)])
     cert = isolation_certificate(h)
     breakdown = cert.report.breakdown
-    assert breakdown["symmetry_order"] == 11
-    assert sum(breakdown["block_ranks"]) == breakdown["ranks"][-1]
+    assert breakdown["symmetry_order"] == 11 and len(breakdown["block_ranks"]) == 6
+    assert _counted(breakdown["block_ranks"], 11) == breakdown["ranks"][-1]
     assert cert.exact and cert.defect == 43 == defect(h).defect

@@ -324,7 +324,7 @@ def test_modular_defect_bounds_the_svd_defect(h):
         p2, w2 = split_primes(l)[1]
         m, n = e.shape
         blocks = _tangent_blocks(e, l, p2, w2, 1,
-                                 _block_layout(np.arange(m), np.arange(n), 1))
+                                 _block_layout(np.arange(m), np.arange(n), 1), [0])
         assert rank_mod_p(blocks, p2) == [res.ranks[0]]
 
 
